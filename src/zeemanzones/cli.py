@@ -192,24 +192,23 @@ def cmd_partition(cfg):
     variant = build_variant(cfg)
     sigma = _check_sigma(cfg)
     a = int(cfg["zone"])
-    deg = int(cfg["quad_degree"])
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
     w.writerow(["t", "closed_re", "closed_im", "trace_re", "trace_im",
-                "residual"])
+                "residual", "quad_delta"])
     had_error = False
     for t in cfg["times"]:
         try:
             z = thermo.partition(sigma, a, float(t), params, variant)
-            ztr = thermo.partition_by_trace(sigma, a, float(t), params,
-                                            quad_degree=deg, variant=variant)
+            ztr, delta = thermo.partition_trace(sigma, a, float(t), params,
+                                                variant)
         except (SingularTimeError, QuadratureError):
             had_error = True
-            w.writerow([repr(float(t))] + ["ERROR"] * 5)
+            w.writerow([repr(float(t))] + ["ERROR"] * 6)
             continue
         w.writerow([repr(float(t))]
                    + [repr(float(v)) for v in (z.real, z.imag, ztr.real,
-                                               ztr.imag, abs(z - ztr))])
+                                               ztr.imag, abs(z - ztr), delta)])
     write_out(buf.getvalue(), cfg["out"])
     return 3 if had_error else 0
 
@@ -219,13 +218,15 @@ def cmd_zeta(cfg):
     variant = build_variant(cfg)
     a = int(cfg["zone"])
     rows = []
+    # the Riemann relation holds for a single block with k=2 only
+    riemann = len(params.blocks) == 1 and params.k == 2
     for s in cfg["s_values"]:
         zz = thermo.zeta_zonal(a, float(s), params, variant=variant)
         ref = (1 - 2.0 ** (-float(s))) * thermo.riemann_zeta(float(s))
         rows.append({"s": float(s),
                      "zeta_zonal_re": zz.real, "zeta_zonal_im": zz.imag,
-                     "riemann_reference": ref.real,
-                     "riemann_residual": abs(zz - ref)})
+                     "riemann_reference": ref.real if riemann else None,
+                     "riemann_residual": abs(zz - ref) if riemann else None})
     write_out(json.dumps({"zone": a, "values": rows}, indent=2) + "\n",
               cfg["out"])
     return 0
@@ -240,13 +241,20 @@ def cmd_pathint(cfg):
     X, Y = _point_pairs(cfg, params.k)[0]
     ref = zonal_kernel_closed(sigma, a, T, X, Y, params).value
     rows = []
-    for n in cfg["n_slices"]:
-        val = pathint.cylinder_value(sigma, a, pathint.TimeSlicing(T, int(n)),
-                                     None, X, Y, params, quad_degree=deg)
-        rows.append({"sigma": sigma, "zone": a, "T": T, "n": int(n),
-                     "value_re": val.real, "value_im": val.imag,
-                     "reference_re": ref.real, "reference_im": ref.imag,
-                     "residual": abs(val - ref)})
+    try:
+        for n in cfg["n_slices"]:
+            val = pathint.cylinder_value(sigma, a,
+                                         pathint.TimeSlicing(T, int(n)),
+                                         None, X, Y, params, quad_degree=deg)
+            rows.append({"sigma": sigma, "zone": a, "T": T, "n": int(n),
+                         "value_re": val.real, "value_im": val.imag,
+                         "reference_re": ref.real, "reference_im": ref.imag,
+                         "residual": abs(val - ref)})
+    except (SingularTimeError, QuadratureError) as exc:
+        # a numeric ERROR (exit 3), not a usage error: SingularTimeError
+        # is a ValueError, which main() would report as exit 2
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
     write_out(json.dumps({"convergence": rows}, indent=2) + "\n", cfg["out"])
     return 0
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .params import MagneticParams, J_apply
-from .quadrature import QuadRule, integrate
+from .quadrature import QuadRule, exact_value, integrate
 from .special import laguerre
 
 SIGMA = {"wk": 1.0 + 0j, "df": 1j}
@@ -118,8 +118,8 @@ def projection_kernel(a: int, X, Y, params: MagneticParams):
     return lag * _projection_gauss(X, Y, params)
 
 
-def irreducible_projection_kernel(a_tuple, X, Y, params: MagneticParams):
-    """Irreducible-zone point-spread: plane-wise product of L^{(0)} factors."""
+def _irreducible_laguerre(a_tuple, X, Y, params: MagneticParams):
+    """Plane-wise product of the L^{(0)} factors of an irreducible zone."""
     a_tuple = tuple(int(a) for a in a_tuple)
     if len(a_tuple) != params.n_planes:
         raise ValueError(f"need one zone index per plane, k/2={params.n_planes}")
@@ -133,6 +133,12 @@ def irreducible_projection_kernel(a_tuple, X, Y, params: MagneticParams):
         d2 = ((X[..., 2 * j] - Y[..., 2 * j]) ** 2 +
               (X[..., 2 * j + 1] - Y[..., 2 * j + 1]) ** 2)
         lag = lag * laguerre(0, aj, plam[j] * d2)
+    return lag
+
+
+def irreducible_projection_kernel(a_tuple, X, Y, params: MagneticParams):
+    """Irreducible-zone point-spread: plane-wise product of L^{(0)} factors."""
+    lag = _irreducible_laguerre(a_tuple, X, Y, params)
     return lag * _projection_gauss(X, Y, params)
 
 
@@ -256,39 +262,83 @@ def lt1_printed(sigma, t: float, X, Y):
 # numeric zonal kernels (any zone index)
 # ---------------------------------------------------------------------------
 
-def zonal_numeric_scales(sigma, t: float, params: MagneticParams) -> tuple[float, ...]:
-    """Per-axis Gaussian decay of P^{(a)}(X,U) d_sigma(t,U,Y) in U."""
+def _flow_coth(sigma, t: float, lam: float) -> complex:
+    """g = coth(lam t sigma): the global kernel's exponent on a block is
+    -(lam/2) g |X - Y|^2 - i lam <X, J Y> (g = -i cot(lam t) for DF)."""
+    if not t > 0:
+        raise ValueError("global kernel requires t > 0")
+    return complex(1.0 / np.tanh(lam * t * sigma_value(sigma)))
+
+
+def zonal_numeric_scales(sigma, t: float, params: MagneticParams) -> tuple[complex, ...]:
+    """Per-axis complex decay A of P^{(a)}(X,U) d_sigma(t,U,Y) in U.
+
+    On each block the integrand is a polynomial times e^{-A|U|^2 + B.U}
+    with A = lam (1 + g) / 2, g = coth(lam t sigma): Re A = lam (1 + coth)
+    / 2 for WK and lam / 2 for DF, whose A is complex.
+    """
     out = []
     for b in params.blocks:
-        if sigma == "wk":
-            g = b.lam * (1.0 + 1.0 / np.tanh(b.lam * t)) / 2.0
-        else:
-            g = b.lam / 2.0
-        out.extend([float(g)] * b.k)
+        out.extend([b.lam * (1 + _flow_coth(sigma, t, b.lam)) / 2] * b.k)
     return tuple(out)
+
+
+def _convolution_centre(sigma, t: float, X, Y, params: MagneticParams):
+    """Stationary point U0 = B / 2A of the convolution exponent in U:
+    (X - iJX + g Y - iJY) / (1 + g) per block; broadcasts over X and Y."""
+    parts = []
+    for b, Xi, Yi in _blockwise(X, Y, params):
+        g = _flow_coth(sigma, t, b.lam)
+        parts.append((Xi - 1j * J_apply(Xi) + g * Yi - 1j * J_apply(Yi))
+                     / (1 + g))
+    return np.concatenate(parts, axis=-1)
+
+
+def zonal_convolution(sigma, a: int, t: float, X, Y, params: MagneticParams,
+                      n: int, a_tuple=None):
+    """int P^{(a)}(X,U) d_sigma(t,U,Y) dU by the rotated n-node rule.
+
+    The rule sits at the integrand's stationary point with the complex
+    decay of `zonal_numeric_scales`; it is exact once n exceeds the zone
+    index (the projection's polynomial has degree 2a per axis).  X and Y
+    may be complex (points on a rotated contour) and broadcast.
+    """
+    X = np.asarray(X, dtype=complex if np.iscomplexobj(X) else float)
+    Y = np.asarray(Y, dtype=complex if np.iscomplexobj(Y) else float)
+    rule = QuadRule(n, zonal_numeric_scales(sigma, t, params),
+                    _convolution_centre(sigma, t, X, Y, params))
+    Xb, Yb = X[..., None, :], Y[..., None, :]
+
+    def f(U):
+        if a_tuple is None:
+            p_pref, p_expo = projection_parts(a, Xb, U, params)
+        else:
+            p_pref, p_expo = _projection_gauss_parts(Xb, U, params)
+            p_pref = p_pref * _irreducible_laguerre(a_tuple, Xb, U, params)
+        g_pref, g_expo = global_parts(sigma, t, U, Yb, params)
+        # merge exponents before exponentiating: off the real axis the
+        # two factors can be large and small separately
+        return p_pref * g_pref * np.exp(p_expo + g_expo)
+
+    return integrate(f, rule)
 
 
 def zonal_kernel_numeric(sigma, a: int, t: float, X, Y, params: MagneticParams,
                          quad_degree: int = 40, a_tuple=None):
     """d_sigma^{(a)}(t,X,Y) = int P^{(a)}(X,U) d_sigma(t,U,Y) dU by quadrature.
 
-    With a_tuple set, the irreducible projection is used instead of the
-    gross one (and `a` is ignored).
+    The exact rotated rule of `zonal_convolution` is sized from the zone
+    index (a+1 nodes per axis) and checked against a+3 nodes; a
+    disagreement raises QuadratureError.  quad_degree is accepted for
+    compatibility and not used.  With a_tuple set, the irreducible
+    projection is used instead of the gross one (and `a` is ignored).
+    Broadcasts over leading axes of X and Y.
     """
     if sigma == "df":
         check_df_time(t, params)
-    X = np.asarray(X, dtype=complex if np.iscomplexobj(X) else float)
-    Y = np.asarray(Y, dtype=complex if np.iscomplexobj(Y) else float)
-    rule = QuadRule(quad_degree, zonal_numeric_scales(sigma, t, params))
-
-    def f(U):
-        if a_tuple is not None:
-            proj = irreducible_projection_kernel(a_tuple, X, U, params)
-        else:
-            proj = projection_kernel(a, X, U, params)
-        return proj * global_kernel(sigma, t, U, Y, params)
-
-    return integrate(f, rule)
+    n = 1 + (a if a_tuple is None else max(int(aj) for aj in a_tuple))
+    return exact_value(lambda m: zonal_convolution(sigma, a, t, X, Y, params,
+                                                   m, a_tuple), n)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,21 @@
 """Deterministic tensor-product Gauss-Hermite quadrature over R^k.
 
 All kernel integrals in this package are plain Lebesgue integrals of
-integrands that decay like exp(-sum_j s_j u_j^2) (the flat gauge keeps the
-Gaussian factors inside the kernels).  A rule therefore carries one scale
-s_j > 0 per axis; nodes are x / sqrt(s_j) and weights absorb the
-de-weighting factor e^{x^2} / sqrt(s_j), so the rule integrates
-polynomial-times-phase remainders accurately.
+integrands that decay like exp(-sum_j s_j (u_j - c_j)^2) (the flat gauge
+keeps the Gaussian factors inside the kernels).  A rule therefore carries
+one scale s_j per axis and an optional centre c; nodes are
+c_j + x / sqrt(s_j) and weights absorb the de-weighting factor
+e^{x^2} / sqrt(s_j).
+
+With real scales and no centre this is the real-axis rule, which
+integrates polynomial-times-phase remainders accurately.  A complex scale
+A (Re A > 0) rotates the nodes onto the steepest-descent line of
+e^{-A u^2}: for an entire integrand p(U) e^{-sum_j A_j (U_j - c_j)^2}
+whose polynomial p has degree <= 2n - 1 on every axis, the n-node rule
+centred at the stationary point c is exact (Gil, Segura & Temme,
+*Numerical Methods for Special Functions*, SIAM 2007, on Gauss rules
+along saddle-point contours).  `exact_value` pairs that rule with a
+two-node-larger one as convergence evidence.
 
 Reduction order is a fixed pairwise tree, independent of any thread
 count, so results are bitwise reproducible.
@@ -13,7 +23,7 @@ count, so results are bitwise reproducible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -33,6 +43,7 @@ class QuadratureNonConvergence(QuadratureError):
 
 MAX_DEGREE = 200
 MAX_TENSOR_NODES = 50_000_000
+EXACT_TOL = 1e-10
 
 
 @lru_cache(maxsize=None)
@@ -48,14 +59,24 @@ def gauss_hermite_rule(degree: int):
 
 @dataclass(frozen=True)
 class QuadRule:
-    """Tensor rule over R^k with per-axis Gaussian scales."""
+    """Tensor rule over R^k with per-axis Gaussian scales.
+
+    Scales may be complex with positive real part.  `centre` is None (the
+    origin) or an array of shape (..., k); a batch of centres yields one
+    grid per centre, nodes of shape (..., N, k).
+    """
 
     degree: int
-    scales: tuple[float, ...]
+    scales: tuple[complex, ...]
+    centre: object = field(default=None, compare=False)
 
     def __post_init__(self):
-        if any(not s > 0 for s in self.scales):
-            raise QuadratureError("all axis scales must be positive")
+        # a scale with Re <= 0 (e.g. a caustic) has no Gaussian decay;
+        # refuse before any node is built
+        if any(not np.real(s) > 0 for s in self.scales):
+            raise QuadratureError("all axis scales need a positive real part")
+        if self.centre is not None and np.shape(self.centre)[-1:] != (self.dim,):
+            raise QuadratureError(f"centre must have last dimension {self.dim}")
         gauss_hermite_rule(self.degree)  # validates degree
         if self.degree ** len(self.scales) > MAX_TENSOR_NODES:
             raise QuadratureError("tensor rule too large; reduce degree or dimension")
@@ -77,7 +98,8 @@ class QuadRule:
         return x / rs, w * np.exp(x * x) / rs
 
     def nodes_weights(self):
-        """Full tensor grid: nodes (N, k), Lebesgue weights (N,)."""
+        """Full tensor grid: nodes (N, k), or (..., N, k) for a batch of
+        centres, and Lebesgue weights (N,)."""
         axes = [self.axis_nodes_weights(j) for j in range(self.dim)]
         grids = np.meshgrid(*[a[0] for a in axes], indexing="ij")
         nodes = np.stack([g.reshape(-1) for g in grids], axis=-1)
@@ -85,6 +107,8 @@ class QuadRule:
         weights = np.ones(nodes.shape[0])
         for g in wgrids:
             weights = weights * g.reshape(-1)
+        if self.centre is not None:
+            nodes = np.asarray(self.centre)[..., None, :] + nodes
         return nodes, weights
 
 
@@ -101,14 +125,15 @@ def tree_sum(values: np.ndarray):
 
 
 def integrate(f, rule: QuadRule, check_finite: bool = True):
-    """int f(U) dU over R^k by the tensor rule; f maps (N, k) -> (N,)."""
+    """int f(U) dU over R^k by the tensor rule; f maps nodes (..., N, k)
+    to values (..., N), one integral per batch entry."""
     nodes, weights = rule.nodes_weights()
     vals = np.asarray(f(nodes))
-    if vals.shape != (nodes.shape[0],):
+    if vals.shape != nodes.shape[:-1]:
         raise QuadratureError("integrand must return one value per node")
     if check_finite and not np.all(np.isfinite(vals)):
         raise NonFiniteIntegrand("integrand produced non-finite values")
-    return tree_sum(weights * vals)
+    return tree_sum(np.moveaxis(weights * vals, -1, 0))
 
 
 def convolve(kernelA, kernelB, rule: QuadRule):
@@ -116,17 +141,18 @@ def convolve(kernelA, kernelB, rule: QuadRule):
     return integrate(lambda U: np.asarray(kernelA(U)) * np.asarray(kernelB(U)), rule)
 
 
-def integrate_checked(f, rule: QuadRule, tol: float = 1e-8, degree_step: int = 8):
-    """Integrate with a two-degree convergence check.
+def exact_value(evaluate, n: int):
+    """An exact Gaussian-rule integral with its convergence evidence.
 
-    Returns the higher-degree value; raises QuadratureNonConvergence when
-    the two results disagree beyond tol * (1 + |value|).
+    evaluate(m) integrates with m nodes per axis and is exact at m = n.
+    The m = n + 2 result must agree within EXACT_TOL * (1 + |value|)
+    (elementwise for array values); returns (value at n, largest
+    |difference|) or raises QuadratureNonConvergence.
     """
-    lo = QuadRule(max(1, rule.degree - degree_step), rule.scales)
-    v_hi = integrate(f, rule)
-    v_lo = integrate(f, lo)
-    if abs(v_hi - v_lo) > tol * (1.0 + abs(v_hi)):
+    value = evaluate(n)
+    delta = np.abs(evaluate(n + 2) - value)
+    if not np.all(delta <= EXACT_TOL * (1.0 + np.abs(value))):
         raise QuadratureNonConvergence(
-            f"quadrature not converged: |Delta|={abs(v_hi - v_lo):.3e} at degrees "
-            f"{lo.degree}/{rule.degree}")
-    return v_hi
+            f"exact rule disagrees with its check: |Delta|={np.max(delta):.3e} "
+            f"between {n} and {n + 2} nodes per axis")
+    return value, float(np.max(delta))

@@ -7,10 +7,9 @@ import math
 import numpy as np
 
 from .params import MagneticParams, HamiltonianVariant, H_Z
-from .kernels import (SingularTimeError, check_df_time, sigma_value,
-                      zonal_kernel_closed, projection_parts, global_parts,
-                      zonal_numeric_scales)
-from .quadrature import QuadRule, tree_sum
+from .kernels import (check_df_time, sigma_value, zonal_convolution,
+                      zonal_kernel_closed)
+from .quadrature import QuadRule, exact_value, tree_sum
 from .spectrum import zone_count, _compositions
 
 
@@ -42,93 +41,79 @@ def partition(sigma, a: int, t: float, params: MagneticParams,
     return out * np.exp(-s * t * _variant_shift(variant, params))
 
 
-def _diag_scales(sigma, t: float, params: MagneticParams) -> tuple[float, ...]:
-    """Per-axis decay of the zonal diagonal, Re(lam (1 - e^{-2 lam t s}))."""
-    s = sigma_value(sigma)
-    out = []
-    for b in params.blocks:
-        g = (b.lam * (1 - np.exp(-2 * b.lam * t * s))).real
-        if not g > 0:
-            raise SingularTimeError(f"zonal diagonal has no Gaussian decay at t={t}")
-        out.extend([float(g)] * b.k)
-    return tuple(out)
+def _plane_trace(sigma, a: int, t: float, lam: float,
+                 part: str = "value") -> tuple[complex, float]:
+    """Diagonal trace of the zone-a kernel on a single coordinate plane,
+    with its quadrature delta (`exact_value`).
 
-
-def _plane_trace(sigma, a: int, t: float, lam: float, quad_degree: int,
-                 part: str = "value") -> complex:
-    """Diagonal trace of the zone-a kernel on a single coordinate plane.
-
+    The diagonal is a polynomial of degree 2a times e^{-A|X|^2} with
+    complex A = lam (1 - e^{-2 lam t sigma}) (Re A = 0 at a DF caustic,
+    which the rule refuses), so the rotated (a+1)-node rule is exact.
     part selects "value", "dominant" or "long_term" of the closed kernel
-    for a <= 1.  For a >= 2 the convolution int P^{(a)}(X,U) d(t,U,X) dU
-    is evaluated on the fly (iterated, not joint, quadrature: the joint
-    integrand is not absolutely convergent) with the inner grid recentred
-    at each outer node, where the Gaussian mass sits.
+    for a <= 1.  For a >= 2 the diagonal at each outer node is the inner
+    convolution int P^{(a)}(X,U) d(t,U,X) dU (`zonal_convolution`, same
+    rule size): iterated, not joint, quadrature, because the joint
+    integrand is not absolutely convergent.
     """
-    pp = MagneticParams.make([(lam, 2)])
-    outer = QuadRule(quad_degree, _diag_scales(sigma, t, pp))
-    Xo, wo = outer.nodes_weights()
-    if a <= 1:
-        kv = zonal_kernel_closed(sigma, a, t, Xo, Xo, pp)
-        return tree_sum(wo * getattr(kv, part))
-    if part != "value":
+    if a >= 2 and part != "value":
         raise ValueError("dominant/long_term plane traces are a<=1 only")
-    inner = QuadRule(quad_degree, zonal_numeric_scales(sigma, t, pp))
-    Vi, wi = inner.nodes_weights()
-    # In V = U - X the integrand is e^{-A|V|^2 + 2 i lam <X, J V>} times a
-    # polynomial; shift the contour to the stationary point (the kernels
-    # are analytic in the coordinates) so accuracy is uniform in |X|.
-    s = sigma_value(sigma)
-    if sigma == "wk":
-        A = lam * (1 + 1 / np.tanh(lam * t)) / 2
-    else:
-        A = lam * (1 - 1j / np.tan(lam * t)) / 2
-    chunks = []
-    for lo in range(0, Xo.shape[0], 256):
-        Xc = Xo[lo:lo + 256]
-        shift = (1j * lam / A) * np.stack([Xc[:, 1], -Xc[:, 0]], axis=-1)
-        Xc = Xc[:, None, :]
-        U = Xc + shift[:, None, :] + Vi[None, :, :]
-        p_pref, p_expo = projection_parts(a, Xc, U, pp)
-        g_pref, g_expo = global_parts(sigma, t, U, Xc, pp)
-        vals = p_pref * g_pref * np.exp(p_expo + g_expo)
-        chunks.append(tree_sum((vals * wi[None, :]).T))
-    diag = np.concatenate(chunks)
-    return tree_sum(wo * diag)
+    pp = MagneticParams.make([(lam, 2)])
+    A = complex(lam * (1 - np.exp(-2 * lam * t * sigma_value(sigma))))
+
+    def trace(n):
+        X, w = QuadRule(n, (A, A)).nodes_weights()
+        if a <= 1:
+            diag = getattr(zonal_kernel_closed(sigma, a, t, X, X, pp), part)
+        else:
+            diag = zonal_convolution(sigma, a, t, X, X, pp, n)
+        return tree_sum(w * diag)
+
+    return exact_value(trace, a + 1)
 
 
-def partition_by_trace(sigma, a: int, t: float, params: MagneticParams,
-                       quad_degree: int = 40,
-                       variant: HamiltonianVariant | None = None) -> complex:
-    """Quadrature of the diagonal, the trace-side oracle for `partition`.
+def partition_trace(sigma, a: int, t: float, params: MagneticParams,
+                    variant: HamiltonianVariant | None = None
+                    ) -> tuple[complex, float]:
+    """Quadrature of the diagonal, the trace-side oracle for `partition`,
+    with the worst quadrature delta over the plane traces used.
 
     The gross kernel expands over irreducible tuples and both the
     projection and flow kernels are products over coordinate planes, so
-    the diagonal integral over R^k factorizes into plane traces; each is
-    a 2D quadrature at `quad_degree` nodes per axis (DF diagonals
-    oscillate, so generous degrees stay cheap here).
+    the diagonal integral over R^k factorizes into plane traces.
     """
     s = sigma_value(sigma)
     if sigma == "df":
         check_df_time(t, params)
     plam = params.plane_lambdas()
-    cache: dict[tuple[float, int], complex] = {}
+    cache: dict[tuple[float, int], tuple[complex, float]] = {}
     total = 0j
     for tup in _compositions(a, params.n_planes):
         prod = 1.0 + 0j
         for lam, aj in zip(plam, tup):
             key = (float(lam), aj)
             if key not in cache:
-                cache[key] = _plane_trace(sigma, aj, t, lam, quad_degree)
-            prod *= cache[key]
+                cache[key] = _plane_trace(sigma, aj, t, lam)
+            prod *= cache[key][0]
         total += prod
-    return total * np.exp(-s * t * _variant_shift(variant, params))
+    delta = max(d for _, d in cache.values())
+    return total * np.exp(-s * t * _variant_shift(variant, params)), delta
+
+
+def partition_by_trace(sigma, a: int, t: float, params: MagneticParams,
+                       quad_degree: int = 40,
+                       variant: HamiltonianVariant | None = None) -> complex:
+    """`partition_trace` without its delta.  The plane rules are sized
+    from the zone index; quad_degree is accepted for compatibility and
+    not used."""
+    return partition_trace(sigma, a, t, params, variant)[0]
 
 
 def dominant_trace(sigma, a: int, t: float, params: MagneticParams,
                    quad_degree: int = 40) -> complex:
-    """Diagonal quadrature of the dominant kernel alone (equals `partition`)."""
-    z0 = [_plane_trace(sigma, 0, t, lam, quad_degree)
-          for lam in params.plane_lambdas()]
+    """Diagonal quadrature of the dominant kernel alone (equals `partition`).
+
+    quad_degree is accepted for compatibility; the rule is exact."""
+    z0 = [_plane_trace(sigma, 0, t, lam)[0] for lam in params.plane_lambdas()]
     return zone_count(a, params.k) * complex(np.prod(z0))
 
 
@@ -138,11 +123,11 @@ def longterm_trace(sigma, t: float, params: MagneticParams,
 
     The gross long-term part is sum_j lt_j prod_{i!=j} zonal0_i over
     planes, so the trace is assembled from 2D plane integrals.
+    quad_degree is accepted for compatibility; the rule is exact.
     """
     plam = params.plane_lambdas()
-    z0 = [_plane_trace(sigma, 0, t, lam, quad_degree) for lam in plam]
-    lt = [_plane_trace(sigma, 1, t, lam, quad_degree, part="long_term")
-          for lam in plam]
+    z0 = [_plane_trace(sigma, 0, t, lam)[0] for lam in plam]
+    lt = [_plane_trace(sigma, 1, t, lam, part="long_term")[0] for lam in plam]
     total = 0j
     for j in range(len(plam)):
         prod = lt[j]

@@ -1,9 +1,9 @@
 """Verification harness: every module invariant as a named three-state check.
 
 Each check computes a residual and compares it to a fixed tolerance;
-quadrature non-convergence and singular times surface as ERROR, never as
-FAIL, so numerical limitations cannot masquerade as mathematical
-failure.  Check ordering and JSON output are deterministic (wall times
+quadrature non-convergence, singular times and any other exception a
+check raises surface as ERROR, never as FAIL, so numerical limitations
+cannot masquerade as mathematical failure.  Check ordering and JSON output are deterministic (wall times
 are kept on the in-memory results only).
 """
 
@@ -27,7 +27,7 @@ from .kernels import (global_kernel, global_parts, lt1_printed,
                       pde_residual, projection_kernel, zonal0,
                       zonal_kernel_closed, zonal_kernel_numeric)
 from .params import H_Z, MagneticParams
-from .quadrature import QuadRule, QuadratureError, tree_sum
+from .quadrature import QuadRule, tree_sum
 from .special import gaussian_moment_integral, laguerre
 from .spectrum import (build_eigenfunction, radial_operator_residual,
                        radial_eigenpoly, radial_vs_laguerre, spectrum_table,
@@ -377,13 +377,10 @@ def _zonal_times(config):
 def _chk_zonal_closed_vs_numeric(sigma, a):
     def run(config):
         worst = 0.0
-        # oscillatory df integrands near t=0.5 need the higher rule
-        deg = _cfg_degree(config, 80 if sigma == "df" else 40)
         for params in (_P2, _P2B):
             for t in _zonal_times(config):
                 ref = zonal_kernel_closed(sigma, a, t, _X0, _Y0, params).value
-                num = zonal_kernel_numeric(sigma, a, t, _X0, _Y0, params,
-                                           quad_degree=deg)
+                num = zonal_kernel_numeric(sigma, a, t, _X0, _Y0, params)
                 worst = max(worst, abs(num - ref))
         return worst, 1e-8, ""
     return run
@@ -459,21 +456,12 @@ def _chk_spectral_series(sigma):
 def _chk_trace_vs_closed(config):
     worst = 0.0
     for params in (_P2, _P4):
-        for sigma, deg in (("wk", _cfg_degree(config, 40)),
-                           ("df", _cfg_degree(config, 120))):
-            for a in (0, 1):
+        for sigma in ("wk", "df"):
+            for a in (0, 1, 2):
                 for t in (0.5, 1.0):
-                    got = thermo.partition_by_trace(sigma, a, t, params, deg)
+                    got = thermo.partition_by_trace(sigma, a, t, params)
                     ref = thermo.partition(sigma, a, t, params)
                     worst = max(worst, abs(got - ref))
-    # a=2 (iterated inner convolution); DF needs a high shared degree and
-    # is the slow one, sample it once
-    for params in (_P2, _P4):
-        got = thermo.partition_by_trace("wk", 2, 0.5, params,
-                                        _cfg_degree(config, 40))
-        worst = max(worst, abs(got - thermo.partition("wk", 2, 0.5, params)))
-    got = thermo.partition_by_trace("df", 2, 0.5, _P2, _cfg_degree(config, 80))
-    worst = max(worst, abs(got - thermo.partition("df", 2, 0.5, _P2)))
     return worst, 1e-7, ""
 
 
@@ -493,10 +481,9 @@ def _chk_spectral_sum(config):
 def _chk_dominant_trace(config):
     worst = 0.0
     for params in (_P2, _P4):
-        for sigma, deg in (("wk", _cfg_degree(config, 40)),
-                           ("df", _cfg_degree(config, 120))):
+        for sigma in ("wk", "df"):
             for a in (0, 1, 2):
-                got = thermo.dominant_trace(sigma, a, 0.5, params, deg)
+                got = thermo.dominant_trace(sigma, a, 0.5, params)
                 worst = max(worst, abs(got - thermo.partition(sigma, a, 0.5,
                                                               params)))
     return worst, 1e-7, ""
@@ -505,11 +492,9 @@ def _chk_dominant_trace(config):
 def _chk_longterm_trace(config):
     worst = 0.0
     for params in (_P2, _P4):
-        for sigma, deg in (("wk", _cfg_degree(config, 40)),
-                           ("df", _cfg_degree(config, 120))):
+        for sigma in ("wk", "df"):
             for t in (0.5, 1.0):
-                worst = max(worst, abs(thermo.longterm_trace(sigma, t, params,
-                                                             deg)))
+                worst = max(worst, abs(thermo.longterm_trace(sigma, t, params)))
     return worst, 1e-7, "zero trace class"
 
 
@@ -693,7 +678,9 @@ def _run_one(check_id, func, config) -> CheckResult:
         status = "PASS" if residual <= tolerance else "FAIL"
         res = CheckResult(check_id, {}, float(residual), float(tolerance),
                           status, note)
-    except (QuadratureError, ValueError, ArithmeticError) as exc:
+    except Exception as exc:
+        # one broken check (numeric or not: TypeError, MemoryError, ...)
+        # is reported, never allowed to abort the rest of the run
         res = CheckResult(check_id, {}, None, 0.0, "ERROR",
                           f"{type(exc).__name__}: {exc}")
     res.seconds = time.perf_counter() - t0

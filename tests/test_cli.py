@@ -103,11 +103,43 @@ def test_partition_closed_vs_trace(capsys):
         assert float(r[5]) < 1e-9  # closed vs trace residual
 
 
+def test_partition_quad_delta_column(capsys):
+    code, out = run_cli(capsys, "partition", "--sigma", "df", "--zone", "2",
+                        "--times", "0.05,0.5")
+    assert code == 0
+    rows = list(csv.reader(io.StringIO(out)))
+    assert rows[0][5:] == ["residual", "quad_delta"]
+    for r in rows[1:]:
+        assert float(r[5]) < 1e-12 and 0.0 <= float(r[6]) < 1e-12
+
+
+def test_partition_quadrature_error_row_exit_3(capsys):
+    # 1e-8 past the caustic the exact rule and its check disagree
+    code, out = run_cli(capsys, "partition", "--sigma", "df", "--zone", "2",
+                        "--times", f"{math.pi + 1e-8!r},0.5")
+    assert code == 3
+    rows = list(csv.reader(io.StringIO(out)))
+    assert rows[1][1:] == ["ERROR"] * 6
+    assert float(rows[2][5]) < 1e-12
+
+
 def test_zeta_riemann_residuals(capsys):
     code, out = run_cli(capsys, "zeta")
     assert code == 0
     doc = json.loads(out)
     assert all(v["riemann_residual"] < 1e-10 for v in doc["values"])
+
+
+def test_zeta_no_riemann_reference_for_k4(capsys, tmp_path):
+    p = tmp_path / "c.json"
+    p.write_text('{"params": [{"lambda": 1.0, "k": 4}]}')
+    code, out = run_cli(capsys, "zeta", "--config", str(p),
+                        "--s-values", "2.5,3")
+    assert code == 0
+    for v in json.loads(out)["values"]:
+        assert v["riemann_reference"] is None
+        assert v["riemann_residual"] is None
+        assert math.isfinite(v["zeta_zonal_re"])
 
 
 def test_pathint_convergence_report(capsys):
@@ -116,6 +148,15 @@ def test_pathint_convergence_report(capsys):
     assert code == 0
     doc = json.loads(out)
     assert all(row["residual"] < 1e-6 for row in doc["convergence"])
+
+
+def test_pathint_caustic_exit_3(capsys):
+    code = main(["pathint", "--sigma", "df", "--total-time", repr(math.pi),
+                 "--n-slices", "1"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert "singular time" in captured.err
 
 
 def test_verify_suite_pass_exit_0(capsys):

@@ -199,8 +199,36 @@ def test_delta_limit_monotone(p2, sigma):
 
 
 def test_zonal_numeric_scales_positive(p2):
+    # the decay A is complex for DF; the rotated rule needs Re A > 0
     for sigma in ("wk", "df"):
-        assert all(s > 0 for s in zonal_numeric_scales(sigma, 0.5, p2))
+        assert all(np.real(s) > 0 for s in zonal_numeric_scales(sigma, 0.5, p2))
+    assert all(np.imag(s) != 0 for s in zonal_numeric_scales("df", 0.5, p2))
+
+
+@pytest.mark.parametrize("a", [0, 1])
+@pytest.mark.parametrize("k", [2, 4])
+def test_zonal_numeric_df_exact(a, k):
+    # the real-axis rule was wrong by 0.03-0.5 at t=0.1 for every degree
+    # 40-200; the rotated rule is exact at every time
+    params = MagneticParams.make([(1.0, k)])
+    X = np.array([0.3, -0.2, 0.1, 0.2][:k])
+    Y = np.array([0.1, 0.4, -0.3, 0.05][:k])
+    for t in (0.01, 0.1, 0.3, 1.0, 3.0):
+        ref = zonal_kernel_closed("df", a, t, X, Y, params).value
+        num = zonal_kernel_numeric("df", a, t, X, Y, params)
+        assert abs(num - ref) <= 1e-12 * max(1.0, abs(ref))
+
+
+def test_zonal_numeric_broadcasts(p4):
+    rng = np.random.default_rng(7)
+    G = rng.normal(scale=0.5, size=(6, 4))
+    for sigma in ("wk", "df"):
+        num = zonal_kernel_numeric(sigma, 1, 0.4, G[:, None, :],
+                                   G[None, :, :], p4)
+        ref = zonal_kernel_closed(sigma, 1, 0.4, G[:, None, :],
+                                  G[None, :, :], p4).value
+        assert num.shape == (6, 6)
+        assert np.max(np.abs(num - ref)) < 1e-13
 
 
 def test_zonal_multiblock_consistency(p4, xy4):

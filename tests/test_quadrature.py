@@ -7,10 +7,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from zeemanzones import quadrature
 from zeemanzones.quadrature import (MAX_DEGREE, NonFiniteIntegrand, QuadRule,
                                     QuadratureError, QuadratureNonConvergence,
-                                    gauss_hermite_rule, integrate,
-                                    integrate_checked, tree_sum)
+                                    exact_value, gauss_hermite_rule, integrate,
+                                    tree_sum)
 
 
 def test_axis_rule_moments():
@@ -74,18 +75,62 @@ def test_degree_cap():
         QuadRule(MAX_DEGREE + 1, (1.0,))
 
 
-def test_integrate_checked_converges():
-    rule = QuadRule(16, (1.0,))
-    got = integrate_checked(
-        lambda U: np.exp(-U[:, 0] ** 2) * np.cos(U[:, 0]), rule)
-    ref = np.sqrt(np.pi) * np.exp(-0.25)
-    assert abs(got - ref) < 1e-10
+def test_real_scales_keep_the_real_axis_rule():
+    # complex-scale support must not perturb the real rule: nodes and
+    # weights stay x / sqrt(s) and w e^{x^2} / sqrt(s), bit for bit
+    x, w = gauss_hermite_rule(12)
+    U, W = QuadRule(12, (2.0,)).nodes_weights()
+    assert np.array_equal(U[:, 0], x / np.sqrt(2.0))
+    assert np.array_equal(W, w * np.exp(x * x) / np.sqrt(2.0))
 
 
-def test_integrate_checked_flags_nonconvergence():
-    # a discontinuity defeats Gauss-Hermite refinement
-    rule = QuadRule(8, (1.0,))
+def test_nonpositive_real_scale_refused_before_nodes(monkeypatch):
+    def no_nodes(degree):
+        raise AssertionError("nodes built for an invalid rule")
+
+    monkeypatch.setattr(quadrature, "gauss_hermite_rule", no_nodes)
+    for scale in (0.0, -1.0, 2j, -0.5 + 1j):
+        with pytest.raises(QuadratureError):
+            QuadRule(4, (1.0, scale))
+
+
+def _rotated_moment(A, c, m):
+    # int (u - c)^m e^{-A (u - c)^2} du along the rotated contour
+    if m % 2:
+        return 0j
+    return math.gamma((m + 1) / 2) / A ** ((m + 1) / 2)
+
+
+def test_exact_value_rotated_polynomial():
+    # p(u) e^{-A (u - c)^2} with complex A, c: the n-node rule centred at
+    # c is exact up to degree 2n - 1, and the n + 2 check agrees
+    A, c = 0.7 - 2.0j, 0.3 + 0.4j
+    for m in range(6):
+        def at(n):
+            return integrate(lambda U: (U[:, 0] - c) ** m
+                             * np.exp(-A * (U[:, 0] - c) ** 2),
+                             QuadRule(n, (A,), (c,)))
+        got, delta = exact_value(at, m // 2 + 1)
+        assert abs(got - _rotated_moment(A, c, m)) < 1e-14
+        assert delta < 1e-14
+
+
+def test_batched_centres_integrate_per_entry():
+    A = 1.0 - 1.0j
+    cs = np.array([[0.0], [0.5j], [1.0 - 0.2j]])
+    got = integrate(lambda U: U[..., 0] ** 2 * np.exp(-A * U[..., 0] ** 2
+                                                      + 2 * A * U[..., 0] * cs),
+                    QuadRule(3, (A,), cs))
+    # int u^2 e^{-A u^2 + 2 A c u} du = e^{A c^2} sqrt(pi / A) (c^2 + 1 / 2A)
+    ref = (np.exp(A * cs[:, 0] ** 2) * np.sqrt(np.pi / A)
+           * (cs[:, 0] ** 2 + 1 / (2 * A)))
+    assert got.shape == (3,) and np.max(np.abs(got - ref)) < 1e-13
+
+
+def test_exact_value_flags_nonpolynomial():
+    # a discontinuity defeats the exactness argument; n and n + 2 disagree
+    def at(n):
+        return integrate(lambda U: np.exp(-U[:, 0] ** 2)
+                         * np.sign(U[:, 0] - 0.37), QuadRule(n, (1.0,)))
     with pytest.raises(QuadratureNonConvergence):
-        integrate_checked(
-            lambda U: np.exp(-U[:, 0] ** 2) * np.sign(U[:, 0] - 0.37),
-            rule, tol=1e-12)
+        exact_value(at, 8)

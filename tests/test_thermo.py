@@ -7,10 +7,12 @@ import mpmath as mp
 import pytest
 
 from zeemanzones.params import H_Z, HamiltonianVariant, MagneticParams
+from zeemanzones.quadrature import QuadratureError
 from zeemanzones.thermo import (dominant_trace, hurwitz_zeta, longterm_trace,
                                 mehler_comparison_bound, partition,
                                 partition_by_trace, partition_spectral,
-                                riemann_zeta, zeta_zonal, _mult_tail)
+                                partition_trace, riemann_zeta, zeta_zonal,
+                                _mult_tail)
 
 
 # ---------------------------------------------------------------------------
@@ -67,6 +69,29 @@ def test_trace_matches_closed_df(p2):
     for a in (0, 1):
         got = partition_by_trace("df", a, 0.5, p2, quad_degree=120)
         assert abs(got - partition("df", a, 0.5, p2)) < 1e-9
+
+
+@pytest.mark.parametrize("a", [0, 1, 2, 3, 4])
+def test_trace_matches_closed_df_exact(p2, p4, a):
+    # the real-axis rule missed by 4.8e-7 at t=0.5 (and more elsewhere)
+    for params in (p2, p4):
+        for t in (0.05, 0.5, 1.0, 3.0):
+            ref = partition("df", a, t, params)
+            got = partition_by_trace("df", a, t, params)
+            assert abs(got - ref) <= 1e-12 * abs(ref)
+
+
+def test_trace_delta_is_evidence(p4):
+    z, delta = partition_trace("df", 2, 0.5, p4)
+    assert z == partition_by_trace("df", 2, 0.5, p4)
+    assert 0.0 <= delta < 1e-12
+
+
+def test_trace_near_caustic_raises_not_guesses(p2):
+    # 1e-8 past t = pi the zone-2 rule and its check disagree: an error,
+    # never a silently wrong number
+    with pytest.raises(QuadratureError):
+        partition_trace("df", 2, math.pi + 1e-8, p2)
 
 
 def test_trace_multiblock(p4):

@@ -49,6 +49,20 @@ def test_exceptions_become_error_status():
     assert "synthetic failure" in res.note
 
 
+def test_unexpected_exception_is_error_not_abort(monkeypatch):
+    def broken(config):
+        raise TypeError("synthetic bug")
+
+    monkeypatch.setattr(verify, "CHECKS", verify.CHECKS + [
+        ("laguerre.synthetic_broken", "laguerre", broken)])
+    results = run_suite("laguerre")
+    by_id = {r.check_id: r for r in results}
+    assert by_id["laguerre.synthetic_broken"].status == "ERROR"
+    assert "TypeError" in by_id["laguerre.synthetic_broken"].note
+    assert all(r.status == "PASS" for r in results
+               if r.check_id != "laguerre.synthetic_broken")
+
+
 def test_tolerance_zero_means_exact_flag():
     ok = CheckResult("x", {}, 0.0, 0.0, "PASS", "", 0.0)
     assert ok.to_json_dict()["residual"] == 0.0
