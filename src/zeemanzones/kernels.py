@@ -243,6 +243,76 @@ def zonal_kernel_closed(sigma, a: int, t: float, X, Y,
                      "use zonal_kernel_numeric")
 
 
+def _outer_sum(rows, cols):
+    """sum_j rows[:, j] cols[:, j]^T over the plane columns, as an (N, M)
+    matrix built in place (one more (N, M) array for two or more columns)."""
+    acc = np.multiply(rows[:, :1], cols[None, :, 0])
+    tmp = None
+    for j in range(1, rows.shape[1]):
+        tmp = np.multiply(rows[:, j:j + 1], cols[None, :, j], out=tmp)
+        acc += tmp
+    return acc
+
+
+def plane_form_matrix(X, Y, params: MagneticParams, coeffs, shift=0j, e=None):
+    """pref e^{shift + sum_i lam_i (c_i P_i - (|X_i|^2 + |Y_i|^2) / 2)} on
+    real point sets X (N, k) and Y (M, k), as an (N, M) matrix.
+
+    pref = prod lam_i^{k_i/2} / pi^{k/2} is the delta^{(0)} prefactor and
+    P_i = sum over the block's planes of z_x conj(z_y), z = x_1 + i x_2,
+    is the pairing <X_i, Y_i + i J Y_i>.  Every zone-0 chain step has this
+    form: delta^{(0)} (c_i = 1), d_sigma^{(0)}(t) (c_i = e_i =
+    e^{-2 lam_i t sigma}, shift -(sigma t / 2) sum lam_i k_i) and the
+    action-weighted delta^{(0)} steps of `pathint`.  Given e = (e_i), the
+    matrix is multiplied by the zone-1 factor of `_lambda1_factor`, which
+    in plane form (m.m = e_i |Y_i|^2 + 2 u_i e_i P_i) reads
+    k/2 - sum_i [lam_i (e_i (|X_i|^2 + |Y_i|^2) - e_i^2 P_i - conj P_i)
+    + k_i (1 - e_i) / 2].  Built in place: at most three (N, M) complex
+    arrays are live at once.
+    """
+    X = np.asarray(X, dtype=float)
+    Y = np.asarray(Y, dtype=float)
+    if X.ndim != 2 or Y.ndim != 2 or X.shape[1] != params.k \
+            or Y.shape[1] != params.k:
+        raise ValueError(f"point sets must have shape (N, {params.k})")
+    per_plane = [b.k // 2 for b in params.blocks]
+    lam = params.plane_lambdas()
+    zx = X[:, 0::2] + 1j * X[:, 1::2]
+    zy = Y[:, 0::2] + 1j * Y[:, 1::2]
+    rx, ry = np.abs(zx) ** 2, np.abs(zy) ** 2     # |.|^2 per plane
+    log_pref = (sum(b.k / 2 * np.log(b.lam) for b in params.blocks)
+                - params.k / 2 * np.log(np.pi))
+    out = _outer_sum(lam * np.repeat(coeffs, per_plane) * zx, zy.conj())
+    out += (shift + log_pref - 0.5 * np.sum(lam * rx, axis=-1))[:, None]
+    out -= 0.5 * np.sum(lam * ry, axis=-1)
+    np.exp(out, out=out)
+    if e is None:
+        return out
+    ep = np.repeat(e, per_plane)
+    fac = _outer_sum(np.concatenate([lam * ep ** 2 * zx, lam * zx.conj()], 1),
+                     np.concatenate([zy.conj(), zy], 1))
+    fac += (params.k / 2 - sum(b.k * (1 - eb) / 2
+                               for b, eb in zip(params.blocks, e))
+            - np.sum(lam * ep * rx, axis=-1))[:, None]
+    fac -= np.sum(lam * ep * ry, axis=-1)
+    out *= fac
+    return out
+
+
+def zonal_matrix(sigma, a: int, t: float, X, Y, params: MagneticParams):
+    """d_sigma^{(a)}(t, X_n, Y_m), a <= 1, on real point sets X (N, k) and
+    Y (M, k) as an (N, M) matrix: `zonal_kernel_closed` in plane form.
+    At t = 0 the zone-0 matrix is delta^{(0)}."""
+    s = sigma_value(sigma)
+    if a not in (0, 1):
+        raise ValueError(f"no plane-form matrix for zone a={a}")
+    if t < 0:
+        raise ValueError("zonal closed forms require t >= 0")
+    e = [np.exp(-2 * b.lam * t * s) for b in params.blocks]
+    shift = -0.5 * s * t * sum(b.lam * b.k for b in params.blocks)
+    return plane_form_matrix(X, Y, params, e, shift, e if a == 1 else None)
+
+
 def lt1_printed(sigma, t: float, X, Y):
     """The printed two-dimensional long-term factor (k=2, lambda=1 gauge).
 

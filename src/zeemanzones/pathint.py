@@ -18,12 +18,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .params import MagneticParams
-from .kernels import (check_df_time, sigma_value, projection_kernel,
-                      zonal_kernel_closed, zonal_kernel_numeric)
+from .kernels import (check_df_time, sigma_value, plane_form_matrix,
+                      zonal_kernel_closed, zonal_kernel_numeric, zonal_matrix)
 from .quadrature import QuadRule, QuadratureError, tree_sum
 
 SLICE_DIM_CEILING = 8          # n*k for the dense tensor path
 DENSE_NODE_CEILING = 40_000_000
+MATRIX_ENTRY_CEILING = 4096 ** 2   # N^2 of a matrix-path step matrix
 
 
 @dataclass(frozen=True)
@@ -57,6 +58,18 @@ def slicing_grid(params: MagneticParams, quad_degree: int):
     return rule.nodes_weights()
 
 
+def _matrix_grid(params: MagneticParams, quad_degree: int):
+    """slicing_grid for the matrix path, refused before anything is
+    allocated when its N x N step matrix (N = quad_degree^k) would exceed
+    MATRIX_ENTRY_CEILING entries."""
+    N = int(quad_degree) ** params.k
+    if N * N > MATRIX_ENTRY_CEILING:
+        raise QuadratureError(
+            f"step matrix {N} x {N} exceeds the ceiling of "
+            f"{MATRIX_ENTRY_CEILING} entries; reduce quad_degree")
+    return slicing_grid(params, quad_degree)
+
+
 def _check_slicing(sigma, slicing: TimeSlicing, params: MagneticParams):
     if sigma == "df":
         for j in range(1, slicing.n_slices + 1):
@@ -70,15 +83,15 @@ def _step_values(sigma, a, dt, X, Y, params, quad_degree):
                                 quad_degree=quad_degree)
 
 
-def _step_matrix(sigma, a, dt, G, params, quad_degree):
+def _step_matrix(sigma, a, dt, X, Y, params, quad_degree):
+    """The zone-a step kernel on point sets X (N, k), Y (M, k), as (N, M)."""
     if a <= 1:
-        return zonal_kernel_closed(sigma, a, dt, G[:, None, :],
-                                   G[None, :, :], params).value
+        return zonal_matrix(sigma, a, dt, X, Y, params)
     # numeric kernels carry their own inner quadrature; chunk the pair grid
     rows = []
-    for lo in range(0, G.shape[0], 64):
+    for lo in range(0, X.shape[0], 64):
         rows.append(zonal_kernel_numeric(
-            sigma, a, dt, G[lo:lo + 64, None, :], G[None, :, :], params,
+            sigma, a, dt, X[lo:lo + 64, None, :], Y[None, :, :], params,
             quad_degree=quad_degree))
     return np.concatenate(rows, axis=0)
 
@@ -92,6 +105,41 @@ def _interior_factors(F, n_interior, G):
         raise ValueError(f"separable F needs {n_interior} factors, "
                          f"got {len(factors)}")
     return [np.asarray(f(G)) for f in factors]
+
+
+def _chain(first, step, w, factors, last):
+    """Integrate a chain over its interior points on the shared grid.
+
+    first: the first step's values (N,) at the grid points; step: builds
+    the (N, N) step matrix, called once and only with two or more interior
+    points; w: the grid weights; factors: None or a diagonal factor (N,)
+    per interior point; last: the final step's values (N,) at the grid
+    points, an (N, M) matrix (the chain's values at M end points), or None
+    for a free end.  Every reduction is a `tree_sum`.
+    """
+    D = step() if len(factors) > 1 else None
+    v = first
+    for j, f in enumerate(factors):
+        vw = v * w if f is None else v * w * f
+        if j < len(factors) - 1:
+            v = tree_sum(vw[:, None] * D)
+    if last is None:
+        return tree_sum(vw)
+    return tree_sum(vw[:, None] * last if last.ndim == 2 else vw * last)
+
+
+def _grid_chain(step, x, y, F, n_interior, params, quad_degree):
+    """`_chain` whose every step is step(X, Y), an (N, M) matrix on point
+    sets X (N, k) and Y (M, k), from x to y (None: free end)."""
+    x = np.asarray(x, dtype=float)[None, :]
+    if n_interior == 0:
+        _interior_factors(F, 0, None)           # a separable F must be empty
+        return complex(step(x, np.asarray(y, dtype=float)[None, :])[0, 0])
+    G, w = _matrix_grid(params, quad_degree)
+    last = (None if y is None
+            else step(G, np.asarray(y, dtype=float)[None, :])[:, 0])
+    return complex(_chain(step(x, G)[0], lambda: step(G, G), w,
+                          _interior_factors(F, n_interior, G), last))
 
 
 def cylinder_value(sigma, a: int, slicing: TimeSlicing, F, x, y,
@@ -110,29 +158,14 @@ def cylinder_value(sigma, a: int, slicing: TimeSlicing, F, x, y,
     n = slicing.n_slices
     dt = slicing.step
     n_int = n - 1 if pinned else n
-    G, w = slicing_grid(params, quad_degree)
 
     if F is None or isinstance(F, (list, tuple)):
-        factors = _interior_factors(F, n_int, G)
-        if n_int == 0:
-            return complex(_step_values(sigma, a, slicing.total_time,
-                                        x, np.asarray(y, dtype=float),
-                                        params, quad_degree))
-        v = _step_values(sigma, a, dt, x[None, :], G, params, quad_degree)
-        for f in factors[:-1]:
-            vw = v * w if f is None else v * w * f
-            D = _step_matrix(sigma, a, dt, G, params, quad_degree)
-            v = tree_sum(vw[:, None] * D)
-        f = factors[-1]
-        vw = v * w if f is None else v * w * f
-        if pinned:
-            last = _step_values(sigma, a, dt, G,
-                                np.asarray(y, dtype=float)[None, :],
-                                params, quad_degree)
-            return complex(tree_sum(vw * last))
-        return complex(tree_sum(vw))
+        return _grid_chain(
+            lambda X, Y: _step_matrix(sigma, a, dt, X, Y, params, quad_degree),
+            x, y if pinned else None, F, n_int, params, quad_degree)
 
     # dense path for a joint integrand
+    G, w = slicing_grid(params, quad_degree)
     if n_int * params.k > SLICE_DIM_CEILING:
         raise QuadratureError(
             f"dense cylinder integral dimension {n_int * params.k} exceeds "
@@ -165,29 +198,12 @@ def nu_cylinder_value(slicing: TimeSlicing, F, x, y,
     """Same chaining with the holomorphic point-spread delta^{(0)} as the
     step kernel (the time-independent nu measure); F=1 pinned gives
     delta^{(0)}(x, y) for every n by exact idempotency."""
-    x = np.asarray(x, dtype=float)
-    n_int = slicing.n_slices - 1 if pinned else slicing.n_slices
-    G, w = slicing_grid(params, quad_degree)
     if F is not None and not isinstance(F, (list, tuple)):
         raise ValueError("nu_cylinder_value supports F=None or separable F")
-    factors = _interior_factors(F, n_int, G)
-    if n_int == 0:
-        return complex(projection_kernel(0, x, np.asarray(y, dtype=float),
-                                         params))
-    v = projection_kernel(0, x[None, :], G, params)
-    D = None
-    for f in factors[:-1]:
-        vw = v * w if f is None else v * w * f
-        if D is None:
-            D = projection_kernel(0, G[:, None, :], G[None, :, :], params)
-        v = tree_sum(vw[:, None] * D)
-    f = factors[-1]
-    vw = v * w if f is None else v * w * f
-    if pinned:
-        last = projection_kernel(0, G, np.asarray(y, dtype=float)[None, :],
-                                 params)
-        return complex(tree_sum(vw * last))
-    return complex(tree_sum(vw))
+    # d^{(0)} at t = 0 is delta^{(0)}
+    return _grid_chain(lambda X, Y: zonal_matrix("wk", 0, 0.0, X, Y, params),
+                       x, y if pinned else None, F,
+                       slicing.n_slices - int(pinned), params, quad_degree)
 
 
 # ---------------------------------------------------------------------------
@@ -221,30 +237,32 @@ def feynman_kac_weight(sigma, omega, T: float, params: MagneticParams,
     return complex(np.exp(expo))
 
 
-def _delta_diag_action(sigma, dt, M, Mp, params, exact: bool):
-    """Per-step weight turning a delta^{(0)} chain into a d^{(0)} chain.
+def _fk_step(sigma, dt, params: MagneticParams, exact: bool):
+    """delta^{(0)} times the per-step Feynman-Kac weight, as the plane-form
+    (coefficients, shift) of `plane_form_matrix`.
 
-    exact=True uses the identity d^{(0)}(dt, m, m') =
-    prod_i e^{-k_i lam_i dt s / 2} e^{lam_i (e^{-2 lam_i dt s} - 1) <m_i, m'_i + i J m'_i>}
-    delta^{(0)}(m, m'); exact=False is the Feynman-Kac surrogate with
-    linearized coefficient, e^{-2 s dt lam_i <m_i, m'_i + i J m'_i>}: the
-    slice value of |omega|^2 evaluated with the left point paired against
-    the right (for continuous paths <m, m' + i J m'> -> |m|^2 since
-    <v, J v> = 0, and the surrogate differs from exact at O(dt^2) per
-    step, so the chain converges at rate O(dt)).
+    The weight is e^{-sum_i k_i lam_i dt s / 2} e^{sum_i lam_i c_i P_i},
+    P_i = <m_i, m'_i + i J m'_i>.  exact=True takes c_i = e^{-2 lam_i dt s}
+    - 1, for which delta^{(0)} times the weight is d^{(0)}(dt, m, m');
+    exact=False is the Feynman-Kac surrogate with linearized coefficient
+    c_i = -2 s dt lam_i: the slice value of |omega|^2 evaluated with the
+    left point paired against the right (for continuous paths
+    <m, m' + i J m'> -> |m|^2 since <v, J v> = 0, and the surrogate
+    differs from exact at O(dt^2) per step, so the chain converges at
+    rate O(dt)).  delta^{(0)} contributes the coefficient 1.
     """
     s = sigma_value(sigma)
-    expo = 0j
-    for b, sl in zip(params.blocks, params.block_slices()):
-        expo = expo - 0.5 * b.k * b.lam * dt * s
-        Mi, Mpi = M[..., sl], Mp[..., sl]
-        # <m, m'> + i <m, J m'> with J m' = (-m'_2, m'_1) per plane
-        pair = (np.sum(Mi * Mpi, axis=-1)
-                + 1j * (Mi[..., 1::2] * Mpi[..., 0::2]
-                        - Mi[..., 0::2] * Mpi[..., 1::2]).sum(axis=-1))
-        coeff = (np.exp(-2 * b.lam * dt * s) - 1) if exact else -2 * b.lam * dt * s
-        expo = expo + b.lam * coeff * pair
-    return np.exp(expo)
+    coeffs = [1 + (np.exp(-2 * b.lam * dt * s) - 1 if exact
+                   else -2 * b.lam * dt * s) for b in params.blocks]
+    return coeffs, -0.5 * s * dt * sum(b.k * b.lam for b in params.blocks)
+
+
+def _delta_chain(coeffs, shift, slicing: TimeSlicing, x, y,
+                 params: MagneticParams, quad_degree: int):
+    """Pinned chain whose every step is the plane-form matrix (coeffs, shift)."""
+    return _grid_chain(
+        lambda X, Y: plane_form_matrix(X, Y, params, coeffs, shift),
+        x, y, None, slicing.n_slices - 1, params, quad_degree)
 
 
 def feynman_kac_chain(sigma, slicing: TimeSlicing, x, y,
@@ -258,25 +276,9 @@ def feynman_kac_chain(sigma, slicing: TimeSlicing, x, y,
     weight and the chain reproduces d^{(0)} identically for every n (the
     second form of the cylinder functional).
     """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
     _check_slicing(sigma, slicing, params)
-    dt = slicing.step
-    n = slicing.n_slices
-    G, w = slicing_grid(params, quad_degree)
-    if n == 1:
-        return complex(projection_kernel(0, x, y, params)
-                       * _delta_diag_action(sigma, dt, x, y, params, exact_step))
-    v = (projection_kernel(0, x[None, :], G, params)
-         * _delta_diag_action(sigma, dt, x[None, :], G, params, exact_step))
-    D = projection_kernel(0, G[:, None, :], G[None, :, :], params)
-    for j in range(1, n - 1):
-        S = _delta_diag_action(sigma, dt, G[:, None, :], G[None, :, :],
-                               params, exact_step)
-        v = tree_sum((v * w)[:, None] * D * S)
-    S = _delta_diag_action(sigma, dt, G, y[None, :], params, exact_step)
-    last = projection_kernel(0, G, y[None, :], params) * S
-    return complex(tree_sum(v * w * last))
+    coeffs, shift = _fk_step(sigma, slicing.step, params, exact_step)
+    return _delta_chain(coeffs, shift, slicing, x, y, params, quad_degree)
 
 
 # ---------------------------------------------------------------------------
@@ -319,13 +321,11 @@ def probability_conservation(t: float, x, params: MagneticParams,
     spread at x, evolved by the DF zone flow (unitary on the zone)."""
     x = np.asarray(x, dtype=float)
     check_df_time(t, params)
-    G, w = slicing_grid(params, quad_degree)
-    psi0 = projection_kernel(0, x[None, :], G, params).astype(complex)
-    nrm0 = np.sqrt(tree_sum(w * np.abs(psi0) ** 2).real)
-    psi0 /= nrm0
-    D = zonal_kernel_closed("df", 0, t, G[:, None, :], G[None, :, :],
-                            params).value
-    psit = tree_sum((psi0 * w)[:, None] * D)
+    G, w = _matrix_grid(params, quad_degree)
+    psi0 = zonal_matrix("wk", 0, 0.0, x[None, :], G, params)[0]
+    psi0 /= np.sqrt(tree_sum(w * np.abs(psi0) ** 2).real)
+    psit = _chain(psi0, None, w, [None],
+                  zonal_matrix("df", 0, t, G, G, params))
     nrm = np.sqrt(tree_sum(w * np.abs(psit) ** 2).real)
     return abs(nrm - 1.0)
 
@@ -333,59 +333,41 @@ def probability_conservation(t: float, x, params: MagneticParams,
 def radon_nikodym_consistency(slicing: TimeSlicing, x, y,
                               params: MagneticParams,
                               quad_degree: int = 24) -> dict:
-    """DF chain vs WK chain times the Radon-Nikodym factor
-    e^{(kT/2 + 2 int |omega|^2)(1-i)} at the discrete level.
+    """DF chain vs WK chain times the Radon-Nikodym ratio at the discrete
+    level.
 
-    The factor is applied per step; with the exact pairing action both
-    sides agree identically, with the left-endpoint Riemann action the
-    residual is the discretization error (reported for both).
+    The exact-step DF chain is compared with WK chains whose every step is
+    multiplied by the per-step ratio of `_rn_ratio`: with the exact pairing
+    action the two sides agree to rounding, and a wrong ratio shows; with
+    the left-endpoint Riemann action the residual is the discretization
+    error (reported for both).
     """
     out = {}
     lhs = feynman_kac_chain("df", slicing, x, y, params, quad_degree,
                             exact_step=True)
     out["df_value_re"], out["df_value_im"] = lhs.real, lhs.imag
     for name, exact in (("exact", True), ("left", False)):
-        # WK chain with the per-step action, then the (1-i) exponent is the
-        # algebraic difference of the two flows' step weights
         rhs = _rn_wk_side(slicing, x, y, params, quad_degree, exact)
         out[f"residual_{name}"] = abs(lhs - rhs) / max(abs(lhs), 1e-300)
     return out
 
 
+def _rn_ratio(dt, params: MagneticParams, exact: bool):
+    """Per-step Radon-Nikodym ratio DF/WK, e^{sum_i lam_i r_i P_i + c}, as
+    (r_i, c), written out on its own: r_i = e^{-2 i lam_i dt} -
+    e^{-2 lam_i dt} with the exact pairing action, 2 lam_i dt (1 - i) with
+    the left-endpoint one, and c = -(1/2) sum_i k_i lam_i dt (i - 1)."""
+    ratios = [np.exp(-2j * b.lam * dt) - np.exp(-2 * b.lam * dt) if exact
+              else 2 * b.lam * dt * (1 - 1j) for b in params.blocks]
+    return ratios, -0.5 * dt * (1j - 1) * sum(b.k * b.lam for b in params.blocks)
+
+
 def _rn_wk_side(slicing, x, y, params, quad_degree, exact):
     """WK delta-chain reweighted step by step to the DF measure."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    dt = slicing.step
-    n = slicing.n_slices
-    G, w = slicing_grid(params, quad_degree)
-
-    def rn_step(M, Mp):
-        wk = _delta_diag_action("wk", dt, M, Mp, params, exact)
-        # Radon-Nikodym factor e^{(k dt/2 + 2 dt |m|^2) lam (1 - i)} per step
-        if exact:
-            # with the exact pairing action the factor is the exact ratio
-            # of the two step weights
-            df = _delta_diag_action("df", dt, M, Mp, params, True)
-            return wk * (df / wk)
-        expo = 0j
-        for b, sl in zip(params.blocks, params.block_slices()):
-            Mi, Mpi = M[..., sl], Mp[..., sl]
-            pair = (np.sum(Mi * Mpi, axis=-1)
-                    + 1j * (Mi[..., 1::2] * Mpi[..., 0::2]
-                            - Mi[..., 0::2] * Mpi[..., 1::2]).sum(axis=-1))
-            expo = expo + b.lam * (0.5 * b.k * dt + 2 * dt * pair) * (1 - 1j)
-        return wk * np.exp(expo)
-
-    if n == 1:
-        return complex(projection_kernel(0, x, y, params) * rn_step(x, y))
-    v = projection_kernel(0, x[None, :], G, params) * rn_step(x[None, :], G)
-    D = projection_kernel(0, G[:, None, :], G[None, :, :], params)
-    for j in range(1, n - 1):
-        v = tree_sum((v * w)[:, None] * D * rn_step(G[:, None, :],
-                                                    G[None, :, :]))
-    last = projection_kernel(0, G, y[None, :], params) * rn_step(G, y[None, :])
-    return complex(tree_sum(v * w * last))
+    coeffs, shift = _fk_step("wk", slicing.step, params, exact)
+    ratios, const = _rn_ratio(slicing.step, params, exact)
+    return _delta_chain([c + r for c, r in zip(coeffs, ratios)],
+                        shift + const, slicing, x, y, params, quad_degree)
 
 
 def second_form_residual(sigma, slicing: TimeSlicing, x, y,

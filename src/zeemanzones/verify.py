@@ -21,8 +21,8 @@ from . import pathint, thermo
 from .exact import (ZonePoly, apply_box, box_eigenvalue_exact,
                     box_field_constant, gaussian_pair_integral_exact,
                     laguerre_composition_check, laguerre_exact,
-                    laguerre_recurrence_exact, pderiv, peval, pmul, pscale,
-                    psub, ptrim, rodrigues_check)
+                    laguerre_recurrence_exact, padd, pderiv, peval, pmul,
+                    pscale, psub, ptrim, rodrigues_check)
 from .kernels import (global_kernel, global_parts, lt1_printed,
                       pde_residual, projection_kernel, zonal0,
                       zonal_kernel_closed, zonal_kernel_numeric)
@@ -110,22 +110,28 @@ def _chk_lag_sum(config):
     for alpha in range(5):
         acc = [Fraction(0)]
         for a in range(13):
-            from .exact import padd
             acc = padd(acc, laguerre_exact(alpha, a))
             if ptrim(acc) != laguerre_exact(alpha + 1, a):
                 return 1.0, 0.0, f"alpha={alpha}, a={a}"
     return 0.0, 0.0, ""
 
 
+def _rec3_residual(alpha, a, lower):
+    """(a+1) L_{a+1} - (2a+1+alpha-t) L_a + lower L_{a-1} on the binomial
+    form: the zero polynomial when lower is the coefficient a + alpha."""
+    L = [laguerre_exact(alpha, j) for j in (a - 1, a, a + 1)]
+    return padd(psub(pscale(L[2], a + 1),
+                     pmul([Fraction(2 * a + 1 + alpha), Fraction(-1)], L[1])),
+                pscale(L[0], lower))
+
+
 def _chk_lag_rec3(config):
     for alpha in range(5):
         for a in range(1, 13):
-            L = laguerre_exact(alpha, a)
-            lhs = ptrim(pmul([Fraction(0), Fraction(1)], pderiv(L)))
-            rhs = ptrim(psub(pscale(L, a),
-                             pscale(laguerre_exact(alpha, a - 1), a + alpha)))
-            if lhs != rhs:
-                return 1.0, 0.0, f"alpha={alpha}, a={a}"
+            res = _rec3_residual(alpha, a, a + alpha)
+            worst = float(max(abs(c) for c in res))
+            if worst:
+                return worst, 0.0, f"alpha={alpha}, a={a}"
     return 0.0, 0.0, ""
 
 
@@ -539,6 +545,13 @@ def _chk_mehler_comparison(config):
 # pathint suite
 # ---------------------------------------------------------------------------
 
+def _chain_params(deg, sigmas, times, slices):
+    """What a pathint check ran: the effective grid degree and the
+    (sigma, T, n) sets."""
+    return {"quad_degree": deg, "sigma": list(sigmas), "T": list(times),
+            "n": list(slices)}
+
+
 def _chk_slicing_invariance(config):
     worst = 0.0
     deg = _cfg_degree(config, 24)
@@ -550,28 +563,33 @@ def _chk_slicing_invariance(config):
                                              pathint.TimeSlicing(T, n),
                                              None, _X0, _Y0, _P2, deg)
                 worst = max(worst, abs(got - ref))
-    return worst, 1e-6, ""
+    return worst, 1e-6, "", _chain_params(deg, ("wk", "df"), (0.3, 1.0),
+                                          (1, 2, 3, 4))
 
 
 def _chk_uniform_bound(config):
+    deg = _cfg_degree(config, 24)
     rep = pathint.uniform_bound_check(pathint.TimeSlicing(1.0, 3), _X0, _P2,
-                                      _cfg_degree(config, 24))
+                                      deg)
     note = "; ".join(f"{r['F']}: |W|={r['abs']:.4f} <= {r['bound']:.4f}"
                      for r in rep["results"])
-    return _bool_residual(rep["all_ok"]), 0.0, note
+    return (_bool_residual(rep["all_ok"]), 0.0, note,
+            _chain_params(deg, ("df",), (1.0,), (3,)))
 
 
 def _chk_probability(config):
     worst = 0.0
+    deg = _cfg_degree(config, 40)
     for t in (0.3, 0.7):
-        worst = max(worst, pathint.probability_conservation(
-            t, _X0, _P2, _cfg_degree(config, 40)))
-    return worst, 1e-7, "unitary zone evolution"
+        worst = max(worst, pathint.probability_conservation(t, _X0, _P2, deg))
+    return (worst, 1e-7, "unitary zone evolution",
+            _chain_params(deg, ("df",), (0.3, 0.7), (1,)))
 
 
 def _chk_discrete_fk(config):
     deg = _cfg_degree(config, 24)
     notes = []
+    params = _chain_params(deg, ("wk", "df"), (0.5,), (1, 2, 3, 4))
     for sigma in ("wk", "df"):
         ref = zonal_kernel_closed(sigma, 0, 0.5, _X0, _Y0, _P2).value
         res = [abs(pathint.feynman_kac_chain(
@@ -579,8 +597,8 @@ def _chk_discrete_fk(config):
             / abs(ref) for n in (1, 2, 3, 4)]
         notes.append(f"{sigma}: " + ", ".join(f"{r:.2e}" for r in res))
         if not all(res[i + 1] < res[i] for i in range(3)):
-            return 1.0, 0.0, "; ".join(notes)
-    return 0.0, 0.0, "monotone in n; " + "; ".join(notes)
+            return 1.0, 0.0, "; ".join(notes), params
+    return 0.0, 0.0, "monotone in n; " + "; ".join(notes), params
 
 
 def _chk_nu_consistency(config):
@@ -589,7 +607,8 @@ def _chk_nu_consistency(config):
     worst = max(abs(pathint.nu_cylinder_value(pathint.TimeSlicing(1.0, n),
                                               None, _X0, _Y0, _P2, deg) - ref)
                 for n in (1, 2, 3, 4))
-    return worst, 1e-8, "n-independent by exact idempotency"
+    return (worst, 1e-8, "n-independent by exact idempotency",
+            {"quad_degree": deg, "T": [1.0], "n": [1, 2, 3, 4]})
 
 
 def _chk_second_form(config):
@@ -598,7 +617,8 @@ def _chk_second_form(config):
                                              pathint.TimeSlicing(T, 3),
                                              _X0, _Y0, _P2, deg)
                 for sigma in ("wk", "df") for T in (0.3, 1.0))
-    return worst, 1e-8, "action-weighted chain vs kernel chain"
+    return (worst, 1e-8, "action-weighted chain vs kernel chain",
+            _chain_params(deg, ("wk", "df"), (0.3, 1.0), (3,)))
 
 
 def _chk_rn_consistency(config):
@@ -609,7 +629,8 @@ def _chk_rn_consistency(config):
                                              _X0, _Y0, _P2, deg)
     note = (f"left-action residuals n=2: {rep2['residual_left']:.3e}, "
             f"n=4: {rep4['residual_left']:.3e} (O(T/n) discretization)")
-    return max(rep2["residual_exact"], rep4["residual_exact"]), 1e-6, note
+    return (max(rep2["residual_exact"], rep4["residual_exact"]), 1e-6, note,
+            _chain_params(deg, ("wk", "df"), (0.3,), (2, 4)))
 
 
 # ---------------------------------------------------------------------------
@@ -674,10 +695,11 @@ CHECKS = [
 def _run_one(check_id, func, config) -> CheckResult:
     t0 = time.perf_counter()
     try:
-        residual, tolerance, note = func(config)
+        # a check returns (residual, tolerance, note[, params it ran with])
+        residual, tolerance, note, *params = func(config)
         status = "PASS" if residual <= tolerance else "FAIL"
-        res = CheckResult(check_id, {}, float(residual), float(tolerance),
-                          status, note)
+        res = CheckResult(check_id, params[0] if params else {},
+                          float(residual), float(tolerance), status, note)
     except Exception as exc:
         # one broken check (numeric or not: TypeError, MemoryError, ...)
         # is reported, never allowed to abort the rest of the run

@@ -159,6 +159,25 @@ def test_pathint_caustic_exit_3(capsys):
     assert "singular time" in captured.err
 
 
+def test_pathint_matrix_ceiling_exit_3(tmp_path, capsys, monkeypatch):
+    from zeemanzones import pathint
+
+    def no_grid(*args, **kwargs):
+        raise AssertionError("grid built above the ceiling")
+
+    monkeypatch.setattr(pathint, "slicing_grid", no_grid)
+    cfg = tmp_path / "k4.json"
+    cfg.write_text(json.dumps({
+        "params": [{"lambda": 1.0, "k": 2}, {"lambda": 2.0, "k": 2}],
+        "points": [[[0.3, -0.2, 0.1, 0.2], [0.1, 0.4, -0.3, 0.05]]],
+        "quad_degree": 24}))
+    code = main(["pathint", "--config", str(cfg), "--n-slices", "3"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert "ceiling" in captured.err
+
+
 def test_verify_suite_pass_exit_0(capsys):
     code, out = run_cli(capsys, "verify", "--suite", "laguerre")
     assert code == 0

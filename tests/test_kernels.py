@@ -11,7 +11,7 @@ from zeemanzones.kernels import (SingularTimeError, check_df_time,
                                  projection_kernel, projection_parts,
                                  weighted_dist_sq, zonal0,
                                  zonal_kernel_closed, zonal_kernel_numeric,
-                                 zonal_numeric_scales)
+                                 zonal_matrix, zonal_numeric_scales)
 from zeemanzones.params import MagneticParams
 from zeemanzones.quadrature import QuadRule, tree_sum
 
@@ -237,3 +237,28 @@ def test_zonal_multiblock_consistency(p4, xy4):
     direct = zonal_kernel_closed("wk", 1, 0.6, X, Y, p4).value
     num = zonal_kernel_numeric("wk", 1, 0.6, X, Y, p4, quad_degree=32)
     assert abs(num - direct) < 1e-9
+
+
+# ---------------------------------------------------------------------------
+# plane-form step matrices
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("blocks", [[(1.0, 2)], [(1.0, 2), (2.0, 2)],
+                                    [(1.5, 4)]])
+@pytest.mark.parametrize("sigma", ["wk", "df"])
+@pytest.mark.parametrize("a", [0, 1])
+def test_zonal_matrix_matches_closed_form(blocks, sigma, a):
+    params = MagneticParams.make(blocks)
+    G, _ = _rule(params, 10 if params.k == 2 else 5).nodes_weights()
+    H = G[::3] + 0.1
+    for t in (0.0, 0.05, 0.4, 1.3):
+        ref = zonal_kernel_closed(sigma, a, t, G[:, None, :], H[None, :, :],
+                                  params).value
+        got = zonal_matrix(sigma, a, t, G, H, params)
+        assert got.shape == (G.shape[0], H.shape[0])
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_zonal_matrix_refuses_higher_zones(p2):
+    with pytest.raises(ValueError):
+        zonal_matrix("wk", 2, 0.5, np.zeros((1, 2)), np.zeros((1, 2)), p2)

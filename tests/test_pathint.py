@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from zeemanzones import pathint
-from zeemanzones.kernels import SingularTimeError, zonal_kernel_closed
+from zeemanzones.kernels import (SingularTimeError, plane_form_matrix,
+                                 projection_kernel, zonal_kernel_closed)
 from zeemanzones.params import MagneticParams
+from zeemanzones.quadrature import QuadratureError
 from zeemanzones.pathint import (TimeSlicing, cylinder_value,
                                  feynman_kac_chain, feynman_kac_weight,
                                  nu_cylinder_value, probability_conservation,
@@ -83,7 +85,6 @@ def test_df_singular_slicing_rejected(p2b):
 
 
 def test_nu_chain_matches_projection(p2):
-    from zeemanzones.kernels import projection_kernel
     ref = projection_kernel(0, X0, Y0, p2)
     for n in (1, 2, 3):
         got = nu_cylinder_value(TimeSlicing(0.5, n), None, X0, Y0, p2,
@@ -134,7 +135,106 @@ def test_radon_nikodym_consistency(p2):
     assert out4["residual_left"] < out["residual_left"]
 
 
+def test_radon_nikodym_exact_check_can_fail(p2, monkeypatch):
+    # the ratio without its constant -(1/2) sum k lam dt (i - 1) must miss
+    ratio = pathint._rn_ratio
+    monkeypatch.setattr(pathint, "_rn_ratio",
+                        lambda dt, params, exact: (ratio(dt, params, exact)[0],
+                                                   0.0))
+    out = radon_nikodym_consistency(TimeSlicing(0.5, 2), X0, Y0, p2,
+                                    quad_degree=24)
+    assert out["residual_exact"] > 1e-3
+
+
 @pytest.mark.parametrize("sigma", ["wk", "df"])
 def test_second_form_residual(p2, sigma):
     assert second_form_residual(sigma, TimeSlicing(0.5, 2), X0, Y0, p2,
                                 quad_degree=24) < 1e-8
+
+
+# ---------------------------------------------------------------------------
+# plane-form step matrices and the chain loop
+# ---------------------------------------------------------------------------
+
+def _old_delta_diag_action(sigma, dt, M, Mp, params, exact):
+    """The per-step Feynman-Kac weight in its generic broadcast form, kept
+    as the reference for the plane-form steps."""
+    s = 1.0 if sigma == "wk" else 1j
+    expo = 0j
+    for b, sl in zip(params.blocks, params.block_slices()):
+        expo = expo - 0.5 * b.k * b.lam * dt * s
+        Mi, Mpi = M[..., sl], Mp[..., sl]
+        pair = (np.sum(Mi * Mpi, axis=-1)
+                + 1j * (Mi[..., 1::2] * Mpi[..., 0::2]
+                        - Mi[..., 0::2] * Mpi[..., 1::2]).sum(axis=-1))
+        coeff = (np.exp(-2 * b.lam * dt * s) - 1 if exact
+                 else -2 * b.lam * dt * s)
+        expo = expo + b.lam * coeff * pair
+    return np.exp(expo)
+
+
+def _old_step(sigma, dt, G, params, exact):
+    return (projection_kernel(0, G[:, None, :], G[None, :, :], params)
+            * _old_delta_diag_action(sigma, dt, G[:, None, :], G[None, :, :],
+                                     params, exact))
+
+
+@pytest.mark.parametrize("blocks", [[(1.0, 2)], [(1.0, 2), (2.0, 2)]])
+@pytest.mark.parametrize("exact", [True, False])
+def test_action_weighted_steps_match_generic_products(blocks, exact):
+    params = MagneticParams.make(blocks)
+    G, _ = pathint.slicing_grid(params, 10 if params.k == 2 else 4)
+    dt = 0.15
+    for sigma in ("wk", "df"):
+        ref = _old_step(sigma, dt, G, params, exact)
+        got = plane_form_matrix(G, G, params,
+                                *pathint._fk_step(sigma, dt, params, exact))
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+    # the WK step reweighted by the Radon-Nikodym ratio is the DF step
+    coeffs, shift = pathint._fk_step("wk", dt, params, exact)
+    ratios, const = pathint._rn_ratio(dt, params, exact)
+    got = plane_form_matrix(G, G, params,
+                            [c + r for c, r in zip(coeffs, ratios)],
+                            shift + const)
+    ref = _old_step("df", dt, G, params, exact)
+    assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_step_matrix_built_once(p2, monkeypatch):
+    calls = []
+    build = pathint.zonal_matrix
+
+    def counted(sigma, a, t, X, Y, params):
+        calls.append((len(X), len(Y)))
+        return build(sigma, a, t, X, Y, params)
+
+    monkeypatch.setattr(pathint, "zonal_matrix", counted)
+    got = cylinder_value("wk", 0, TimeSlicing(0.6, 6), None, X0, Y0, p2,
+                         quad_degree=12)
+    N = 12 ** 2
+    assert calls.count((N, N)) == 1
+    ref = zonal_kernel_closed("wk", 0, 0.6, X0, Y0, p2).value
+    assert abs(got - ref) < 1e-8
+
+
+def test_matrix_path_ceiling_refuses_before_allocating(monkeypatch):
+    p4 = MagneticParams.make([(1.0, 2), (2.0, 2)])
+    x4, y4 = np.array([0.3, -0.2, 0.1, 0.2]), np.array([0.1, 0.4, -0.3, 0.05])
+    assert (24 ** 4) ** 2 > pathint.MATRIX_ENTRY_CEILING
+
+    def no_grid(*args, **kwargs):
+        raise AssertionError("grid built above the ceiling")
+
+    monkeypatch.setattr(pathint, "slicing_grid", no_grid)
+    sl = TimeSlicing(0.5, 3)
+    for run in (
+            lambda: cylinder_value("wk", 0, sl, None, x4, y4, p4, 24),
+            lambda: nu_cylinder_value(sl, None, x4, y4, p4, 24),
+            lambda: feynman_kac_chain("wk", sl, x4, y4, p4, 24),
+            lambda: probability_conservation(0.5, x4, p4, 24)):
+        with pytest.raises(QuadratureError, match="ceiling"):
+            run()
+    # a single slice needs no grid
+    one = cylinder_value("wk", 0, TimeSlicing(0.5, 1), None, x4, y4, p4, 24)
+    assert one == pytest.approx(complex(zonal_kernel_closed(
+        "wk", 0, 0.5, x4, y4, p4).value), rel=1e-12)

@@ -78,3 +78,21 @@ def test_quad_degree_only_raises():
     # a user-supplied degree below a check's default is ignored, not honored
     lo = run_suite("laguerre", {"quad_degree": 4})
     assert all(r.status == "PASS" for r in lo)
+
+
+def test_rec3_identity_can_fail():
+    # the degenerate L_{a-1} coefficient a (right only for alpha = 0)
+    assert verify._rec3_residual(0, 3, 3) == [0]
+    assert verify._rec3_residual(1, 3, 3 + 1) == [0]
+    assert any(verify._rec3_residual(1, a, a) != [0] for a in range(1, 13))
+
+
+def test_pathint_checks_report_what_ran():
+    results = run_suite("pathint", {"quad_degree": 30})
+    assert len(results) == 7
+    for r in results:
+        assert r.status == "PASS", r.check_id
+        assert r.params["n"] and r.params["T"]
+        assert r.params["quad_degree"] == (40 if r.check_id ==
+                                           "pathint.probability_conservation"
+                                           else 30)
