@@ -141,22 +141,23 @@ def cmd_spectrum(cfg):
 
 
 def _point_pairs(cfg, k):
+    """The config's point pairs stacked as X (P, k) and Y (P, k)."""
     pts = cfg["points"]
-    out = []
     for i, pair in enumerate(pts):
         if len(pair) != 2 or len(pair[0]) != k or len(pair[1]) != k:
             raise ConfigError(f"config field 'points[{i}]': expected a pair "
                               f"of length-{k} coordinate lists")
-        out.append((np.asarray(pair[0], dtype=float),
-                    np.asarray(pair[1], dtype=float)))
-    return out
+    X = np.array([pair[0] for pair in pts], dtype=float).reshape(-1, k)
+    Y = np.array([pair[1] for pair in pts], dtype=float).reshape(-1, k)
+    return X, Y
 
 
 def cmd_kernel(cfg):
     params = build_params(cfg)
     sigma = _check_sigma(cfg)
     a = int(cfg["zone"])
-    pairs = _point_pairs(cfg, params.k)
+    X, Y = _point_pairs(cfg, params.k)
+    coords = [[repr(v) for v in row] for row in np.hstack([X, Y]).tolist()]
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
     head = (["t"] + [f"x{i+1}" for i in range(params.k)]
@@ -166,23 +167,23 @@ def cmd_kernel(cfg):
     w.writerow(head)
     had_error = False
     for t in cfg["times"]:
-        for X, Y in pairs:
-            coords = [repr(float(v)) for v in (*X, *Y)]
-            try:
-                # the zonal closed forms are entire in t, but the caustic
-                # times of the underlying evolution are flagged anyway so
-                # grids never silently straddle them
-                if sigma == "df":
-                    check_df_time(float(t), params)
-                kv = zonal_kernel_closed(sigma, a, float(t), X, Y, params)
-            except SingularTimeError:
-                had_error = True
-                w.writerow([repr(float(t))] + coords + ["ERROR"] * 6)
-                continue
-            vals = (kv.value, kv.dominant, kv.long_term)
-            w.writerow([repr(float(t))] + coords
-                       + [repr(float(f(v))) for v in vals
-                          for f in (np.real, np.imag)])
+        t = float(t)
+        try:
+            # the zonal closed forms are entire in t, but the caustic
+            # times of the underlying evolution are flagged anyway so
+            # grids never silently straddle them
+            if sigma == "df":
+                check_df_time(t, params)
+            # one broadcast evaluation over all pairs of this time
+            kv = zonal_kernel_closed(sigma, a, t, X, Y, params)
+        except SingularTimeError:
+            had_error = True
+            w.writerows([repr(t)] + c + ["ERROR"] * 6 for c in coords)
+            continue
+        vals = np.stack([f(v) for v in (kv.value, kv.dominant, kv.long_term)
+                         for f in (np.real, np.imag)], axis=-1).tolist()
+        w.writerows([repr(t)] + c + [repr(v) for v in row]
+                    for c, row in zip(coords, vals))
     write_out(buf.getvalue(), cfg["out"])
     return 3 if had_error else 0
 
@@ -238,7 +239,7 @@ def cmd_pathint(cfg):
     a = int(cfg["zone"])
     deg = int(cfg["quad_degree"])
     T = float(cfg["total_time"])
-    X, Y = _point_pairs(cfg, params.k)[0]
+    X, Y = (Z[0] for Z in _point_pairs(cfg, params.k))
     ref = zonal_kernel_closed(sigma, a, T, X, Y, params).value
     rows = []
     try:

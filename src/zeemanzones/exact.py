@@ -14,7 +14,6 @@ exactly against the explicit binomial form, term by term.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -368,11 +367,6 @@ class ZonePoly:
             return 0
         return max(sum(a) for a, _ in self.terms)
 
-    def total_degree(self) -> int:
-        if not self.terms:
-            return 0
-        return max(sum(a) + sum(b) for a, b in self.terms)
-
     # -- evaluation ---------------------------------------------------------
     def eval(self, z: list[complex]) -> complex:
         if len(z) != self.nvars:
@@ -387,31 +381,6 @@ class ZonePoly:
                     v *= z[j].conjugate() ** b[j]
             acc += v
         return acc
-
-    # -- serialization ------------------------------------------------------
-    def to_json_dict(self) -> dict:
-        terms = []
-        for (a, b), c in sorted(self.terms.items()):
-            terms.append({"holo": list(a), "anti": list(b),
-                          "re_num": c.re.numerator, "re_den": c.re.denominator,
-                          "im_num": c.im.numerator, "im_den": c.im.denominator})
-        return {"nvars": self.nvars, "terms": terms}
-
-    @staticmethod
-    def from_json_dict(d: dict) -> "ZonePoly":
-        out = ZonePoly(int(d["nvars"]))
-        for t in d["terms"]:
-            key = (tuple(t["holo"]), tuple(t["anti"]))
-            out._iadd_term(key, QC(Fraction(t["re_num"], t["re_den"]),
-                                   Fraction(t["im_num"], t["im_den"])))
-        return out
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True)
-
-    @staticmethod
-    def from_json(s: str) -> "ZonePoly":
-        return ZonePoly.from_json_dict(json.loads(s))
 
     def __repr__(self):
         items = ", ".join(f"z^{a} zbar^{b}: {c!r}" for (a, b), c in sorted(self.terms.items()))

@@ -108,12 +108,6 @@ def pairing(X, Y, params: MagneticParams) -> complex | np.ndarray:
     return out if out.shape else complex(out)
 
 
-def pairing_parts(X, Y, params: MagneticParams):
-    """Return (<X,Y>, <X,J(Y)>) with the lambda weights, as a real pair."""
-    v = pairing(X, Y, params)
-    return np.real(v), np.imag(v)
-
-
 @dataclass(frozen=True)
 class HamiltonianVariant:
     """Which Hamiltonian the spectra/partition functions refer to.

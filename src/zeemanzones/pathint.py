@@ -212,11 +212,14 @@ def nu_cylinder_value(slicing: TimeSlicing, F, x, y,
 
 def feynman_kac_weight(sigma, omega, T: float, params: MagneticParams,
                        action: str = "left"):
-    """Weight e^{sigma sum_i lam_i (-k_i T/2 - 2 int |omega_i|^2 dtau)} for a
-    discrete path omega of shape (n+1, k) sampled at the slice boundaries.
+    """Weight e^{sigma sum_i lam_i (-k_i T/2 - 2 lam_i int |omega_i|^2 dtau)}
+    for a discrete path omega of shape (n+1, k) sampled at the slice
+    boundaries.
 
-    action="left" uses left-endpoint Riemann sums (matching the discrete
-    chain identity); "trapezoid" is offered for convergence studies.
+    The action carries lam_i^2, as the linearized step coefficient
+    -2 sigma lam_i dt of `_fk_step` does on lam_i P_i.  action="left" uses
+    left-endpoint Riemann sums (matching the discrete chain identity);
+    "trapezoid" is offered for convergence studies.
     """
     omega = np.asarray(omega, dtype=float)
     n = omega.shape[0] - 1
@@ -233,7 +236,7 @@ def feynman_kac_weight(sigma, omega, T: float, params: MagneticParams,
             act = dt * float(0.5 * sq[0] + np.sum(sq[1:-1]) + 0.5 * sq[-1])
         else:
             raise ValueError("action must be 'left' or 'trapezoid'")
-        expo += s * b.lam * (-0.5 * b.k * T - 2.0 * act)
+        expo += s * b.lam * (-0.5 * b.k * T - 2.0 * b.lam * act)
     return complex(np.exp(expo))
 
 

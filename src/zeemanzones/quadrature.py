@@ -136,11 +136,6 @@ def integrate(f, rule: QuadRule, check_finite: bool = True):
     return tree_sum(np.moveaxis(weights * vals, -1, 0))
 
 
-def convolve(kernelA, kernelB, rule: QuadRule):
-    """int A(U) B(U) dU: both callables map (N, k) node arrays to (N,)."""
-    return integrate(lambda U: np.asarray(kernelA(U)) * np.asarray(kernelB(U)), rule)
-
-
 def exact_value(evaluate, n: int):
     """An exact Gaussian-rule integral with its convergence evidence.
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass, asdict
 from fractions import Fraction
 
 from .exact import (QC, ZonePoly, hermite_scaled_exact, laguerre_exact,
-                    pderiv, pmul, psub, pscale, ptrim)
+                    padd, pderiv, pmul, psub, pscale, ptrim)
 from .params import MagneticParams, HamiltonianVariant
 
 
@@ -321,23 +321,9 @@ def radial_operator_residual(u, l_tilde: int, k: int, n: int) -> list[Fraction]:
     """
     a1 = Fraction(k, 2) + l_tilde  # alpha + 1
     du, ddu = pderiv(u), pderiv(pderiv(u))
-    res = padd_list([pmul([Fraction(0), Fraction(1)], ddu),
-                     pmul([a1, Fraction(-1)], du),
-                     pscale(u, n)])
-    return res
-
-
-def radial_eigenvalue(n: int, p_tilde: int, k: int, lam: float) -> float:
-    """Box eigenvalue reported by the radial method: -((4n + 4p~ + k) lam + 4k lam^2)."""
-    return -((4 * n + 4 * p_tilde + k) * lam + 4 * k * lam * lam)
-
-
-def padd_list(polys):
-    out = polys[0]
-    for p in polys[1:]:
-        from .exact import padd
-        out = padd(out, p)
-    return out
+    return padd(padd(pmul([Fraction(0), Fraction(1)], ddu),
+                     pmul([a1, Fraction(-1)], du)),
+                pscale(u, n))
 
 
 def radial_vs_laguerre(n: int, l_tilde: int, k: int) -> bool:

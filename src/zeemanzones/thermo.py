@@ -138,6 +138,21 @@ def longterm_trace(sigma, t: float, params: MagneticParams,
     return total
 
 
+def _level_multiplicities(q: int, n: int) -> np.ndarray:
+    """binom(p+q-1, q-1) for p = 0..n-1 as floats, one column op per factor.
+
+    m <- m (p + i) / i for i = 1..q-1.  For q <= 5 and n up to ~2.6e5 this
+    is float(math.comb(p+q-1, q-1)) bit for bit: the products up to i = 3
+    are exact integers, and the i = 4 product is rounded once and then
+    divided by a power of two.  Larger q rounds once per further factor.
+    """
+    p = np.arange(n, dtype=float)
+    m = np.ones(n)
+    for i in range(1, q):
+        m = m * (p + i) / i
+    return m
+
+
 def _mult_tail(q: int, L: int, r: complex) -> complex:
     """sum_{p >= L} binom(p+q-1, q-1) r^p in closed form.
 
@@ -176,7 +191,7 @@ def partition_spectral(sigma, a: int, t: float, params: MagneticParams,
     for b in params.blocks:
         q = b.k // 2
         p = np.arange(levels)
-        mult = np.array([math.comb(int(pi) + q - 1, q - 1) for pi in p], dtype=float)
+        mult = _level_multiplicities(q, levels)
         r = complex(np.exp(-2 * s * t * b.lam))
         head = tree_sum(mult * r ** p)
         total *= (head + _mult_tail(q, levels, r)) * np.exp(-s * t * b.lam * q)
@@ -251,7 +266,7 @@ def zeta_zonal(a: int, s: complex, params: MagneticParams,
     zone_mult = math.comb(a + q - 1, q - 1)
 
     p = np.arange(truncation)
-    mult = np.array([math.comb(int(pi) + q - 1, q - 1) for pi in p], dtype=float)
+    mult = _level_multiplicities(q, truncation)
     acc = complex(np.sum(mult * (alpha + beta * p) ** (-s)))
     if tail:
         if not s.real > q:

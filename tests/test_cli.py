@@ -6,9 +6,12 @@ import json
 import math
 import os
 
+import numpy as np
 import pytest
 
+from zeemanzones import cli
 from zeemanzones.cli import ConfigError, build_params, load_config, main
+from zeemanzones.kernels import zonal_kernel_closed
 
 
 def run_cli(capsys, *argv):
@@ -89,6 +92,98 @@ def test_kernel_df_singular_rows_exit_3(capsys):
                         "--times", repr(math.pi))
     assert code == 3
     assert "ERROR" in out
+
+
+def _kernel_config(tmp_path, blocks, points):
+    p = tmp_path / "kernel.json"
+    p.write_text(json.dumps({
+        "params": [{"lambda": lam, "k": k} for lam, k in blocks],
+        "points": [[list(x), list(y)] for x, y in points]}))
+    return str(p)
+
+
+def _random_pairs(n, k, seed=5):
+    pts = np.random.default_rng(seed).normal(0.0, 0.4, size=(n, 2, k))
+    return [(p[0].tolist(), p[1].tolist()) for p in pts]
+
+
+def test_kernel_grid_matches_per_pair_calls(capsys, tmp_path):
+    blocks = [(1.0, 2), (2.0, 2)]
+    params = build_params({"params": [{"lambda": lam, "k": k}
+                                      for lam, k in blocks]})
+    pairs = _random_pairs(17, 4)
+    cfg = _kernel_config(tmp_path, blocks, pairs)
+    times = (0.05, 0.5, 2.0)
+    for sigma in ("wk", "df"):
+        for zone in (0, 1):
+            code, out = run_cli(capsys, "kernel", "--config", cfg,
+                                "--sigma", sigma, "--zone", str(zone),
+                                "--times", ",".join(map(repr, times)))
+            assert code == 0
+            rows = list(csv.reader(io.StringIO(out)))
+            assert rows[0] == (["t", "x1", "x2", "x3", "x4",
+                                "y1", "y2", "y3", "y4", "re", "im",
+                                "dominant_re", "dominant_im",
+                                "longterm_re", "longterm_im"])
+            assert len(rows) == 1 + len(times) * len(pairs)
+            body = iter(rows[1:])
+            # times outer, pairs inner
+            for t in times:
+                for x, y in pairs:
+                    r = next(body)
+                    assert r[:9] == [repr(t)] + [repr(v) for v in x + y]
+                    kv = zonal_kernel_closed(sigma, zone, t, np.array(x),
+                                             np.array(y), params)
+                    got = [complex(float(r[i]), float(r[i + 1]))
+                           for i in (9, 11, 13)]
+                    for g, v in zip(got, (kv.value, kv.dominant,
+                                          kv.long_term)):
+                        assert abs(g - v) <= 1e-12 * (1 + abs(v))
+
+
+def test_kernel_df_caustic_rows_only(capsys, tmp_path):
+    pairs = _random_pairs(3, 2)
+    cfg = _kernel_config(tmp_path, [(1.0, 2)], pairs)
+    code, out = run_cli(capsys, "kernel", "--config", cfg, "--sigma", "df",
+                        "--times", f"0.5,{math.pi!r},1")
+    assert code == 3
+    rows = list(csv.reader(io.StringIO(out)))[1:]
+    assert len(rows) == 9
+    for i, r in enumerate(rows):
+        if i // 3 == 1:
+            assert r[0] == repr(math.pi) and r[5:] == ["ERROR"] * 6
+        else:
+            assert all(math.isfinite(float(v)) for v in r[5:])
+
+
+def test_kernel_one_pair_config(capsys, tmp_path):
+    cfg = _kernel_config(tmp_path, [(1.0, 2)], [([0.3, -0.2], [0.1, 0.4])])
+    code, out = run_cli(capsys, "kernel", "--config", cfg, "--zone", "1",
+                        "--times", "0.5")
+    assert code == 0
+    rows = list(csv.reader(io.StringIO(out)))
+    assert len(rows) == 2
+    kv = zonal_kernel_closed("wk", 1, 0.5, np.array([0.3, -0.2]),
+                             np.array([0.1, 0.4]), build_params(load_config(None)))
+    assert complex(float(rows[1][5]), float(rows[1][6])) == pytest.approx(
+        complex(kv.value), rel=1e-12)
+
+
+def test_kernel_one_call_per_time(capsys, tmp_path, monkeypatch):
+    calls = []
+    evaluate = cli.zonal_kernel_closed
+
+    def counted(*args, **kwargs):
+        calls.append(args[2])
+        return evaluate(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "zonal_kernel_closed", counted)
+    cfg = _kernel_config(tmp_path, [(1.0, 2)], _random_pairs(16, 2))
+    code, out = run_cli(capsys, "kernel", "--config", cfg,
+                        "--times", "0.1,0.5,1")
+    assert code == 0
+    assert len(out.splitlines()) == 1 + 3 * 16
+    assert calls == [0.1, 0.5, 1.0]
 
 
 def test_partition_closed_vs_trace(capsys):

@@ -6,7 +6,7 @@ import pytest
 from zeemanzones import pathint
 from zeemanzones.kernels import (SingularTimeError, plane_form_matrix,
                                  projection_kernel, zonal_kernel_closed)
-from zeemanzones.params import MagneticParams
+from zeemanzones.params import J_apply, MagneticParams
 from zeemanzones.quadrature import QuadratureError
 from zeemanzones.pathint import (TimeSlicing, cylinder_value,
                                  feynman_kac_chain, feynman_kac_weight,
@@ -108,6 +108,23 @@ def test_feynman_kac_weight_constant_path(p2):
     omega = np.zeros((5, 2))
     w = feynman_kac_weight("wk", omega, 1.0, p2)
     assert w == pytest.approx(np.exp(-1.0))
+
+
+@pytest.mark.parametrize("sigma", ["wk", "df"])
+def test_feynman_kac_weight_is_product_of_chain_steps(sigma):
+    # at lam = 2 the action carries lam^2, as the chain's left-endpoint
+    # step does; the step weight is the `_fk_step` coefficient minus the
+    # delta^{(0)} part 1, on the pairing <m, m' + i J m'>
+    params = MagneticParams.make([(2.0, 2)])
+    T, n = 0.5, 4
+    omega = np.tile([0.3, -0.2], (n + 1, 1))
+    coeffs, shift = pathint._fk_step(sigma, T / n, params, exact=False)
+    lam = params.blocks[0].lam
+    steps = [np.exp(shift + lam * (coeffs[0] - 1)
+                    * (m @ m2 + 1j * (m @ J_apply(m2))))
+             for m, m2 in zip(omega[:-1], omega[1:])]
+    assert feynman_kac_weight(sigma, omega, T, params) == pytest.approx(
+        complex(np.prod(steps)), rel=1e-12)
 
 
 @pytest.mark.parametrize("sigma", ["wk", "df"])

@@ -12,7 +12,7 @@ from zeemanzones.thermo import (dominant_trace, hurwitz_zeta, longterm_trace,
                                 mehler_comparison_bound, partition,
                                 partition_by_trace, partition_spectral,
                                 partition_trace, riemann_zeta, zeta_zonal,
-                                _mult_tail)
+                                _level_multiplicities, _mult_tail)
 
 
 # ---------------------------------------------------------------------------
@@ -173,6 +173,32 @@ def test_zonal_zeta_direct_sum(p2):
     s = 3.0
     ref = complex(mp.nsum(lambda p: (2 * p + 1) ** (-s), [0, mp.inf]))
     assert abs(zeta_zonal(0, s, p2, variant=H_Z) - ref) < 1e-10
+
+
+def _comb_column(q, n):
+    return np.array([float(math.comb(p + q - 1, q - 1)) for p in range(n)])
+
+
+def test_level_multiplicities_match_binomials():
+    n = 100_000
+    for q in range(1, 6):
+        got = _level_multiplicities(q, n)
+        assert got.dtype == np.float64 and got.shape == (n,)
+        assert np.array_equal(got, _comb_column(q, n))
+    ref = _comb_column(8, n)
+    assert np.max(np.abs(_level_multiplicities(8, n) - ref) / ref) <= 1e-15
+
+
+@pytest.mark.parametrize("k", [2, 4])
+def test_zonal_zeta_head_matches_binomial_sum(k):
+    # the direct part of the zeta sum, rebuilt from the math.comb column
+    params = MagneticParams.make([(1.0, k)])
+    q, n, s = k // 2, 100_000, complex(3.0)
+    p = np.arange(n)
+    for a in (0, 2):
+        ref = math.comb(a + q - 1, q - 1) * complex(
+            np.sum(_comb_column(q, n) * (q + 2.0 * p) ** (-s)))
+        assert zeta_zonal(a, s, params, tail=False) == ref
 
 
 def test_mehler_comparison_bound_envelopes(p2, p2b):
