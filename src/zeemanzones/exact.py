@@ -208,12 +208,13 @@ def rodrigues_check(alpha: int, a: int) -> bool:
     return ptrim(psub(pscale(q, Fraction(1, math.factorial(a))), lhs)) == [Fraction(0)]
 
 
-def _multi_compositions(total: int, parts: int):
+def _compositions(total: int, parts: int):
+    """All tuples of `parts` nonnegative ints summing to `total`."""
     if parts == 1:
         yield (total,)
         return
     for first in range(total + 1):
-        for rest in _multi_compositions(total - first, parts - 1):
+        for rest in _compositions(total - first, parts - 1):
             yield (first,) + rest
 
 
@@ -225,13 +226,13 @@ def laguerre_composition_check(alpha: int, n: int) -> bool:
     for d, c in enumerate(laguerre_exact(alpha, n)):
         if c == 0:
             continue
-        for comp in _multi_compositions(d, m):
+        for comp in _compositions(d, m):
             w = math.factorial(d)
             for e in comp:
                 w //= math.factorial(e)
             lhs[comp] = lhs.get(comp, Fraction(0)) + c * w
     rhs: dict[tuple, Fraction] = {}
-    for comp in _multi_compositions(n, m):
+    for comp in _compositions(n, m):
         terms = {(): Fraction(1)}
         for j, ij in enumerate(comp):
             new: dict[tuple, Fraction] = {}

@@ -243,21 +243,28 @@ def zonal_kernel_closed(sigma, a: int, t: float, X, Y,
                      "use zonal_kernel_numeric")
 
 
-def _outer_sum(rows, cols):
-    """sum_j rows[:, j] cols[:, j]^T over the plane columns, as an (N, M)
-    matrix built in place (one more (N, M) array for two or more columns)."""
-    acc = np.multiply(rows[:, :1], cols[None, :, 0])
-    tmp = None
-    for j in range(1, rows.shape[1]):
-        tmp = np.multiply(rows[:, j:j + 1], cols[None, :, j], out=tmp)
-        acc += tmp
-    return acc
+def _plane_outer(op, u, v):
+    """op(u[a, c, d], v[b, c, d]) as an (n_a n_b, n_c n_d) matrix: rows
+    (a, b) and columns (c, d), first index slowest."""
+    return op(u[:, None], v[None]).reshape(u.shape[0] * v.shape[0], -1)
+
+
+def _grid_outer(op, acc, m):
+    """Combine the matrix `acc` of earlier planes with the plane matrix m:
+    op(acc[r, c], m[r', c']) at row (r, r') and column (c, c')."""
+    if acc is None:
+        return m
+    return op(acc[:, None, :, None], m[None, :, None, :]).reshape(
+        acc.shape[0] * m.shape[0], acc.shape[1] * m.shape[1])
 
 
 def plane_form_matrix(X, Y, params: MagneticParams, coeffs, shift=0j, e=None):
     """pref e^{shift + sum_i lam_i (c_i P_i - (|X_i|^2 + |Y_i|^2) / 2)} on
-    real point sets X (N, k) and Y (M, k), as an (N, M) matrix.
+    tensor grids X and Y, as an (N, M) matrix.
 
+    A tensor grid is k per-axis node arrays (a single point is k length-1
+    arrays); its points are ordered as in `tensor_points`, first axis
+    slowest, so N and M are the products of the axis lengths.
     pref = prod lam_i^{k_i/2} / pi^{k/2} is the delta^{(0)} prefactor and
     P_i = sum over the block's planes of z_x conj(z_y), z = x_1 + i x_2,
     is the pairing <X_i, Y_i + i J Y_i>.  Every zone-0 chain step has this
@@ -267,42 +274,74 @@ def plane_form_matrix(X, Y, params: MagneticParams, coeffs, shift=0j, e=None):
     matrix is multiplied by the zone-1 factor of `_lambda1_factor`, which
     in plane form (m.m = e_i |Y_i|^2 + 2 u_i e_i P_i) reads
     k/2 - sum_i [lam_i (e_i (|X_i|^2 + |Y_i|^2) - e_i^2 P_i - conj P_i)
-    + k_i (1 - e_i) / 2].  Built in place: at most three (N, M) complex
-    arrays are live at once.
+    + k_i (1 - e_i) / 2].
+
+    On a plane with z_x = a + ib and z_y = c + id, P = (ac - iad) +
+    (bd + ibc), so the plane's factor is u[a, c, d] v[b, c, d]: two
+    exponentials of n^3 entries, the row and column Gaussians folded in.
+    Lambda^{(1)} splits the same way into a sum of two n^3 pieces.  Planes
+    combine by broadcasting, and the prefactor and shift are one scalar.
+    At most two (N, M) complex arrays are live: the matrix and, for zone
+    1, its factor Lambda^{(1)}.
     """
-    X = np.asarray(X, dtype=float)
-    Y = np.asarray(Y, dtype=float)
-    if X.ndim != 2 or Y.ndim != 2 or X.shape[1] != params.k \
-            or Y.shape[1] != params.k:
-        raise ValueError(f"point sets must have shape (N, {params.k})")
+    X = [np.asarray(v, dtype=float) for v in X]
+    Y = [np.asarray(v, dtype=float) for v in Y]
+    if len(X) != params.k or len(Y) != params.k \
+            or any(v.ndim != 1 for v in X + Y):
+        raise ValueError(f"tensor grids need {params.k} one-dimensional axes")
     per_plane = [b.k // 2 for b in params.blocks]
     lam = params.plane_lambdas()
-    zx = X[:, 0::2] + 1j * X[:, 1::2]
-    zy = Y[:, 0::2] + 1j * Y[:, 1::2]
-    rx, ry = np.abs(zx) ** 2, np.abs(zy) ** 2     # |.|^2 per plane
-    log_pref = (sum(b.k / 2 * np.log(b.lam) for b in params.blocks)
-                - params.k / 2 * np.log(np.pi))
-    out = _outer_sum(lam * np.repeat(coeffs, per_plane) * zx, zy.conj())
-    out += (shift + log_pref - 0.5 * np.sum(lam * rx, axis=-1))[:, None]
-    out -= 0.5 * np.sum(lam * ry, axis=-1)
-    np.exp(out, out=out)
-    if e is None:
-        return out
-    ep = np.repeat(e, per_plane)
-    fac = _outer_sum(np.concatenate([lam * ep ** 2 * zx, lam * zx.conj()], 1),
-                     np.concatenate([zy.conj(), zy], 1))
-    fac += (params.k / 2 - sum(b.k * (1 - eb) / 2
-                               for b, eb in zip(params.blocks, e))
-            - np.sum(lam * ep * rx, axis=-1))[:, None]
-    fac -= np.sum(lam * ep * ry, axis=-1)
-    out *= fac
+    cp = np.repeat(coeffs, per_plane)
+    const = (shift + sum(b.k / 2 * np.log(b.lam) for b in params.blocks)
+             - params.k / 2 * np.log(np.pi))
+    if e is not None:
+        ep = np.repeat(e, per_plane)
+        fconst = params.k / 2 - sum(b.k * (1 - eb) / 2
+                                    for b, eb in zip(params.blocks, e))
+    out = fac = None
+    for j, lj in enumerate(lam):
+        a, b = X[2 * j][:, None, None], X[2 * j + 1][:, None, None]
+        c, d = Y[2 * j][:, None], Y[2 * j + 1][None, :]
+        kap = complex(cp[j])
+        pu, pv = a * c - 1j * (a * d), b * d + 1j * (b * c)   # P = pu + pv
+        # Re(kap pu) = a w1 and Re(kap pv) = b w2 with w1^2 + w2^2 =
+        # |kap|^2 |z_y|^2: each factor's exponent is -(a - w1)^2 / 2 or
+        # -(b - w2)^2 / 2 - (1 - |kap|^2) |z_y|^2 / 2 in real part, so
+        # neither overflows; the n^3 arrays are updated in place, which
+        # keeps the job's peak RSS at the parent's
+        w1sq = (kap.real * c + kap.imag * d) ** 2
+        u = lj * kap * pu
+        u -= 0.5 * lj * a * a
+        u += const - 0.5 * lj * w1sq
+        v = lj * kap * pv
+        v -= 0.5 * lj * b * b
+        v -= 0.5 * lj * (c * c + d * d - w1sq)
+        out = _grid_outer(np.multiply, out,
+                          _plane_outer(np.multiply, np.exp(u, out=u),
+                                       np.exp(v, out=v)))
+        const = 0j
+        if e is not None:
+            # conj P = conj(pu) + conj(pv) on the real grid
+            e1, e2 = ep[j], ep[j] ** 2
+            fu = lj * e2 * pu
+            fu += lj * pu.conj()
+            fu -= lj * e1 * a * a
+            fu += fconst - lj * e1 * c * c
+            fv = lj * e2 * pv
+            fv += lj * pv.conj()
+            fv -= lj * e1 * b * b
+            fv -= lj * e1 * d * d
+            fac = _grid_outer(np.add, fac, _plane_outer(np.add, fu, fv))
+            fconst = 0.0
+    if fac is not None:
+        out *= fac
     return out
 
 
 def zonal_matrix(sigma, a: int, t: float, X, Y, params: MagneticParams):
-    """d_sigma^{(a)}(t, X_n, Y_m), a <= 1, on real point sets X (N, k) and
-    Y (M, k) as an (N, M) matrix: `zonal_kernel_closed` in plane form.
-    At t = 0 the zone-0 matrix is delta^{(0)}."""
+    """d_sigma^{(a)}(t, X_n, Y_m), a <= 1, on tensor grids X and Y (k
+    per-axis node arrays each) as an (N, M) matrix: `zonal_kernel_closed`
+    in plane form.  At t = 0 the zone-0 matrix is delta^{(0)}."""
     s = sigma_value(sigma)
     if a not in (0, 1):
         raise ValueError(f"no plane-form matrix for zone a={a}")

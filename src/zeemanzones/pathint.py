@@ -20,7 +20,8 @@ import numpy as np
 from .params import MagneticParams
 from .kernels import (check_df_time, sigma_value, plane_form_matrix,
                       zonal_kernel_closed, zonal_kernel_numeric, zonal_matrix)
-from .quadrature import QuadRule, QuadratureError, tree_sum
+from .quadrature import (QuadRule, QuadratureError, tensor_points,
+                         tensor_weights, tree_sum)
 
 SLICE_DIM_CEILING = 8          # n*k for the dense tensor path
 DENSE_NODE_CEILING = 40_000_000
@@ -49,13 +50,20 @@ class TimeSlicing:
 
 
 def slicing_grid(params: MagneticParams, quad_degree: int):
-    """Shared per-slice grid: nodes (N, k) and Lebesgue weights (N,).
+    """Shared per-slice tensor grid: k per-axis node arrays and the
+    Lebesgue weights (N,) of its points (`tensor_points` order).
 
     Chain integrands decay like e^{-lam_i |m|^2} in each intermediate
     point (half a Gaussian from each adjacent kernel factor).
     """
     rule = QuadRule(quad_degree, params.axis_lambdas())
-    return rule.nodes_weights()
+    axes, wts = zip(*(rule.axis_nodes_weights(j) for j in range(rule.dim)))
+    return list(axes), tensor_weights(wts)
+
+
+def _point_axes(x):
+    """A point (k,) as a one-point tensor grid: k length-1 axes."""
+    return np.asarray(x, dtype=float)[:, None]
 
 
 def _matrix_grid(params: MagneticParams, quad_degree: int):
@@ -84,10 +92,11 @@ def _step_values(sigma, a, dt, X, Y, params, quad_degree):
 
 
 def _step_matrix(sigma, a, dt, X, Y, params, quad_degree):
-    """The zone-a step kernel on point sets X (N, k), Y (M, k), as (N, M)."""
+    """The zone-a step kernel on tensor grids X and Y, as (N, M)."""
     if a <= 1:
         return zonal_matrix(sigma, a, dt, X, Y, params)
     # numeric kernels carry their own inner quadrature; chunk the pair grid
+    X, Y = tensor_points(X), tensor_points(Y)
     rows = []
     for lo in range(0, X.shape[0], 64):
         rows.append(zonal_kernel_numeric(
@@ -97,14 +106,16 @@ def _step_matrix(sigma, a, dt, X, Y, params, quad_degree):
 
 
 def _interior_factors(F, n_interior, G):
-    """Per-point diagonal factors for F=None or a separable F."""
+    """Per-point diagonal factors for F=None or a separable F, on the
+    points of the tensor grid G."""
     if F is None:
         return [None] * n_interior
     factors = list(F)
     if len(factors) != n_interior:
         raise ValueError(f"separable F needs {n_interior} factors, "
                          f"got {len(factors)}")
-    return [np.asarray(f(G)) for f in factors]
+    points = tensor_points(G) if factors else None
+    return [np.asarray(f(points)) for f in factors]
 
 
 def _chain(first, step, w, factors, last):
@@ -129,15 +140,14 @@ def _chain(first, step, w, factors, last):
 
 
 def _grid_chain(step, x, y, F, n_interior, params, quad_degree):
-    """`_chain` whose every step is step(X, Y), an (N, M) matrix on point
-    sets X (N, k) and Y (M, k), from x to y (None: free end)."""
-    x = np.asarray(x, dtype=float)[None, :]
+    """`_chain` whose every step is step(X, Y), an (N, M) matrix on tensor
+    grids X and Y, from x to y (None: free end)."""
+    x = _point_axes(x)
     if n_interior == 0:
         _interior_factors(F, 0, None)           # a separable F must be empty
-        return complex(step(x, np.asarray(y, dtype=float)[None, :])[0, 0])
+        return complex(step(x, _point_axes(y))[0, 0])
     G, w = _matrix_grid(params, quad_degree)
-    last = (None if y is None
-            else step(G, np.asarray(y, dtype=float)[None, :])[:, 0])
+    last = None if y is None else step(G, _point_axes(y))[:, 0]
     return complex(_chain(step(x, G)[0], lambda: step(G, G), w,
                           _interior_factors(F, n_interior, G), last))
 
@@ -165,7 +175,8 @@ def cylinder_value(sigma, a: int, slicing: TimeSlicing, F, x, y,
             x, y if pinned else None, F, n_int, params, quad_degree)
 
     # dense path for a joint integrand
-    G, w = slicing_grid(params, quad_degree)
+    axes, w = slicing_grid(params, quad_degree)
+    G = tensor_points(axes)
     if n_int * params.k > SLICE_DIM_CEILING:
         raise QuadratureError(
             f"dense cylinder integral dimension {n_int * params.k} exceeds "
@@ -322,10 +333,9 @@ def probability_conservation(t: float, x, params: MagneticParams,
                              quad_degree: int = 40) -> float:
     """| ||psi(t)|| - 1 | for psi(0) the normalized holomorphic point
     spread at x, evolved by the DF zone flow (unitary on the zone)."""
-    x = np.asarray(x, dtype=float)
     check_df_time(t, params)
     G, w = _matrix_grid(params, quad_degree)
-    psi0 = zonal_matrix("wk", 0, 0.0, x[None, :], G, params)[0]
+    psi0 = zonal_matrix("wk", 0, 0.0, _point_axes(x), G, params)[0]
     psi0 /= np.sqrt(tree_sum(w * np.abs(psi0) ** 2).real)
     psit = _chain(psi0, None, w, [None],
                   zonal_matrix("df", 0, t, G, G, params))

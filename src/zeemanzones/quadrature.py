@@ -100,16 +100,26 @@ class QuadRule:
     def nodes_weights(self):
         """Full tensor grid: nodes (N, k), or (..., N, k) for a batch of
         centres, and Lebesgue weights (N,)."""
-        axes = [self.axis_nodes_weights(j) for j in range(self.dim)]
-        grids = np.meshgrid(*[a[0] for a in axes], indexing="ij")
-        nodes = np.stack([g.reshape(-1) for g in grids], axis=-1)
-        wgrids = np.meshgrid(*[a[1] for a in axes], indexing="ij")
-        weights = np.ones(nodes.shape[0])
-        for g in wgrids:
-            weights = weights * g.reshape(-1)
+        axes, wts = zip(*(self.axis_nodes_weights(j) for j in range(self.dim)))
+        nodes = tensor_points(axes)
         if self.centre is not None:
             nodes = np.asarray(self.centre)[..., None, :] + nodes
-        return nodes, weights
+        return nodes, tensor_weights(wts)
+
+
+def tensor_points(axes):
+    """Points (N, k) of the tensor grid on k per-axis node arrays, first
+    axis slowest."""
+    grids = np.meshgrid(*axes, indexing="ij")
+    return np.stack([g.reshape(-1) for g in grids], axis=-1)
+
+
+def tensor_weights(axis_weights):
+    """Weights (N,) of the same grid: products of the per-axis weights."""
+    weights = np.ones(np.prod([len(w) for w in axis_weights], dtype=int))
+    for g in np.meshgrid(*axis_weights, indexing="ij"):
+        weights = weights * g.reshape(-1)
+    return weights
 
 
 def tree_sum(values: np.ndarray):

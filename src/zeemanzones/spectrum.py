@@ -14,8 +14,8 @@ import math
 from dataclasses import dataclass, asdict
 from fractions import Fraction
 
-from .exact import (QC, ZonePoly, hermite_scaled_exact, laguerre_exact,
-                    padd, pderiv, pmul, psub, pscale, ptrim)
+from .exact import (QC, ZonePoly, _compositions, hermite_scaled_exact,
+                    laguerre_exact, padd, pderiv, pmul, psub, pscale, ptrim)
 from .params import MagneticParams, HamiltonianVariant
 
 
@@ -81,16 +81,6 @@ class SpectrumEntry:
     m: int
     eigenvalue: float
     multiplicity: int
-
-
-def _compositions(total: int, parts: int):
-    """All tuples of `parts` nonnegative ints summing to `total`."""
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
 
 
 def spectrum_table(params: MagneticParams, variant: HamiltonianVariant,

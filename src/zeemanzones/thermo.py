@@ -9,8 +9,9 @@ import numpy as np
 from .params import MagneticParams, HamiltonianVariant, H_Z
 from .kernels import (check_df_time, sigma_value, zonal_convolution,
                       zonal_kernel_closed)
+from .exact import _compositions
 from .quadrature import QuadRule, exact_value, tree_sum
-from .spectrum import zone_count, _compositions
+from .spectrum import zone_count
 
 
 def _variant_shift(variant: HamiltonianVariant | None, params) -> float:

@@ -18,11 +18,11 @@ from fractions import Fraction
 import numpy as np
 
 from . import pathint, thermo
-from .exact import (ZonePoly, apply_box, box_eigenvalue_exact,
-                    box_field_constant, gaussian_pair_integral_exact,
-                    laguerre_composition_check, laguerre_exact,
-                    laguerre_recurrence_exact, padd, pderiv, peval, pmul,
-                    pscale, psub, ptrim, rodrigues_check)
+from .exact import (ZonePoly, _compositions, apply_box,
+                    box_eigenvalue_exact, box_field_constant,
+                    gaussian_pair_integral_exact, laguerre_composition_check,
+                    laguerre_exact, laguerre_recurrence_exact, padd, pderiv,
+                    peval, pmul, pscale, psub, ptrim, rodrigues_check)
 from .kernels import (global_kernel, global_parts, lt1_printed,
                       pde_residual, projection_kernel, zonal0,
                       zonal_kernel_closed, zonal_kernel_numeric)
@@ -162,11 +162,7 @@ def _chk_gaussian_moment(config):
 # ---------------------------------------------------------------------------
 
 def _l_tuples(k, total):
-    from .spectrum import _compositions
-    out = []
-    for tot in range(total + 1):
-        out.extend(_compositions(tot, k))
-    return out
+    return [t for tot in range(total + 1) for t in _compositions(tot, k)]
 
 
 def _chk_eigen_residual(config):

@@ -13,7 +13,7 @@ from zeemanzones.kernels import (SingularTimeError, check_df_time,
                                  zonal_kernel_closed, zonal_kernel_numeric,
                                  zonal_matrix, zonal_numeric_scales)
 from zeemanzones.params import MagneticParams
-from zeemanzones.quadrature import QuadRule, tree_sum
+from zeemanzones.quadrature import QuadRule, tensor_points, tree_sum
 
 
 def _rule(params, deg=40):
@@ -243,22 +243,78 @@ def test_zonal_multiblock_consistency(p4, xy4):
 # plane-form step matrices
 # ---------------------------------------------------------------------------
 
+def _axes(params, deg):
+    rule = _rule(params, deg)
+    return [rule.axis_nodes_weights(j)[0] for j in range(params.k)]
+
+
+def _assert_matches_closed(sigma, a, t, G, H, params):
+    ref = zonal_kernel_closed(sigma, a, t, tensor_points(G)[:, None, :],
+                              tensor_points(H)[None, :, :], params).value
+    got = zonal_matrix(sigma, a, t, G, H, params)
+    assert got.shape == ref.shape
+    assert np.all(np.isfinite(got))
+    assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
 @pytest.mark.parametrize("blocks", [[(1.0, 2)], [(1.0, 2), (2.0, 2)],
                                     [(1.5, 4)]])
 @pytest.mark.parametrize("sigma", ["wk", "df"])
 @pytest.mark.parametrize("a", [0, 1])
 def test_zonal_matrix_matches_closed_form(blocks, sigma, a):
     params = MagneticParams.make(blocks)
-    G, _ = _rule(params, 10 if params.k == 2 else 5).nodes_weights()
-    H = G[::3] + 0.1
+    G = _axes(params, 10 if params.k == 2 else 5)
+    H = [ax[::3] + 0.1 for ax in G]
+    # axes of different lengths on both sides
+    U = [np.linspace(-1.5, 1.5, n) for n in (2, 3, 4, 5)[:params.k]]
+    V = [np.linspace(-1.0, 1.2, n) for n in (3, 1, 2, 4)[:params.k]]
     for t in (0.0, 0.05, 0.4, 1.3):
-        ref = zonal_kernel_closed(sigma, a, t, G[:, None, :], H[None, :, :],
-                                  params).value
-        got = zonal_matrix(sigma, a, t, G, H, params)
-        assert got.shape == (G.shape[0], H.shape[0])
-        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+        _assert_matches_closed(sigma, a, t, G, H, params)
+        _assert_matches_closed(sigma, a, t, U, V, params)
+
+
+@pytest.mark.parametrize("a", [0, 1])
+def test_zonal_matrix_full_degree_grid(p2, a):
+    # the chain grid itself (degree 40, N = 1600) at the largest DF phases
+    G = _axes(p2, 40)
+    _assert_matches_closed("df", a, 1.3, G, [ax[::7] for ax in G], p2)
+
+
+@pytest.mark.parametrize("sigma", ["wk", "df"])
+@pytest.mark.parametrize("a", [0, 1])
+def test_zonal_matrix_point_row(p4, xy4, sigma, a):
+    # a one-point grid (k length-1 axes) against a grid: one row, equal
+    # to per-point closed-form values
+    x, _ = xy4
+    G = _axes(p4, 4)
+    got = zonal_matrix(sigma, a, 0.4, x[:, None], G, p4)
+    assert got.shape == (1, 4 ** 4)
+    ref = np.array([zonal_kernel_closed(sigma, a, 0.4, x, u, p4).value
+                    for u in tensor_points(G)])
+    assert np.max(np.abs(got[0] - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("sigma", ["wk", "df"])
+@pytest.mark.parametrize("a", [0, 1])
+def test_zonal_matrix_far_points_finite(p2, sigma, a):
+    # neither per-axis factor overflows when points lie far from the
+    # origin (|z|^2 / 2 > 709), in either slot or in both; at t = pi/4 the
+    # DF flow turns z_y = 40i onto z_x = -40, where the kernel is O(1)
+    G = _axes(p2, 40)
+    H = [np.array([0.1, 45.0]), np.array([-0.2, 38.0])]
+    F = [np.array([0.1, -40.0]), np.array([0.2, 0.0])]
+    F2 = [np.array([0.0, 0.3]), np.array([40.0, -0.1])]
+    for t in (0.05, np.pi / 4, 1.3):
+        for X, Y in ((G, H), (H, G), (F, F2)):
+            _assert_matches_closed(sigma, a, t, X, Y, p2)
 
 
 def test_zonal_matrix_refuses_higher_zones(p2):
     with pytest.raises(ValueError):
-        zonal_matrix("wk", 2, 0.5, np.zeros((1, 2)), np.zeros((1, 2)), p2)
+        zonal_matrix("wk", 2, 0.5, np.zeros((2, 1)), np.zeros((2, 1)), p2)
+
+
+def test_zonal_matrix_refuses_point_sets(p2):
+    # an (N, k) point set is not a tensor grid
+    with pytest.raises(ValueError, match="axes"):
+        zonal_matrix("wk", 0, 0.5, np.zeros((3, 2)), np.zeros((2, 1)), p2)

@@ -5,9 +5,10 @@ import pytest
 
 from zeemanzones import pathint
 from zeemanzones.kernels import (SingularTimeError, plane_form_matrix,
-                                 projection_kernel, zonal_kernel_closed)
+                                 projection_kernel, zonal_kernel_closed,
+                                 zonal_kernel_numeric)
 from zeemanzones.params import J_apply, MagneticParams
-from zeemanzones.quadrature import QuadratureError
+from zeemanzones.quadrature import QuadratureError, tensor_points
 from zeemanzones.pathint import (TimeSlicing, cylinder_value,
                                  feynman_kac_chain, feynman_kac_weight,
                                  nu_cylinder_value, probability_conservation,
@@ -42,6 +43,15 @@ def test_pinned_chain_zone1(p2):
     got = cylinder_value("wk", 1, TimeSlicing(0.5, 2), None, X0, Y0, p2,
                          quad_degree=24)
     assert abs(got - ref) < 1e-8
+
+
+@pytest.mark.parametrize("sigma,tol", [("wk", 1e-10), ("df", 1e-6)])
+def test_pinned_chain_zone2(p2, sigma, tol):
+    # zone >= 2 steps are chunked numeric kernels on the grid's points
+    ref = zonal_kernel_numeric(sigma, 2, 0.5, X0, Y0, p2)
+    got = cylinder_value(sigma, 2, TimeSlicing(0.5, 3), None, X0, Y0, p2,
+                         quad_degree=16)
+    assert abs(got - ref) <= tol * abs(ref)
 
 
 def test_per_slice_functional_factorizes(p2):
@@ -201,9 +211,10 @@ def _old_step(sigma, dt, G, params, exact):
 def test_action_weighted_steps_match_generic_products(blocks, exact):
     params = MagneticParams.make(blocks)
     G, _ = pathint.slicing_grid(params, 10 if params.k == 2 else 4)
+    P = tensor_points(G)
     dt = 0.15
     for sigma in ("wk", "df"):
-        ref = _old_step(sigma, dt, G, params, exact)
+        ref = _old_step(sigma, dt, P, params, exact)
         got = plane_form_matrix(G, G, params,
                                 *pathint._fk_step(sigma, dt, params, exact))
         assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
@@ -213,7 +224,7 @@ def test_action_weighted_steps_match_generic_products(blocks, exact):
     got = plane_form_matrix(G, G, params,
                             [c + r for c, r in zip(coeffs, ratios)],
                             shift + const)
-    ref = _old_step("df", dt, G, params, exact)
+    ref = _old_step("df", dt, P, params, exact)
     assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
@@ -222,8 +233,9 @@ def test_step_matrix_built_once(p2, monkeypatch):
     build = pathint.zonal_matrix
 
     def counted(sigma, a, t, X, Y, params):
-        calls.append((len(X), len(Y)))
-        return build(sigma, a, t, X, Y, params)
+        out = build(sigma, a, t, X, Y, params)
+        calls.append(out.shape)
+        return out
 
     monkeypatch.setattr(pathint, "zonal_matrix", counted)
     got = cylinder_value("wk", 0, TimeSlicing(0.6, 6), None, X0, Y0, p2,
