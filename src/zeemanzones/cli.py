@@ -52,6 +52,28 @@ DEFAULTS = {
     "format": "csv",
     "out": None,
 }
+# a value of the JSON type of each field whose default is null
+_NULLABLE = {"c_f": 0.0, "out": ""}
+# JSON type (name, accepted Python types) by the Python type of a default
+_JSON_TYPES = {float: ("a number", (int, float)), int: ("an integer", int),
+               str: ("a string", str), list: ("a list", list),
+               dict: ("an object", dict)}
+
+
+def _check_json_type(name, value, default):
+    """Raise ConfigError unless value has the JSON type of its default,
+    checking list elements against the default's first element and object
+    members against the default's members of the same name."""
+    kind, types = _JSON_TYPES[type(default)]
+    if isinstance(value, bool) or not isinstance(value, types):
+        raise ConfigError(f"config field {name!r}: expected {kind}, "
+                          f"got {json.dumps(value)}")
+    if isinstance(value, list):
+        for i, v in enumerate(value):
+            _check_json_type(f"{name}[{i}]", v, default[0])
+    elif isinstance(value, dict):
+        for key in value.keys() & default.keys():
+            _check_json_type(f"{name}.{key}", value[key], default[key])
 
 
 def load_config(path):
@@ -73,6 +95,9 @@ def load_config(path):
     for key, value in raw.items():
         if key not in DEFAULTS:
             raise ConfigError(f"config {path}: unknown field {key!r}")
+        # null is a value only where the default is null
+        if value is not None or DEFAULTS[key] is not None:
+            _check_json_type(key, value, _NULLABLE.get(key, DEFAULTS[key]))
         cfg[key] = value
     return cfg
 
@@ -144,7 +169,7 @@ def _point_pairs(cfg, k):
     """The config's point pairs stacked as X (P, k) and Y (P, k)."""
     pts = cfg["points"]
     for i, pair in enumerate(pts):
-        if len(pair) != 2 or len(pair[0]) != k or len(pair[1]) != k:
+        if len(pair) != 2 or any(len(v) != k for v in pair):
             raise ConfigError(f"config field 'points[{i}]': expected a pair "
                               f"of length-{k} coordinate lists")
     X = np.array([pair[0] for pair in pts], dtype=float).reshape(-1, k)
@@ -301,16 +326,12 @@ def build_parser():
     sp.add_argument("--max-p", type=int, dest="max_p")
     sp.add_argument("--max-zone", type=int, dest="max_zone")
 
-    sp = common(sub.add_parser("kernel", help="zonal kernel values on a grid"))
-    sp.add_argument("--sigma", choices=("wk", "df"))
-    sp.add_argument("--zone", type=int)
-    sp.add_argument("--times", type=_float_list)
-
-    sp = common(sub.add_parser("partition",
-                               help="partition function, closed vs trace"))
-    sp.add_argument("--sigma", choices=("wk", "df"))
-    sp.add_argument("--zone", type=int)
-    sp.add_argument("--times", type=_float_list)
+    for name, text in (("kernel", "zonal kernel values on a grid"),
+                       ("partition", "partition function, closed vs trace")):
+        sp = common(sub.add_parser(name, help=text))
+        sp.add_argument("--sigma", choices=("wk", "df"))
+        sp.add_argument("--zone", type=int)
+        sp.add_argument("--times", type=_float_list)
 
     sp = common(sub.add_parser("zeta", help="zonal zeta values"))
     sp.add_argument("--zone", type=int)
@@ -347,10 +368,7 @@ def main(argv=None) -> int:
             if key in DEFAULTS and value is not None:
                 cfg[key] = value
         return COMMANDS[args.command](cfg)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

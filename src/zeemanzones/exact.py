@@ -87,7 +87,6 @@ class QC:
 
 QC_ZERO = QC()
 QC_ONE = QC.of(1)
-QC_I = QC.of(0, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -331,10 +330,6 @@ class ZonePoly:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def conj(self) -> "ZonePoly":
-        return ZonePoly(self.nvars,
-                        {(b, a): c.conj() for (a, b), c in self.terms.items()})
-
     # -- calculus -----------------------------------------------------------
     def diff_z(self, j: int) -> "ZonePoly":
         out = ZonePoly(self.nvars)
@@ -368,21 +363,6 @@ class ZonePoly:
             return 0
         return max(sum(a) for a, _ in self.terms)
 
-    # -- evaluation ---------------------------------------------------------
-    def eval(self, z: list[complex]) -> complex:
-        if len(z) != self.nvars:
-            raise ValueError("evaluation point length mismatch")
-        acc = 0j
-        for (a, b), c in self.terms.items():
-            v = c.to_complex()
-            for j in range(self.nvars):
-                if a[j]:
-                    v *= z[j] ** a[j]
-                if b[j]:
-                    v *= z[j].conjugate() ** b[j]
-            acc += v
-        return acc
-
     def __repr__(self):
         items = ", ".join(f"z^{a} zbar^{b}: {c!r}" for (a, b), c in sorted(self.terms.items()))
         return f"ZonePoly({self.nvars}, {{{items}}})"
@@ -410,11 +390,9 @@ def apply_box(h: ZonePoly, lam, c_f) -> ZonePoly:
     return out
 
 
-def box_field_constant(lam, k: int, mode: str = "block"):
+def box_field_constant(lam, k: int):
     """Default field constant of the box operator for a single block."""
     lam = _frac(lam)
-    if mode == "plane":
-        return 4 * lam * lam
     return 4 * lam * lam * k
 
 

@@ -84,42 +84,25 @@ def weighted_dist_sq(X, Y, params):
 # projections (point-spreads)
 # ---------------------------------------------------------------------------
 
-def _projection_gauss_parts(X, Y, params):
-    """Common factor (prod lam^{k_i/2} / pi^{k/2}) e^{sum lam (Z.Wbar - ...)},
-    returned as (prefactor, exponent) so callers can merge exponents with
-    other kernel factors before exponentiating (avoids overflow on shifted
-    contours)."""
-    pref = np.prod([b.lam ** (b.k / 2) for b in params.blocks]) / np.pi ** (params.k / 2)
-    expo = 0j
-    for b, Xi, Yi in _blockwise(X, Y, params):
-        expo = expo + b.lam * (_block_pair(Xi, Yi) - 0.5 * (_sq(Xi) + _sq(Yi)))
-    return pref, expo
-
-
-def _projection_gauss(X, Y, params):
-    pref, expo = _projection_gauss_parts(X, Y, params)
-    return pref * np.exp(expo)
-
-
 def projection_parts(a: int, X, Y, params: MagneticParams):
     """delta^{(a)}(X, Y) as (polynomial-times-prefactor, exponent)."""
     if a < 0:
         raise ValueError("zone index must be nonnegative")
     lag = laguerre(params.k // 2 - 1, a, weighted_dist_sq(X, Y, params))
-    pref, expo = _projection_gauss_parts(X, Y, params)
+    pref, expo = _zonal0_parts("wk", 0.0, X, Y, params)
     return lag * pref, expo
 
 
 def projection_kernel(a: int, X, Y, params: MagneticParams):
-    """Gross-zone point-spread delta^{(a)}(X, Y)."""
+    """Gross-zone point-spread delta^{(a)}(X, Y): the dominant zone-a
+    kernel at t = 0."""
     if a < 0:
         raise ValueError("zone index must be nonnegative")
-    lag = laguerre(params.k // 2 - 1, a, weighted_dist_sq(X, Y, params))
-    return lag * _projection_gauss(X, Y, params)
+    return dominant_kernel("wk", a, 0.0, X, Y, params)
 
 
-def _irreducible_laguerre(a_tuple, X, Y, params: MagneticParams):
-    """Plane-wise product of the L^{(0)} factors of an irreducible zone."""
+def irreducible_projection_kernel(a_tuple, X, Y, params: MagneticParams):
+    """Irreducible-zone point-spread: plane-wise product of L^{(0)} factors."""
     a_tuple = tuple(int(a) for a in a_tuple)
     if len(a_tuple) != params.n_planes:
         raise ValueError(f"need one zone index per plane, k/2={params.n_planes}")
@@ -133,13 +116,7 @@ def _irreducible_laguerre(a_tuple, X, Y, params: MagneticParams):
         d2 = ((X[..., 2 * j] - Y[..., 2 * j]) ** 2 +
               (X[..., 2 * j + 1] - Y[..., 2 * j + 1]) ** 2)
         lag = lag * laguerre(0, aj, plam[j] * d2)
-    return lag
-
-
-def irreducible_projection_kernel(a_tuple, X, Y, params: MagneticParams):
-    """Irreducible-zone point-spread: plane-wise product of L^{(0)} factors."""
-    lag = _irreducible_laguerre(a_tuple, X, Y, params)
-    return lag * _projection_gauss(X, Y, params)
+    return lag * zonal0("wk", 0.0, X, Y, params)
 
 
 # ---------------------------------------------------------------------------
@@ -185,8 +162,11 @@ class KernelValue:
     long_term: complex | None = None
 
 
-def zonal0(sigma, t: float, X, Y, params: MagneticParams):
-    """Holomorphic-zone kernel d_sigma^{(0)}; entire in t >= 0."""
+def _zonal0_parts(sigma, t: float, X, Y, params: MagneticParams):
+    """d_sigma^{(0)}(t, X, Y) as (prefactor, exponent); at t = 0 it is the
+    projection delta^{(0)}.  Callers can merge the exponent with other
+    kernel factors before exponentiating (avoids overflow on shifted
+    contours)."""
     s = sigma_value(sigma)
     if t < 0:
         raise ValueError("zonal closed forms require t >= 0")
@@ -196,6 +176,12 @@ def zonal0(sigma, t: float, X, Y, params: MagneticParams):
     for b, Xi, Yi in _blockwise(X, Y, params):
         e = np.exp(-2 * b.lam * t * s)
         expo = expo + b.lam * (-0.5 * (_sq(Xi) + _sq(Yi)) + e * _block_pair(Xi, Yi))
+    return pref, expo
+
+
+def zonal0(sigma, t: float, X, Y, params: MagneticParams):
+    """Holomorphic-zone kernel d_sigma^{(0)}; entire in t >= 0."""
+    pref, expo = _zonal0_parts(sigma, t, X, Y, params)
     return pref * np.exp(expo)
 
 
@@ -229,18 +215,16 @@ def dominant_kernel(sigma, a: int, t: float, X, Y, params: MagneticParams):
 def zonal_kernel_closed(sigma, a: int, t: float, X, Y,
                         params: MagneticParams) -> KernelValue:
     """Closed-form zonal kernel with dominant/long-term split (a <= 1)."""
+    if a not in (0, 1):
+        raise ValueError(f"no closed form implemented for zone a={a}; "
+                         "use zonal_kernel_numeric")
+    z0 = zonal0(sigma, t, X, Y, params)
     if a == 0:
-        v = zonal0(sigma, t, X, Y, params)
-        return KernelValue(value=v, dominant=v, long_term=np.zeros_like(v))
-    if a == 1:
-        z0 = zonal0(sigma, t, X, Y, params)
-        lam_fac = _lambda1_factor(sigma, t, X, Y, params)
-        lag = laguerre(params.k // 2 - 1, 1, weighted_dist_sq(X, Y, params))
-        dom = lag * z0
-        return KernelValue(value=lam_fac * z0, dominant=dom,
-                           long_term=(lam_fac - lag) * z0)
-    raise ValueError(f"no closed form implemented for zone a={a}; "
-                     "use zonal_kernel_numeric")
+        return KernelValue(value=z0, dominant=z0, long_term=np.zeros_like(z0))
+    lam_fac = _lambda1_factor(sigma, t, X, Y, params)
+    lag = laguerre(params.k // 2 - 1, 1, weighted_dist_sq(X, Y, params))
+    return KernelValue(value=lam_fac * z0, dominant=lag * z0,
+                       long_term=(lam_fac - lag) * z0)
 
 
 def _plane_outer(op, u, v):
@@ -404,7 +388,7 @@ def _convolution_centre(sigma, t: float, X, Y, params: MagneticParams):
 
 
 def zonal_convolution(sigma, a: int, t: float, X, Y, params: MagneticParams,
-                      n: int, a_tuple=None):
+                      n: int):
     """int P^{(a)}(X,U) d_sigma(t,U,Y) dU by the rotated n-node rule.
 
     The rule sits at the integrand's stationary point with the complex
@@ -419,11 +403,7 @@ def zonal_convolution(sigma, a: int, t: float, X, Y, params: MagneticParams,
     Xb, Yb = X[..., None, :], Y[..., None, :]
 
     def f(U):
-        if a_tuple is None:
-            p_pref, p_expo = projection_parts(a, Xb, U, params)
-        else:
-            p_pref, p_expo = _projection_gauss_parts(Xb, U, params)
-            p_pref = p_pref * _irreducible_laguerre(a_tuple, Xb, U, params)
+        p_pref, p_expo = projection_parts(a, Xb, U, params)
         g_pref, g_expo = global_parts(sigma, t, U, Yb, params)
         # merge exponents before exponentiating: off the real axis the
         # two factors can be large and small separately
@@ -432,26 +412,22 @@ def zonal_convolution(sigma, a: int, t: float, X, Y, params: MagneticParams,
     return integrate(f, rule)
 
 
-def zonal_kernel_numeric(sigma, a: int, t: float, X, Y, params: MagneticParams,
-                         quad_degree: int = 40, a_tuple=None):
+def zonal_kernel_numeric(sigma, a: int, t: float, X, Y, params: MagneticParams):
     """d_sigma^{(a)}(t,X,Y) = int P^{(a)}(X,U) d_sigma(t,U,Y) dU by quadrature.
 
     The exact rotated rule of `zonal_convolution` is sized from the zone
     index (a+1 nodes per axis) and checked against a+3 nodes; a
-    disagreement raises QuadratureError.  quad_degree is accepted for
-    compatibility and not used.  With a_tuple set, the irreducible
-    projection is used instead of the gross one (and `a` is ignored).
-    Broadcasts over leading axes of X and Y.
+    disagreement raises QuadratureError.  Broadcasts over leading axes of
+    X and Y.
     """
     if sigma == "df":
         check_df_time(t, params)
-    n = 1 + (a if a_tuple is None else max(int(aj) for aj in a_tuple))
     return exact_value(lambda m: zonal_convolution(sigma, a, t, X, Y, params,
-                                                   m, a_tuple), n)[0]
+                                                   m), 1 + a)[0]
 
 
 # ---------------------------------------------------------------------------
-# Mehler (harmonic oscillator) kernel and the lifted kernels
+# Mehler (harmonic oscillator) kernel
 # ---------------------------------------------------------------------------
 
 def mehler_kernel(t: float, X, Y, B: float, k: int):
@@ -464,20 +440,6 @@ def mehler_kernel(t: float, X, Y, B: float, k: int):
     expo = (B / sh) * (-0.5 * np.cosh(2 * B * t) * (_sq(X) + _sq(Y))
                        + np.sum(X * Y, axis=-1))
     return np.exp(expo) / (2 * np.pi * sh) ** (k / 2)
-
-
-def lift_kernels(base, sigma, t: float, Z_gamma, Z_x, Z_y):
-    """(p_sigma, b_sigma) from a base d_sigma value and center data.
-
-    p = e^{-2 t sigma |Z_gamma|^2} d;  b = p e^{2i <Z_gamma, Z_x - Z_y>}.
-    """
-    s = sigma_value(sigma)
-    Z_gamma = np.asarray(Z_gamma, dtype=float)
-    Z_x = np.asarray(Z_x, dtype=float)
-    Z_y = np.asarray(Z_y, dtype=float)
-    p = np.exp(-2 * t * s * np.sum(Z_gamma * Z_gamma, axis=-1)) * base
-    b = p * np.exp(2j * np.sum(Z_gamma * (Z_x - Z_y), axis=-1))
-    return p, b
 
 
 # ---------------------------------------------------------------------------

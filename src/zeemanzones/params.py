@@ -12,7 +12,7 @@ All sign conventions downstream inherit this choice.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -55,10 +55,6 @@ class MagneticParams:
     def n_planes(self) -> int:
         return self.k // 2
 
-    @property
-    def lambdas(self) -> tuple[float, ...]:
-        return tuple(b.lam for b in self.blocks)
-
     def block_slices(self) -> list[slice]:
         out, off = [], 0
         for b in self.blocks:
@@ -89,23 +85,6 @@ def J_apply(X: np.ndarray) -> np.ndarray:
     out[..., 0::2] = -X[..., 1::2]
     out[..., 1::2] = X[..., 0::2]
     return out
-
-
-def pairing(X, Y, params: MagneticParams) -> complex | np.ndarray:
-    """Weighted complex pairing sum_i lambda_i * (<X_i,Y_i> + i<X_i,J(Y_i)>).
-
-    Broadcasts over leading axes; the last axis must have length k.
-    """
-    X = np.asarray(X, dtype=float)
-    Y = np.asarray(Y, dtype=float)
-    if X.shape[-1] != params.k or Y.shape[-1] != params.k:
-        raise ValueError(f"points must have dimension k={params.k}")
-    lam = params.axis_lambdas()
-    JY = J_apply(Y)
-    re = np.sum(lam * X * Y, axis=-1)
-    im = np.sum(lam * X * JY, axis=-1)
-    out = re + 1j * im
-    return out if out.shape else complex(out)
 
 
 @dataclass(frozen=True)

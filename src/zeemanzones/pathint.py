@@ -84,14 +84,13 @@ def _check_slicing(sigma, slicing: TimeSlicing, params: MagneticParams):
             check_df_time(j * slicing.step, params)
 
 
-def _step_values(sigma, a, dt, X, Y, params, quad_degree):
+def _step_values(sigma, a, dt, X, Y, params):
     if a <= 1:
         return zonal_kernel_closed(sigma, a, dt, X, Y, params).value
-    return zonal_kernel_numeric(sigma, a, dt, X, Y, params,
-                                quad_degree=quad_degree)
+    return zonal_kernel_numeric(sigma, a, dt, X, Y, params)
 
 
-def _step_matrix(sigma, a, dt, X, Y, params, quad_degree):
+def _step_matrix(sigma, a, dt, X, Y, params):
     """The zone-a step kernel on tensor grids X and Y, as (N, M)."""
     if a <= 1:
         return zonal_matrix(sigma, a, dt, X, Y, params)
@@ -100,8 +99,7 @@ def _step_matrix(sigma, a, dt, X, Y, params, quad_degree):
     rows = []
     for lo in range(0, X.shape[0], 64):
         rows.append(zonal_kernel_numeric(
-            sigma, a, dt, X[lo:lo + 64, None, :], Y[None, :, :], params,
-            quad_degree=quad_degree))
+            sigma, a, dt, X[lo:lo + 64, None, :], Y[None, :, :], params))
     return np.concatenate(rows, axis=0)
 
 
@@ -171,7 +169,7 @@ def cylinder_value(sigma, a: int, slicing: TimeSlicing, F, x, y,
 
     if F is None or isinstance(F, (list, tuple)):
         return _grid_chain(
-            lambda X, Y: _step_matrix(sigma, a, dt, X, Y, params, quad_degree),
+            lambda X, Y: _step_matrix(sigma, a, dt, X, Y, params),
             x, y if pinned else None, F, n_int, params, quad_degree)
 
     # dense path for a joint integrand
@@ -191,15 +189,14 @@ def cylinder_value(sigma, a: int, slicing: TimeSlicing, F, x, y,
     wts = np.ones(pts.shape[0])
     for d in range(n_int):
         wts = wts * w[idx[d].reshape(-1)]
-    chain = _step_values(sigma, a, dt, x[None, :], pts[:, 0, :],
-                         params, quad_degree)
+    chain = _step_values(sigma, a, dt, x[None, :], pts[:, 0, :], params)
     for j in range(1, n_int):
         chain = chain * _step_values(sigma, a, dt, pts[:, j - 1, :],
-                                     pts[:, j, :], params, quad_degree)
+                                     pts[:, j, :], params)
     if pinned:
         chain = chain * _step_values(sigma, a, dt, pts[:, -1, :],
                                      np.asarray(y, dtype=float)[None, :],
-                                     params, quad_degree)
+                                     params)
     return complex(tree_sum(vals * wts * chain))
 
 
@@ -221,16 +218,14 @@ def nu_cylinder_value(slicing: TimeSlicing, F, x, y,
 # Feynman-Kac
 # ---------------------------------------------------------------------------
 
-def feynman_kac_weight(sigma, omega, T: float, params: MagneticParams,
-                       action: str = "left"):
+def feynman_kac_weight(sigma, omega, T: float, params: MagneticParams):
     """Weight e^{sigma sum_i lam_i (-k_i T/2 - 2 lam_i int |omega_i|^2 dtau)}
     for a discrete path omega of shape (n+1, k) sampled at the slice
     boundaries.
 
     The action carries lam_i^2, as the linearized step coefficient
-    -2 sigma lam_i dt of `_fk_step` does on lam_i P_i.  action="left" uses
-    left-endpoint Riemann sums (matching the discrete chain identity);
-    "trapezoid" is offered for convergence studies.
+    -2 sigma lam_i dt of `_fk_step` does on lam_i P_i.  The time integral
+    is the left-endpoint Riemann sum, matching the discrete chain identity.
     """
     omega = np.asarray(omega, dtype=float)
     n = omega.shape[0] - 1
@@ -241,12 +236,7 @@ def feynman_kac_weight(sigma, omega, T: float, params: MagneticParams,
     expo = 0j
     for b, sl in zip(params.blocks, params.block_slices()):
         sq = np.sum(omega[:, sl] ** 2, axis=-1)
-        if action == "left":
-            act = dt * float(np.sum(sq[:-1]))
-        elif action == "trapezoid":
-            act = dt * float(0.5 * sq[0] + np.sum(sq[1:-1]) + 0.5 * sq[-1])
-        else:
-            raise ValueError("action must be 'left' or 'trapezoid'")
+        act = dt * float(np.sum(sq[:-1]))
         expo += s * b.lam * (-0.5 * b.k * T - 2.0 * b.lam * act)
     return complex(np.exp(expo))
 
@@ -300,15 +290,14 @@ def feynman_kac_chain(sigma, slicing: TimeSlicing, x, y,
 # ---------------------------------------------------------------------------
 
 def uniform_bound_check(slicing: TimeSlicing, x, params: MagneticParams,
-                        quad_degree: int = 24, n_random: int = 3,
-                        seed: int = 7) -> dict:
+                        quad_degree: int = 24) -> dict:
     """|W_{i,n}^{T(0)}(F)| <= (2 pi)^{k/2} sup|F| on a family of test F.
 
-    Free-endpoint DF chains with F = 1, F = 0 and seeded random phase
-    fields prod_j e^{i <xi_j, m_j>} (sup-norm 1).
+    Free-endpoint DF chains with F = 1, F = 0 and three random phase
+    fields prod_j e^{i <xi_j, m_j>} (sup-norm 1, seed 7).
     """
     bound = (2 * np.pi) ** (params.k / 2)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(7)
     results = []
 
     def record(name, F, sup):
@@ -321,7 +310,7 @@ def uniform_bound_check(slicing: TimeSlicing, x, params: MagneticParams,
     record("one", None, 1.0)
     n_int = slicing.n_slices
     record("zero", [lambda m: np.zeros(m.shape[0])] * n_int, 0.0)
-    for r in range(n_random):
+    for r in range(3):
         xis = rng.normal(size=(n_int, params.k))
         F = [(lambda m, xi=xi: np.exp(1j * m @ xi)) for xi in xis]
         record(f"phase{r}", F, 1.0)

@@ -85,12 +85,6 @@ class QuadRule:
     def dim(self) -> int:
         return len(self.scales)
 
-    @staticmethod
-    def for_params(degree: int, params, scale: float = 1.0) -> "QuadRule":
-        """Rule over R^k matched to decay e^{-scale * lambda_i u^2} per axis."""
-        lam = params.axis_lambdas()
-        return QuadRule(degree, tuple(float(scale * l) for l in lam))
-
     def axis_nodes_weights(self, j: int):
         x, w = gauss_hermite_rule(self.degree)
         s = self.scales[j]
@@ -134,14 +128,14 @@ def tree_sum(values: np.ndarray):
     return v[0]
 
 
-def integrate(f, rule: QuadRule, check_finite: bool = True):
+def integrate(f, rule: QuadRule):
     """int f(U) dU over R^k by the tensor rule; f maps nodes (..., N, k)
     to values (..., N), one integral per batch entry."""
     nodes, weights = rule.nodes_weights()
     vals = np.asarray(f(nodes))
     if vals.shape != nodes.shape[:-1]:
         raise QuadratureError("integrand must return one value per node")
-    if check_finite and not np.all(np.isfinite(vals)):
+    if not np.all(np.isfinite(vals)):
         raise NonFiniteIntegrand("integrand produced non-finite values")
     return tree_sum(np.moveaxis(weights * vals, -1, 0))
 

@@ -4,8 +4,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .exact import laguerre_exact
-
 
 def laguerre(alpha: int, n: int, t):
     """L_n^{(alpha)}(t) by the three-term recurrence; t may be an array.
@@ -22,31 +20,6 @@ def laguerre(alpha: int, n: int, t):
     for a in range(1, n):
         prev, cur = cur, ((2 * a + 1 + alpha - t) * cur - (a + alpha) * prev) / (a + 1)
     return cur if np.asarray(cur).shape else complex(cur) if np.iscomplexobj(cur) else float(cur)
-
-
-def hermite(l: int, x):
-    """Physicists' Hermite H_l(x) via H_{l+1} = 2x H_l - 2l H_{l-1}."""
-    if l < 0:
-        raise ValueError("l must be nonnegative")
-    x = np.asarray(x, dtype=float)
-    prev = np.ones_like(x)
-    if l == 0:
-        return prev if prev.shape else 1.0
-    cur = 2 * x
-    for j in range(1, l):
-        prev, cur = cur, 2 * x * cur - 2 * j * prev
-    return cur if cur.shape else float(cur)
-
-
-def laguerre_coeff_float(alpha: int, n: int) -> np.ndarray:
-    return np.array([float(c) for c in laguerre_exact(alpha, n)])
-
-
-def gauss_density(X, params):
-    """eta(X) = e^{-sum lambda_i |X_i|^2}."""
-    X = np.asarray(X, dtype=float)
-    lam = params.axis_lambdas()
-    return np.exp(-np.sum(lam * X * X, axis=-1))
 
 
 def gaussian_moment_integral(A: complex, C, k: int | None = None) -> complex:

@@ -14,8 +14,11 @@ import math
 from dataclasses import dataclass, asdict
 from fractions import Fraction
 
+import numpy as np
+
 from .exact import (QC, ZonePoly, _compositions, hermite_scaled_exact,
                     laguerre_exact, padd, pderiv, pmul, psub, pscale, ptrim)
+from .kernels import sigma_value
 from .params import MagneticParams, HamiltonianVariant
 
 
@@ -256,11 +259,10 @@ def zone_eigenfunction_exact(p: int, a: int, lam) -> tuple[list[Fraction], Fract
 
 
 def zonal_series_value(sigma, a: int, t: float, X, Y, lam: float,
-                       levels: int = 12, c_f: float = 0.0):
+                       levels: int = 12):
     """Truncated eigen-expansion sum_p e^{-sigma t mu_p} phi_p(X) conj(phi_p(Y))
-    of the k=2 zone-a kernel under H_Z (mu_p = lam (2p+1) + c_f)."""
-    import numpy as np
-    s = {"wk": 1.0 + 0j, "df": 1j}[sigma] if isinstance(sigma, str) else complex(sigma)
+    of the k=2 zone-a kernel under H_Z (mu_p = lam (2p+1))."""
+    s = sigma_value(sigma)
     X = np.asarray(X, dtype=float)
     Y = np.asarray(Y, dtype=float)
     zx = X[..., 0] + 1j * X[..., 1]
@@ -270,11 +272,9 @@ def zonal_series_value(sigma, a: int, t: float, X, Y, lam: float,
     out = 0j
     for p in range(levels + 1):
         cs, nsq = zone_eigenfunction_exact(p, a, Fraction(lam).limit_denominator(10 ** 12))
-        hx = sum(float(c) * zx ** (p - r) * np.conj(zx) ** (a - r)
-                 for r, c in enumerate(cs))
-        hy = sum(float(c) * zy ** (p - r) * np.conj(zy) ** (a - r)
-                 for r, c in enumerate(cs))
-        mu = lam * (2 * p + 1) + c_f
+        hx, hy = (sum(float(c) * z ** (p - r) * np.conj(z) ** (a - r)
+                      for r, c in enumerate(cs)) for z in (zx, zy))
+        mu = lam * (2 * p + 1)
         out = out + np.exp(-s * t * mu) * hx * np.conj(hy) / (np.pi * float(nsq))
     return out * gx * gy
 

@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 
-from .params import MagneticParams, HamiltonianVariant, H_Z
+from .params import MagneticParams, HamiltonianVariant
 from .kernels import (check_df_time, sigma_value, zonal_convolution,
                       zonal_kernel_closed)
 from .exact import _compositions
@@ -109,11 +109,9 @@ def partition_by_trace(sigma, a: int, t: float, params: MagneticParams,
     return partition_trace(sigma, a, t, params, variant)[0]
 
 
-def dominant_trace(sigma, a: int, t: float, params: MagneticParams,
-                   quad_degree: int = 40) -> complex:
-    """Diagonal quadrature of the dominant kernel alone (equals `partition`).
-
-    quad_degree is accepted for compatibility; the rule is exact."""
+def dominant_trace(sigma, a: int, t: float, params: MagneticParams) -> complex:
+    """Diagonal quadrature of the dominant kernel alone (equals `partition`);
+    the plane rules are exact."""
     z0 = [_plane_trace(sigma, 0, t, lam)[0] for lam in params.plane_lambdas()]
     return zone_count(a, params.k) * complex(np.prod(z0))
 
@@ -154,6 +152,15 @@ def _level_multiplicities(q: int, n: int) -> np.ndarray:
     return m
 
 
+def _binom_poly(n: int, shift: int = 0) -> np.ndarray:
+    """Ascending coefficients in m of binom(m + shift + n, n), built as
+    prod_{i=1..n} (shift + m + i) / i one factor at a time."""
+    poly = np.array([1.0])
+    for i in range(1, n + 1):
+        poly = np.convolve(poly, [shift + i, 1.0]) / i
+    return poly
+
+
 def _mult_tail(q: int, L: int, r: complex) -> complex:
     """sum_{p >= L} binom(p+q-1, q-1) r^p in closed form.
 
@@ -161,18 +168,11 @@ def _mult_tail(q: int, L: int, r: complex) -> complex:
     re-expanded in the basis binom(m+j, j), whose geometric sums are
     (1-r)^{-(j+1)}.
     """
-    # ascending coefficients in m of prod_{i=1..q-1} (L + m + i) / (q-1)!
-    poly = np.array([1.0])
-    for i in range(1, q):
-        poly = np.convolve(poly, [L + i, 1.0]) / i
     acc = 0j
-    coeff = poly.astype(complex).copy()
+    coeff = _binom_poly(q - 1, L).astype(complex)
     for j in range(q - 1, -1, -1):
         aj = coeff[j] * math.factorial(j)
-        basis = np.array([1.0])
-        for i in range(1, j + 1):
-            basis = np.convolve(basis, [i, 1.0]) / i
-        coeff[:j + 1] -= aj * basis
+        coeff[:j + 1] -= aj * _binom_poly(j)
         acc += aj * (1 - r) ** (-(j + 1))
     return r ** L * acc
 
@@ -273,9 +273,7 @@ def zeta_zonal(a: int, s: complex, params: MagneticParams,
         if not s.real > q:
             raise ValueError("Euler-Maclaurin tail requires Re(s) > k/2")
         # binom(p+q-1, q-1) as a polynomial in w = alpha + beta p
-        poly_p = np.array([1.0])  # coefficients in p, ascending
-        for i in range(1, q):
-            poly_p = np.convolve(poly_p, [i, 1.0]) / i
+        poly_p = _binom_poly(q - 1)  # coefficients in p, ascending
         coeff_w = np.zeros(len(poly_p))
         for d, cd in enumerate(poly_p):
             for j in range(d + 1):

@@ -12,20 +12,22 @@ from __future__ import annotations
 import json
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
+from itertools import accumulate, combinations
 
 import numpy as np
 
 from . import pathint, thermo
-from .exact import (ZonePoly, _compositions, apply_box,
-                    box_eigenvalue_exact, box_field_constant,
-                    gaussian_pair_integral_exact, laguerre_composition_check,
-                    laguerre_exact, laguerre_recurrence_exact, padd, pderiv,
-                    peval, pmul, pscale, psub, ptrim, rodrigues_check)
-from .kernels import (global_kernel, global_parts, lt1_printed,
-                      pde_residual, projection_kernel, zonal0,
-                      zonal_kernel_closed, zonal_kernel_numeric)
+from .exact import (_compositions, apply_box, box_eigenvalue_exact,
+                    box_field_constant, gaussian_pair_integral_exact,
+                    laguerre_composition_check, laguerre_exact,
+                    laguerre_recurrence_exact, padd, pderiv, peval, pmul,
+                    pscale, psub, ptrim, rodrigues_check)
+from .kernels import (global_kernel, lt1_printed, pde_residual,
+                      projection_kernel, zonal0, zonal_kernel_closed,
+                      zonal_kernel_numeric)
 from .params import H_Z, MagneticParams
 from .quadrature import QuadRule, tree_sum
 from .special import gaussian_moment_integral, laguerre
@@ -67,8 +69,11 @@ def _cfg_degree(config: dict, default: int) -> int:
     return default if d is None else max(int(d), default)
 
 
-def _bool_residual(ok: bool) -> float:
-    return 0.0 if ok else 1.0
+def _first_failure(failures):
+    """A pass/fail check result: `failures` lazily yields a note per
+    failing case, and the first one (if any) is reported."""
+    note = next(iter(failures), None)
+    return (0.0, 0.0, "") if note is None else (1.0, 0.0, note)
 
 
 # ---------------------------------------------------------------------------
@@ -92,28 +97,24 @@ def _chk_lag_recurrence(config):
 
 
 def _chk_lag_rodrigues(config):
-    ok = all(rodrigues_check(alpha, a) for alpha in range(4) for a in range(6))
-    return _bool_residual(ok), 0.0, ""
+    return _first_failure(f"alpha={alpha}, a={a}" for alpha in range(4)
+                          for a in range(6) if not rodrigues_check(alpha, a))
 
 
 def _chk_lag_derivative(config):
-    for alpha in range(5):
-        for a in range(1, 13):
-            lhs = ptrim(pderiv(laguerre_exact(alpha, a)))
-            rhs = ptrim(pscale(laguerre_exact(alpha + 1, a - 1), -1))
-            if lhs != rhs:
-                return 1.0, 0.0, f"alpha={alpha}, a={a}"
-    return 0.0, 0.0, ""
+    return _first_failure(
+        f"alpha={alpha}, a={a}" for alpha in range(5) for a in range(1, 13)
+        if ptrim(pderiv(laguerre_exact(alpha, a)))
+        != ptrim(pscale(laguerre_exact(alpha + 1, a - 1), -1)))
 
 
 def _chk_lag_sum(config):
-    for alpha in range(5):
-        acc = [Fraction(0)]
-        for a in range(13):
-            acc = padd(acc, laguerre_exact(alpha, a))
-            if ptrim(acc) != laguerre_exact(alpha + 1, a):
-                return 1.0, 0.0, f"alpha={alpha}, a={a}"
-    return 0.0, 0.0, ""
+    # partial sums of L_0^{(alpha)} .. L_a^{(alpha)} against L_a^{(alpha+1)}
+    return _first_failure(
+        f"alpha={alpha}, a={a}" for alpha in range(5)
+        for a, acc in enumerate(accumulate(
+            (laguerre_exact(alpha, j) for j in range(13)), padd))
+        if ptrim(acc) != laguerre_exact(alpha + 1, a))
 
 
 def _rec3_residual(alpha, a, lower):
@@ -136,9 +137,9 @@ def _chk_lag_rec3(config):
 
 
 def _chk_lag_composition(config):
-    ok = all(laguerre_composition_check(alpha, n)
-             for alpha in range(4) for n in range(9))
-    return _bool_residual(ok), 0.0, ""
+    return _first_failure(f"alpha={alpha}, n={n}" for alpha in range(4)
+                          for n in range(9)
+                          if not laguerre_composition_check(alpha, n))
 
 
 def _chk_gaussian_moment(config):
@@ -161,34 +162,34 @@ def _chk_gaussian_moment(config):
 # spectrum suite
 # ---------------------------------------------------------------------------
 
-def _l_tuples(k, total):
-    return [t for tot in range(total + 1) for t in _compositions(tot, k)]
+def _eigenfunctions(geometries, total):
+    """(lam, k, l, eigenfunction, params) for each single-block geometry
+    (lam, k), with lam exact, and each Hermite order tuple l of total
+    order <= total."""
+    for lam, k in geometries:
+        params = MagneticParams.make([(float(lam), k)])
+        for tot in range(total + 1):
+            for lt in _compositions(tot, k):
+                yield Fraction(lam), k, lt, build_eigenfunction(lt, params), params
 
 
 def _chk_eigen_residual(config):
-    for lam, k in ((1, 2), (2, 2), (1, 4), (2, 4)):
-        params = MagneticParams.make([(float(lam), k)])
-        c_f = box_field_constant(Fraction(lam), k, "block")
-        for lt in _l_tuples(k, 4):
-            hp = build_eigenfunction(lt, params)
+    def failures():
+        for lam, k, lt, hp, _ in _eigenfunctions(
+                ((1, 2), (2, 2), (1, 4), (2, 4)), 4):
+            c_f = box_field_constant(lam, k)
             for m, comp in split_by_magnetic(hp).items():
-                out = apply_box(comp, Fraction(lam), c_f)
-                p = comp.holo_degree()
-                mu = box_eigenvalue_exact(p, Fraction(lam), k, c_f)
-                if out != comp * mu:
-                    return 1.0, 0.0, f"lam={lam}, k={k}, l={lt}, m={m}"
-    return 0.0, 0.0, ""
+                mu = box_eigenvalue_exact(comp.holo_degree(), lam, k, c_f)
+                if apply_box(comp, lam, c_f) != comp * mu:
+                    yield f"lam={lam}, k={k}, l={lt}, m={m}"
+    return _first_failure(failures())
 
 
 def _chk_vandermonde(config):
-    for lam, k in ((1, 2), (2, 2), (1, 4)):
-        params = MagneticParams.make([(float(lam), k)])
-        for lt in _l_tuples(k, 3):
-            l = sum(lt)
-            hp = build_eigenfunction(lt, params)
-            if vandermonde_split(hp, l, params) != split_by_magnetic(hp):
-                return 1.0, 0.0, f"lam={lam}, k={k}, l={lt}"
-    return 0.0, 0.0, ""
+    return _first_failure(
+        f"lam={lam}, k={k}, l={lt}" for lam, k, lt, hp, params
+        in _eigenfunctions(((1, 2), (2, 2), (1, 4)), 3)
+        if vandermonde_split(hp, sum(lt), params) != split_by_magnetic(hp))
 
 
 def _chk_upsilon_independence(config):
@@ -220,23 +221,16 @@ def _chk_isochromatic(config):
 
 
 def _chk_zone_of(config):
-    ok = all(zone_of(l, 2 * p - l) == l - p
-             for l in range(9) for p in range(l + 1))
-    return _bool_residual(ok), 0.0, ""
+    return _first_failure(f"l={l}, p={p}" for l in range(9)
+                          for p in range(l + 1) if zone_of(l, 2 * p - l) != l - p)
 
 
 def _chk_magnetic_orthogonality(config):
-    for lam, k in ((1, 2), (2, 2), (1, 4)):
-        params = MagneticParams.make([(float(lam), k)])
-        for lt in _l_tuples(k, 4):
-            comps = list(split_by_magnetic(build_eigenfunction(lt, params)).values())
-            for i in range(len(comps)):
-                for j in range(i + 1, len(comps)):
-                    ip = gaussian_pair_integral_exact(comps[i], comps[j],
-                                                      Fraction(lam))
-                    if not ip.is_zero():
-                        return 1.0, 0.0, f"lam={lam}, k={k}, l={lt}"
-    return 0.0, 0.0, ""
+    return _first_failure(
+        f"lam={lam}, k={k}, l={lt}" for lam, k, lt, hp, _
+        in _eigenfunctions(((1, 2), (2, 2), (1, 4)), 4)
+        if any(not gaussian_pair_integral_exact(f, g, lam).is_zero()
+               for f, g in combinations(split_by_magnetic(hp).values(), 2)))
 
 
 def _chk_radial(config):
@@ -260,30 +254,33 @@ def _proj_rule(params, degree):
     return QuadRule(degree, params.axis_lambdas())
 
 
+def _proj_conv(nodes, a, b, X, Y, params):
+    """int delta^{(a)}(X, U) delta^{(b)}(U, Y) dU on the rule nodes (U, w)."""
+    U, w = nodes
+    return tree_sum(w * projection_kernel(a, X[None, :], U, params)
+                    * projection_kernel(b, U, Y[None, :], params))
+
+
 def _chk_idempotency(config):
     worst = 0.0
     for params, X, Y, zones, deg in (
             (_P2, _X0, _Y0, (0, 1, 2, 3), _cfg_degree(config, 40)),
             (_P2B, _X0, _Y0, (0, 1, 2, 3), _cfg_degree(config, 40)),
             (_P4, _X4, _Y4, (0, 1, 2), 24)):
-        U, w = _proj_rule(params, deg).nodes_weights()
+        nodes = _proj_rule(params, deg).nodes_weights()
         for a in zones:
-            conv = tree_sum(w * projection_kernel(a, X[None, :], U, params)
-                            * projection_kernel(a, U, Y[None, :], params))
+            conv = _proj_conv(nodes, a, a, X, Y, params)
             worst = max(worst, abs(conv - projection_kernel(a, X, Y, params)))
     return worst, 1e-8, ""
 
 
 def _chk_orthogonality(config):
-    U, w = _proj_rule(_P2, _cfg_degree(config, 40)).nodes_weights()
+    nodes = _proj_rule(_P2, _cfg_degree(config, 40)).nodes_weights()
     worst = 0.0
     for a in range(4):
         for b in range(4):
-            if a == b:
-                continue
-            conv = tree_sum(w * projection_kernel(a, _X0[None, :], U, _P2)
-                            * projection_kernel(b, U, _Y0[None, :], _P2))
-            worst = max(worst, abs(conv))
+            if a != b:
+                worst = max(worst, abs(_proj_conv(nodes, a, b, _X0, _Y0, _P2)))
     return worst, 1e-8, ""
 
 
@@ -303,39 +300,31 @@ def _chk_reproducing(config):
 
 
 def _chk_quad_ladder(config):
-    vals = []
-    for deg in (20, 30, 40):
-        U, w = _proj_rule(_P2, deg).nodes_weights()
-        vals.append(tree_sum(w * projection_kernel(2, _X0[None, :], U, _P2)
-                             * projection_kernel(2, U, _Y0[None, :], _P2)))
+    vals = [_proj_conv(_proj_rule(_P2, deg).nodes_weights(), 2, 2, _X0, _Y0,
+                       _P2) for deg in (20, 30, 40)]
     return float(max(abs(vals[2] - vals[1]), abs(vals[1] - vals[0]))), 1e-8, ""
 
 
 def _chk_quad_determinism(config):
-    U, w = _proj_rule(_P2, 40).nodes_weights()
-    f = projection_kernel(1, _X0[None, :], U, _P2) \
-        * projection_kernel(1, U, _Y0[None, :], _P2)
-    a = tree_sum(w * f)
-    b = tree_sum(w * f.copy())
-    return _bool_residual(a == b), 0.0, "pairwise tree reduction, fixed order"
+    nodes = _proj_rule(_P2, 40).nodes_weights()
+    a, b = (_proj_conv(nodes, 1, 1, _X0, _Y0, _P2) for _ in range(2))
+    return float(a != b), 0.0, "pairwise tree reduction, fixed order"
 
 
 # ---------------------------------------------------------------------------
 # global kernels suite
 # ---------------------------------------------------------------------------
 
-def _chk_pde(sigma):
-    def run(config):
-        rng = np.random.default_rng(42 if sigma == "wk" else 43)
-        worst = 0.0
-        for params in (_P2, _P4):
-            for _ in range(10):
-                t = float(rng.uniform(0.3, 1.2))
-                X = rng.normal(scale=0.5, size=params.k)
-                Y = rng.normal(scale=0.5, size=params.k)
-                worst = max(worst, pde_residual(sigma, t, X, Y, params))
-        return worst, 1e-6, "central FD in t (1e-4), analytic in X"
-    return run
+def _chk_pde(sigma, config):
+    rng = np.random.default_rng(42 if sigma == "wk" else 43)
+    worst = 0.0
+    for params in (_P2, _P4):
+        for _ in range(10):
+            t = float(rng.uniform(0.3, 1.2))
+            X = rng.normal(scale=0.5, size=params.k)
+            Y = rng.normal(scale=0.5, size=params.k)
+            worst = max(worst, pde_residual(sigma, t, X, Y, params))
+    return worst, 1e-6, "central FD in t (1e-4), analytic in X"
 
 
 def _chk_global_ck_wk(config):
@@ -376,119 +365,98 @@ def _zonal_times(config):
     return tuple(config.get("df_times", (0.5, 1.0)))
 
 
-def _chk_zonal_closed_vs_numeric(sigma, a):
-    def run(config):
-        worst = 0.0
-        for params in (_P2, _P2B):
-            for t in _zonal_times(config):
-                ref = zonal_kernel_closed(sigma, a, t, _X0, _Y0, params).value
-                num = zonal_kernel_numeric(sigma, a, t, _X0, _Y0, params)
-                worst = max(worst, abs(num - ref))
-        return worst, 1e-8, ""
-    return run
-
-
-def _chk_lt1_printed(sigma):
-    def run(config):
-        worst = 0.0
+def _chk_zonal_closed_vs_numeric(sigma, a, config):
+    worst = 0.0
+    for params in (_P2, _P2B):
         for t in _zonal_times(config):
-            kv = zonal_kernel_closed(sigma, 1, t, _X0, _Y0, _P2)
-            ref = lt1_printed(sigma, t, _X0, _Y0) * zonal0(sigma, t, _X0, _Y0, _P2)
-            worst = max(worst, abs(kv.long_term - ref))
-        return worst, 1e-12, "printed k=2, lambda=1 long-term factor"
-    return run
+            ref = zonal_kernel_closed(sigma, a, t, _X0, _Y0, params).value
+            num = zonal_kernel_numeric(sigma, a, t, _X0, _Y0, params)
+            worst = max(worst, abs(num - ref))
+    return worst, 1e-8, ""
 
 
-def _chk_zonal_ck(sigma):
-    def run(config):
-        worst = 0.0
-        deg = _cfg_degree(config, 40)
-        U, w = _proj_rule(_P2, deg).nodes_weights()
-        for s, t in ((0.2, 0.3), (0.5, 0.5)):
-            for a in (0, 1):
-                conv = tree_sum(
-                    w * zonal_kernel_closed(sigma, a, s, _X0[None, :], U, _P2).value
-                    * zonal_kernel_closed(sigma, a, t, U, _Y0[None, :], _P2).value)
-                ref = zonal_kernel_closed(sigma, a, s + t, _X0, _Y0, _P2).value
-                worst = max(worst, abs(conv - ref))
-        return worst, 1e-7, ""
-    return run
+def _chk_lt1_printed(sigma, config):
+    worst = 0.0
+    for t in _zonal_times(config):
+        kv = zonal_kernel_closed(sigma, 1, t, _X0, _Y0, _P2)
+        ref = lt1_printed(sigma, t, _X0, _Y0) * zonal0(sigma, t, _X0, _Y0, _P2)
+        worst = max(worst, abs(kv.long_term - ref))
+    return worst, 1e-12, "printed k=2, lambda=1 long-term factor"
 
 
-def _chk_delta_limit(sigma):
-    def run(config):
+def _chk_zonal_ck(sigma, config):
+    worst = 0.0
+    deg = _cfg_degree(config, 40)
+    U, w = _proj_rule(_P2, deg).nodes_weights()
+    for s, t in ((0.2, 0.3), (0.5, 0.5)):
         for a in (0, 1):
-            gaps = []
-            for t in (1e-1, 1e-2, 1e-3):
-                diffs = [abs(zonal_kernel_closed(sigma, a, t, X, Y, _P2).value
-                             - projection_kernel(a, X, Y, _P2))
-                         for X, Y in ((_X0, _Y0), (_X0, _X0), (_Y0, 0 * _Y0))]
-                gaps.append(max(diffs))
-            if not (gaps[0] > gaps[1] > gaps[2]):
-                return 1.0, 0.0, f"a={a}: gaps {gaps}"
-        return 0.0, 0.0, ""
-    return run
+            conv = tree_sum(
+                w * zonal_kernel_closed(sigma, a, s, _X0[None, :], U, _P2).value
+                * zonal_kernel_closed(sigma, a, t, U, _Y0[None, :], _P2).value)
+            ref = zonal_kernel_closed(sigma, a, s + t, _X0, _Y0, _P2).value
+            worst = max(worst, abs(conv - ref))
+    return worst, 1e-7, ""
 
 
-def _chk_lt_vanish(sigma):
-    def run(config):
-        kv = zonal_kernel_closed(sigma, 1, 0.0, _X0, _Y0, _P2)
-        return abs(kv.long_term), 0.0, "factor 1 - e^{-2 sigma t} at t=0"
-    return run
+def _chk_delta_limit(sigma, config):
+    for a in (0, 1):
+        gaps = []
+        for t in (1e-1, 1e-2, 1e-3):
+            diffs = [abs(zonal_kernel_closed(sigma, a, t, X, Y, _P2).value
+                         - projection_kernel(a, X, Y, _P2))
+                     for X, Y in ((_X0, _Y0), (_X0, _X0), (_Y0, 0 * _Y0))]
+            gaps.append(max(diffs))
+        if not (gaps[0] > gaps[1] > gaps[2]):
+            return 1.0, 0.0, f"a={a}: gaps {gaps}"
+    return 0.0, 0.0, ""
 
 
-def _chk_spectral_series(sigma):
-    def run(config):
-        worst = 0.0
-        for a in (0, 1):
-            for t in _zonal_times(config):
-                if t < 0.5:
-                    continue
-                ref = zonal_kernel_closed(sigma, a, t, _X0, _Y0, _P2).value
-                ser = zonal_series_value(sigma, a, t, _X0, _Y0, 1.0, levels=12)
-                worst = max(worst, abs(ser - ref))
-        return worst, 1e-6, "exact eigenbasis, 12 levels"
-    return run
+def _chk_lt_vanish(sigma, config):
+    kv = zonal_kernel_closed(sigma, 1, 0.0, _X0, _Y0, _P2)
+    return abs(kv.long_term), 0.0, "factor 1 - e^{-2 sigma t} at t=0"
+
+
+def _chk_spectral_series(sigma, config):
+    worst = 0.0
+    for a in (0, 1):
+        for t in _zonal_times(config):
+            if t < 0.5:
+                continue
+            ref = zonal_kernel_closed(sigma, a, t, _X0, _Y0, _P2).value
+            ser = zonal_series_value(sigma, a, t, _X0, _Y0, 1.0, levels=12)
+            worst = max(worst, abs(ser - ref))
+    return worst, 1e-6, "exact eigenbasis, 12 levels"
 
 
 # ---------------------------------------------------------------------------
 # thermo suite
 # ---------------------------------------------------------------------------
 
-def _chk_trace_vs_closed(config):
+def _partition_gap(value, times=(0.5, 1.0)):
+    """Largest |value(sigma, a, t, params) - partition| over both
+    geometries, both flows, zones 0-2 and the given times."""
     worst = 0.0
     for params in (_P2, _P4):
         for sigma in ("wk", "df"):
             for a in (0, 1, 2):
-                for t in (0.5, 1.0):
-                    got = thermo.partition_by_trace(sigma, a, t, params)
+                for t in times:
+                    got = value(sigma, a, t, params)
                     ref = thermo.partition(sigma, a, t, params)
                     worst = max(worst, abs(got - ref))
-    return worst, 1e-7, ""
+    return worst
+
+
+def _chk_trace_vs_closed(config):
+    return _partition_gap(thermo.partition_by_trace), 1e-7, ""
 
 
 def _chk_spectral_sum(config):
-    worst = 0.0
-    for params in (_P2, _P4):
-        for sigma in ("wk", "df"):
-            for a in (0, 1, 2):
-                for t in (0.5, 1.0):
-                    got = thermo.partition_spectral(sigma, a, t, params,
-                                                    levels=200)
-                    worst = max(worst, abs(got - thermo.partition(sigma, a, t,
-                                                                  params)))
-    return worst, 1e-8, "200 levels + analytic geometric tail"
+    return (_partition_gap(partial(thermo.partition_spectral, levels=200)),
+            1e-8, "200 levels + analytic geometric tail")
 
 
 def _chk_dominant_trace(config):
-    worst = 0.0
-    for params in (_P2, _P4):
-        for sigma in ("wk", "df"):
-            for a in (0, 1, 2):
-                got = thermo.dominant_trace(sigma, a, 0.5, params)
-                worst = max(worst, abs(got - thermo.partition(sigma, a, 0.5,
-                                                              params)))
-    return worst, 1e-7, ""
+    return _partition_gap(thermo.dominant_trace, (0.5,)), 1e-7, ""
 
 
 def _chk_longterm_trace(config):
@@ -527,14 +495,11 @@ def _chk_hurwitz_conditional(config):
 
 
 def _chk_mehler_comparison(config):
-    for params in (_P2, _P2B):
-        for a in (0, 1):
-            for t in (0.5, 1.0, 2.0):
-                Z = thermo.partition("wk", a, t, params).real
-                bound = thermo.mehler_comparison_bound(a, t, params)
-                if not 0.0 < Z < bound:
-                    return 1.0, 0.0, f"lam={params.single_lambda}, a={a}, t={t}"
-    return 0.0, 0.0, ""
+    return _first_failure(
+        f"lam={params.single_lambda}, a={a}, t={t}"
+        for params in (_P2, _P2B) for a in (0, 1) for t in (0.5, 1.0, 2.0)
+        if not 0.0 < thermo.partition("wk", a, t, params).real
+        < thermo.mehler_comparison_bound(a, t, params))
 
 
 # ---------------------------------------------------------------------------
@@ -569,7 +534,7 @@ def _chk_uniform_bound(config):
                                       deg)
     note = "; ".join(f"{r['F']}: |W|={r['abs']:.4f} <= {r['bound']:.4f}"
                      for r in rep["results"])
-    return (_bool_residual(rep["all_ok"]), 0.0, note,
+    return (float(not rep["all_ok"]), 0.0, note,
             _chain_params(deg, ("df",), (1.0,), (3,)))
 
 
@@ -619,10 +584,8 @@ def _chk_second_form(config):
 
 def _chk_rn_consistency(config):
     deg = _cfg_degree(config, 24)
-    rep2 = pathint.radon_nikodym_consistency(pathint.TimeSlicing(0.3, 2),
-                                             _X0, _Y0, _P2, deg)
-    rep4 = pathint.radon_nikodym_consistency(pathint.TimeSlicing(0.3, 4),
-                                             _X0, _Y0, _P2, deg)
+    rep2, rep4 = (pathint.radon_nikodym_consistency(
+        pathint.TimeSlicing(0.3, n), _X0, _Y0, _P2, deg) for n in (2, 4))
     note = (f"left-action residuals n=2: {rep2['residual_left']:.3e}, "
             f"n=4: {rep4['residual_left']:.3e} (O(T/n) discretization)")
     return (max(rep2["residual_exact"], rep4["residual_exact"]), 1e-6, note,
@@ -653,24 +616,19 @@ CHECKS = [
     ("projections.reproducing", "projections", _chk_reproducing),
     ("quadrature.convergence_ladder", "projections", _chk_quad_ladder),
     ("quadrature.determinism", "projections", _chk_quad_determinism),
-    ("global.heat_equation", "global_kernels", _chk_pde("wk")),
-    ("global.schrodinger_equation", "global_kernels", _chk_pde("df")),
+    ("global.heat_equation", "global_kernels", partial(_chk_pde, "wk")),
+    ("global.schrodinger_equation", "global_kernels", partial(_chk_pde, "df")),
     ("global.ck_wk", "global_kernels", _chk_global_ck_wk),
     ("global.df_divergence_note", "global_kernels", _chk_global_df_divergence),
-    ("zonal_wk.closed_vs_numeric_a0", "zonal_wk", _chk_zonal_closed_vs_numeric("wk", 0)),
-    ("zonal_wk.closed_vs_numeric_a1", "zonal_wk", _chk_zonal_closed_vs_numeric("wk", 1)),
-    ("zonal_wk.lt1_printed", "zonal_wk", _chk_lt1_printed("wk")),
-    ("zonal_wk.chapman_kolmogorov", "zonal_wk", _chk_zonal_ck("wk")),
-    ("zonal_wk.delta_limit", "zonal_wk", _chk_delta_limit("wk")),
-    ("zonal_wk.longterm_vanish_t0", "zonal_wk", _chk_lt_vanish("wk")),
-    ("zonal_wk.spectral_series", "zonal_wk", _chk_spectral_series("wk")),
-    ("zonal_df.closed_vs_numeric_a0", "zonal_df", _chk_zonal_closed_vs_numeric("df", 0)),
-    ("zonal_df.closed_vs_numeric_a1", "zonal_df", _chk_zonal_closed_vs_numeric("df", 1)),
-    ("zonal_df.lt1_printed", "zonal_df", _chk_lt1_printed("df")),
-    ("zonal_df.chapman_kolmogorov", "zonal_df", _chk_zonal_ck("df")),
-    ("zonal_df.delta_limit", "zonal_df", _chk_delta_limit("df")),
-    ("zonal_df.longterm_vanish_t0", "zonal_df", _chk_lt_vanish("df")),
-    ("zonal_df.spectral_series", "zonal_df", _chk_spectral_series("df")),
+    *[(f"zonal_{sigma}.{name}", f"zonal_{sigma}", partial(check, sigma, *args))
+      for sigma in ("wk", "df") for name, check, *args in (
+          ("closed_vs_numeric_a0", _chk_zonal_closed_vs_numeric, 0),
+          ("closed_vs_numeric_a1", _chk_zonal_closed_vs_numeric, 1),
+          ("lt1_printed", _chk_lt1_printed),
+          ("chapman_kolmogorov", _chk_zonal_ck),
+          ("delta_limit", _chk_delta_limit),
+          ("longterm_vanish_t0", _chk_lt_vanish),
+          ("spectral_series", _chk_spectral_series))],
     ("thermo.trace_vs_closed", "thermo", _chk_trace_vs_closed),
     ("thermo.spectral_sum", "thermo", _chk_spectral_sum),
     ("thermo.dominant_trace", "thermo", _chk_dominant_trace),

@@ -58,6 +58,27 @@ def test_usage_error_exit_code_2(capsys, tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("doc, command, field", [
+    ({"zone": [1]}, "kernel", "zone"),
+    ({"zone": [1]}, "pathint", "zone"),
+    ({"times": 5}, "kernel", "times"),
+    ({"points": [[1, 2]]}, "kernel", "points"),
+    ({"points": [[1, 2]]}, "pathint", "points"),
+    ({"n_slices": 3}, "pathint", "n_slices"),
+], ids=["zone-kernel", "zone-pathint", "times-kernel", "points-kernel",
+        "points-pathint", "n_slices-pathint"])
+def test_wrong_json_type_exit_2(capsys, tmp_path, doc, command, field):
+    # a config value of the wrong JSON type is a config error, not a
+    # verification FAIL (exit 1) with a traceback
+    p = tmp_path / "c.json"
+    p.write_text(json.dumps(doc))
+    code = main([command, "--config", str(p)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert f"error: config field '{field}" in captured.err
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------

@@ -136,7 +136,7 @@ def test_zonal_closed_vs_numeric(p2, xy2, sigma, a):
     X, Y = xy2
     t = 1.0
     ref = zonal_kernel_closed(sigma, a, t, X, Y, p2).value
-    num = zonal_kernel_numeric(sigma, a, t, X, Y, p2, quad_degree=60)
+    num = zonal_kernel_numeric(sigma, a, t, X, Y, p2)
     assert abs(num - ref) < 1e-9
 
 
@@ -235,7 +235,7 @@ def test_zonal_multiblock_consistency(p4, xy4):
     X, Y = xy4
     # gross zone 1 of a two-block geometry splits over the blocks
     direct = zonal_kernel_closed("wk", 1, 0.6, X, Y, p4).value
-    num = zonal_kernel_numeric("wk", 1, 0.6, X, Y, p4, quad_degree=32)
+    num = zonal_kernel_numeric("wk", 1, 0.6, X, Y, p4)
     assert abs(num - direct) < 1e-9
 
 

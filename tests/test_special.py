@@ -3,13 +3,9 @@
 import numpy as np
 import pytest
 import scipy.special as sps
-from hypothesis import given
-from hypothesis import strategies as st
 
-from zeemanzones.exact import laguerre_exact, peval
-from zeemanzones.special import (gauss_density, gaussian_moment_integral,
-                                 hermite, laguerre, laguerre_coeff_float)
-from zeemanzones.params import MagneticParams
+from zeemanzones.exact import laguerre_exact
+from zeemanzones.special import gaussian_moment_integral, laguerre
 
 
 @pytest.mark.parametrize("alpha", range(4))
@@ -28,24 +24,6 @@ def test_laguerre_scalar_and_complex():
     coeffs = laguerre_exact(1, 3)
     ref = sum(complex(c) * (0.7 + 0.2j) ** i for i, c in enumerate(coeffs))
     assert abs(vc - ref) < 1e-12
-
-
-@given(st.integers(0, 8), st.floats(-3, 3))
-def test_hermite_vs_scipy(l, x):
-    assert abs(hermite(l, x) - sps.eval_hermite(l, x)) <= 1e-9 * (
-        1 + abs(sps.eval_hermite(l, x)))
-
-
-def test_laguerre_coeff_float_round_trip():
-    c = laguerre_coeff_float(2, 4)
-    ref = [float(v) for v in laguerre_exact(2, 4)]
-    assert list(c) == ref
-
-
-def test_gauss_density_blocks():
-    params = MagneticParams.make([(1.0, 2), (2.0, 2)])
-    X = np.array([1.0, 0.0, 1.0, 0.0])
-    assert np.isclose(gauss_density(X, params), np.exp(-3.0))
 
 
 def test_gaussian_moment_real_oracle():

@@ -162,3 +162,9 @@ def test_zonal_series_matches_closed(p2, xy2):
             ref = zonal_kernel_closed(sigma, a, 0.8, X, Y, p2).value
             got = zonal_series_value(sigma, a, 0.8, X, Y, 1.0, levels=40)
             assert abs(got - ref) < 1e-12
+
+
+def test_zonal_series_rejects_unknown_flow(xy2):
+    X, Y = xy2
+    with pytest.raises(ValueError, match="flow"):
+        zonal_series_value("xx", 0, 0.8, X, Y, 1.0)

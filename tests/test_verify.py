@@ -15,6 +15,68 @@ def test_registry_ids_unique_and_suited():
     assert all(s in SUITES for _, s, _ in CHECKS)
 
 
+# the ordered (check_id, suite) registry; the report's IDs and order follow
+# it, so no check may be dropped, renamed or moved without this list changing
+PINNED = [
+    ("laguerre.recurrence_vs_explicit", "laguerre"),
+    ("laguerre.rodrigues", "laguerre"),
+    ("laguerre.derivative_identity", "laguerre"),
+    ("laguerre.sum_identity", "laguerre"),
+    ("laguerre.rec3_identity", "laguerre"),
+    ("laguerre.composition", "laguerre"),
+    ("laguerre.gaussian_moment_quadrature", "laguerre"),
+    ("spectrum.eigen_residual", "spectrum"),
+    ("spectrum.vandermonde_split", "spectrum"),
+    ("spectrum.upsilon_independence", "spectrum"),
+    ("spectrum.isochromatic_zones", "spectrum"),
+    ("spectrum.zone_of_consistency", "spectrum"),
+    ("spectrum.magnetic_orthogonality", "spectrum"),
+    ("spectrum.radial_laguerre", "spectrum"),
+    ("projections.idempotency", "projections"),
+    ("projections.orthogonality", "projections"),
+    ("projections.reproducing", "projections"),
+    ("quadrature.convergence_ladder", "projections"),
+    ("quadrature.determinism", "projections"),
+    ("global.heat_equation", "global_kernels"),
+    ("global.schrodinger_equation", "global_kernels"),
+    ("global.ck_wk", "global_kernels"),
+    ("global.df_divergence_note", "global_kernels"),
+    ("zonal_wk.closed_vs_numeric_a0", "zonal_wk"),
+    ("zonal_wk.closed_vs_numeric_a1", "zonal_wk"),
+    ("zonal_wk.lt1_printed", "zonal_wk"),
+    ("zonal_wk.chapman_kolmogorov", "zonal_wk"),
+    ("zonal_wk.delta_limit", "zonal_wk"),
+    ("zonal_wk.longterm_vanish_t0", "zonal_wk"),
+    ("zonal_wk.spectral_series", "zonal_wk"),
+    ("zonal_df.closed_vs_numeric_a0", "zonal_df"),
+    ("zonal_df.closed_vs_numeric_a1", "zonal_df"),
+    ("zonal_df.lt1_printed", "zonal_df"),
+    ("zonal_df.chapman_kolmogorov", "zonal_df"),
+    ("zonal_df.delta_limit", "zonal_df"),
+    ("zonal_df.longterm_vanish_t0", "zonal_df"),
+    ("zonal_df.spectral_series", "zonal_df"),
+    ("thermo.trace_vs_closed", "thermo"),
+    ("thermo.spectral_sum", "thermo"),
+    ("thermo.dominant_trace", "thermo"),
+    ("thermo.longterm_trace_zero", "thermo"),
+    ("thermo.riemann_relation", "thermo"),
+    ("thermo.hurwitz_conditional", "thermo"),
+    ("thermo.mehler_comparison", "thermo"),
+    ("pathint.slicing_invariance", "pathint"),
+    ("pathint.uniform_bound", "pathint"),
+    ("pathint.probability_conservation", "pathint"),
+    ("pathint.discrete_feynman_kac", "pathint"),
+    ("pathint.nu_consistency", "pathint"),
+    ("pathint.second_form_identity", "pathint"),
+    ("pathint.rn_consistency", "pathint"),
+]
+
+
+def test_registry_pinned():
+    assert len(PINNED) == 51
+    assert [(cid, suite) for cid, suite, _ in CHECKS] == PINNED
+
+
 def test_unknown_suite_rejected():
     with pytest.raises(ValueError):
         run_suite("bogus")
