@@ -11,9 +11,11 @@ X and Y; the last axis has length k.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial, reduce
 
 import numpy as np
 
+from .exact import _compositions
 from .params import MagneticParams, J_apply
 from .quadrature import QuadRule, exact_value, integrate
 from .special import laguerre
@@ -86,8 +88,6 @@ def weighted_dist_sq(X, Y, params):
 
 def projection_parts(a: int, X, Y, params: MagneticParams):
     """delta^{(a)}(X, Y) as (polynomial-times-prefactor, exponent)."""
-    if a < 0:
-        raise ValueError("zone index must be nonnegative")
     lag = laguerre(params.k // 2 - 1, a, weighted_dist_sq(X, Y, params))
     pref, expo = _zonal0_parts("wk", 0.0, X, Y, params)
     return lag * pref, expo
@@ -96,8 +96,6 @@ def projection_parts(a: int, X, Y, params: MagneticParams):
 def projection_kernel(a: int, X, Y, params: MagneticParams):
     """Gross-zone point-spread delta^{(a)}(X, Y): the dominant zone-a
     kernel at t = 0."""
-    if a < 0:
-        raise ValueError("zone index must be nonnegative")
     return dominant_kernel("wk", a, 0.0, X, Y, params)
 
 
@@ -185,46 +183,55 @@ def zonal0(sigma, t: float, X, Y, params: MagneticParams):
     return pref * np.exp(expo)
 
 
-def _lambda1_factor(sigma, t, X, Y, params):
-    """Lambda^{(1)} = k/2 - sum_i Q_i, the full polynomial factor of d^{(1)}.
-
-    Obtained by first-moment Gaussian integration of the defining
-    convolution int P^{(1)}(X,U) d_sigma(t,U,Y) dU; written in terms of
-    e_i = exp(-2 lambda_i t sigma) it is regular down to t = 0, where it
-    reduces to L_1^{((k/2)-1)}(sum lambda_i |X_i - Y_i|^2).
-    """
-    s = sigma_value(sigma)
-    total = params.k / 2 + 0j
-    for b, Xi, Yi in _blockwise(X, Y, params):
-        e = np.exp(-2 * b.lam * t * s)
-        u, v = (1 - e) / 2, (1 + e) / 2
-        # complex mean of the convolution Gaussian
-        m = (u * (Xi - 1j * J_apply(Xi)) + v * Yi - u * 1j * J_apply(Yi))
-        Q = b.lam * (_sq(Xi) - 2 * np.sum(Xi * m, axis=-1) + np.sum(m * m, axis=-1)) \
-            + b.k * (1 - e) / 2
-        total = total - Q
-    return total
-
-
 def dominant_kernel(sigma, a: int, t: float, X, Y, params: MagneticParams):
     """D_sigma^{(a)} = L_a^{((k/2)-1)}(sum lam |X-Y|^2) * zonal0."""
     lag = laguerre(params.k // 2 - 1, a, weighted_dist_sq(X, Y, params))
     return lag * zonal0(sigma, t, X, Y, params)
 
 
+def _zone_factor(a: int, levels, outer):
+    """Sum over the compositions (a_i) of a over blocks of the products
+    prod_i levels[i](a_i), each joined to the next by outer."""
+    if a < 0:
+        raise ValueError("zone index must be nonnegative")
+    terms = (reduce(outer, [level(n) for n, level in zip(comp, levels)])
+             for comp in _compositions(a, len(levels)))
+    total = next(terms)
+    for term in terms:
+        total += term           # in place: one sum and one term live
+    return total
+
+
 def zonal_kernel_closed(sigma, a: int, t: float, X, Y,
                         params: MagneticParams) -> KernelValue:
-    """Closed-form zonal kernel with dominant/long-term split (a <= 1)."""
-    if a not in (0, 1):
-        raise ValueError(f"no closed form implemented for zone a={a}; "
-                         "use zonal_kernel_numeric")
+    """Closed-form zonal kernel d_sigma^{(a)}, every zone a, with its
+    dominant/long-term split.
+
+    On zone a, e^{-t sigma H_Z} multiplies level p by eps^{p + k/4},
+    eps_i = e^{-2 lam_i t sigma}: z -> eps z, conj z -> conj z / eps and a
+    factor eps^a on the polynomial part of delta^{(a)}.  So d^{(a)} = [sum
+    over compositions (a_i) of a over blocks of prod_i
+    M_{a_i}^{((k_i/2)-1)}(rho_i, eps_i)] d^{(0)}, M_n(rho, eps) = eps^n
+    L_n(rho / eps) (`laguerre`), rho_i = lam_i (eps_i |X_i - Y_i|^2 -
+    (1 - eps_i)^2 <X_i, Y_i> + i (1 - eps_i^2) <X_i, J Y_i>).  At t = 0,
+    eps_i = 1 and rho_i = lam_i |X_i - Y_i|^2 exactly, so on one block
+    the long-term part is exactly 0.  X and Y may be complex.
+    """
     z0 = zonal0(sigma, t, X, Y, params)
     if a == 0:
         return KernelValue(value=z0, dominant=z0, long_term=np.zeros_like(z0))
-    lam_fac = _lambda1_factor(sigma, t, X, Y, params)
-    lag = laguerre(params.k // 2 - 1, 1, weighted_dist_sq(X, Y, params))
-    return KernelValue(value=lam_fac * z0, dominant=lag * z0,
-                       long_term=(lam_fac - lag) * z0)
+    s = sigma_value(sigma)
+    levels = []
+    for b, Xi, Yi in _blockwise(X, Y, params):
+        e = np.exp(-2 * b.lam * t * s)
+        rho = b.lam * (e * _sq(Xi - Yi)
+                       - (1 - e) ** 2 * np.sum(Xi * Yi, axis=-1)
+                       + 1j * (1 - e * e) * np.sum(Xi * J_apply(Yi), axis=-1))
+        levels.append(partial(laguerre, b.k // 2 - 1, t=rho, eps=e))
+    fac = _zone_factor(a, levels, np.multiply)
+    lag = laguerre(params.k // 2 - 1, a, weighted_dist_sq(X, Y, params))
+    return KernelValue(value=fac * z0, dominant=lag * z0,
+                       long_term=(fac - lag) * z0)
 
 
 def _plane_outer(op, u, v):
@@ -242,9 +249,16 @@ def _grid_outer(op, acc, m):
         acc.shape[0] * m.shape[0], acc.shape[1] * m.shape[1])
 
 
-def plane_form_matrix(X, Y, params: MagneticParams, coeffs, shift=0j, e=None):
+def _grid_level(alpha, eps, m1, n):
+    """M_n(rho, eps) of one block on its grid, from the block's M_1 matrix
+    m1 = (1 + alpha) eps - rho."""
+    return m1 if n == 1 else laguerre(alpha, n, (1 + alpha) * eps - m1, eps)
+
+
+def plane_form_matrix(X, Y, params: MagneticParams, coeffs, shift=0j, a=0):
     """pref e^{shift + sum_i lam_i (c_i P_i - (|X_i|^2 + |Y_i|^2) / 2)} on
-    tensor grids X and Y, as an (N, M) matrix.
+    tensor grids X and Y, as an (N, M) matrix, times for a > 0 the zone-a
+    factor of `zonal_kernel_closed` with eps_i = c_i.
 
     A tensor grid is k per-axis node arrays (a single point is k length-1
     arrays); its points are ordered as in `tensor_points`, first axis
@@ -252,21 +266,18 @@ def plane_form_matrix(X, Y, params: MagneticParams, coeffs, shift=0j, e=None):
     pref = prod lam_i^{k_i/2} / pi^{k/2} is the delta^{(0)} prefactor and
     P_i = sum over the block's planes of z_x conj(z_y), z = x_1 + i x_2,
     is the pairing <X_i, Y_i + i J Y_i>.  Every zone-0 chain step has this
-    form: delta^{(0)} (c_i = 1), d_sigma^{(0)}(t) (c_i = e_i =
-    e^{-2 lam_i t sigma}, shift -(sigma t / 2) sum lam_i k_i) and the
-    action-weighted delta^{(0)} steps of `pathint`.  Given e = (e_i), the
-    matrix is multiplied by the zone-1 factor of `_lambda1_factor`, which
-    in plane form (m.m = e_i |Y_i|^2 + 2 u_i e_i P_i) reads
-    k/2 - sum_i [lam_i (e_i (|X_i|^2 + |Y_i|^2) - e_i^2 P_i - conj P_i)
-    + k_i (1 - e_i) / 2].
+    form: delta^{(0)} (c_i = 1), d_sigma^{(0)}(t) (c_i = e^{-2 lam_i t
+    sigma}, shift -(sigma t / 2) sum lam_i k_i) and the action-weighted
+    delta^{(0)} steps of `pathint`.  On a real grid the zone factor's
+    rho_i = lam_i (eps_i (|X_i|^2 + |Y_i|^2) - eps_i^2 P_i - conj P_i).
 
-    On a plane with z_x = a + ib and z_y = c + id, P = (ac - iad) +
-    (bd + ibc), so the plane's factor is u[a, c, d] v[b, c, d]: two
-    exponentials of n^3 entries, the row and column Gaussians folded in.
-    Lambda^{(1)} splits the same way into a sum of two n^3 pieces.  Planes
-    combine by broadcasting, and the prefactor and shift are one scalar.
-    At most two (N, M) complex arrays are live: the matrix and, for zone
-    1, its factor Lambda^{(1)}.
+    On a plane with z_x = x1 + i x2 and z_y = y1 + i y2, P = (x1 y1 -
+    i x1 y2) + (x2 y2 + i x2 y1): the plane's factor is u[x1, y1, y2]
+    v[x2, y1, y2], two exponentials of n^3 entries with the row and column
+    Gaussians folded in, and rho_i is two n^3 pieces per plane, from which
+    M_1 = (k_i/2) eps_i - rho_i is built with its constant folded in.  The
+    zone factor is summed before the matrix is built, so for zones 0 and 1
+    at most two (N, M) complex arrays are live.
     """
     X = [np.asarray(v, dtype=float) for v in X]
     Y = [np.asarray(v, dtype=float) for v in Y]
@@ -274,66 +285,66 @@ def plane_form_matrix(X, Y, params: MagneticParams, coeffs, shift=0j, e=None):
             or any(v.ndim != 1 for v in X + Y):
         raise ValueError(f"tensor grids need {params.k} one-dimensional axes")
     per_plane = [b.k // 2 for b in params.blocks]
-    lam = params.plane_lambdas()
     cp = np.repeat(coeffs, per_plane)
+    block = np.repeat(np.arange(len(per_plane)), per_plane)
     const = (shift + sum(b.k / 2 * np.log(b.lam) for b in params.blocks)
              - params.k / 2 * np.log(np.pi))
-    if e is not None:
-        ep = np.repeat(e, per_plane)
-        fconst = params.k / 2 - sum(b.k * (1 - eb) / 2
-                                    for b, eb in zip(params.blocks, e))
-    out = fac = None
-    for j, lj in enumerate(lam):
-        a, b = X[2 * j][:, None, None], X[2 * j + 1][:, None, None]
-        c, d = Y[2 * j][:, None], Y[2 * j + 1][None, :]
+    planes, m1 = [], [None] * len(per_plane)
+    for j, lj in enumerate(params.plane_lambdas()):
+        x1, x2 = X[2 * j][:, None, None], X[2 * j + 1][:, None, None]
+        y1, y2 = Y[2 * j][:, None], Y[2 * j + 1][None, :]
         kap = complex(cp[j])
-        pu, pv = a * c - 1j * (a * d), b * d + 1j * (b * c)   # P = pu + pv
-        # Re(kap pu) = a w1 and Re(kap pv) = b w2 with w1^2 + w2^2 =
-        # |kap|^2 |z_y|^2: each factor's exponent is -(a - w1)^2 / 2 or
-        # -(b - w2)^2 / 2 - (1 - |kap|^2) |z_y|^2 / 2 in real part, so
+        pu = x1 * y1 - 1j * (x1 * y2)                    # P = pu + pv
+        pv = x2 * y2 + 1j * (x2 * y1)
+        # Re(kap pu) = x1 w1 and Re(kap pv) = x2 w2 with w1^2 + w2^2 =
+        # |kap|^2 |z_y|^2: each factor's exponent is -(x1 - w1)^2 / 2 or
+        # -(x2 - w2)^2 / 2 - (1 - |kap|^2) |z_y|^2 / 2 in real part, so
         # neither overflows; the n^3 arrays are updated in place, which
-        # keeps the job's peak RSS at the parent's
-        w1sq = (kap.real * c + kap.imag * d) ** 2
+        # keeps the job's peak RSS down
+        w1sq = (kap.real * y1 + kap.imag * y2) ** 2
         u = lj * kap * pu
-        u -= 0.5 * lj * a * a
+        u -= 0.5 * lj * x1 * x1
         u += const - 0.5 * lj * w1sq
         v = lj * kap * pv
-        v -= 0.5 * lj * b * b
-        v -= 0.5 * lj * (c * c + d * d - w1sq)
-        out = _grid_outer(np.multiply, out,
-                          _plane_outer(np.multiply, np.exp(u, out=u),
-                                       np.exp(v, out=v)))
+        v -= 0.5 * lj * x2 * x2
+        v -= 0.5 * lj * (y1 * y1 + y2 * y2 - w1sq)
+        planes.append((np.exp(u, out=u), np.exp(v, out=v)))
         const = 0j
-        if e is not None:
-            # conj P = conj(pu) + conj(pv) on the real grid
-            e1, e2 = ep[j], ep[j] ** 2
+        if a:
+            # -rho's pieces (conj P = conj(pu) + conj(pv) on the real
+            # grid), the block's first plane carrying (k_i/2) eps_i
+            i, e1, e2 = block[j], cp[j], cp[j] ** 2
+            kb = params.blocks[i].k
             fu = lj * e2 * pu
             fu += lj * pu.conj()
-            fu -= lj * e1 * a * a
-            fu += fconst - lj * e1 * c * c
+            fu -= lj * e1 * x1 * x1
+            fu += ((kb / 2 - kb * (1 - e1) / 2 if m1[i] is None else 0.0)
+                   - lj * e1 * y1 * y1)
             fv = lj * e2 * pv
             fv += lj * pv.conj()
-            fv -= lj * e1 * b * b
-            fv -= lj * e1 * d * d
-            fac = _grid_outer(np.add, fac, _plane_outer(np.add, fu, fv))
-            fconst = 0.0
-    if fac is not None:
+            fv -= lj * e1 * x2 * x2
+            fv -= lj * e1 * y2 * y2
+            m1[i] = _grid_outer(np.add, m1[i], _plane_outer(np.add, fu, fv))
+    fac = _zone_factor(a, [partial(_grid_level, b.k // 2 - 1, e, m)
+                           for b, e, m in zip(params.blocks, coeffs, m1)],
+                       partial(_grid_outer, np.multiply)) if a else None
+    out = reduce(lambda acc, uv: _grid_outer(
+        np.multiply, acc, _plane_outer(np.multiply, *uv)), planes, None)
+    if a:
         out *= fac
     return out
 
 
 def zonal_matrix(sigma, a: int, t: float, X, Y, params: MagneticParams):
-    """d_sigma^{(a)}(t, X_n, Y_m), a <= 1, on tensor grids X and Y (k
-    per-axis node arrays each) as an (N, M) matrix: `zonal_kernel_closed`
-    in plane form.  At t = 0 the zone-0 matrix is delta^{(0)}."""
+    """d_sigma^{(a)}(t, X_n, Y_m) on tensor grids X and Y (k per-axis node
+    arrays each) as an (N, M) matrix: `zonal_kernel_closed` in plane form.
+    At t = 0 the zone-0 matrix is delta^{(0)}."""
     s = sigma_value(sigma)
-    if a not in (0, 1):
-        raise ValueError(f"no plane-form matrix for zone a={a}")
     if t < 0:
         raise ValueError("zonal closed forms require t >= 0")
     e = [np.exp(-2 * b.lam * t * s) for b in params.blocks]
     shift = -0.5 * s * t * sum(b.lam * b.k for b in params.blocks)
-    return plane_form_matrix(X, Y, params, e, shift, e if a == 1 else None)
+    return plane_form_matrix(X, Y, params, e, shift, a)
 
 
 def lt1_printed(sigma, t: float, X, Y):
@@ -341,7 +352,7 @@ def lt1_printed(sigma, t: float, X, Y):
 
     (1 - e^{-2ts})(|X|^2 + |Y|^2 - 1 - (1 + e^{-2ts}) <X, Y + iJ(Y)>);
     kept as a direct transcription for cross-checking the general
-    derivation in _lambda1_factor.
+    zone factor of `zonal_kernel_closed` at a = 1.
     """
     s = sigma_value(sigma)
     X = np.asarray(X, dtype=complex if np.iscomplexobj(X) else float)
@@ -352,7 +363,7 @@ def lt1_printed(sigma, t: float, X, Y):
 
 
 # ---------------------------------------------------------------------------
-# numeric zonal kernels (any zone index)
+# numeric zonal kernels (any zone index; oracles for the closed forms)
 # ---------------------------------------------------------------------------
 
 def _flow_coth(sigma, t: float, lam: float) -> complex:

@@ -19,7 +19,7 @@ import numpy as np
 
 from .params import MagneticParams
 from .kernels import (check_df_time, sigma_value, plane_form_matrix,
-                      zonal_kernel_closed, zonal_kernel_numeric, zonal_matrix)
+                      zonal_kernel_closed, zonal_matrix)
 from .quadrature import (QuadRule, QuadratureError, tensor_points,
                          tensor_weights, tree_sum)
 
@@ -82,25 +82,6 @@ def _check_slicing(sigma, slicing: TimeSlicing, params: MagneticParams):
     if sigma == "df":
         for j in range(1, slicing.n_slices + 1):
             check_df_time(j * slicing.step, params)
-
-
-def _step_values(sigma, a, dt, X, Y, params):
-    if a <= 1:
-        return zonal_kernel_closed(sigma, a, dt, X, Y, params).value
-    return zonal_kernel_numeric(sigma, a, dt, X, Y, params)
-
-
-def _step_matrix(sigma, a, dt, X, Y, params):
-    """The zone-a step kernel on tensor grids X and Y, as (N, M)."""
-    if a <= 1:
-        return zonal_matrix(sigma, a, dt, X, Y, params)
-    # numeric kernels carry their own inner quadrature; chunk the pair grid
-    X, Y = tensor_points(X), tensor_points(Y)
-    rows = []
-    for lo in range(0, X.shape[0], 64):
-        rows.append(zonal_kernel_numeric(
-            sigma, a, dt, X[lo:lo + 64, None, :], Y[None, :, :], params))
-    return np.concatenate(rows, axis=0)
 
 
 def _interior_factors(F, n_interior, G):
@@ -169,7 +150,7 @@ def cylinder_value(sigma, a: int, slicing: TimeSlicing, F, x, y,
 
     if F is None or isinstance(F, (list, tuple)):
         return _grid_chain(
-            lambda X, Y: _step_matrix(sigma, a, dt, X, Y, params),
+            lambda X, Y: zonal_matrix(sigma, a, dt, X, Y, params),
             x, y if pinned else None, F, n_int, params, quad_degree)
 
     # dense path for a joint integrand
@@ -189,14 +170,13 @@ def cylinder_value(sigma, a: int, slicing: TimeSlicing, F, x, y,
     wts = np.ones(pts.shape[0])
     for d in range(n_int):
         wts = wts * w[idx[d].reshape(-1)]
-    chain = _step_values(sigma, a, dt, x[None, :], pts[:, 0, :], params)
-    for j in range(1, n_int):
-        chain = chain * _step_values(sigma, a, dt, pts[:, j - 1, :],
-                                     pts[:, j, :], params)
+    # the chain's points in order: x, the interior points, then y if pinned
+    ends = [x[None, :]] + [pts[:, j, :] for j in range(n_int)]
     if pinned:
-        chain = chain * _step_values(sigma, a, dt, pts[:, -1, :],
-                                     np.asarray(y, dtype=float)[None, :],
-                                     params)
+        ends.append(np.asarray(y, dtype=float)[None, :])
+    chain = 1.0
+    for X, Y in zip(ends, ends[1:]):
+        chain = chain * zonal_kernel_closed(sigma, a, dt, X, Y, params).value
     return complex(tree_sum(vals * wts * chain))
 
 

@@ -5,21 +5,35 @@ from __future__ import annotations
 import numpy as np
 
 
-def laguerre(alpha: int, n: int, t):
-    """L_n^{(alpha)}(t) by the three-term recurrence; t may be an array.
-
-    (a+1) L_{a+1} = (2a + 1 + alpha - t) L_a - (a + alpha) L_{a-1}.
+def laguerre(alpha: int, n: int, t, eps=1.0):
+    """M_n = eps^n L_n^{(alpha)}(t / eps) by the three-term recurrence
+    (a+1) M_{a+1} = ((2a + 1 + alpha) eps - t) M_a - (a + alpha) eps^2
+    M_{a-1}, M_0 = 1; t may be an array, eps is a scalar.  At eps = 1 every
+    eps factor is an exact multiplication by 1.0.  Complex values divide by
+    a + 1 part by part, as real ones do, so a complex t with zero imaginary
+    part follows the real recurrence exactly.  A scalar t gives a Python
+    float or complex.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
     t = np.asarray(t)
-    prev = np.ones_like(t, dtype=t.dtype if t.dtype.kind == "c" else float)
+    shape = t.shape
+    t = t.reshape(-1)          # 1-d, so every step below is in place
     if n == 0:
-        return prev if prev.shape else float(prev)
-    cur = 1 + alpha - t
+        cur = np.ones_like(t, dtype=t.dtype if t.dtype.kind == "c" else float)
+    else:
+        prev, cur = 1.0, (1 + alpha) * eps - t
     for a in range(1, n):
-        prev, cur = cur, ((2 * a + 1 + alpha - t) * cur - (a + alpha) * prev) / (a + 1)
-    return cur if np.asarray(cur).shape else complex(cur) if np.iscomplexobj(cur) else float(cur)
+        nxt = (2 * a + 1 + alpha) * eps - t
+        nxt *= cur
+        nxt -= (a + alpha) * eps * eps * prev
+        # numpy divides a complex by a + 1 through its reciprocal, which
+        # rounds twice
+        parts = nxt.view(float) if nxt.dtype.kind == "c" else nxt
+        parts /= a + 1
+        prev, cur = cur, nxt
+    cur = cur.reshape(shape)
+    return cur if shape else complex(cur) if cur.dtype.kind == "c" else float(cur)
 
 
 def gaussian_moment_integral(A: complex, C, k: int | None = None) -> complex:

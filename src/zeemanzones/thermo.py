@@ -7,8 +7,7 @@ import math
 import numpy as np
 
 from .params import MagneticParams, HamiltonianVariant
-from .kernels import (check_df_time, sigma_value, zonal_convolution,
-                      zonal_kernel_closed)
+from .kernels import check_df_time, sigma_value, zonal_kernel_closed
 from .exact import _compositions
 from .quadrature import QuadRule, exact_value, tree_sum
 from .spectrum import zone_count
@@ -50,24 +49,15 @@ def _plane_trace(sigma, a: int, t: float, lam: float,
     The diagonal is a polynomial of degree 2a times e^{-A|X|^2} with
     complex A = lam (1 - e^{-2 lam t sigma}) (Re A = 0 at a DF caustic,
     which the rule refuses), so the rotated (a+1)-node rule is exact.
-    part selects "value", "dominant" or "long_term" of the closed kernel
-    for a <= 1.  For a >= 2 the diagonal at each outer node is the inner
-    convolution int P^{(a)}(X,U) d(t,U,X) dU (`zonal_convolution`, same
-    rule size): iterated, not joint, quadrature, because the joint
-    integrand is not absolutely convergent.
+    part selects "value", "dominant" or "long_term" of the closed kernel.
     """
-    if a >= 2 and part != "value":
-        raise ValueError("dominant/long_term plane traces are a<=1 only")
     pp = MagneticParams.make([(lam, 2)])
     A = complex(lam * (1 - np.exp(-2 * lam * t * sigma_value(sigma))))
 
     def trace(n):
         X, w = QuadRule(n, (A, A)).nodes_weights()
-        if a <= 1:
-            diag = getattr(zonal_kernel_closed(sigma, a, t, X, X, pp), part)
-        else:
-            diag = zonal_convolution(sigma, a, t, X, X, pp, n)
-        return tree_sum(w * diag)
+        return tree_sum(w * getattr(zonal_kernel_closed(sigma, a, t, X, X,
+                                                        pp), part))
 
     return exact_value(trace, a + 1)
 

@@ -69,6 +69,17 @@ def _cfg_degree(config: dict, default: int) -> int:
     return default if d is None else max(int(d), default)
 
 
+def _worst(values):
+    """The largest residual in `values` (0.0 for none), or NaN if one is
+    NaN, which max() would drop, letting a NaN check PASS."""
+    worst = 0.0
+    for v in values:
+        if v != v:
+            return v
+        worst = max(worst, v)
+    return worst
+
+
 def _first_failure(failures):
     """A pass/fail check result: `failures` lazily yields a note per
     failing case, and the first one (if any) is reported."""
@@ -81,7 +92,7 @@ def _first_failure(failures):
 # ---------------------------------------------------------------------------
 
 def _chk_lag_recurrence(config):
-    worst = 0.0
+    res = []
     grid = np.linspace(0.0, 8.0, 17)
     for alpha in range(5):
         for n in range(13):
@@ -91,9 +102,8 @@ def _chk_lag_recurrence(config):
             vals = laguerre(alpha, n, grid)
             ref = np.array([float(peval([float(c) for c in exact], t))
                             for t in grid])
-            worst = max(worst, float(np.max(np.abs(vals - ref)
-                                            / (1.0 + np.abs(ref)))))
-    return worst, 1e-10, ""
+            res.append(float(np.max(np.abs(vals - ref) / (1.0 + np.abs(ref)))))
+    return _worst(res), 1e-10, ""
 
 
 def _chk_lag_rodrigues(config):
@@ -143,7 +153,7 @@ def _chk_lag_composition(config):
 
 
 def _chk_gaussian_moment(config):
-    worst = 0.0
+    res = []
     for k in (1, 2, 4):
         for A in (1.0, 1.0 + 0.5j, 2.0 - 1.0j):
             C = np.array([0.4 - 0.2j, -0.3 + 0.1j, 0.2, 0.5j][:k])
@@ -153,9 +163,8 @@ def _chk_gaussian_moment(config):
             nodes, w = rule.nodes_weights()
             vals = np.exp(-0.5 * A * np.sum(nodes ** 2, axis=-1)
                           + nodes @ C)
-            got = tree_sum(w * vals)
-            worst = max(worst, abs(got - ref) / abs(ref))
-    return worst, 1e-9, ""
+            res.append(abs(tree_sum(w * vals) - ref) / abs(ref))
+    return _worst(res), 1e-9, ""
 
 
 # ---------------------------------------------------------------------------
@@ -193,15 +202,14 @@ def _chk_vandermonde(config):
 
 
 def _chk_upsilon_independence(config):
+    # every level of zone 0, in order, against the same level of zones 1, 2
     for params in (_P2, _P4):
         table = spectrum_table(params, H_Z, max_p=5, max_zone=2)
-        by_zone = {}
-        for e in table:
-            by_zone.setdefault(e.zone, {})[e.p] = e.eigenvalue
+        ev = [[e.eigenvalue for e in table if e.zone == a] for a in (0, 1, 2)]
         for a in (1, 2):
-            for p, ev in by_zone[0].items():
-                if abs(by_zone[a].get(p, np.nan) - ev) > 1e-12:
-                    return 1.0, 0.0, f"k={params.k}, zone={a}, p={p}"
+            if len(ev[a]) != len(ev[0]) or not all(
+                    abs(x - y) <= 1e-12 for x, y in zip(ev[0], ev[a])):
+                return 1.0, 0.0, f"k={params.k}, zone={a}: {ev[a]}"
     return 0.0, 0.0, ""
 
 
@@ -262,7 +270,7 @@ def _proj_conv(nodes, a, b, X, Y, params):
 
 
 def _chk_idempotency(config):
-    worst = 0.0
+    res = []
     for params, X, Y, zones, deg in (
             (_P2, _X0, _Y0, (0, 1, 2, 3), _cfg_degree(config, 40)),
             (_P2B, _X0, _Y0, (0, 1, 2, 3), _cfg_degree(config, 40)),
@@ -270,22 +278,18 @@ def _chk_idempotency(config):
         nodes = _proj_rule(params, deg).nodes_weights()
         for a in zones:
             conv = _proj_conv(nodes, a, a, X, Y, params)
-            worst = max(worst, abs(conv - projection_kernel(a, X, Y, params)))
-    return worst, 1e-8, ""
+            res.append(abs(conv - projection_kernel(a, X, Y, params)))
+    return _worst(res), 1e-8, ""
 
 
 def _chk_orthogonality(config):
     nodes = _proj_rule(_P2, _cfg_degree(config, 40)).nodes_weights()
-    worst = 0.0
-    for a in range(4):
-        for b in range(4):
-            if a != b:
-                worst = max(worst, abs(_proj_conv(nodes, a, b, _X0, _Y0, _P2)))
-    return worst, 1e-8, ""
+    return _worst(abs(_proj_conv(nodes, a, b, _X0, _Y0, _P2))
+                  for a in range(4) for b in range(4) if a != b), 1e-8, ""
 
 
 def _chk_reproducing(config):
-    worst = 0.0
+    res = []
     for params in (_P2, _P2B):
         lam = params.single_lambda
         U, w = _proj_rule(params, _cfg_degree(config, 40)).nodes_weights()
@@ -295,14 +299,15 @@ def _chk_reproducing(config):
             f = zu ** deg * np.exp(-0.5 * lam * np.abs(zu) ** 2)
             rep = tree_sum(w * projection_kernel(0, _X0[None, :], U, params) * f)
             ref = zx ** deg * np.exp(-0.5 * lam * abs(zx) ** 2)
-            worst = max(worst, abs(rep - ref))
-    return worst, 1e-8, ""
+            res.append(abs(rep - ref))
+    return _worst(res), 1e-8, ""
 
 
 def _chk_quad_ladder(config):
     vals = [_proj_conv(_proj_rule(_P2, deg).nodes_weights(), 2, 2, _X0, _Y0,
                        _P2) for deg in (20, 30, 40)]
-    return float(max(abs(vals[2] - vals[1]), abs(vals[1] - vals[0]))), 1e-8, ""
+    return (float(_worst((abs(vals[2] - vals[1]), abs(vals[1] - vals[0])))),
+            1e-8, "")
 
 
 def _chk_quad_determinism(config):
@@ -317,18 +322,18 @@ def _chk_quad_determinism(config):
 
 def _chk_pde(sigma, config):
     rng = np.random.default_rng(42 if sigma == "wk" else 43)
-    worst = 0.0
+    res = []
     for params in (_P2, _P4):
         for _ in range(10):
             t = float(rng.uniform(0.3, 1.2))
             X = rng.normal(scale=0.5, size=params.k)
             Y = rng.normal(scale=0.5, size=params.k)
-            worst = max(worst, pde_residual(sigma, t, X, Y, params))
-    return worst, 1e-6, "central FD in t (1e-4), analytic in X"
+            res.append(pde_residual(sigma, t, X, Y, params))
+    return _worst(res), 1e-6, "central FD in t (1e-4), analytic in X"
 
 
 def _chk_global_ck_wk(config):
-    worst = 0.0
+    res = []
     for s, t in ((0.2, 0.3), (0.5, 0.5)):
         for params, X, Y in ((_P2, _X0, _Y0), (_P4, _X4, _Y4)):
             lam = params.axis_lambdas()
@@ -338,8 +343,8 @@ def _chk_global_ck_wk(config):
             U, w = QuadRule(deg, scales).nodes_weights()
             conv = tree_sum(w * global_kernel("wk", s, X[None, :], U, params)
                             * global_kernel("wk", t, U, Y[None, :], params))
-            worst = max(worst, abs(conv - global_kernel("wk", s + t, X, Y, params)))
-    return worst, 1e-7, ""
+            res.append(abs(conv - global_kernel("wk", s + t, X, Y, params)))
+    return _worst(res), 1e-7, ""
 
 
 def _chk_global_df_divergence(config):
@@ -365,67 +370,60 @@ def _zonal_times(config):
     return tuple(config.get("df_times", (0.5, 1.0)))
 
 
+_ZONES = (0, 1, 2, 3)
+
+
 def _chk_zonal_closed_vs_numeric(sigma, a, config):
-    worst = 0.0
-    for params in (_P2, _P2B):
-        for t in _zonal_times(config):
-            ref = zonal_kernel_closed(sigma, a, t, _X0, _Y0, params).value
-            num = zonal_kernel_numeric(sigma, a, t, _X0, _Y0, params)
-            worst = max(worst, abs(num - ref))
-    return worst, 1e-8, ""
+    return _worst(abs(zonal_kernel_numeric(sigma, a, t, _X0, _Y0, params)
+                      - zonal_kernel_closed(sigma, a, t, _X0, _Y0, params).value)
+                  for params in (_P2, _P2B)
+                  for t in _zonal_times(config)), 1e-8, ""
 
 
 def _chk_lt1_printed(sigma, config):
-    worst = 0.0
-    for t in _zonal_times(config):
-        kv = zonal_kernel_closed(sigma, 1, t, _X0, _Y0, _P2)
-        ref = lt1_printed(sigma, t, _X0, _Y0) * zonal0(sigma, t, _X0, _Y0, _P2)
-        worst = max(worst, abs(kv.long_term - ref))
-    return worst, 1e-12, "printed k=2, lambda=1 long-term factor"
+    return _worst(abs(zonal_kernel_closed(sigma, 1, t, _X0, _Y0, _P2).long_term
+                      - lt1_printed(sigma, t, _X0, _Y0)
+                      * zonal0(sigma, t, _X0, _Y0, _P2))
+                  for t in _zonal_times(config)), \
+        1e-12, "printed k=2, lambda=1 long-term factor"
 
 
 def _chk_zonal_ck(sigma, config):
-    worst = 0.0
+    res = []
     deg = _cfg_degree(config, 40)
     U, w = _proj_rule(_P2, deg).nodes_weights()
     for s, t in ((0.2, 0.3), (0.5, 0.5)):
-        for a in (0, 1):
+        for a in _ZONES:
             conv = tree_sum(
                 w * zonal_kernel_closed(sigma, a, s, _X0[None, :], U, _P2).value
                 * zonal_kernel_closed(sigma, a, t, U, _Y0[None, :], _P2).value)
             ref = zonal_kernel_closed(sigma, a, s + t, _X0, _Y0, _P2).value
-            worst = max(worst, abs(conv - ref))
-    return worst, 1e-7, ""
+            res.append(abs(conv - ref))
+    return _worst(res), 1e-7, "", {"zones": list(_ZONES)}
 
 
 def _chk_delta_limit(sigma, config):
-    for a in (0, 1):
-        gaps = []
-        for t in (1e-1, 1e-2, 1e-3):
-            diffs = [abs(zonal_kernel_closed(sigma, a, t, X, Y, _P2).value
-                         - projection_kernel(a, X, Y, _P2))
-                     for X, Y in ((_X0, _Y0), (_X0, _X0), (_Y0, 0 * _Y0))]
-            gaps.append(max(diffs))
+    for a in _ZONES:
+        gaps = [_worst(abs(zonal_kernel_closed(sigma, a, t, X, Y, _P2).value
+                           - projection_kernel(a, X, Y, _P2))
+                       for X, Y in ((_X0, _Y0), (_X0, _X0), (_Y0, 0 * _Y0)))
+                for t in (1e-1, 1e-2, 1e-3)]
         if not (gaps[0] > gaps[1] > gaps[2]):
-            return 1.0, 0.0, f"a={a}: gaps {gaps}"
-    return 0.0, 0.0, ""
+            return 1.0, 0.0, f"a={a}: gaps {gaps}", {"zones": list(_ZONES)}
+    return 0.0, 0.0, "", {"zones": list(_ZONES)}
 
 
 def _chk_lt_vanish(sigma, config):
-    kv = zonal_kernel_closed(sigma, 1, 0.0, _X0, _Y0, _P2)
-    return abs(kv.long_term), 0.0, "factor 1 - e^{-2 sigma t} at t=0"
+    return (_worst(abs(zonal_kernel_closed(sigma, a, 0.0, _X0, _Y0,
+                                           _P2).long_term) for a in _ZONES),
+            0.0, "factor 1 - e^{-2 sigma t} at t=0", {"zones": list(_ZONES)})
 
 
 def _chk_spectral_series(sigma, config):
-    worst = 0.0
-    for a in (0, 1):
-        for t in _zonal_times(config):
-            if t < 0.5:
-                continue
-            ref = zonal_kernel_closed(sigma, a, t, _X0, _Y0, _P2).value
-            ser = zonal_series_value(sigma, a, t, _X0, _Y0, 1.0, levels=12)
-            worst = max(worst, abs(ser - ref))
-    return worst, 1e-6, "exact eigenbasis, 12 levels"
+    return (_worst(abs(zonal_series_value(sigma, a, t, _X0, _Y0, 1.0, levels=12)
+                       - zonal_kernel_closed(sigma, a, t, _X0, _Y0, _P2).value)
+                   for a in _ZONES for t in _zonal_times(config) if t >= 0.5),
+            1e-6, "exact eigenbasis, 12 levels", {"zones": list(_ZONES)})
 
 
 # ---------------------------------------------------------------------------
@@ -435,15 +433,10 @@ def _chk_spectral_series(sigma, config):
 def _partition_gap(value, times=(0.5, 1.0)):
     """Largest |value(sigma, a, t, params) - partition| over both
     geometries, both flows, zones 0-2 and the given times."""
-    worst = 0.0
-    for params in (_P2, _P4):
-        for sigma in ("wk", "df"):
-            for a in (0, 1, 2):
-                for t in times:
-                    got = value(sigma, a, t, params)
-                    ref = thermo.partition(sigma, a, t, params)
-                    worst = max(worst, abs(got - ref))
-    return worst
+    return _worst(abs(value(sigma, a, t, params)
+                      - thermo.partition(sigma, a, t, params))
+                  for params in (_P2, _P4) for sigma in ("wk", "df")
+                  for a in (0, 1, 2) for t in times)
 
 
 def _chk_trace_vs_closed(config):
@@ -460,22 +453,16 @@ def _chk_dominant_trace(config):
 
 
 def _chk_longterm_trace(config):
-    worst = 0.0
-    for params in (_P2, _P4):
-        for sigma in ("wk", "df"):
-            for t in (0.5, 1.0):
-                worst = max(worst, abs(thermo.longterm_trace(sigma, t, params)))
-    return worst, 1e-7, "zero trace class"
+    return _worst(abs(thermo.longterm_trace(sigma, t, params))
+                  for params in (_P2, _P4) for sigma in ("wk", "df")
+                  for t in (0.5, 1.0)), 1e-7, "zero trace class"
 
 
 def _chk_riemann_relation(config):
-    worst = 0.0
-    for s in (2.0, 2.5, 3.0, 4.0):
-        for a in (0, 1, 2):
-            got = thermo.zeta_zonal(a, s, _P2)
-            ref = (1 - 2.0 ** (-s)) * thermo.riemann_zeta(s)
-            worst = max(worst, abs(got - ref))
-    return worst, 1e-8, "zone-independent for k=2"
+    return _worst(abs(thermo.zeta_zonal(a, s, _P2)
+                      - (1 - 2.0 ** (-s)) * thermo.riemann_zeta(s))
+                  for s in (2.0, 2.5, 3.0, 4.0) for a in (0, 1, 2)), \
+        1e-8, "zone-independent for k=2"
 
 
 def _chk_hurwitz_conditional(config):
@@ -514,7 +501,7 @@ def _chain_params(deg, sigmas, times, slices):
 
 
 def _chk_slicing_invariance(config):
-    worst = 0.0
+    res = []
     deg = _cfg_degree(config, 24)
     for sigma in ("wk", "df"):
         for T in (0.3, 1.0):
@@ -523,8 +510,8 @@ def _chk_slicing_invariance(config):
                 got = pathint.cylinder_value(sigma, 0,
                                              pathint.TimeSlicing(T, n),
                                              None, _X0, _Y0, _P2, deg)
-                worst = max(worst, abs(got - ref))
-    return worst, 1e-6, "", _chain_params(deg, ("wk", "df"), (0.3, 1.0),
+                res.append(abs(got - ref))
+    return _worst(res), 1e-6, "", _chain_params(deg, ("wk", "df"), (0.3, 1.0),
                                           (1, 2, 3, 4))
 
 
@@ -539,10 +526,9 @@ def _chk_uniform_bound(config):
 
 
 def _chk_probability(config):
-    worst = 0.0
     deg = _cfg_degree(config, 40)
-    for t in (0.3, 0.7):
-        worst = max(worst, pathint.probability_conservation(t, _X0, _P2, deg))
+    worst = _worst(pathint.probability_conservation(t, _X0, _P2, deg)
+                   for t in (0.3, 0.7))
     return (worst, 1e-7, "unitary zone evolution",
             _chain_params(deg, ("df",), (0.3, 0.7), (1,)))
 
@@ -565,19 +551,19 @@ def _chk_discrete_fk(config):
 def _chk_nu_consistency(config):
     deg = _cfg_degree(config, 24)
     ref = complex(projection_kernel(0, _X0, _Y0, _P2))
-    worst = max(abs(pathint.nu_cylinder_value(pathint.TimeSlicing(1.0, n),
-                                              None, _X0, _Y0, _P2, deg) - ref)
-                for n in (1, 2, 3, 4))
+    worst = _worst(abs(pathint.nu_cylinder_value(pathint.TimeSlicing(1.0, n),
+                                                 None, _X0, _Y0, _P2, deg)
+                       - ref) for n in (1, 2, 3, 4))
     return (worst, 1e-8, "n-independent by exact idempotency",
             {"quad_degree": deg, "T": [1.0], "n": [1, 2, 3, 4]})
 
 
 def _chk_second_form(config):
     deg = _cfg_degree(config, 24)
-    worst = max(pathint.second_form_residual(sigma,
-                                             pathint.TimeSlicing(T, 3),
-                                             _X0, _Y0, _P2, deg)
-                for sigma in ("wk", "df") for T in (0.3, 1.0))
+    worst = _worst(pathint.second_form_residual(sigma,
+                                                pathint.TimeSlicing(T, 3),
+                                                _X0, _Y0, _P2, deg)
+                   for sigma in ("wk", "df") for T in (0.3, 1.0))
     return (worst, 1e-8, "action-weighted chain vs kernel chain",
             _chain_params(deg, ("wk", "df"), (0.3, 1.0), (3,)))
 
@@ -588,7 +574,7 @@ def _chk_rn_consistency(config):
         pathint.TimeSlicing(0.3, n), _X0, _Y0, _P2, deg) for n in (2, 4))
     note = (f"left-action residuals n=2: {rep2['residual_left']:.3e}, "
             f"n=4: {rep4['residual_left']:.3e} (O(T/n) discretization)")
-    return (max(rep2["residual_exact"], rep4["residual_exact"]), 1e-6, note,
+    return (_worst((rep2["residual_exact"], rep4["residual_exact"])), 1e-6, note,
             _chain_params(deg, ("wk", "df"), (0.3,), (2, 4)))
 
 

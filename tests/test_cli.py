@@ -177,6 +177,27 @@ def test_kernel_df_caustic_rows_only(capsys, tmp_path):
             assert all(math.isfinite(float(v)) for v in r[5:])
 
 
+def test_kernel_zone2_rows(capsys, tmp_path):
+    # zone 2 has a closed form too: rows are zonal_kernel_closed and split
+    # into dominant + long-term
+    params = build_params(load_config(None))
+    pairs = _random_pairs(5, 2)
+    cfg = _kernel_config(tmp_path, [(1.0, 2)], pairs)
+    for sigma in ("wk", "df"):
+        code, out = run_cli(capsys, "kernel", "--config", cfg, "--zone", "2",
+                            "--sigma", sigma, "--times", "0.2,1.3")
+        assert code == 0
+        rows = list(csv.reader(io.StringIO(out)))[1:]
+        assert len(rows) == 2 * len(pairs)
+        for r, (x, y) in zip(rows, pairs * 2):
+            kv = zonal_kernel_closed(sigma, 2, float(r[0]), np.array(x),
+                                     np.array(y), params)
+            got = [complex(float(r[i]), float(r[i + 1])) for i in (5, 7, 9)]
+            for g, v in zip(got, (kv.value, kv.dominant, kv.long_term)):
+                assert abs(g - v) <= 1e-12 * (1 + abs(v))
+            assert abs(got[0] - got[1] - got[2]) <= 1e-12 * (1 + abs(got[0]))
+
+
 def test_kernel_one_pair_config(capsys, tmp_path):
     cfg = _kernel_config(tmp_path, [(1.0, 2)], [([0.3, -0.2], [0.1, 0.4])])
     code, out = run_cli(capsys, "kernel", "--config", cfg, "--zone", "1",
@@ -230,9 +251,10 @@ def test_partition_quad_delta_column(capsys):
 
 
 def test_partition_quadrature_error_row_exit_3(capsys):
-    # 1e-8 past the caustic the exact rule and its check disagree
+    # 2e-9 past the caustic cos 2t rounds to 1: the plane rule's decay has
+    # no positive real part and the rule refuses
     code, out = run_cli(capsys, "partition", "--sigma", "df", "--zone", "2",
-                        "--times", f"{math.pi + 1e-8!r},0.5")
+                        "--times", f"{math.pi + 2e-9!r},0.5")
     assert code == 3
     rows = list(csv.reader(io.StringIO(out)))
     assert rows[1][1:] == ["ERROR"] * 6
@@ -264,6 +286,15 @@ def test_pathint_convergence_report(capsys):
     assert code == 0
     doc = json.loads(out)
     assert all(row["residual"] < 1e-6 for row in doc["convergence"])
+
+
+def test_pathint_zone2(capsys):
+    code, out = run_cli(capsys, "pathint", "--zone", "2", "--quad-degree",
+                        "16")
+    assert code == 0
+    rows = json.loads(out)["convergence"]
+    assert [row["n"] for row in rows] == [1, 2, 3, 4]
+    assert all(row["zone"] == 2 and row["residual"] <= 1e-6 for row in rows)
 
 
 def test_pathint_caustic_exit_3(capsys):

@@ -14,6 +14,7 @@ from zeemanzones.kernels import (SingularTimeError, check_df_time,
                                  zonal_matrix, zonal_numeric_scales)
 from zeemanzones.params import MagneticParams
 from zeemanzones.quadrature import QuadRule, tensor_points, tree_sum
+from zeemanzones.spectrum import zonal_series_value
 
 
 def _rule(params, deg=40):
@@ -198,6 +199,50 @@ def test_delta_limit_monotone(p2, sigma):
         assert sups[0] > sups[1] > sups[2]
 
 
+GEOMETRIES = [[(1.0, 2)], [(2.0, 2)], [(1.5, 4)], [(1.0, 2), (2.0, 2)]]
+
+
+@pytest.mark.parametrize("blocks", GEOMETRIES)
+@pytest.mark.parametrize("sigma", ["wk", "df"])
+def test_zonal_closed_every_zone_vs_numeric(blocks, sigma):
+    # one closed form for every zone, against the exact rotated convolution
+    params = MagneticParams.make(blocks)
+    X = np.array([0.3, -0.2, 0.15, 0.25][:params.k])
+    Y = np.array([0.1, 0.4, -0.3, 0.05][:params.k])
+    for t, zones in ((0.05, 7), (0.4, 7), (1.3, 4)):
+        for a in range(zones):
+            ref = zonal_kernel_numeric(sigma, a, t, X, Y, params)
+            got = zonal_kernel_closed(sigma, a, t, X, Y, params).value
+            assert abs(got - ref) <= 1e-11 * abs(ref), (t, a)
+
+
+@pytest.mark.parametrize("lam", [1.0, 2.0])
+@pytest.mark.parametrize("sigma", ["wk", "df"])
+def test_zonal_closed_every_zone_vs_series(xy2, lam, sigma):
+    # at t = 1.3 the 60-level eigen-expansion is converged to rounding
+    X, Y = xy2
+    params = MagneticParams.make([(lam, 2)])
+    for a in range(7):
+        ref = zonal_series_value(sigma, a, 1.3, X, Y, lam, levels=60)
+        got = zonal_kernel_closed(sigma, a, 1.3, X, Y, params).value
+        assert abs(got - ref) <= 1e-12 * abs(ref), a
+
+
+@pytest.mark.parametrize("sigma", ["wk", "df"])
+def test_zonal_closed_every_zone_split(p2, p4, xy2, xy4, sigma):
+    # value = dominant + long-term for every zone; at t = 0 on one block the
+    # long-term part is exactly zero
+    for params, (X, Y) in ((p2, xy2), (p4, xy4)):
+        for a in range(5):
+            kv = zonal_kernel_closed(sigma, a, 0.7, X, Y, params)
+            assert kv.dominant == dominant_kernel(sigma, a, 0.7, X, Y, params)
+            assert abs(kv.value - kv.dominant - kv.long_term) <= 1e-15
+    for a in range(7):
+        assert zonal_kernel_closed(sigma, a, 0.0, *xy2, p2).long_term == 0
+    with pytest.raises(ValueError, match="nonnegative"):
+        zonal_kernel_closed(sigma, -1, 0.7, *xy2, p2)
+
+
 def test_zonal_numeric_scales_positive(p2):
     # the decay A is complex for DF; the rotated rule needs Re A > 0
     for sigma in ("wk", "df"):
@@ -260,7 +305,7 @@ def _assert_matches_closed(sigma, a, t, G, H, params):
 @pytest.mark.parametrize("blocks", [[(1.0, 2)], [(1.0, 2), (2.0, 2)],
                                     [(1.5, 4)]])
 @pytest.mark.parametrize("sigma", ["wk", "df"])
-@pytest.mark.parametrize("a", [0, 1])
+@pytest.mark.parametrize("a", [0, 1, 2, 3, 4])
 def test_zonal_matrix_matches_closed_form(blocks, sigma, a):
     params = MagneticParams.make(blocks)
     G = _axes(params, 10 if params.k == 2 else 5)
@@ -307,11 +352,6 @@ def test_zonal_matrix_far_points_finite(p2, sigma, a):
     for t in (0.05, np.pi / 4, 1.3):
         for X, Y in ((G, H), (H, G), (F, F2)):
             _assert_matches_closed(sigma, a, t, X, Y, p2)
-
-
-def test_zonal_matrix_refuses_higher_zones(p2):
-    with pytest.raises(ValueError):
-        zonal_matrix("wk", 2, 0.5, np.zeros((2, 1)), np.zeros((2, 1)), p2)
 
 
 def test_zonal_matrix_refuses_point_sets(p2):

@@ -54,6 +54,16 @@ def test_pinned_chain_zone2(p2, sigma, tol):
     assert abs(got - ref) <= tol * abs(ref)
 
 
+@pytest.mark.parametrize("sigma", ["wk", "df"])
+@pytest.mark.parametrize("a", [2, 3])
+def test_pinned_chain_higher_zones_full_degree(p2, sigma, a):
+    # closed-form zone-a steps on the default degree-40 grid
+    ref = zonal_kernel_closed(sigma, a, 0.5, X0, Y0, p2).value
+    got = cylinder_value(sigma, a, TimeSlicing(0.5, 3), None, X0, Y0, p2,
+                         quad_degree=40)
+    assert abs(got - ref) <= 1e-12 * abs(ref)
+
+
 def test_per_slice_functional_factorizes(p2):
     # F = prod f_j with f_j = 1 must agree with F = None
     sl = TimeSlicing(0.6, 3)

@@ -26,6 +26,28 @@ def test_laguerre_scalar_and_complex():
     assert abs(vc - ref) < 1e-12
 
 
+def test_laguerre_scalar_types_every_n():
+    # a complex scalar gives a complex for every n, n = 0 included
+    for n in range(3):
+        assert type(laguerre(0, n, 1 + 1j)) is complex
+        assert type(laguerre(0, n, 0.5)) is float
+    assert laguerre(0, 0, 1 + 1j) == 1
+
+
+@pytest.mark.parametrize("alpha", range(3))
+def test_laguerre_homogeneous_form(alpha):
+    # eps^n L_n(t / eps) without dividing by eps; eps = 1 is bit-identical
+    t = np.array([0.0, 0.3 + 0.1j, 2.5 - 1.0j])
+    eps = 0.6 * np.exp(0.4j)
+    for n in range(7):
+        ref = eps ** n * laguerre(alpha, n, t / eps)
+        got = laguerre(alpha, n, t, eps)
+        assert np.max(np.abs(got - ref)) <= 1e-13 * (1 + np.max(np.abs(ref)))
+        assert np.array_equal(laguerre(alpha, n, t, 1.0), laguerre(alpha, n, t))
+    # at eps = 0 only the top coefficient survives: (-t)^n / n!
+    assert laguerre(alpha, 4, 0.7, 0.0) == pytest.approx(0.7 ** 4 / 24)
+
+
 def test_gaussian_moment_real_oracle():
     # [TRIVIAL] int exp(-|Z|^2/2) dZ over R^2 = 2 pi
     assert np.isclose(gaussian_moment_integral(1.0, np.zeros(2)), 2 * np.pi)

@@ -88,10 +88,21 @@ def test_trace_delta_is_evidence(p4):
 
 
 def test_trace_near_caustic_raises_not_guesses(p2):
-    # 1e-8 past t = pi the zone-2 rule and its check disagree: an error,
-    # never a silently wrong number
-    with pytest.raises(QuadratureError):
-        partition_trace("df", 2, math.pi + 1e-8, p2)
+    # 2e-9 past t = pi, cos 2t rounds to 1 and the plane rule has no decay
+    # left: an error, never a silently wrong number
+    for a in range(5):
+        with pytest.raises(QuadratureError):
+            partition_trace("df", a, math.pi + 2e-9, p2)
+
+
+def test_trace_just_past_caustic_matches_closed(p2):
+    # 1e-8 past t = pi the closed zone-2 diagonal still traces to the
+    # partition function (~5e7); both are limited by how precisely t is
+    # represented
+    t = math.pi + 1e-8
+    z, delta = partition_trace("df", 2, t, p2)
+    assert abs(z - partition("df", 2, t, p2)) <= 1e-7
+    assert delta <= 1e-7
 
 
 def test_trace_multiblock(p4):

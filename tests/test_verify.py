@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from zeemanzones import verify
@@ -158,3 +159,33 @@ def test_pathint_checks_report_what_ran():
         assert r.params["quad_degree"] == (40 if r.check_id ==
                                            "pathint.probability_conservation"
                                            else 30)
+
+
+def test_nan_residual_is_not_pass(monkeypatch):
+    # a NaN kernel must not report PASS 0.0 (max(0.0, nan) is 0.0)
+    monkeypatch.setattr(verify, "projection_kernel", lambda *args: np.nan)
+    by_id = {r.check_id: r for r in run_suite("projections")}
+    for cid in ("projections.idempotency", "projections.orthogonality"):
+        assert by_id[cid].status != "PASS", cid
+    assert verify._worst([0.5, np.nan, 2.0]) != verify._worst([0.5, 2.0])
+    assert verify._worst([]) == 0.0 and verify._worst([1e-9, 3.0]) == 3.0
+
+
+@pytest.mark.parametrize("k,level", [(2, -1), (4, -2)])
+def test_upsilon_independence_compares_every_level(monkeypatch, k, level):
+    # drop one zone-1 level of one geometry: the last k=2 level (a lookup
+    # by p would compare it against NaN) or a k=4 level that shares its p
+    # with the next one (a lookup by p would never see it); comparing the
+    # whole ordered lists fails either way
+    table = verify.spectrum_table
+
+    def one_level_short(params, *args, **kwargs):
+        entries = table(params, *args, **kwargs)
+        if params.k != k:
+            return entries
+        drop = [e for e in entries if e.zone == 1][level]
+        return [e for e in entries if e is not drop]
+
+    monkeypatch.setattr(verify, "spectrum_table", one_level_short)
+    by_id = {r.check_id: r for r in run_suite("spectrum")}
+    assert by_id["spectrum.upsilon_independence"].status == "FAIL"
