@@ -17,7 +17,7 @@ import numpy as np
 
 from .exact import _compositions
 from .params import MagneticParams, J_apply
-from .quadrature import QuadRule, exact_value, integrate
+from .quadrature import QuadRule, exact_value, integrate, tree_sum
 from .special import laguerre
 
 SIGMA = {"wk": 1.0 + 0j, "df": 1j}
@@ -122,23 +122,17 @@ def irreducible_projection_kernel(a_tuple, X, Y, params: MagneticParams):
 # ---------------------------------------------------------------------------
 
 def global_parts(sigma, t: float, X, Y, params: MagneticParams):
-    """Global WK/DF kernel as (prefactor, exponent)."""
-    if not t > 0:
-        raise ValueError("global kernel requires t > 0")
+    """Global WK/DF kernel as (prefactor, exponent): on each block
+    (lam / (2 pi sinh(lam t sigma)))^{k_i/2} and -lam (g |X_i - Y_i|^2 / 2
+    + i <X_i, J Y_i>), g = coth(lam t sigma) (`_flow_coth`)."""
+    s = sigma_value(sigma)
     if sigma == "df":
         check_df_time(t, params)
-        pref, expo = 1.0 + 0j, 0j
-        for b, Xi, Yi in _blockwise(X, Y, params):
-            pref *= (b.lam / (2j * np.pi * np.sin(b.lam * t))) ** (b.k // 2)
-            expo = expo + 1j * b.lam * (
-                0.5 / np.tan(b.lam * t) * _sq(Xi - Yi)
-                - np.sum(Xi * J_apply(Yi), axis=-1))
-        return pref, expo
-    sigma_value(sigma)
-    pref, expo = 1.0, 0j
+    pref, expo = 1.0 + 0j, 0j
     for b, Xi, Yi in _blockwise(X, Y, params):
-        pref *= (b.lam / (2 * np.pi * np.sinh(b.lam * t))) ** (b.k // 2)
-        expo = expo - b.lam * (0.5 / np.tanh(b.lam * t) * _sq(Xi - Yi)
+        g = _flow_coth(sigma, t, b.lam)
+        pref *= (b.lam / (2 * np.pi * np.sinh(b.lam * t * s))) ** (b.k // 2)
+        expo = expo - b.lam * (0.5 * g * _sq(Xi - Yi)
                                + 1j * np.sum(Xi * J_apply(Yi), axis=-1))
     return pref, expo
 
@@ -189,16 +183,15 @@ def dominant_kernel(sigma, a: int, t: float, X, Y, params: MagneticParams):
     return lag * zonal0(sigma, t, X, Y, params)
 
 
-def _zone_factor(a: int, levels, outer):
-    """Sum over the compositions (a_i) of a over blocks of the products
-    prod_i levels[i](a_i), each joined to the next by outer."""
+def _composition_sum(a: int, parts: int, term):
+    """Sum of term(comp) over the compositions comp of a over `parts`
+    parts, in a fixed order."""
     if a < 0:
         raise ValueError("zone index must be nonnegative")
-    terms = (reduce(outer, [level(n) for n, level in zip(comp, levels)])
-             for comp in _compositions(a, len(levels)))
+    terms = (term(comp) for comp in _compositions(a, parts))
     total = next(terms)
-    for term in terms:
-        total += term           # in place: one sum and one term live
+    for t in terms:
+        total += t              # in place: one sum and one term live
     return total
 
 
@@ -228,68 +221,52 @@ def zonal_kernel_closed(sigma, a: int, t: float, X, Y,
                        - (1 - e) ** 2 * np.sum(Xi * Yi, axis=-1)
                        + 1j * (1 - e * e) * np.sum(Xi * J_apply(Yi), axis=-1))
         levels.append(partial(laguerre, b.k // 2 - 1, t=rho, eps=e))
-    fac = _zone_factor(a, levels, np.multiply)
+    fac = _composition_sum(a, len(levels), lambda comp: reduce(
+        np.multiply, [level(n) for n, level in zip(comp, levels)]))
     lag = laguerre(params.k // 2 - 1, a, weighted_dist_sq(X, Y, params))
     return KernelValue(value=fac * z0, dominant=lag * z0,
                        long_term=(fac - lag) * z0)
 
 
-def _plane_outer(op, u, v):
-    """op(u[a, c, d], v[b, c, d]) as an (n_a n_b, n_c n_d) matrix: rows
-    (a, b) and columns (c, d), first index slowest."""
-    return op(u[:, None], v[None]).reshape(u.shape[0] * v.shape[0], -1)
-
-
-def _grid_outer(op, acc, m):
-    """Combine the matrix `acc` of earlier planes with the plane matrix m:
-    op(acc[r, c], m[r', c']) at row (r, r') and column (c, c')."""
-    if acc is None:
-        return m
-    return op(acc[:, None, :, None], m[None, :, None, :]).reshape(
-        acc.shape[0] * m.shape[0], acc.shape[1] * m.shape[1])
-
-
-def _grid_level(alpha, eps, m1, n):
-    """M_n(rho, eps) of one block on its grid, from the block's M_1 matrix
-    m1 = (1 + alpha) eps - rho."""
-    return m1 if n == 1 else laguerre(alpha, n, (1 + alpha) * eps - m1, eps)
-
-
-def plane_form_matrix(X, Y, params: MagneticParams, coeffs, shift=0j, a=0):
-    """pref e^{shift + sum_i lam_i (c_i P_i - (|X_i|^2 + |Y_i|^2) / 2)} on
-    tensor grids X and Y, as an (N, M) matrix, times for a > 0 the zone-a
-    factor of `zonal_kernel_closed` with eps_i = c_i.
+def plane_step(X, Y, params: MagneticParams, coeffs, shift=0j, a=0):
+    """The step operator f -> r, r[y] = sum_x f[x] K(x, y), of the kernel
+    K = pref e^{shift + sum_i lam_i (c_i P_i - (|X_i|^2 + |Y_i|^2) / 2)}
+    times, for a > 0, the zone-a factor of `zonal_kernel_closed` with
+    eps_i = c_i, on tensor grids X and Y.
 
     A tensor grid is k per-axis node arrays (a single point is k length-1
     arrays); its points are ordered as in `tensor_points`, first axis
-    slowest, so N and M are the products of the axis lengths.
+    slowest, and f has one entry per point of X (N of them); r has one per
+    point of Y.  Trailing axes of f lead the result, so f = I (N x N)
+    gives the kernel K(X_n, Y_m) as an (N, M) array.
     pref = prod lam_i^{k_i/2} / pi^{k/2} is the delta^{(0)} prefactor and
     P_i = sum over the block's planes of z_x conj(z_y), z = x_1 + i x_2,
-    is the pairing <X_i, Y_i + i J Y_i>.  Every zone-0 chain step has this
-    form: delta^{(0)} (c_i = 1), d_sigma^{(0)}(t) (c_i = e^{-2 lam_i t
-    sigma}, shift -(sigma t / 2) sum lam_i k_i) and the action-weighted
-    delta^{(0)} steps of `pathint`.  On a real grid the zone factor's
-    rho_i = lam_i (eps_i (|X_i|^2 + |Y_i|^2) - eps_i^2 P_i - conj P_i).
+    is the pairing <X_i, Y_i + i J Y_i>.  Every chain step has this form:
+    delta^{(0)} (c_i = 1), d_sigma^{(a)}(t) (c_i = e^{-2 lam_i t sigma},
+    shift -(sigma t / 2) sum lam_i k_i) and the action-weighted
+    delta^{(0)} steps of `pathint`.
 
     On a plane with z_x = x1 + i x2 and z_y = y1 + i y2, P = (x1 y1 -
     i x1 y2) + (x2 y2 + i x2 y1): the plane's factor is u[x1, y1, y2]
     v[x2, y1, y2], two exponentials of n^3 entries with the row and column
-    Gaussians folded in, and rho_i is two n^3 pieces per plane, from which
-    M_1 = (k_i/2) eps_i - rho_i is built with its constant folded in.  The
-    zone factor is summed before the matrix is built, so for zones 0 and 1
-    at most two (N, M) complex arrays are live.
+    Gaussians folded in.  By the Laguerre addition theorem the zone
+    factor is the sum over the compositions (a_p) of a over the planes of
+    prod_p M_{a_p}^{(0)}(rho_p, eps_p), where on a real grid rho_p =
+    lam_p (eps_p (|x_p|^2 + |y_p|^2) - eps_p^2 P_p - conj P_p) is also
+    two n^3 pieces, ru[x1, y1, y2] + rv[x2, y1, y2].  Only these per-plane
+    factors are built; applying the operator contracts f plane by plane
+    (`_contract_plane`), so applying it to a vector builds no array of
+    the kernel's N x M size.
     """
     X = [np.asarray(v, dtype=float) for v in X]
     Y = [np.asarray(v, dtype=float) for v in Y]
     if len(X) != params.k or len(Y) != params.k \
             or any(v.ndim != 1 for v in X + Y):
         raise ValueError(f"tensor grids need {params.k} one-dimensional axes")
-    per_plane = [b.k // 2 for b in params.blocks]
-    cp = np.repeat(coeffs, per_plane)
-    block = np.repeat(np.arange(len(per_plane)), per_plane)
+    cp = np.repeat(coeffs, [b.k // 2 for b in params.blocks])
     const = (shift + sum(b.k / 2 * np.log(b.lam) for b in params.blocks)
              - params.k / 2 * np.log(np.pi))
-    planes, m1 = [], [None] * len(per_plane)
+    planes = []
     for j, lj in enumerate(params.plane_lambdas()):
         x1, x2 = X[2 * j][:, None, None], X[2 * j + 1][:, None, None]
         y1, y2 = Y[2 * j][:, None], Y[2 * j + 1][None, :]
@@ -299,52 +276,63 @@ def plane_form_matrix(X, Y, params: MagneticParams, coeffs, shift=0j, a=0):
         # Re(kap pu) = x1 w1 and Re(kap pv) = x2 w2 with w1^2 + w2^2 =
         # |kap|^2 |z_y|^2: each factor's exponent is -(x1 - w1)^2 / 2 or
         # -(x2 - w2)^2 / 2 - (1 - |kap|^2) |z_y|^2 / 2 in real part, so
-        # neither overflows; the n^3 arrays are updated in place, which
-        # keeps the job's peak RSS down
+        # neither overflows
         w1sq = (kap.real * y1 + kap.imag * y2) ** 2
-        u = lj * kap * pu
-        u -= 0.5 * lj * x1 * x1
-        u += const - 0.5 * lj * w1sq
-        v = lj * kap * pv
-        v -= 0.5 * lj * x2 * x2
-        v -= 0.5 * lj * (y1 * y1 + y2 * y2 - w1sq)
-        planes.append((np.exp(u, out=u), np.exp(v, out=v)))
+        u = np.exp(lj * (kap * pu - 0.5 * x1 * x1 - 0.5 * w1sq) + const)
+        v = np.exp(lj * (kap * pv - 0.5 * x2 * x2
+                         - 0.5 * (y1 * y1 + y2 * y2 - w1sq)))
         const = 0j
+        ru = rv = None
         if a:
-            # -rho's pieces (conj P = conj(pu) + conj(pv) on the real
-            # grid), the block's first plane carrying (k_i/2) eps_i
-            i, e1, e2 = block[j], cp[j], cp[j] ** 2
-            kb = params.blocks[i].k
-            fu = lj * e2 * pu
-            fu += lj * pu.conj()
-            fu -= lj * e1 * x1 * x1
-            fu += ((kb / 2 - kb * (1 - e1) / 2 if m1[i] is None else 0.0)
-                   - lj * e1 * y1 * y1)
-            fv = lj * e2 * pv
-            fv += lj * pv.conj()
-            fv -= lj * e1 * x2 * x2
-            fv -= lj * e1 * y2 * y2
-            m1[i] = _grid_outer(np.add, m1[i], _plane_outer(np.add, fu, fv))
-    fac = _zone_factor(a, [partial(_grid_level, b.k // 2 - 1, e, m)
-                           for b, e, m in zip(params.blocks, coeffs, m1)],
-                       partial(_grid_outer, np.multiply)) if a else None
-    out = reduce(lambda acc, uv: _grid_outer(
-        np.multiply, acc, _plane_outer(np.multiply, *uv)), planes, None)
-    if a:
-        out *= fac
-    return out
+            ru = lj * (kap * (x1 * x1 + y1 * y1) - kap * kap * pu - pu.conj())
+            rv = lj * (kap * (x2 * x2 + y2 * y2) - kap * kap * pv - pv.conj())
+        planes.append((u, v, ru, rv, kap))
+    return partial(_apply_step, planes, a, tuple(len(v) for v in X))
 
 
-def zonal_matrix(sigma, a: int, t: float, X, Y, params: MagneticParams):
-    """d_sigma^{(a)}(t, X_n, Y_m) on tensor grids X and Y (k per-axis node
-    arrays each) as an (N, M) matrix: `zonal_kernel_closed` in plane form.
-    At t = 0 the zone-0 matrix is delta^{(0)}."""
+def _contract_plane(g, plane, m):
+    """sum over the first two axes (one plane's x1, x2) of g[x1, x2, ...]
+    u[x1, y1, y2] v[x2, y1, y2] M_m^{(0)}(ru[x1] + rv, eps), with the
+    plane's y axes moved last.
+
+    Slab by slab over x1, each sum a `tree_sum` over a fixed axis: the
+    largest arrays hold len(x2) or len(x1) times the size of the result.
+    """
+    u, v, ru, rv, eps = plane
+    pad = (None,) * (g.ndim - 2)
+    h = np.empty((g.shape[0],) + v.shape[1:] + g.shape[2:], dtype=complex)
+    for i, gi in enumerate(g):
+        kern = v if m == 0 else v * laguerre(0, m, ru[i] + rv, eps)
+        h[i] = tree_sum(kern[(...,) + pad] * gi[:, None, None])
+    h *= u[(...,) + pad]
+    return np.moveaxis(tree_sum(h), (0, 1), (-2, -1))
+
+
+def _apply_step(planes, a, x_shape, f):
+    """The `plane_step` operator on f: zone-a terms summed over the
+    compositions of a over the planes, each contracted plane by plane."""
+    f = np.asarray(f)
+
+    def term(comp):
+        g = f.reshape(x_shape + f.shape[1:])
+        for plane, m in zip(planes, comp):
+            g = _contract_plane(g, plane, m)
+        return g.reshape(f.shape[1:] + (-1,))
+
+    return _composition_sum(a, len(planes), term)
+
+
+def zonal_step(sigma, a: int, t: float, X, Y, params: MagneticParams):
+    """The step operator of d_sigma^{(a)}(t) from tensor grid X to tensor
+    grid Y (`plane_step`): f -> sum_x f[x] d_sigma^{(a)}(t, x, Y_m), the
+    plane form of `zonal_kernel_closed`.  At t = 0 the zone-0 operator is
+    delta^{(0)}."""
     s = sigma_value(sigma)
     if t < 0:
         raise ValueError("zonal closed forms require t >= 0")
     e = [np.exp(-2 * b.lam * t * s) for b in params.blocks]
     shift = -0.5 * s * t * sum(b.lam * b.k for b in params.blocks)
-    return plane_form_matrix(X, Y, params, e, shift, a)
+    return plane_step(X, Y, params, e, shift, a)
 
 
 def lt1_printed(sigma, t: float, X, Y):
@@ -463,15 +451,9 @@ def _global_exponent_derivs(sigma, t, X, Y, params):
     lap = 0j
     off = 0
     for b, Xi, Yi in _blockwise(X, Y, params):
-        if sigma == "wk":
-            c = 1.0 / np.tanh(b.lam * t)
-            g = -b.lam * (c * (Xi - Yi) + 1j * J_apply(Yi))
-            lap = lap - b.lam * c * b.k
-        else:
-            c = 1.0 / np.tan(b.lam * t)
-            g = 1j * b.lam * (c * (Xi - Yi) - J_apply(Yi))
-            lap = lap + 1j * b.lam * c * b.k
-        grad[..., off:off + b.k] = g
+        g = _flow_coth(sigma, t, b.lam)
+        grad[..., off:off + b.k] = -b.lam * (g * (Xi - Yi) + 1j * J_apply(Yi))
+        lap = lap - b.lam * g * b.k
         off += b.k
     return grad, lap
 

@@ -5,10 +5,12 @@ intermediate points with plain Lebesgue measure (the flat gauge keeps all
 Gaussian weights inside the kernels, and Lebesgue chaining is what makes
 the pinned F=1 chain collapse to d(T, x, y) exactly).
 
-F = 1 and separable integrands go through a matrix chain on a shared
-grid; genuinely joint integrands take the dense tensor path, which
-refuses above a hard dimension ceiling instead of silently degrading.
-All reductions are fixed-order pairwise trees.
+F = 1 and separable integrands go through an operator chain on a shared
+tensor grid: each step applies a kernel's `plane_step` operator to a
+vector of grid values, contracting plane by plane, so no N x N step
+matrix is built.  Genuinely joint integrands take the dense tensor path,
+which refuses above a hard dimension ceiling instead of silently
+degrading.  All reductions are fixed-order pairwise trees.
 """
 
 from __future__ import annotations
@@ -18,14 +20,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .params import MagneticParams
-from .kernels import (check_df_time, sigma_value, plane_form_matrix,
-                      zonal_kernel_closed, zonal_matrix)
+from .kernels import (check_df_time, sigma_value, plane_step,
+                      zonal_kernel_closed, zonal_step)
 from .quadrature import (QuadRule, QuadratureError, tensor_points,
                          tensor_weights, tree_sum)
 
 SLICE_DIM_CEILING = 8          # n*k for the dense tensor path
 DENSE_NODE_CEILING = 40_000_000
-MATRIX_ENTRY_CEILING = 4096 ** 2   # N^2 of a matrix-path step matrix
+STEP_ENTRY_CEILING = 2 ** 22   # quad_degree^(k+1): a chain step's largest array
 
 
 @dataclass(frozen=True)
@@ -66,15 +68,15 @@ def _point_axes(x):
     return np.asarray(x, dtype=float)[:, None]
 
 
-def _matrix_grid(params: MagneticParams, quad_degree: int):
-    """slicing_grid for the matrix path, refused before anything is
-    allocated when its N x N step matrix (N = quad_degree^k) would exceed
-    MATRIX_ENTRY_CEILING entries."""
-    N = int(quad_degree) ** params.k
-    if N * N > MATRIX_ENTRY_CEILING:
+def _step_grid(params: MagneticParams, quad_degree: int):
+    """slicing_grid for the operator chain, refused before anything is
+    allocated when a grid-to-grid step's largest intermediate array
+    (quad_degree^(k+1) entries) would exceed STEP_ENTRY_CEILING."""
+    size = int(quad_degree) ** (params.k + 1)
+    if size > STEP_ENTRY_CEILING:
         raise QuadratureError(
-            f"step matrix {N} x {N} exceeds the ceiling of "
-            f"{MATRIX_ENTRY_CEILING} entries; reduce quad_degree")
+            f"chain step array of {size} entries exceeds the ceiling of "
+            f"{STEP_ENTRY_CEILING}; reduce quad_degree")
     return slicing_grid(params, quad_degree)
 
 
@@ -97,38 +99,29 @@ def _interior_factors(F, n_interior, G):
     return [np.asarray(f(points)) for f in factors]
 
 
-def _chain(first, step, w, factors, last):
-    """Integrate a chain over its interior points on the shared grid.
+def _chain(step, x, y, F, n_interior, params, quad_degree):
+    """Integrate a chain from the point x to the point y (None: free end)
+    over n_interior points of the shared grid.
 
-    first: the first step's values (N,) at the grid points; step: builds
-    the (N, N) step matrix, called once and only with two or more interior
-    points; w: the grid weights; factors: None or a diagonal factor (N,)
-    per interior point; last: the final step's values (N,) at the grid
-    points, an (N, M) matrix (the chain's values at M end points), or None
-    for a free end.  Every reduction is a `tree_sum`.
+    Every step is the operator step(X, Y) from tensor grid X to tensor grid
+    Y (`plane_step`): the first, each grid-to-grid step (its factors built
+    once) and the last.  F is None or a separable F (`_interior_factors`),
+    a diagonal factor per interior point.  Every reduction is a
+    `tree_sum`.
     """
-    D = step() if len(factors) > 1 else None
-    v = first
-    for j, f in enumerate(factors):
-        vw = v * w if f is None else v * w * f
-        if j < len(factors) - 1:
-            v = tree_sum(vw[:, None] * D)
-    if last is None:
-        return tree_sum(vw)
-    return tree_sum(vw[:, None] * last if last.ndim == 2 else vw * last)
-
-
-def _grid_chain(step, x, y, F, n_interior, params, quad_degree):
-    """`_chain` whose every step is step(X, Y), an (N, M) matrix on tensor
-    grids X and Y, from x to y (None: free end)."""
     x = _point_axes(x)
     if n_interior == 0:
         _interior_factors(F, 0, None)           # a separable F must be empty
-        return complex(step(x, _point_axes(y))[0, 0])
-    G, w = _matrix_grid(params, quad_degree)
-    last = None if y is None else step(G, _point_axes(y))[:, 0]
-    return complex(_chain(step(x, G)[0], lambda: step(G, G), w,
-                          _interior_factors(F, n_interior, G), last))
+        return complex(step(x, _point_axes(y))(np.ones(1))[0])
+    G, w = _step_grid(params, quad_degree)
+    inner = step(G, G) if n_interior > 1 else None
+    v = step(x, G)(np.ones(1))
+    for j, f in enumerate(_interior_factors(F, n_interior, G)):
+        vw = v * w if f is None else v * w * f
+        if j < n_interior - 1:
+            v = inner(vw)
+    return complex(tree_sum(vw) if y is None
+                   else step(G, _point_axes(y))(vw)[0])
 
 
 def cylinder_value(sigma, a: int, slicing: TimeSlicing, F, x, y,
@@ -149,8 +142,8 @@ def cylinder_value(sigma, a: int, slicing: TimeSlicing, F, x, y,
     n_int = n - 1 if pinned else n
 
     if F is None or isinstance(F, (list, tuple)):
-        return _grid_chain(
-            lambda X, Y: zonal_matrix(sigma, a, dt, X, Y, params),
+        return _chain(
+            lambda X, Y: zonal_step(sigma, a, dt, X, Y, params),
             x, y if pinned else None, F, n_int, params, quad_degree)
 
     # dense path for a joint integrand
@@ -189,7 +182,7 @@ def nu_cylinder_value(slicing: TimeSlicing, F, x, y,
     if F is not None and not isinstance(F, (list, tuple)):
         raise ValueError("nu_cylinder_value supports F=None or separable F")
     # d^{(0)} at t = 0 is delta^{(0)}
-    return _grid_chain(lambda X, Y: zonal_matrix("wk", 0, 0.0, X, Y, params),
+    return _chain(lambda X, Y: zonal_step("wk", 0, 0.0, X, Y, params),
                        x, y if pinned else None, F,
                        slicing.n_slices - int(pinned), params, quad_degree)
 
@@ -223,7 +216,7 @@ def feynman_kac_weight(sigma, omega, T: float, params: MagneticParams):
 
 def _fk_step(sigma, dt, params: MagneticParams, exact: bool):
     """delta^{(0)} times the per-step Feynman-Kac weight, as the plane-form
-    (coefficients, shift) of `plane_form_matrix`.
+    (coefficients, shift) of `plane_step`.
 
     The weight is e^{-sum_i k_i lam_i dt s / 2} e^{sum_i lam_i c_i P_i},
     P_i = <m_i, m'_i + i J m'_i>.  exact=True takes c_i = e^{-2 lam_i dt s}
@@ -243,9 +236,10 @@ def _fk_step(sigma, dt, params: MagneticParams, exact: bool):
 
 def _delta_chain(coeffs, shift, slicing: TimeSlicing, x, y,
                  params: MagneticParams, quad_degree: int):
-    """Pinned chain whose every step is the plane-form matrix (coeffs, shift)."""
-    return _grid_chain(
-        lambda X, Y: plane_form_matrix(X, Y, params, coeffs, shift),
+    """Pinned chain whose every step is the plane-form operator (coeffs,
+    shift)."""
+    return _chain(
+        lambda X, Y: plane_step(X, Y, params, coeffs, shift),
         x, y, None, slicing.n_slices - 1, params, quad_degree)
 
 
@@ -303,11 +297,10 @@ def probability_conservation(t: float, x, params: MagneticParams,
     """| ||psi(t)|| - 1 | for psi(0) the normalized holomorphic point
     spread at x, evolved by the DF zone flow (unitary on the zone)."""
     check_df_time(t, params)
-    G, w = _matrix_grid(params, quad_degree)
-    psi0 = zonal_matrix("wk", 0, 0.0, _point_axes(x), G, params)[0]
+    G, w = _step_grid(params, quad_degree)
+    psi0 = zonal_step("wk", 0, 0.0, _point_axes(x), G, params)(np.ones(1))
     psi0 /= np.sqrt(tree_sum(w * np.abs(psi0) ** 2).real)
-    psit = _chain(psi0, None, w, [None],
-                  zonal_matrix("df", 0, t, G, G, params))
+    psit = zonal_step("df", 0, t, G, G, params)(psi0 * w)
     nrm = np.sqrt(tree_sum(w * np.abs(psit) ** 2).real)
     return abs(nrm - 1.0)
 

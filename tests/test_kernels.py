@@ -11,7 +11,7 @@ from zeemanzones.kernels import (SingularTimeError, check_df_time,
                                  projection_kernel, projection_parts,
                                  weighted_dist_sq, zonal0,
                                  zonal_kernel_closed, zonal_kernel_numeric,
-                                 zonal_matrix, zonal_numeric_scales)
+                                 zonal_numeric_scales, zonal_step)
 from zeemanzones.params import MagneticParams
 from zeemanzones.quadrature import QuadRule, tensor_points, tree_sum
 from zeemanzones.spectrum import zonal_series_value
@@ -285,12 +285,20 @@ def test_zonal_multiblock_consistency(p4, xy4):
 
 
 # ---------------------------------------------------------------------------
-# plane-form step matrices
+# plane-form step operators, applied to an identity to give the kernel
+# matrix
 # ---------------------------------------------------------------------------
 
 def _axes(params, deg):
     rule = _rule(params, deg)
     return [rule.axis_nodes_weights(j)[0] for j in range(params.k)]
+
+
+def zonal_matrix(sigma, a, t, G, H, params):
+    """d_sigma^{(a)}(t, G_n, H_m) as an (N, M) array: the step operator on
+    the identity."""
+    N = int(np.prod([len(ax) for ax in G]))
+    return zonal_step(sigma, a, t, G, H, params)(np.eye(N))
 
 
 def _assert_matches_closed(sigma, a, t, G, H, params):
@@ -357,4 +365,4 @@ def test_zonal_matrix_far_points_finite(p2, sigma, a):
 def test_zonal_matrix_refuses_point_sets(p2):
     # an (N, k) point set is not a tensor grid
     with pytest.raises(ValueError, match="axes"):
-        zonal_matrix("wk", 0, 0.5, np.zeros((3, 2)), np.zeros((2, 1)), p2)
+        zonal_step("wk", 0, 0.5, np.zeros((3, 2)), np.zeros((2, 1)), p2)

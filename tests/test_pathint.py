@@ -1,10 +1,12 @@
 """Time-sliced cylinder approximants of the zonal path integrals."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from zeemanzones import pathint
-from zeemanzones.kernels import (SingularTimeError, plane_form_matrix,
+from zeemanzones.kernels import (SingularTimeError, plane_step,
                                  projection_kernel, zonal_kernel_closed,
                                  zonal_kernel_numeric)
 from zeemanzones.params import J_apply, MagneticParams
@@ -216,50 +218,67 @@ def _old_step(sigma, dt, G, params, exact):
                                      params, exact))
 
 
-@pytest.mark.parametrize("blocks", [[(1.0, 2)], [(1.0, 2), (2.0, 2)]])
+@pytest.mark.parametrize("blocks", [[(1.0, 2)], [(1.0, 2), (2.0, 2)],
+                                    [(1.5, 4)]])
 @pytest.mark.parametrize("exact", [True, False])
 def test_action_weighted_steps_match_generic_products(blocks, exact):
     params = MagneticParams.make(blocks)
     G, _ = pathint.slicing_grid(params, 10 if params.k == 2 else 4)
     P = tensor_points(G)
     dt = 0.15
+    # the step operator on the identity gives the step kernel on G x G
+    identity = np.eye(len(P))
     for sigma in ("wk", "df"):
         ref = _old_step(sigma, dt, P, params, exact)
-        got = plane_form_matrix(G, G, params,
-                                *pathint._fk_step(sigma, dt, params, exact))
+        got = plane_step(G, G, params,
+                         *pathint._fk_step(sigma, dt, params, exact))(identity)
         assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
     # the WK step reweighted by the Radon-Nikodym ratio is the DF step
     coeffs, shift = pathint._fk_step("wk", dt, params, exact)
     ratios, const = pathint._rn_ratio(dt, params, exact)
-    got = plane_form_matrix(G, G, params,
-                            [c + r for c, r in zip(coeffs, ratios)],
-                            shift + const)
+    got = plane_step(G, G, params, [c + r for c, r in zip(coeffs, ratios)],
+                     shift + const)(identity)
     ref = _old_step("df", dt, P, params, exact)
     assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
-def test_step_matrix_built_once(p2, monkeypatch):
+def test_step_factors_built_once(p2, monkeypatch):
+    # the grid-to-grid factors are built once per chain and applied at
+    # every interior step
     calls = []
-    build = pathint.zonal_matrix
+    build = pathint.zonal_step
 
     def counted(sigma, a, t, X, Y, params):
-        out = build(sigma, a, t, X, Y, params)
-        calls.append(out.shape)
-        return out
+        calls.append((len(X[0]), len(Y[0])))
+        return build(sigma, a, t, X, Y, params)
 
-    monkeypatch.setattr(pathint, "zonal_matrix", counted)
+    monkeypatch.setattr(pathint, "zonal_step", counted)
     got = cylinder_value("wk", 0, TimeSlicing(0.6, 6), None, X0, Y0, p2,
                          quad_degree=12)
-    N = 12 ** 2
-    assert calls.count((N, N)) == 1
+    assert calls.count((12, 12)) == 1
+    assert len(calls) == 3
     ref = zonal_kernel_closed("wk", 0, 0.6, X0, Y0, p2).value
     assert abs(got - ref) < 1e-8
+
+
+@pytest.mark.parametrize("a", [0, 1])
+def test_chain_allocates_no_step_matrix(p2, a):
+    # at degree 40 the grid has N = 1600 points, and one N x N complex
+    # array would take 39 MiB
+    tracemalloc.start()
+    try:
+        cylinder_value("df", a, TimeSlicing(0.5, 4), None, X0, Y0, p2,
+                       quad_degree=40)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20 * 2 ** 20
 
 
 def test_matrix_path_ceiling_refuses_before_allocating(monkeypatch):
     p4 = MagneticParams.make([(1.0, 2), (2.0, 2)])
     x4, y4 = np.array([0.3, -0.2, 0.1, 0.2]), np.array([0.1, 0.4, -0.3, 0.05])
-    assert (24 ** 4) ** 2 > pathint.MATRIX_ENTRY_CEILING
+    assert 24 ** 5 > pathint.STEP_ENTRY_CEILING
 
     def no_grid(*args, **kwargs):
         raise AssertionError("grid built above the ceiling")
