@@ -8,7 +8,13 @@ use repr(), i.e. the shortest decimal that round-trips binary64, so golden
 files are stable across platforms.
 
 Exit codes: 0 success / all checks pass, 1 verification FAIL present,
-2 usage or config error, 3 numeric ERROR present.
+2 usage or config error (including out-of-range values), 3 numeric ERROR
+present.
+
+Start-up is part of every job, so this module loads only the standard
+library, numpy and `params` at import; each subcommand imports the
+layers it runs (`spectrum` loads `spectrum` and `exact`, `kernel` loads
+`kernels`, `quadrature` and `special`, and only `verify` loads them all).
 """
 
 import argparse
@@ -17,15 +23,10 @@ import io
 import json
 import os
 import sys
-import tempfile
 
 import numpy as np
 
-from . import pathint, thermo, verify
-from .kernels import SingularTimeError, check_df_time, zonal_kernel_closed
-from .quadrature import QuadratureError
 from .params import HamiltonianVariant, MagneticParams
-from .spectrum import spectrum_table, spectrum_table_csv, spectrum_table_json
 
 
 class ConfigError(Exception):
@@ -51,9 +52,10 @@ DEFAULTS = {
     "suite": "all",
     "format": "csv",
     "out": None,
+    "timings": None,
 }
 # a value of the JSON type of each field whose default is null
-_NULLABLE = {"c_f": 0.0, "out": ""}
+_NULLABLE = {"c_f": 0.0, "out": "", "timings": ""}
 # JSON type (name, accepted Python types) by the Python type of a default
 _JSON_TYPES = {float: ("a number", (int, float)), int: ("an integer", int),
                str: ("a string", str), list: ("a list", list),
@@ -135,10 +137,26 @@ def _check_sigma(cfg):
     return cfg["sigma"]
 
 
+def _check_range(cfg, name, lo, hi=None):
+    """cfg[name] as an int, or ConfigError unless lo <= it (<= hi)."""
+    value = int(cfg[name])
+    if value < lo or (hi is not None and value > hi):
+        bound = f"in [{lo}, {hi}]" if hi is not None else f">= {lo}"
+        raise ConfigError(f"config field {name!r}: must be {bound}, "
+                          f"got {value}")
+    return value
+
+
+def _check_quad_degree(cfg):
+    from .quadrature import MAX_DEGREE
+    return _check_range(cfg, "quad_degree", 1, MAX_DEGREE)
+
+
 def write_out(text: str, out_path):
     if out_path is None:
         sys.stdout.write(text)
         return
+    import tempfile
     d = os.path.dirname(os.path.abspath(out_path))
     fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-", text=True)
     try:
@@ -156,8 +174,12 @@ def write_out(text: str, out_path):
 # ---------------------------------------------------------------------------
 
 def cmd_spectrum(cfg):
+    from .spectrum import (spectrum_table, spectrum_table_csv,
+                           spectrum_table_json)
+    max_p = _check_range(cfg, "max_p", 0)
+    max_zone = _check_range(cfg, "max_zone", 0)
     entries = spectrum_table(build_params(cfg), build_variant(cfg),
-                             int(cfg["max_p"]), int(cfg["max_zone"]))
+                             max_p, max_zone)
     if cfg["format"] == "json":
         write_out(spectrum_table_json(entries) + "\n", cfg["out"])
     else:
@@ -178,6 +200,7 @@ def _point_pairs(cfg, k):
 
 
 def cmd_kernel(cfg):
+    from .kernels import SingularTimeError, check_df_time, zonal_kernel_closed
     params = build_params(cfg)
     sigma = _check_sigma(cfg)
     a = int(cfg["zone"])
@@ -214,6 +237,9 @@ def cmd_kernel(cfg):
 
 
 def cmd_partition(cfg):
+    from . import thermo
+    from .kernels import SingularTimeError
+    from .quadrature import QuadratureError
     params = build_params(cfg)
     variant = build_variant(cfg)
     sigma = _check_sigma(cfg)
@@ -240,6 +266,7 @@ def cmd_partition(cfg):
 
 
 def cmd_zeta(cfg):
+    from . import thermo
     params = build_params(cfg)
     variant = build_variant(cfg)
     a = int(cfg["zone"])
@@ -259,10 +286,13 @@ def cmd_zeta(cfg):
 
 
 def cmd_pathint(cfg):
+    from . import pathint
+    from .kernels import SingularTimeError, zonal_kernel_closed
+    from .quadrature import QuadratureError
     params = build_params(cfg)
     sigma = _check_sigma(cfg)
     a = int(cfg["zone"])
-    deg = int(cfg["quad_degree"])
+    deg = _check_quad_degree(cfg)
     T = float(cfg["total_time"])
     X, Y = (Z[0] for Z in _point_pairs(cfg, params.k))
     ref = zonal_kernel_closed(sigma, a, T, X, Y, params).value
@@ -286,10 +316,13 @@ def cmd_pathint(cfg):
 
 
 def cmd_verify(cfg):
+    from . import verify
     results = verify.run_suite(cfg["suite"],
-                               {"quad_degree": int(cfg["quad_degree"]),
+                               {"quad_degree": _check_quad_degree(cfg),
                                 "threads": int(cfg["threads"])})
     write_out(verify.report_json(results) + "\n", cfg["out"])
+    if cfg["timings"] is not None:
+        write_out(verify.timings_json(results) + "\n", cfg["timings"])
     statuses = {r.status for r in results}
     if "ERROR" in statuses:
         return 3
@@ -346,6 +379,8 @@ def build_parser():
 
     sp = common(sub.add_parser("verify", help="run the verification harness"))
     sp.add_argument("--suite")
+    sp.add_argument("--timings", metavar="PATH",
+                    help="also write {check_id: seconds} to PATH")
     return p
 
 

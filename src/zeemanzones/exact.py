@@ -18,6 +18,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .params import _compositions
+
 
 # ---------------------------------------------------------------------------
 # complex rationals
@@ -205,16 +207,6 @@ def rodrigues_check(alpha: int, a: int) -> bool:
         q = psub(pderiv(q), q)
     lhs = pmul([Fraction(0)] * alpha + [Fraction(1)], laguerre_exact(alpha, a))
     return ptrim(psub(pscale(q, Fraction(1, math.factorial(a))), lhs)) == [Fraction(0)]
-
-
-def _compositions(total: int, parts: int):
-    """All tuples of `parts` nonnegative ints summing to `total`."""
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
 
 
 def laguerre_composition_check(alpha: int, n: int) -> bool:

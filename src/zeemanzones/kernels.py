@@ -15,22 +15,13 @@ from functools import partial, reduce
 
 import numpy as np
 
-from .exact import _compositions
-from .params import MagneticParams, J_apply
+from .params import MagneticParams, J_apply, _compositions, sigma_value
 from .quadrature import QuadRule, exact_value, integrate, tree_sum
 from .special import laguerre
-
-SIGMA = {"wk": 1.0 + 0j, "df": 1j}
 
 
 class SingularTimeError(ValueError):
     """DF evaluation at t within tolerance of a sin-zero n*pi/lambda_i."""
-
-
-def sigma_value(sigma) -> complex:
-    if sigma in SIGMA:
-        return SIGMA[sigma]
-    raise ValueError(f"flow must be 'wk' or 'df', got {sigma!r}")
 
 
 def df_singular_times(params: MagneticParams, t_max: float) -> list[float]:

@@ -7,7 +7,9 @@ the complex structure acts plane-wise by the fixed convention
 
     J(x, y) = (-y, x).
 
-All sign conventions downstream inherit this choice.
+All sign conventions downstream inherit this choice.  The flows are
+labelled by sigma: 'wk' (heat, sigma = 1) and 'df' (Schrodinger,
+sigma = i).
 """
 
 from __future__ import annotations
@@ -15,6 +17,24 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+
+SIGMA = {"wk": 1.0 + 0j, "df": 1j}
+
+
+def sigma_value(sigma) -> complex:
+    if sigma in SIGMA:
+        return SIGMA[sigma]
+    raise ValueError(f"flow must be 'wk' or 'df', got {sigma!r}")
+
+
+def _compositions(total: int, parts: int):
+    """All tuples of `parts` nonnegative ints summing to `total`."""
+    if parts == 1:
+        yield (total,)
+        return
+    for first in range(total + 1):
+        for rest in _compositions(total - first, parts - 1):
+            yield (first,) + rest
 
 
 @dataclass(frozen=True)

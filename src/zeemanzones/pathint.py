@@ -19,9 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .params import MagneticParams
-from .kernels import (check_df_time, sigma_value, plane_step,
-                      zonal_kernel_closed, zonal_step)
+from .params import MagneticParams, sigma_value
+from .kernels import check_df_time, plane_step, zonal_kernel_closed, zonal_step
 from .quadrature import (QuadRule, QuadratureError, tensor_points,
                          tensor_weights, tree_sum)
 

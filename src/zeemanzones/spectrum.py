@@ -16,10 +16,11 @@ from fractions import Fraction
 
 import numpy as np
 
-from .exact import (QC, ZonePoly, _compositions, hermite_scaled_exact,
-                    laguerre_exact, padd, pderiv, pmul, psub, pscale, ptrim)
-from .kernels import sigma_value
-from .params import MagneticParams, HamiltonianVariant
+from .exact import (QC, ZonePoly, hermite_scaled_exact, laguerre_exact,
+                    padd, pderiv, pmul, psub, pscale, ptrim)
+# _compositions is also imported from here by the acceptance tests
+from .params import (MagneticParams, HamiltonianVariant, _compositions,
+                     sigma_value)
 
 
 # ---------------------------------------------------------------------------

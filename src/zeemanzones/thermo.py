@@ -6,9 +6,9 @@ import math
 
 import numpy as np
 
-from .params import MagneticParams, HamiltonianVariant
-from .kernels import check_df_time, sigma_value, zonal_kernel_closed
-from .exact import _compositions
+from .params import (MagneticParams, HamiltonianVariant, _compositions,
+                     sigma_value)
+from .kernels import check_df_time, zonal_kernel_closed
 from .quadrature import QuadRule, exact_value, tree_sum
 from .spectrum import zone_count
 

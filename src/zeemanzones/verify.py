@@ -3,8 +3,9 @@
 Each check computes a residual and compares it to a fixed tolerance;
 quadrature non-convergence, singular times and any other exception a
 check raises surface as ERROR, never as FAIL, so numerical limitations
-cannot masquerade as mathematical failure.  Check ordering and JSON output are deterministic (wall times
-are kept on the in-memory results only).
+cannot masquerade as mathematical failure.  Check ordering and JSON
+output are deterministic: wall times are kept on the in-memory results
+and written only by `timings_json`.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from itertools import accumulate, combinations
 import numpy as np
 
 from . import pathint, thermo
-from .exact import (_compositions, apply_box, box_eigenvalue_exact,
+from .exact import (apply_box, box_eigenvalue_exact,
                     box_field_constant, gaussian_pair_integral_exact,
                     laguerre_composition_check, laguerre_exact,
                     laguerre_recurrence_exact, padd, pderiv, peval, pmul,
@@ -28,7 +29,7 @@ from .exact import (_compositions, apply_box, box_eigenvalue_exact,
 from .kernels import (global_kernel, lt1_printed, pde_residual,
                       projection_kernel, zonal0, zonal_kernel_closed,
                       zonal_kernel_numeric)
-from .params import H_Z, MagneticParams
+from .params import H_Z, MagneticParams, _compositions
 from .quadrature import QuadRule, tree_sum
 from .special import gaussian_moment_integral, laguerre
 from .spectrum import (build_eigenfunction, radial_operator_residual,
@@ -62,6 +63,16 @@ class CheckResult:
         return {"check_id": self.check_id, "params": self.params,
                 "residual": self.residual, "tolerance": self.tolerance,
                 "status": self.status, "note": self.note}
+
+
+def _ran(geometries=(), **fields) -> dict:
+    """What a check ran with, for its report: the parameter sets as
+    [lambda, k] block lists (when given), then `fields`, tuples as lists."""
+    out = {"geometries": [[[b.lam, b.k] for b in p.blocks]
+                          for p in geometries]} if geometries else {}
+    out.update((key, list(v) if isinstance(v, tuple) else v)
+               for key, v in fields.items())
+    return out
 
 
 def _cfg_degree(config: dict, default: int) -> int:
@@ -374,18 +385,23 @@ _ZONES = (0, 1, 2, 3)
 
 
 def _chk_zonal_closed_vs_numeric(sigma, a, config):
+    times = _zonal_times(config)
+    # the numeric oracle's rule: a+1 nodes per axis, checked at a+3
     return _worst(abs(zonal_kernel_numeric(sigma, a, t, _X0, _Y0, params)
                       - zonal_kernel_closed(sigma, a, t, _X0, _Y0, params).value)
-                  for params in (_P2, _P2B)
-                  for t in _zonal_times(config)), 1e-8, ""
+                  for params in (_P2, _P2B) for t in times), 1e-8, "", \
+        _ran((_P2, _P2B), sigma=[sigma], zones=[a], t=times,
+             rule_nodes=[a + 1])
 
 
 def _chk_lt1_printed(sigma, config):
+    times = _zonal_times(config)
     return _worst(abs(zonal_kernel_closed(sigma, 1, t, _X0, _Y0, _P2).long_term
                       - lt1_printed(sigma, t, _X0, _Y0)
                       * zonal0(sigma, t, _X0, _Y0, _P2))
-                  for t in _zonal_times(config)), \
-        1e-12, "printed k=2, lambda=1 long-term factor"
+                  for t in times), \
+        1e-12, "printed k=2, lambda=1 long-term factor", \
+        _ran((_P2,), sigma=[sigma], zones=[1], t=times)
 
 
 def _chk_zonal_ck(sigma, config):
@@ -430,63 +446,77 @@ def _chk_spectral_series(sigma, config):
 # thermo suite
 # ---------------------------------------------------------------------------
 
-def _partition_gap(value, times=(0.5, 1.0)):
+def _partition_gap(value, times=(0.5, 1.0), **ran):
     """Largest |value(sigma, a, t, params) - partition| over both
-    geometries, both flows, zones 0-2 and the given times."""
+    geometries, both flows, zones 0-2 and the given times, with what ran."""
+    geometries, sigmas, zones = (_P2, _P4), ("wk", "df"), (0, 1, 2)
     return _worst(abs(value(sigma, a, t, params)
                       - thermo.partition(sigma, a, t, params))
-                  for params in (_P2, _P4) for sigma in ("wk", "df")
-                  for a in (0, 1, 2) for t in times)
+                  for params in geometries for sigma in sigmas
+                  for a in zones for t in times), \
+        _ran(geometries, sigma=sigmas, zones=zones, t=times, **ran)
 
+
+# a zone-a plane trace uses the exact (a+1)-node rule, checked at a+3
 
 def _chk_trace_vs_closed(config):
-    return _partition_gap(thermo.partition_by_trace), 1e-7, ""
+    gap, ran = _partition_gap(thermo.partition_by_trace, rule_nodes=[1, 2, 3])
+    return gap, 1e-7, "", ran
 
 
 def _chk_spectral_sum(config):
-    return (_partition_gap(partial(thermo.partition_spectral, levels=200)),
-            1e-8, "200 levels + analytic geometric tail")
+    gap, ran = _partition_gap(partial(thermo.partition_spectral, levels=200),
+                              levels=200)
+    return gap, 1e-8, "200 levels + analytic geometric tail", ran
 
 
 def _chk_dominant_trace(config):
-    return _partition_gap(thermo.dominant_trace, (0.5,)), 1e-7, ""
+    gap, ran = _partition_gap(thermo.dominant_trace, (0.5,), rule_nodes=[1])
+    return gap, 1e-7, "", ran
 
 
 def _chk_longterm_trace(config):
+    geometries, sigmas, times = (_P2, _P4), ("wk", "df"), (0.5, 1.0)
     return _worst(abs(thermo.longterm_trace(sigma, t, params))
-                  for params in (_P2, _P4) for sigma in ("wk", "df")
-                  for t in (0.5, 1.0)), 1e-7, "zero trace class"
+                  for params in geometries for sigma in sigmas
+                  for t in times), 1e-7, "zero trace class", \
+        _ran(geometries, sigma=sigmas, zones=[1], t=times, rule_nodes=[1, 2])
 
 
 def _chk_riemann_relation(config):
+    s_values, zones = (2.0, 2.5, 3.0, 4.0), (0, 1, 2)
     return _worst(abs(thermo.zeta_zonal(a, s, _P2)
                       - (1 - 2.0 ** (-s)) * thermo.riemann_zeta(s))
-                  for s in (2.0, 2.5, 3.0, 4.0) for a in (0, 1, 2)), \
-        1e-8, "zone-independent for k=2"
+                  for s in s_values for a in zones), \
+        1e-8, "zone-independent for k=2", \
+        _ran((_P2,), zones=zones, s=s_values)
 
 
 def _chk_hurwitz_conditional(config):
     # recorded, not asserted: no constant shift makes the zonal spectrum
     # sum equal (1 - 2^{-s}) zeta_Hu(s, 4) termwise; report candidates
     residuals = {}
-    for c_f in (0.0, 1.0, 3.0, 7.0):
-        s = 3.0
-        got = sum((2 * p + 1 + c_f) ** (-s) for p in range(200000))
+    s, terms, shifts = 3.0, 200000, (0.0, 1.0, 3.0, 7.0)
+    for c_f in shifts:
+        got = sum((2 * p + 1 + c_f) ** (-s) for p in range(terms))
         ref = (1 - 2.0 ** (-s)) * thermo.hurwitz_zeta(s, 4.0)
         residuals[c_f] = abs(got - ref)
     best = min(residuals, key=residuals.get)
     return 0.0, 0.0, ("conditional only; residuals by shift " +
                       ", ".join(f"c_f={c}: {r:.3e}"
                                 for c, r in residuals.items()) +
-                      f"; best c_f={best}")
+                      f"; best c_f={best}"), \
+        _ran(s=[s], c_f=shifts, terms=terms)
 
 
 def _chk_mehler_comparison(config):
-    return _first_failure(
+    geometries, zones, times = (_P2, _P2B), (0, 1), (0.5, 1.0, 2.0)
+    return *_first_failure(
         f"lam={params.single_lambda}, a={a}, t={t}"
-        for params in (_P2, _P2B) for a in (0, 1) for t in (0.5, 1.0, 2.0)
+        for params in geometries for a in zones for t in times
         if not 0.0 < thermo.partition("wk", a, t, params).real
-        < thermo.mehler_comparison_bound(a, t, params))
+        < thermo.mehler_comparison_bound(a, t, params)), \
+        _ran(geometries, sigma=["wk"], zones=zones, t=times)
 
 
 # ---------------------------------------------------------------------------
@@ -496,8 +526,7 @@ def _chk_mehler_comparison(config):
 def _chain_params(deg, sigmas, times, slices):
     """What a pathint check ran: the effective grid degree and the
     (sigma, T, n) sets."""
-    return {"quad_degree": deg, "sigma": list(sigmas), "T": list(times),
-            "n": list(slices)}
+    return _ran(quad_degree=deg, sigma=sigmas, T=times, n=slices)
 
 
 def _chk_slicing_invariance(config):
@@ -675,3 +704,9 @@ def report_json(results: list[CheckResult]) -> str:
     doc = {"summary": counts,
            "checks": [r.to_json_dict() for r in results]}
     return json.dumps(doc, indent=2, sort_keys=False)
+
+
+def timings_json(results: list[CheckResult]) -> str:
+    """Wall seconds per check, in check order: the side file of
+    `verify --timings`, kept out of the deterministic report."""
+    return json.dumps({r.check_id: r.seconds for r in results}, indent=2)

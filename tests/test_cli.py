@@ -5,13 +5,20 @@ import io
 import json
 import math
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from zeemanzones import cli
+import zeemanzones
+from zeemanzones import kernels, pathint, spectrum, verify
 from zeemanzones.cli import ConfigError, build_params, load_config, main
 from zeemanzones.kernels import zonal_kernel_closed
+from zeemanzones.quadrature import MAX_DEGREE
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run_cli(capsys, *argv):
@@ -77,6 +84,87 @@ def test_wrong_json_type_exit_2(capsys, tmp_path, doc, command, field):
     assert code == 2
     assert captured.out == ""
     assert f"error: config field '{field}" in captured.err
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("computation started on an out-of-range config")
+
+
+@pytest.mark.parametrize("argv, field", [
+    (["pathint", "--quad-degree", "0"], "quad_degree"),
+    (["pathint", "--quad-degree", str(MAX_DEGREE + 1)], "quad_degree"),
+    (["verify", "--quad-degree", "0"], "quad_degree"),
+    (["verify", "--quad-degree", str(MAX_DEGREE + 1)], "quad_degree"),
+    (["spectrum", "--max-p", "-1"], "max_p"),
+    (["spectrum", "--max-zone", "-1"], "max_zone"),
+], ids=["pathint-deg0", "pathint-deg-max", "verify-deg0", "verify-deg-max",
+        "spectrum-max-p", "spectrum-max-zone"])
+def test_out_of_range_exit_2(capsys, monkeypatch, argv, field):
+    # a value outside its range is a config error, caught before any
+    # computation (not a numeric ERROR, and not silently replaced)
+    monkeypatch.setattr(pathint, "cylinder_value", _refuse)
+    monkeypatch.setattr(verify, "run_suite", _refuse)
+    monkeypatch.setattr(spectrum, "spectrum_table", _refuse)
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert f"error: config field '{field}'" in captured.err
+
+
+# ---------------------------------------------------------------------------
+# start-up: each subcommand loads only the layers it runs
+# ---------------------------------------------------------------------------
+
+_LOADED = """
+import contextlib, io, json, sys
+from zeemanzones import cli
+if sys.argv[1:]:
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(sys.argv[1:])
+else:
+    cli.build_parser()
+    code = 0
+print(json.dumps({"code": code,
+                  "modules": sorted(m for m in sys.modules
+                                    if m.split(".")[0] == "zeemanzones"),
+                  "futures": "concurrent.futures" in sys.modules}))
+"""
+_BASE = {"cli", "params"}
+_TRACE = {"thermo", "kernels", "quadrature", "special", "spectrum", "exact"}
+
+
+@pytest.mark.parametrize("argv, adds", [
+    ([], set()),
+    (["spectrum", "--max-p", "1"], {"spectrum", "exact"}),
+    (["kernel", "--times", "0.5"], {"kernels", "quadrature", "special"}),
+    (["pathint", "--quad-degree", "8", "--n-slices", "1"],
+     {"pathint", "kernels", "quadrature", "special"}),
+    (["partition", "--times", "0.5"], _TRACE),
+    (["zeta", "--s-values", "3"], _TRACE),
+    (["verify", "--suite", "laguerre"],
+     {p.stem for p in (SRC / "zeemanzones").glob("*.py")} - {"__init__"}),
+], ids=["parser", "spectrum", "kernel", "pathint", "partition", "zeta",
+        "verify"])
+def test_subcommand_imports(argv, adds):
+    # a fresh interpreter, as every CLI job starts
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-c", _LOADED, *argv], env=env,
+                          capture_output=True, text=True, check=True)
+    doc = json.loads(proc.stdout)
+    assert doc["code"] == 0
+    assert doc["modules"] == sorted(
+        {"zeemanzones"} | {f"zeemanzones.{m}" for m in _BASE | adds})
+    # only verify's thread pool needs concurrent.futures
+    assert doc["futures"] == (argv[:1] == ["verify"])
+
+
+def test_package_names_resolve():
+    for name in zeemanzones.__all__:
+        assert getattr(zeemanzones, name) is not None, name
+    assert zeemanzones.zonal_kernel_closed is kernels.zonal_kernel_closed
+    with pytest.raises(AttributeError):
+        zeemanzones.no_such_name
 
 
 # ---------------------------------------------------------------------------
@@ -213,13 +301,13 @@ def test_kernel_one_pair_config(capsys, tmp_path):
 
 def test_kernel_one_call_per_time(capsys, tmp_path, monkeypatch):
     calls = []
-    evaluate = cli.zonal_kernel_closed
+    evaluate = kernels.zonal_kernel_closed
 
     def counted(*args, **kwargs):
         calls.append(args[2])
         return evaluate(*args, **kwargs)
 
-    monkeypatch.setattr(cli, "zonal_kernel_closed", counted)
+    monkeypatch.setattr(kernels, "zonal_kernel_closed", counted)
     cfg = _kernel_config(tmp_path, [(1.0, 2)], _random_pairs(16, 2))
     code, out = run_cli(capsys, "kernel", "--config", cfg,
                         "--times", "0.1,0.5,1")
@@ -322,8 +410,6 @@ def test_pathint_k4_chain(tmp_path, capsys, sigma):
 
 
 def test_pathint_matrix_ceiling_exit_3(tmp_path, capsys, monkeypatch):
-    from zeemanzones import pathint
-
     assert 24 ** 5 > pathint.STEP_ENTRY_CEILING
 
     def no_grid(*args, **kwargs):
@@ -346,6 +432,21 @@ def test_verify_suite_pass_exit_0(capsys):
     code, out = run_cli(capsys, "verify", "--suite", "laguerre")
     assert code == 0
     assert json.loads(out)["summary"]["FAIL"] == 0
+
+
+def test_verify_timings_side_file(capsys, tmp_path):
+    # the report on stdout is the same with and without --timings; the
+    # wall seconds go to the side file only
+    _, plain = run_cli(capsys, "verify", "--suite", "laguerre")
+    path = tmp_path / "timings.json"
+    code, timed = run_cli(capsys, "verify", "--suite", "laguerre",
+                          "--timings", str(path))
+    assert code == 0
+    assert timed == plain
+    timings = json.loads(path.read_text())
+    ids = [c["check_id"] for c in json.loads(plain)["checks"]]
+    assert list(timings) == ids
+    assert all(isinstance(v, float) and v >= 0.0 for v in timings.values())
 
 
 # ---------------------------------------------------------------------------

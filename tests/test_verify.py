@@ -161,6 +161,21 @@ def test_pathint_checks_report_what_ran():
                                            else 30)
 
 
+@pytest.mark.parametrize("check_id", [
+    *[cid for cid, suite, _ in CHECKS if suite == "thermo"],
+    *[f"zonal_{sigma}.{name}" for sigma in ("wk", "df")
+      for name in ("closed_vs_numeric_a0", "closed_vs_numeric_a1",
+                   "lt1_printed")]])
+def test_checks_report_what_ran(check_id):
+    func = dict((cid, fn) for cid, _, fn in CHECKS)[check_id]
+    r = verify._run_one(check_id, func, {})
+    assert r.status == "PASS"
+    assert r.params
+    if check_id.startswith("zonal_"):
+        assert r.params["sigma"] == [check_id[6:8]]
+        assert r.params["t"] == [0.5, 1.0]
+
+
 def test_nan_residual_is_not_pass(monkeypatch):
     # a NaN kernel must not report PASS 0.0 (max(0.0, nan) is 0.0)
     monkeypatch.setattr(verify, "projection_kernel", lambda *args: np.nan)
