@@ -319,7 +319,7 @@ def cmd_verify(cfg):
     from . import verify
     results = verify.run_suite(cfg["suite"],
                                {"quad_degree": _check_quad_degree(cfg),
-                                "threads": int(cfg["threads"])})
+                                "threads": _check_range(cfg, "threads", 1)})
     write_out(verify.report_json(results) + "\n", cfg["out"])
     if cfg["timings"] is not None:
         write_out(verify.timings_json(results) + "\n", cfg["timings"])
@@ -347,15 +347,14 @@ def build_parser():
         description="zonal Zeeman spectra, kernels, traces and verification")
     sub = p.add_subparsers(dest="command", required=True)
 
+    # each subcommand takes only the flags it reads
     def common(sp):
         sp.add_argument("--config", metavar="PATH")
         sp.add_argument("--out", metavar="PATH")
-        sp.add_argument("--format", choices=("csv", "json"))
-        sp.add_argument("--quad-degree", type=int, dest="quad_degree")
-        sp.add_argument("--threads", type=int)
         return sp
 
     sp = common(sub.add_parser("spectrum", help="eigenvalue table by zone"))
+    sp.add_argument("--format", choices=("csv", "json"))
     sp.add_argument("--max-p", type=int, dest="max_p")
     sp.add_argument("--max-zone", type=int, dest="max_zone")
 
@@ -376,9 +375,12 @@ def build_parser():
     sp.add_argument("--zone", type=int)
     sp.add_argument("--total-time", type=float, dest="total_time")
     sp.add_argument("--n-slices", type=_int_list, dest="n_slices")
+    sp.add_argument("--quad-degree", type=int, dest="quad_degree")
 
     sp = common(sub.add_parser("verify", help="run the verification harness"))
     sp.add_argument("--suite")
+    sp.add_argument("--quad-degree", type=int, dest="quad_degree")
+    sp.add_argument("--threads", type=int)
     sp.add_argument("--timings", metavar="PATH",
                     help="also write {check_id: seconds} to PATH")
     return p

@@ -3,9 +3,11 @@
 Each check computes a residual and compares it to a fixed tolerance;
 quadrature non-convergence, singular times and any other exception a
 check raises surface as ERROR, never as FAIL, so numerical limitations
-cannot masquerade as mathematical failure.  Check ordering and JSON
-output are deterministic: wall times are kept on the in-memory results
-and written only by `timings_json`.
+cannot masquerade as mathematical failure.  Most checks are declared
+as sweeps (`_sweep`, `_holds`): a case function and the named axes it
+runs over, which are also the params the check reports.  Check ordering
+and JSON output are deterministic: wall times are kept on the in-memory
+results and written only by `timings_json`.
 """
 
 from __future__ import annotations
@@ -15,8 +17,8 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
-from itertools import accumulate, combinations
+from functools import partial, reduce
+from itertools import combinations, product
 
 import numpy as np
 
@@ -40,6 +42,7 @@ from .spectrum import (build_eigenfunction, radial_operator_residual,
 SUITES = ("laguerre", "spectrum", "projections", "global_kernels",
           "zonal_wk", "zonal_df", "thermo", "pathint")
 
+_SIGMAS = ("wk", "df")
 _P2 = MagneticParams.make([(1.0, 2)])
 _P2B = MagneticParams.make([(2.0, 2)])
 _P4 = MagneticParams.make([(1.0, 2), (2.0, 2)])
@@ -47,6 +50,13 @@ _X0 = np.array([0.3, -0.2])
 _Y0 = np.array([0.1, 0.4])
 _X4 = np.array([0.3, -0.2, 0.15, 0.25])
 _Y4 = np.array([0.1, 0.4, -0.3, 0.05])
+_ZONES = (0, 1, 2, 3)
+_TIMES = (0.5, 1.0)
+_S_T = ((0.2, 0.3), (0.5, 0.5))     # (s, t) pairs of the CK checks
+_K4_DEGREE = 24                     # every k=4 rule: 24^4 nodes
+_GEOMETRIES = ((1, 2), (2, 2), (1, 4))    # one-block (lambda, k), exact
+_LAG_GRID = np.linspace(0.0, 8.0, 17)
+_MOMENT_C = np.array([0.4 - 0.2j, -0.3 + 0.1j, 0.2, 0.5j])
 
 
 @dataclass
@@ -65,14 +75,18 @@ class CheckResult:
                 "status": self.status, "note": self.note}
 
 
-def _ran(geometries=(), **fields) -> dict:
-    """What a check ran with, for its report: the parameter sets as
-    [lambda, k] block lists (when given), then `fields`, tuples as lists."""
-    out = {"geometries": [[[b.lam, b.k] for b in p.blocks]
-                          for p in geometries]} if geometries else {}
-    out.update((key, list(v) if isinstance(v, tuple) else v)
-               for key, v in fields.items())
-    return out
+def _plain(v):
+    """v as JSON values: a parameter set as its [lambda, k] blocks, arrays,
+    ranges and tuples as lists, complex numbers as [re, im]."""
+    if isinstance(v, MagneticParams):
+        return [[b.lam, b.k] for b in v.blocks]
+    if isinstance(v, dict):
+        return {key: _plain(x) for key, x in v.items()}
+    if isinstance(v, np.ndarray):
+        v = v.tolist()
+    if isinstance(v, (list, tuple, range)):
+        return [_plain(x) for x in v]
+    return [v.real, v.imag] if isinstance(v, complex) else v
 
 
 def _cfg_degree(config: dict, default: int) -> int:
@@ -91,51 +105,45 @@ def _worst(values):
     return worst
 
 
-def _first_failure(failures):
-    """A pass/fail check result: `failures` lazily yields a note per
-    failing case, and the first one (if any) is reported."""
-    note = next(iter(failures), None)
-    return (0.0, 0.0, "") if note is None else (1.0, 0.0, note)
+def _points(axes: dict):
+    """Each point of the axes' product as {name: value}, last axis fastest."""
+    return (dict(zip(axes, values)) for values in product(*axes.values()))
 
 
-# ---------------------------------------------------------------------------
-# laguerre suite
-# ---------------------------------------------------------------------------
-
-def _chk_lag_recurrence(config):
-    res = []
-    grid = np.linspace(0.0, 8.0, 17)
-    for alpha in range(5):
-        for n in range(13):
-            exact = laguerre_exact(alpha, n)
-            if laguerre_recurrence_exact(alpha, n) != exact:
-                return 1.0, 0.0, "recurrence coefficients differ"
-            vals = laguerre(alpha, n, grid)
-            ref = np.array([float(peval([float(c) for c in exact], t))
-                            for t in grid])
-            res.append(float(np.max(np.abs(vals - ref) / (1.0 + np.abs(ref)))))
-    return _worst(res), 1e-10, ""
+def _sweep(case, tol, note="", degree=None, ran=(), **axes):
+    """A check whose residual is the worst case(**point) over the points of
+    `axes` (each case also gets deg=_cfg_degree(config, degree) if degree is
+    given); it reports that degree, the axes, then `ran`, what cases fix."""
+    def check(config):
+        deg = {} if degree is None else {"deg": _cfg_degree(config, degree)}
+        residual = _worst(case(**deg, **point) for point in _points(axes))
+        used = {"quad_degree": deg["deg"]} if deg else {}
+        return residual, tol, note, _plain({**used, **axes, **dict(ran)})
+    return check
 
 
-def _chk_lag_rodrigues(config):
-    return _first_failure(f"alpha={alpha}, a={a}" for alpha in range(4)
-                          for a in range(6) if not rodrigues_check(alpha, a))
+def _holds(case, ran=(), **axes):
+    """An exact check: case(**point) must be true at every point of `axes`;
+    the note names the first point where it is not."""
+    def check(config):
+        bad = next((p for p in _points(axes) if not case(**p)), None)
+        note = "" if bad is None else ", ".join(
+            f"{name}={_plain(v)}" for name, v in bad.items())
+        return float(bad is not None), 0.0, note, _plain({**axes, **dict(ran)})
+    return check
 
 
-def _chk_lag_derivative(config):
-    return _first_failure(
-        f"alpha={alpha}, a={a}" for alpha in range(5) for a in range(1, 13)
-        if ptrim(pderiv(laguerre_exact(alpha, a)))
-        != ptrim(pscale(laguerre_exact(alpha + 1, a - 1), -1)))
-
-
-def _chk_lag_sum(config):
-    # partial sums of L_0^{(alpha)} .. L_a^{(alpha)} against L_a^{(alpha+1)}
-    return _first_failure(
-        f"alpha={alpha}, a={a}" for alpha in range(5)
-        for a, acc in enumerate(accumulate(
-            (laguerre_exact(alpha, j) for j in range(13)), padd))
-        if ptrim(acc) != laguerre_exact(alpha + 1, a))
+# --- laguerre suite --------------------------------------------------------
+def _lag_float_gap(alpha, n):
+    """Largest relative gap of the float recurrence from the explicit
+    L_n^{(alpha)} on _LAG_GRID; inf if the exact recurrence differs."""
+    exact = laguerre_exact(alpha, n)
+    if laguerre_recurrence_exact(alpha, n) != exact:
+        return np.inf
+    ref = np.array([float(peval([float(c) for c in exact], t))
+                    for t in _LAG_GRID])
+    return float(np.max(np.abs(laguerre(alpha, n, _LAG_GRID) - ref)
+                        / (1.0 + np.abs(ref))))
 
 
 def _rec3_residual(alpha, a, lower):
@@ -147,192 +155,193 @@ def _rec3_residual(alpha, a, lower):
                 pscale(L[0], lower))
 
 
-def _chk_lag_rec3(config):
-    for alpha in range(5):
-        for a in range(1, 13):
-            res = _rec3_residual(alpha, a, a + alpha)
-            worst = float(max(abs(c) for c in res))
-            if worst:
-                return worst, 0.0, f"alpha={alpha}, a={a}"
-    return 0.0, 0.0, ""
+def _moment_gap(deg, k, A):
+    """Relative error of the rule for int exp(-A|U|^2/2 + U.C) dU on R^k."""
+    C = _MOMENT_C[:k]
+    ref = gaussian_moment_integral(A, C, k)
+    nodes, w = QuadRule(deg if k <= 2 else _K4_DEGREE,
+                        (A.real / 2,) * k).nodes_weights()
+    vals = np.exp(-0.5 * A * np.sum(nodes ** 2, axis=-1) + nodes @ C)
+    return abs(tree_sum(w * vals) - ref) / abs(ref)
 
 
-def _chk_lag_composition(config):
-    return _first_failure(f"alpha={alpha}, n={n}" for alpha in range(4)
-                          for n in range(9)
-                          if not laguerre_composition_check(alpha, n))
+# cases look functions up when they run (a lambda, not the function), so a
+# rebinding of this module's imports (a monkeypatch, a tracer) reaches them
+_LAGUERRE = [
+    ("laguerre.recurrence_vs_explicit", _sweep(
+        _lag_float_gap, 1e-10, ran={"t": _LAG_GRID}, alpha=range(5),
+        n=range(13))),
+    ("laguerre.rodrigues", _holds(lambda alpha, a: rodrigues_check(alpha, a),
+                                  alpha=range(4), a=range(6))),
+    ("laguerre.derivative_identity", _holds(
+        lambda alpha, a: ptrim(pderiv(laguerre_exact(alpha, a)))
+        == ptrim(pscale(laguerre_exact(alpha + 1, a - 1), -1)),
+        alpha=range(5), a=range(1, 13))),
+    # partial sums of L_0^{(alpha)} .. L_a^{(alpha)} against L_a^{(alpha+1)}
+    ("laguerre.sum_identity", _holds(
+        lambda alpha, a: ptrim(reduce(padd, (laguerre_exact(alpha, j)
+                                             for j in range(a + 1))))
+        == laguerre_exact(alpha + 1, a),
+        alpha=range(5), a=range(13))),
+    ("laguerre.rec3_identity", _holds(
+        lambda alpha, a: not any(_rec3_residual(alpha, a, a + alpha)),
+        alpha=range(5), a=range(1, 13))),
+    ("laguerre.composition", _holds(
+        lambda alpha, n: laguerre_composition_check(alpha, n),
+        alpha=range(4), n=range(9))),
+    ("laguerre.gaussian_moment_quadrature", _sweep(
+        _moment_gap, 1e-9, degree=40,
+        ran={"C": _MOMENT_C, "k4_quad_degree": _K4_DEGREE},
+        k=(1, 2, 4), A=(1.0, 1.0 + 0.5j, 2.0 - 1.0j))),
+]
 
 
-def _chk_gaussian_moment(config):
-    res = []
-    for k in (1, 2, 4):
-        for A in (1.0, 1.0 + 0.5j, 2.0 - 1.0j):
-            C = np.array([0.4 - 0.2j, -0.3 + 0.1j, 0.2, 0.5j][:k])
-            ref = gaussian_moment_integral(A, C, k)
-            rule = QuadRule(_cfg_degree(config, 40) if k <= 2 else 24,
-                            (A.real / 2,) * k)
-            nodes, w = rule.nodes_weights()
-            vals = np.exp(-0.5 * A * np.sum(nodes ** 2, axis=-1)
-                          + nodes @ C)
-            res.append(abs(tree_sum(w * vals) - ref) / abs(ref))
-    return _worst(res), 1e-9, ""
+# --- spectrum suite --------------------------------------------------------
+def _eigenfunctions(geometry, order):
+    """(eigenfunction, params) of each order tuple summing to `order`."""
+    lam, k = geometry
+    params = MagneticParams.make([(float(lam), k)])
+    return ((build_eigenfunction(lt, params), params)
+            for lt in _compositions(order, k))
 
 
-# ---------------------------------------------------------------------------
-# spectrum suite
-# ---------------------------------------------------------------------------
-
-def _eigenfunctions(geometries, total):
-    """(lam, k, l, eigenfunction, params) for each single-block geometry
-    (lam, k), with lam exact, and each Hermite order tuple l of total
-    order <= total."""
-    for lam, k in geometries:
-        params = MagneticParams.make([(float(lam), k)])
-        for tot in range(total + 1):
-            for lt in _compositions(tot, k):
-                yield Fraction(lam), k, lt, build_eigenfunction(lt, params), params
-
-
-def _chk_eigen_residual(config):
-    def failures():
-        for lam, k, lt, hp, _ in _eigenfunctions(
-                ((1, 2), (2, 2), (1, 4), (2, 4)), 4):
-            c_f = box_field_constant(lam, k)
-            for m, comp in split_by_magnetic(hp).items():
-                mu = box_eigenvalue_exact(comp.holo_degree(), lam, k, c_f)
-                if apply_box(comp, lam, c_f) != comp * mu:
-                    yield f"lam={lam}, k={k}, l={lt}, m={m}"
-    return _first_failure(failures())
-
-
-def _chk_vandermonde(config):
-    return _first_failure(
-        f"lam={lam}, k={k}, l={lt}" for lam, k, lt, hp, params
-        in _eigenfunctions(((1, 2), (2, 2), (1, 4)), 3)
-        if vandermonde_split(hp, sum(lt), params) != split_by_magnetic(hp))
+def _box_eigen(geometry, order):
+    """Each magnetic part of each eigenfunction is a box eigenfunction."""
+    lam, k = Fraction(geometry[0]), geometry[1]
+    c_f = box_field_constant(lam, k)
+    return all(apply_box(comp, lam, c_f)
+               == comp * box_eigenvalue_exact(comp.holo_degree(), lam, k, c_f)
+               for hp, _ in _eigenfunctions(geometry, order)
+               for comp in split_by_magnetic(hp).values())
 
 
 def _chk_upsilon_independence(config):
     # every level of zone 0, in order, against the same level of zones 1, 2
+    ran = _plain({"geometry": (_P2, _P4), "a": (0, 1, 2), "max_p": 5})
     for params in (_P2, _P4):
         table = spectrum_table(params, H_Z, max_p=5, max_zone=2)
         ev = [[e.eigenvalue for e in table if e.zone == a] for a in (0, 1, 2)]
         for a in (1, 2):
             if len(ev[a]) != len(ev[0]) or not all(
                     abs(x - y) <= 1e-12 for x, y in zip(ev[0], ev[a])):
-                return 1.0, 0.0, f"k={params.k}, zone={a}: {ev[a]}"
-    return 0.0, 0.0, ""
+                return 1.0, 0.0, f"k={params.k}, zone={a}: {ev[a]}", ran
+    return 0.0, 0.0, "", ran
 
 
 def _chk_isochromatic(config):
+    ran = _plain({"geometry": (_P4, _P2), "a": (0, 1), "max_p": 5})
     t4 = spectrum_table(_P4, H_Z, max_p=5, max_zone=1)
     ev = {a: [e.eigenvalue for e in t4 if e.zone == a] for a in (0, 1)}
     mu = {a: [e.multiplicity for e in t4 if e.zone == a] for a in (0, 1)}
     if ev[0] != ev[1]:
-        return 1.0, 0.0, "k=4 eigenvalue sets differ"
+        return 1.0, 0.0, "k=4 eigenvalue sets differ", ran
     if mu[0] == mu[1]:
-        return 1.0, 0.0, "k=4 multiplicity vectors should differ"
+        return 1.0, 0.0, "k=4 multiplicity vectors should differ", ran
     t2 = spectrum_table(_P2, H_Z, max_p=5, max_zone=1)
     mu2 = {a: [e.multiplicity for e in t2 if e.zone == a] for a in (0, 1)}
     if mu2[0] != mu2[1]:
-        return 1.0, 0.0, "k=2 multiplicity vectors should agree"
-    return 0.0, 0.0, ""
+        return 1.0, 0.0, "k=2 multiplicity vectors should agree", ran
+    return 0.0, 0.0, "", ran
 
 
-def _chk_zone_of(config):
-    return _first_failure(f"l={l}, p={p}" for l in range(9)
-                          for p in range(l + 1) if zone_of(l, 2 * p - l) != l - p)
+_SPECTRUM = [
+    ("spectrum.eigen_residual", _holds(
+        _box_eigen, geometry=_GEOMETRIES + ((2, 4),), order=range(5))),
+    ("spectrum.vandermonde_split", _holds(
+        lambda geometry, order: all(
+            vandermonde_split(hp, order, params) == split_by_magnetic(hp)
+            for hp, params in _eigenfunctions(geometry, order)),
+        geometry=_GEOMETRIES, order=range(4))),
+    ("spectrum.upsilon_independence", _chk_upsilon_independence),
+    ("spectrum.isochromatic_zones", _chk_isochromatic),
+    ("spectrum.zone_of_consistency", _holds(
+        lambda l, p: p > l or zone_of(l, 2 * p - l) == l - p,
+        l=range(9), p=range(9))),
+    ("spectrum.magnetic_orthogonality", _holds(
+        lambda geometry, order: all(
+            gaussian_pair_integral_exact(f, g, Fraction(geometry[0])).is_zero()
+            for hp, _ in _eigenfunctions(geometry, order)
+            for f, g in combinations(split_by_magnetic(hp).values(), 2)),
+        geometry=_GEOMETRIES, order=range(5))),
+    ("spectrum.radial_laguerre", _holds(
+        lambda k, lt, n: radial_vs_laguerre(n, lt, k) and ptrim(
+            radial_operator_residual(radial_eigenpoly(n, lt, k), lt, k, n))
+        == [Fraction(0)],
+        k=(2, 4), lt=range(4), n=range(7))),
+]
 
 
-def _chk_magnetic_orthogonality(config):
-    return _first_failure(
-        f"lam={lam}, k={k}, l={lt}" for lam, k, lt, hp, _
-        in _eigenfunctions(((1, 2), (2, 2), (1, 4)), 4)
-        if any(not gaussian_pair_integral_exact(f, g, lam).is_zero()
-               for f, g in combinations(split_by_magnetic(hp).values(), 2)))
+# --- projections suite -----------------------------------------------------
+def _rule(params, degree):
+    return QuadRule(degree, params.axis_lambdas()).nodes_weights()
 
 
-def _chk_radial(config):
-    for k in (2, 4):
-        for lt in range(4):
-            for n in range(7):
-                if not radial_vs_laguerre(n, lt, k):
-                    return 1.0, 0.0, f"k={k}, l~={lt}, n={n}"
-                res = radial_operator_residual(radial_eigenpoly(n, lt, k),
-                                               lt, k, n)
-                if ptrim(res) != [Fraction(0)]:
-                    return 1.0, 0.0, f"operator residual k={k}, l~={lt}, n={n}"
-    return 0.0, 0.0, ""
-
-
-# ---------------------------------------------------------------------------
-# projections suite
-# ---------------------------------------------------------------------------
-
-def _proj_rule(params, degree):
-    return QuadRule(degree, params.axis_lambdas())
-
-
-def _proj_conv(nodes, a, b, X, Y, params):
-    """int delta^{(a)}(X, U) delta^{(b)}(U, Y) dU on the rule nodes (U, w)."""
+def _conv(left, right, X, Y, nodes):
+    """int left(X, U) right(U, Y) dU on the rule nodes (U, w)."""
     U, w = nodes
-    return tree_sum(w * projection_kernel(a, X[None, :], U, params)
-                    * projection_kernel(b, U, Y[None, :], params))
+    return tree_sum(w * left(X[None, :], U) * right(U, Y[None, :]))
 
 
-def _chk_idempotency(config):
-    res = []
-    for params, X, Y, zones, deg in (
-            (_P2, _X0, _Y0, (0, 1, 2, 3), _cfg_degree(config, 40)),
-            (_P2B, _X0, _Y0, (0, 1, 2, 3), _cfg_degree(config, 40)),
-            (_P4, _X4, _Y4, (0, 1, 2), 24)):
-        nodes = _proj_rule(params, deg).nodes_weights()
-        for a in zones:
-            conv = _proj_conv(nodes, a, a, X, Y, params)
-            res.append(abs(conv - projection_kernel(a, X, Y, params)))
-    return _worst(res), 1e-8, ""
+def _delta(a, params):
+    """delta^{(a)} on params as a kernel of (X, Y)."""
+    return partial(projection_kernel, a, params=params)
 
 
-def _chk_orthogonality(config):
-    nodes = _proj_rule(_P2, _cfg_degree(config, 40)).nodes_weights()
-    return _worst(abs(_proj_conv(nodes, a, b, _X0, _Y0, _P2))
-                  for a in range(4) for b in range(4) if a != b), 1e-8, ""
+def _idempotency(deg, geometry):
+    """Worst |delta^{(a)} * delta^{(a)} - delta^{(a)}| over the zones."""
+    X, Y, deg, zones = ((_X0, _Y0, deg, _ZONES) if geometry.k == 2
+                        else (_X4, _Y4, _K4_DEGREE, _ZONES[:3]))
+    nodes = _rule(geometry, deg)
+    return _worst(abs(_conv(_delta(a, geometry), _delta(a, geometry),
+                            X, Y, nodes)
+                      - projection_kernel(a, X, Y, geometry)) for a in zones)
 
 
-def _chk_reproducing(config):
-    res = []
-    for params in (_P2, _P2B):
-        lam = params.single_lambda
-        U, w = _proj_rule(params, _cfg_degree(config, 40)).nodes_weights()
-        zu = U[:, 0] + 1j * U[:, 1]
-        zx = _X0[0] + 1j * _X0[1]
-        for deg in range(5):
-            f = zu ** deg * np.exp(-0.5 * lam * np.abs(zu) ** 2)
-            rep = tree_sum(w * projection_kernel(0, _X0[None, :], U, params) * f)
-            ref = zx ** deg * np.exp(-0.5 * lam * abs(zx) ** 2)
-            res.append(abs(rep - ref))
-    return _worst(res), 1e-8, ""
+def _reproducing(deg, geometry, m):
+    """|delta^{(0)} applied to f = z^m e^{-lambda|z|^2/2}, minus f| at _X0."""
+    def f(U, _=None):
+        z = U[..., 0] + 1j * U[..., 1]
+        return z ** m * np.exp(-0.5 * geometry.single_lambda * np.abs(z) ** 2)
+    return abs(_conv(_delta(0, geometry), f, _X0, _X0, _rule(geometry, deg))
+               - f(_X0))
 
 
-def _chk_quad_ladder(config):
-    vals = [_proj_conv(_proj_rule(_P2, deg).nodes_weights(), 2, 2, _X0, _Y0,
-                       _P2) for deg in (20, 30, 40)]
-    return (float(_worst((abs(vals[2] - vals[1]), abs(vals[1] - vals[0])))),
-            1e-8, "")
+def _ladder_step(degrees):
+    """|change| of the zone-2 idempotency convolution between two degrees."""
+    lo, hi = (_conv(_delta(2, _P2), _delta(2, _P2), _X0, _Y0, _rule(_P2, d))
+              for d in degrees)
+    return abs(hi - lo)
 
 
 def _chk_quad_determinism(config):
-    nodes = _proj_rule(_P2, 40).nodes_weights()
-    a, b = (_proj_conv(nodes, 1, 1, _X0, _Y0, _P2) for _ in range(2))
-    return float(a != b), 0.0, "pairwise tree reduction, fixed order"
+    nodes = _rule(_P2, 40)
+    a, b = (_conv(_delta(1, _P2), _delta(1, _P2), _X0, _Y0, nodes)
+            for _ in range(2))
+    return (float(a != b), 0.0, "pairwise tree reduction, fixed order",
+            {"quad_degree": 40, "a": 1})
 
 
-# ---------------------------------------------------------------------------
-# global kernels suite
-# ---------------------------------------------------------------------------
+_PROJECTIONS = [
+    ("projections.idempotency", _sweep(
+        _idempotency, 1e-8, degree=40,
+        ran={"a": _ZONES, "k4_a": _ZONES[:3], "k4_quad_degree": _K4_DEGREE},
+        geometry=(_P2, _P2B, _P4))),
+    ("projections.orthogonality", _sweep(
+        lambda deg, a, b: 0.0 if a == b else abs(_conv(
+            _delta(a, _P2), _delta(b, _P2), _X0, _Y0, _rule(_P2, deg))),
+        1e-8, degree=40, a=_ZONES, b=_ZONES)),
+    ("projections.reproducing", _sweep(
+        _reproducing, 1e-8, degree=40, geometry=(_P2, _P2B), m=range(5))),
+    ("quadrature.convergence_ladder", _sweep(
+        _ladder_step, 1e-8, ran={"a": 2}, degrees=((20, 30), (30, 40)))),
+    ("quadrature.determinism", _chk_quad_determinism),
+]
 
+
+# --- global kernels suite --------------------------------------------------
 def _chk_pde(sigma, config):
-    rng = np.random.default_rng(42 if sigma == "wk" else 43)
+    seed = 42 if sigma == "wk" else 43
+    rng = np.random.default_rng(seed)
     res = []
     for params in (_P2, _P4):
         for _ in range(10):
@@ -340,22 +349,22 @@ def _chk_pde(sigma, config):
             X = rng.normal(scale=0.5, size=params.k)
             Y = rng.normal(scale=0.5, size=params.k)
             res.append(pde_residual(sigma, t, X, Y, params))
-    return _worst(res), 1e-6, "central FD in t (1e-4), analytic in X"
+    return _worst(res), 1e-6, "central FD in t (1e-4), analytic in X", \
+        _plain({"geometry": (_P2, _P4), "samples": 10, "seed": seed,
+                "t_range": (0.3, 1.2)})
 
 
-def _chk_global_ck_wk(config):
-    res = []
-    for s, t in ((0.2, 0.3), (0.5, 0.5)):
-        for params, X, Y in ((_P2, _X0, _Y0), (_P4, _X4, _Y4)):
-            lam = params.axis_lambdas()
-            scales = tuple(l * (1 / np.tanh(l * s) + 1 / np.tanh(l * t)) / 2
-                           for l in lam)
-            deg = _cfg_degree(config, 40) if params.k == 2 else 24
-            U, w = QuadRule(deg, scales).nodes_weights()
-            conv = tree_sum(w * global_kernel("wk", s, X[None, :], U, params)
-                            * global_kernel("wk", t, U, Y[None, :], params))
-            res.append(abs(conv - global_kernel("wk", s + t, X, Y, params)))
-    return _worst(res), 1e-7, ""
+def _global_ck(deg, s_t, geometry):
+    """|e^{-sH} * e^{-tH} - e^{-(s+t)H}| (WK) on the product's own rule."""
+    s, t = s_t
+    X, Y, deg = ((_X0, _Y0, deg) if geometry.k == 2
+                 else (_X4, _Y4, _K4_DEGREE))
+    scales = tuple(l * (1 / np.tanh(l * s) + 1 / np.tanh(l * t)) / 2
+                   for l in geometry.axis_lambdas())
+    conv = _conv(partial(global_kernel, "wk", s, params=geometry),
+                 partial(global_kernel, "wk", t, params=geometry),
+                 X, Y, QuadRule(deg, scales).nodes_weights())
+    return abs(conv - global_kernel("wk", s + t, X, Y, geometry))
 
 
 def _chk_global_df_divergence(config):
@@ -370,126 +379,83 @@ def _chk_global_df_divergence(config):
     res = abs(mods[1] / mods[0] - 1.0)
     return res, 1e-10, ("|integrand| is independent of the midpoint: the "
                         "global DF kernel is neither L1 nor L2, CK holds "
-                        "only as an oscillatory (improper) integral")
+                        "only as an oscillatory (improper) integral"), \
+        _plain({"s": s, "t": t, "U": (U0, U1)})
 
 
-# ---------------------------------------------------------------------------
-# zonal suites
-# ---------------------------------------------------------------------------
-
-def _zonal_times(config):
-    return tuple(config.get("df_times", (0.5, 1.0)))
-
-
-_ZONES = (0, 1, 2, 3)
-
-
-def _chk_zonal_closed_vs_numeric(sigma, a, config):
-    times = _zonal_times(config)
-    # the numeric oracle's rule: a+1 nodes per axis, checked at a+3
-    return _worst(abs(zonal_kernel_numeric(sigma, a, t, _X0, _Y0, params)
-                      - zonal_kernel_closed(sigma, a, t, _X0, _Y0, params).value)
-                  for params in (_P2, _P2B) for t in times), 1e-8, "", \
-        _ran((_P2, _P2B), sigma=[sigma], zones=[a], t=times,
-             rule_nodes=[a + 1])
+_GLOBAL = [
+    ("global.heat_equation", partial(_chk_pde, "wk")),
+    ("global.schrodinger_equation", partial(_chk_pde, "df")),
+    ("global.ck_wk", _sweep(_global_ck, 1e-7, degree=40,
+                            ran={"k4_quad_degree": _K4_DEGREE},
+                            s_t=_S_T, geometry=(_P2, _P4))),
+    ("global.df_divergence_note", _chk_global_df_divergence),
+]
 
 
-def _chk_lt1_printed(sigma, config):
-    times = _zonal_times(config)
-    return _worst(abs(zonal_kernel_closed(sigma, 1, t, _X0, _Y0, _P2).long_term
-                      - lt1_printed(sigma, t, _X0, _Y0)
-                      * zonal0(sigma, t, _X0, _Y0, _P2))
-                  for t in times), \
-        1e-12, "printed k=2, lambda=1 long-term factor", \
-        _ran((_P2,), sigma=[sigma], zones=[1], t=times)
-
-
-def _chk_zonal_ck(sigma, config):
-    res = []
-    deg = _cfg_degree(config, 40)
-    U, w = _proj_rule(_P2, deg).nodes_weights()
-    for s, t in ((0.2, 0.3), (0.5, 0.5)):
-        for a in _ZONES:
-            conv = tree_sum(
-                w * zonal_kernel_closed(sigma, a, s, _X0[None, :], U, _P2).value
-                * zonal_kernel_closed(sigma, a, t, U, _Y0[None, :], _P2).value)
-            ref = zonal_kernel_closed(sigma, a, s + t, _X0, _Y0, _P2).value
-            res.append(abs(conv - ref))
-    return _worst(res), 1e-7, "", {"zones": list(_ZONES)}
+# --- zonal suites ----------------------------------------------------------
+def _zonal_ck(deg, sigma, s_t, a):
+    s, t = s_t
+    conv = _conv(lambda X, Y: zonal_kernel_closed(sigma, a, s, X, Y, _P2).value,
+                 lambda X, Y: zonal_kernel_closed(sigma, a, t, X, Y, _P2).value,
+                 _X0, _Y0, _rule(_P2, deg))
+    return abs(conv - zonal_kernel_closed(sigma, a, s + t, _X0, _Y0, _P2).value)
 
 
 def _chk_delta_limit(sigma, config):
+    times = (1e-1, 1e-2, 1e-3)
+    ran = _plain({"sigma": (sigma,), "a": _ZONES, "t": times})
     for a in _ZONES:
         gaps = [_worst(abs(zonal_kernel_closed(sigma, a, t, X, Y, _P2).value
                            - projection_kernel(a, X, Y, _P2))
                        for X, Y in ((_X0, _Y0), (_X0, _X0), (_Y0, 0 * _Y0)))
-                for t in (1e-1, 1e-2, 1e-3)]
+                for t in times]
         if not (gaps[0] > gaps[1] > gaps[2]):
-            return 1.0, 0.0, f"a={a}: gaps {gaps}", {"zones": list(_ZONES)}
-    return 0.0, 0.0, "", {"zones": list(_ZONES)}
+            return 1.0, 0.0, f"a={a}: gaps {gaps}", ran
+    return 0.0, 0.0, "", ran
 
 
-def _chk_lt_vanish(sigma, config):
-    return (_worst(abs(zonal_kernel_closed(sigma, a, 0.0, _X0, _Y0,
-                                           _P2).long_term) for a in _ZONES),
-            0.0, "factor 1 - e^{-2 sigma t} at t=0", {"zones": list(_ZONES)})
+def _zonal_checks(sigma):
+    """(check_id, check) for the seven checks of suite zonal_<sigma>."""
+    one = (sigma,)
+    return [(f"zonal_{sigma}.{name}", check) for name, check in (
+        # the numeric oracle's rule: a+1 nodes per axis, checked at a+3
+        *[(f"closed_vs_numeric_a{a}", _sweep(
+            lambda sigma, a, geometry, t: abs(
+                zonal_kernel_numeric(sigma, a, t, _X0, _Y0, geometry)
+                - zonal_kernel_closed(sigma, a, t, _X0, _Y0, geometry).value),
+            1e-8, ran={"rule_nodes": a + 1}, sigma=one, a=(a,),
+            geometry=(_P2, _P2B), t=_TIMES)) for a in (0, 1)],
+        ("lt1_printed", _sweep(
+            lambda sigma, t: abs(
+                zonal_kernel_closed(sigma, 1, t, _X0, _Y0, _P2).long_term
+                - lt1_printed(sigma, t, _X0, _Y0)
+                * zonal0(sigma, t, _X0, _Y0, _P2)),
+            1e-12, "printed k=2, lambda=1 long-term factor",
+            ran={"a": 1, "geometry": _P2}, sigma=one, t=_TIMES)),
+        ("chapman_kolmogorov", _sweep(_zonal_ck, 1e-7, degree=40, sigma=one,
+                                      s_t=_S_T, a=_ZONES)),
+        ("delta_limit", partial(_chk_delta_limit, sigma)),
+        ("longterm_vanish_t0", _sweep(
+            lambda sigma, a: abs(zonal_kernel_closed(sigma, a, 0.0, _X0, _Y0,
+                                                     _P2).long_term),
+            0.0, "factor 1 - e^{-2 sigma t} at t=0", ran={"t": 0.0},
+            sigma=one, a=_ZONES)),
+        ("spectral_series", _sweep(
+            lambda sigma, a, t: abs(
+                zonal_series_value(sigma, a, t, _X0, _Y0, 1.0, levels=12)
+                - zonal_kernel_closed(sigma, a, t, _X0, _Y0, _P2).value),
+            1e-6, "exact eigenbasis, 12 levels", sigma=one, a=_ZONES,
+            t=_TIMES)))]
 
 
-def _chk_spectral_series(sigma, config):
-    return (_worst(abs(zonal_series_value(sigma, a, t, _X0, _Y0, 1.0, levels=12)
-                       - zonal_kernel_closed(sigma, a, t, _X0, _Y0, _P2).value)
-                   for a in _ZONES for t in _zonal_times(config) if t >= 0.5),
-            1e-6, "exact eigenbasis, 12 levels", {"zones": list(_ZONES)})
-
-
-# ---------------------------------------------------------------------------
-# thermo suite
-# ---------------------------------------------------------------------------
-
-def _partition_gap(value, times=(0.5, 1.0), **ran):
-    """Largest |value(sigma, a, t, params) - partition| over both
-    geometries, both flows, zones 0-2 and the given times, with what ran."""
-    geometries, sigmas, zones = (_P2, _P4), ("wk", "df"), (0, 1, 2)
-    return _worst(abs(value(sigma, a, t, params)
-                      - thermo.partition(sigma, a, t, params))
-                  for params in geometries for sigma in sigmas
-                  for a in zones for t in times), \
-        _ran(geometries, sigma=sigmas, zones=zones, t=times, **ran)
-
-
-# a zone-a plane trace uses the exact (a+1)-node rule, checked at a+3
-
-def _chk_trace_vs_closed(config):
-    gap, ran = _partition_gap(thermo.partition_by_trace, rule_nodes=[1, 2, 3])
-    return gap, 1e-7, "", ran
-
-
-def _chk_spectral_sum(config):
-    gap, ran = _partition_gap(partial(thermo.partition_spectral, levels=200),
-                              levels=200)
-    return gap, 1e-8, "200 levels + analytic geometric tail", ran
-
-
-def _chk_dominant_trace(config):
-    gap, ran = _partition_gap(thermo.dominant_trace, (0.5,), rule_nodes=[1])
-    return gap, 1e-7, "", ran
-
-
-def _chk_longterm_trace(config):
-    geometries, sigmas, times = (_P2, _P4), ("wk", "df"), (0.5, 1.0)
-    return _worst(abs(thermo.longterm_trace(sigma, t, params))
-                  for params in geometries for sigma in sigmas
-                  for t in times), 1e-7, "zero trace class", \
-        _ran(geometries, sigma=sigmas, zones=[1], t=times, rule_nodes=[1, 2])
-
-
-def _chk_riemann_relation(config):
-    s_values, zones = (2.0, 2.5, 3.0, 4.0), (0, 1, 2)
-    return _worst(abs(thermo.zeta_zonal(a, s, _P2)
-                      - (1 - 2.0 ** (-s)) * thermo.riemann_zeta(s))
-                  for s in s_values for a in zones), \
-        1e-8, "zone-independent for k=2", \
-        _ran((_P2,), zones=zones, s=s_values)
+# --- thermo suite ----------------------------------------------------------
+def _partition_gap(value, tol, note="", t=_TIMES, **ran):
+    """Worst |value - partition| over geometries, flows, zones 0-2, times t."""
+    return _sweep(lambda geometry, sigma, a, t: abs(
+        value(sigma, a, t, geometry) - thermo.partition(sigma, a, t, geometry)),
+        tol, note, ran=ran, geometry=(_P2, _P4), sigma=_SIGMAS, a=(0, 1, 2),
+        t=t)
 
 
 def _chk_hurwitz_conditional(config):
@@ -506,44 +472,40 @@ def _chk_hurwitz_conditional(config):
                       ", ".join(f"c_f={c}: {r:.3e}"
                                 for c, r in residuals.items()) +
                       f"; best c_f={best}"), \
-        _ran(s=[s], c_f=shifts, terms=terms)
+        _plain({"s": s, "c_f": shifts, "terms": terms})
 
 
-def _chk_mehler_comparison(config):
-    geometries, zones, times = (_P2, _P2B), (0, 1), (0.5, 1.0, 2.0)
-    return *_first_failure(
-        f"lam={params.single_lambda}, a={a}, t={t}"
-        for params in geometries for a in zones for t in times
-        if not 0.0 < thermo.partition("wk", a, t, params).real
-        < thermo.mehler_comparison_bound(a, t, params)), \
-        _ran(geometries, sigma=["wk"], zones=zones, t=times)
+_THERMO = [
+    # a zone-a plane trace uses the exact (a+1)-node rule, checked at a+3
+    ("thermo.trace_vs_closed", _partition_gap(
+        lambda *case: thermo.partition_by_trace(*case), 1e-7,
+        rule_nodes=(1, 2, 3))),
+    ("thermo.spectral_sum", _partition_gap(
+        lambda *case: thermo.partition_spectral(*case, levels=200), 1e-8,
+        "200 levels + analytic geometric tail", levels=200)),
+    ("thermo.dominant_trace", _partition_gap(
+        lambda *case: thermo.dominant_trace(*case), 1e-7, t=(0.5,),
+        rule_nodes=1)),
+    ("thermo.longterm_trace_zero", _sweep(
+        lambda geometry, sigma, t: abs(thermo.longterm_trace(sigma, t, geometry)),
+        1e-7, "zero trace class", ran={"a": 1, "rule_nodes": (1, 2)},
+        geometry=(_P2, _P4), sigma=_SIGMAS, t=_TIMES)),
+    ("thermo.riemann_relation", _sweep(
+        lambda s, a: abs(thermo.zeta_zonal(a, s, _P2)
+                         - (1 - 2.0 ** (-s)) * thermo.riemann_zeta(s)),
+        1e-8, "zone-independent for k=2", ran={"geometry": _P2},
+        s=(2.0, 2.5, 3.0, 4.0), a=(0, 1, 2))),
+    ("thermo.hurwitz_conditional", _chk_hurwitz_conditional),
+    ("thermo.mehler_comparison", _holds(
+        lambda geometry, a, t: 0.0
+        < thermo.partition("wk", a, t, geometry).real
+        < thermo.mehler_comparison_bound(a, t, geometry),
+        ran={"sigma": "wk"}, geometry=(_P2, _P2B), a=(0, 1),
+        t=(0.5, 1.0, 2.0))),
+]
 
 
-# ---------------------------------------------------------------------------
-# pathint suite
-# ---------------------------------------------------------------------------
-
-def _chain_params(deg, sigmas, times, slices):
-    """What a pathint check ran: the effective grid degree and the
-    (sigma, T, n) sets."""
-    return _ran(quad_degree=deg, sigma=sigmas, T=times, n=slices)
-
-
-def _chk_slicing_invariance(config):
-    res = []
-    deg = _cfg_degree(config, 24)
-    for sigma in ("wk", "df"):
-        for T in (0.3, 1.0):
-            ref = zonal_kernel_closed(sigma, 0, T, _X0, _Y0, _P2).value
-            for n in (1, 2, 3, 4):
-                got = pathint.cylinder_value(sigma, 0,
-                                             pathint.TimeSlicing(T, n),
-                                             None, _X0, _Y0, _P2, deg)
-                res.append(abs(got - ref))
-    return _worst(res), 1e-6, "", _chain_params(deg, ("wk", "df"), (0.3, 1.0),
-                                          (1, 2, 3, 4))
-
-
+# --- pathint suite ---------------------------------------------------------
 def _chk_uniform_bound(config):
     deg = _cfg_degree(config, 24)
     rep = pathint.uniform_bound_check(pathint.TimeSlicing(1.0, 3), _X0, _P2,
@@ -551,22 +513,15 @@ def _chk_uniform_bound(config):
     note = "; ".join(f"{r['F']}: |W|={r['abs']:.4f} <= {r['bound']:.4f}"
                      for r in rep["results"])
     return (float(not rep["all_ok"]), 0.0, note,
-            _chain_params(deg, ("df",), (1.0,), (3,)))
-
-
-def _chk_probability(config):
-    deg = _cfg_degree(config, 40)
-    worst = _worst(pathint.probability_conservation(t, _X0, _P2, deg)
-                   for t in (0.3, 0.7))
-    return (worst, 1e-7, "unitary zone evolution",
-            _chain_params(deg, ("df",), (0.3, 0.7), (1,)))
+            {"quad_degree": deg, "sigma": "df", "T": 1.0, "n": 3})
 
 
 def _chk_discrete_fk(config):
     deg = _cfg_degree(config, 24)
     notes = []
-    params = _chain_params(deg, ("wk", "df"), (0.5,), (1, 2, 3, 4))
-    for sigma in ("wk", "df"):
+    params = _plain({"quad_degree": deg, "sigma": _SIGMAS, "T": 0.5,
+                     "n": (1, 2, 3, 4)})
+    for sigma in _SIGMAS:
         ref = zonal_kernel_closed(sigma, 0, 0.5, _X0, _Y0, _P2).value
         res = [abs(pathint.feynman_kac_chain(
             sigma, pathint.TimeSlicing(0.5, n), _X0, _Y0, _P2, deg) - ref)
@@ -577,26 +532,6 @@ def _chk_discrete_fk(config):
     return 0.0, 0.0, "monotone in n; " + "; ".join(notes), params
 
 
-def _chk_nu_consistency(config):
-    deg = _cfg_degree(config, 24)
-    ref = complex(projection_kernel(0, _X0, _Y0, _P2))
-    worst = _worst(abs(pathint.nu_cylinder_value(pathint.TimeSlicing(1.0, n),
-                                                 None, _X0, _Y0, _P2, deg)
-                       - ref) for n in (1, 2, 3, 4))
-    return (worst, 1e-8, "n-independent by exact idempotency",
-            {"quad_degree": deg, "T": [1.0], "n": [1, 2, 3, 4]})
-
-
-def _chk_second_form(config):
-    deg = _cfg_degree(config, 24)
-    worst = _worst(pathint.second_form_residual(sigma,
-                                                pathint.TimeSlicing(T, 3),
-                                                _X0, _Y0, _P2, deg)
-                   for sigma in ("wk", "df") for T in (0.3, 1.0))
-    return (worst, 1e-8, "action-weighted chain vs kernel chain",
-            _chain_params(deg, ("wk", "df"), (0.3, 1.0), (3,)))
-
-
 def _chk_rn_consistency(config):
     deg = _cfg_degree(config, 24)
     rep2, rep4 = (pathint.radon_nikodym_consistency(
@@ -604,71 +539,54 @@ def _chk_rn_consistency(config):
     note = (f"left-action residuals n=2: {rep2['residual_left']:.3e}, "
             f"n=4: {rep4['residual_left']:.3e} (O(T/n) discretization)")
     return (_worst((rep2["residual_exact"], rep4["residual_exact"])), 1e-6, note,
-            _chain_params(deg, ("wk", "df"), (0.3,), (2, 4)))
+            _plain({"quad_degree": deg, "sigma": _SIGMAS, "T": 0.3,
+                    "n": (2, 4)}))
 
 
-# ---------------------------------------------------------------------------
-# registry and runner
-# ---------------------------------------------------------------------------
-
-CHECKS = [
-    ("laguerre.recurrence_vs_explicit", "laguerre", _chk_lag_recurrence),
-    ("laguerre.rodrigues", "laguerre", _chk_lag_rodrigues),
-    ("laguerre.derivative_identity", "laguerre", _chk_lag_derivative),
-    ("laguerre.sum_identity", "laguerre", _chk_lag_sum),
-    ("laguerre.rec3_identity", "laguerre", _chk_lag_rec3),
-    ("laguerre.composition", "laguerre", _chk_lag_composition),
-    ("laguerre.gaussian_moment_quadrature", "laguerre", _chk_gaussian_moment),
-    ("spectrum.eigen_residual", "spectrum", _chk_eigen_residual),
-    ("spectrum.vandermonde_split", "spectrum", _chk_vandermonde),
-    ("spectrum.upsilon_independence", "spectrum", _chk_upsilon_independence),
-    ("spectrum.isochromatic_zones", "spectrum", _chk_isochromatic),
-    ("spectrum.zone_of_consistency", "spectrum", _chk_zone_of),
-    ("spectrum.magnetic_orthogonality", "spectrum", _chk_magnetic_orthogonality),
-    ("spectrum.radial_laguerre", "spectrum", _chk_radial),
-    ("projections.idempotency", "projections", _chk_idempotency),
-    ("projections.orthogonality", "projections", _chk_orthogonality),
-    ("projections.reproducing", "projections", _chk_reproducing),
-    ("quadrature.convergence_ladder", "projections", _chk_quad_ladder),
-    ("quadrature.determinism", "projections", _chk_quad_determinism),
-    ("global.heat_equation", "global_kernels", partial(_chk_pde, "wk")),
-    ("global.schrodinger_equation", "global_kernels", partial(_chk_pde, "df")),
-    ("global.ck_wk", "global_kernels", _chk_global_ck_wk),
-    ("global.df_divergence_note", "global_kernels", _chk_global_df_divergence),
-    *[(f"zonal_{sigma}.{name}", f"zonal_{sigma}", partial(check, sigma, *args))
-      for sigma in ("wk", "df") for name, check, *args in (
-          ("closed_vs_numeric_a0", _chk_zonal_closed_vs_numeric, 0),
-          ("closed_vs_numeric_a1", _chk_zonal_closed_vs_numeric, 1),
-          ("lt1_printed", _chk_lt1_printed),
-          ("chapman_kolmogorov", _chk_zonal_ck),
-          ("delta_limit", _chk_delta_limit),
-          ("longterm_vanish_t0", _chk_lt_vanish),
-          ("spectral_series", _chk_spectral_series))],
-    ("thermo.trace_vs_closed", "thermo", _chk_trace_vs_closed),
-    ("thermo.spectral_sum", "thermo", _chk_spectral_sum),
-    ("thermo.dominant_trace", "thermo", _chk_dominant_trace),
-    ("thermo.longterm_trace_zero", "thermo", _chk_longterm_trace),
-    ("thermo.riemann_relation", "thermo", _chk_riemann_relation),
-    ("thermo.hurwitz_conditional", "thermo", _chk_hurwitz_conditional),
-    ("thermo.mehler_comparison", "thermo", _chk_mehler_comparison),
-    ("pathint.slicing_invariance", "pathint", _chk_slicing_invariance),
-    ("pathint.uniform_bound", "pathint", _chk_uniform_bound),
-    ("pathint.probability_conservation", "pathint", _chk_probability),
-    ("pathint.discrete_feynman_kac", "pathint", _chk_discrete_fk),
-    ("pathint.nu_consistency", "pathint", _chk_nu_consistency),
-    ("pathint.second_form_identity", "pathint", _chk_second_form),
-    ("pathint.rn_consistency", "pathint", _chk_rn_consistency),
+_PATHINT = [
+    ("pathint.slicing_invariance", _sweep(
+        lambda deg, sigma, T, n: abs(
+            pathint.cylinder_value(sigma, 0, pathint.TimeSlicing(T, n), None,
+                                   _X0, _Y0, _P2, deg)
+            - zonal_kernel_closed(sigma, 0, T, _X0, _Y0, _P2).value),
+        1e-6, degree=24, ran={"a": 0}, sigma=_SIGMAS, T=(0.3, 1.0),
+        n=(1, 2, 3, 4))),
+    ("pathint.uniform_bound", _chk_uniform_bound),
+    ("pathint.probability_conservation", _sweep(
+        lambda deg, T: pathint.probability_conservation(T, _X0, _P2, deg),
+        1e-7, "unitary zone evolution", degree=40,
+        ran={"sigma": "df", "n": 1}, T=(0.3, 0.7))),
+    ("pathint.discrete_feynman_kac", _chk_discrete_fk),
+    ("pathint.nu_consistency", _sweep(
+        lambda deg, n: abs(pathint.nu_cylinder_value(
+            pathint.TimeSlicing(1.0, n), None, _X0, _Y0, _P2, deg)
+            - complex(projection_kernel(0, _X0, _Y0, _P2))),
+        1e-8, "n-independent by exact idempotency", degree=24,
+        ran={"T": 1.0}, n=(1, 2, 3, 4))),
+    ("pathint.second_form_identity", _sweep(
+        lambda deg, sigma, T: pathint.second_form_residual(
+            sigma, pathint.TimeSlicing(T, 3), _X0, _Y0, _P2, deg),
+        1e-8, "action-weighted chain vs kernel chain", degree=24,
+        ran={"n": 3}, sigma=_SIGMAS, T=(0.3, 1.0))),
+    ("pathint.rn_consistency", _chk_rn_consistency),
 ]
+
+
+# --- registry and runner ---------------------------------------------------
+# (check_id, suite, check), in report order
+CHECKS = [(cid, suite, check) for suite, checks in zip(SUITES, (
+    _LAGUERRE, _SPECTRUM, _PROJECTIONS, _GLOBAL, _zonal_checks("wk"),
+    _zonal_checks("df"), _THERMO, _PATHINT)) for cid, check in checks]
 
 
 def _run_one(check_id, func, config) -> CheckResult:
     t0 = time.perf_counter()
     try:
-        # a check returns (residual, tolerance, note[, params it ran with])
-        residual, tolerance, note, *params = func(config)
+        # a check returns (residual, tolerance, note, params it ran with)
+        residual, tolerance, note, params = func(config)
         status = "PASS" if residual <= tolerance else "FAIL"
-        res = CheckResult(check_id, params[0] if params else {},
-                          float(residual), float(tolerance), status, note)
+        res = CheckResult(check_id, params, float(residual), float(tolerance),
+                          status, note)
     except Exception as exc:
         # one broken check (numeric or not: TypeError, MemoryError, ...)
         # is reported, never allowed to abort the rest of the run

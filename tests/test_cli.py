@@ -65,6 +65,15 @@ def test_usage_error_exit_code_2(capsys, tmp_path):
     assert code == 2
 
 
+def test_unread_flag_is_usage_error(capsys):
+    # each subcommand accepts only the flags it reads: partition runs no
+    # thread pool, so --threads is an argparse usage error
+    with pytest.raises(SystemExit) as exc:
+        main(["partition", "--threads", "2"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --threads" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("doc, command, field", [
     ({"zone": [1]}, "kernel", "zone"),
     ({"zone": [1]}, "pathint", "zone"),
@@ -95,10 +104,13 @@ def _refuse(*args, **kwargs):
     (["pathint", "--quad-degree", str(MAX_DEGREE + 1)], "quad_degree"),
     (["verify", "--quad-degree", "0"], "quad_degree"),
     (["verify", "--quad-degree", str(MAX_DEGREE + 1)], "quad_degree"),
+    (["verify", "--threads", "0"], "threads"),
+    (["verify", "--threads", "-2"], "threads"),
     (["spectrum", "--max-p", "-1"], "max_p"),
     (["spectrum", "--max-zone", "-1"], "max_zone"),
 ], ids=["pathint-deg0", "pathint-deg-max", "verify-deg0", "verify-deg-max",
-        "spectrum-max-p", "spectrum-max-zone"])
+        "verify-threads0", "verify-threads-neg", "spectrum-max-p",
+        "spectrum-max-zone"])
 def test_out_of_range_exit_2(capsys, monkeypatch, argv, field):
     # a value outside its range is a config error, caught before any
     # computation (not a numeric ERROR, and not silently replaced)

@@ -1,11 +1,12 @@
 """The verification harness: registry, statuses, determinism."""
 
+import itertools
 import json
 
 import numpy as np
 import pytest
 
-from zeemanzones import verify
+from zeemanzones import pathint, verify
 from zeemanzones.verify import (CHECKS, SUITES, CheckResult, report_json,
                                 run_suite)
 
@@ -161,11 +162,7 @@ def test_pathint_checks_report_what_ran():
                                            else 30)
 
 
-@pytest.mark.parametrize("check_id", [
-    *[cid for cid, suite, _ in CHECKS if suite == "thermo"],
-    *[f"zonal_{sigma}.{name}" for sigma in ("wk", "df")
-      for name in ("closed_vs_numeric_a0", "closed_vs_numeric_a1",
-                   "lt1_printed")]])
+@pytest.mark.parametrize("check_id", [cid for cid, _, _ in CHECKS])
 def test_checks_report_what_ran(check_id):
     func = dict((cid, fn) for cid, _, fn in CHECKS)[check_id]
     r = verify._run_one(check_id, func, {})
@@ -173,7 +170,29 @@ def test_checks_report_what_ran(check_id):
     assert r.params
     if check_id.startswith("zonal_"):
         assert r.params["sigma"] == [check_id[6:8]]
+    if check_id.split(".")[1] in ("closed_vs_numeric_a0",
+                                  "closed_vs_numeric_a1", "lt1_printed"):
         assert r.params["t"] == [0.5, 1.0]
+
+
+def test_reported_params_are_what_ran(monkeypatch):
+    # the (sigma, T, n, degree) chains slicing_invariance evaluates are
+    # exactly the product of the sets it reports
+    calls = set()
+    real = pathint.cylinder_value
+
+    def recorded(sigma, a, slicing, F, x, y, params, quad_degree=24, **kw):
+        calls.add((sigma, slicing.total_time, slicing.n_slices, quad_degree))
+        return real(sigma, a, slicing, F, x, y, params, quad_degree, **kw)
+
+    monkeypatch.setattr(pathint, "cylinder_value", recorded)
+    check_id = "pathint.slicing_invariance"
+    func = dict((cid, fn) for cid, _, fn in CHECKS)[check_id]
+    r = verify._run_one(check_id, func, {"quad_degree": 30})
+    assert r.status == "PASS"
+    p = r.params
+    assert p["quad_degree"] == 30
+    assert calls == set(itertools.product(p["sigma"], p["T"], p["n"], [30]))
 
 
 def test_nan_residual_is_not_pass(monkeypatch):
