@@ -9,7 +9,7 @@ files are stable across platforms.
 
 Exit codes: 0 success / all checks pass, 1 verification FAIL present,
 2 usage or config error (including out-of-range values), 3 numeric ERROR
-present.
+present (a `params.NumericError` from any subcommand).
 
 Start-up is part of every job, so this module loads only the standard
 library, numpy and `params` at import; each subcommand imports the
@@ -26,7 +26,7 @@ import sys
 
 import numpy as np
 
-from .params import HamiltonianVariant, MagneticParams
+from .params import HamiltonianVariant, MagneticParams, NumericError
 
 
 class ConfigError(Exception):
@@ -200,10 +200,10 @@ def _point_pairs(cfg, k):
 
 
 def cmd_kernel(cfg):
-    from .kernels import SingularTimeError, check_df_time, zonal_kernel_closed
+    from .kernels import check_df_time, zonal_kernel_closed
     params = build_params(cfg)
     sigma = _check_sigma(cfg)
-    a = int(cfg["zone"])
+    a = _check_range(cfg, "zone", 0)
     X, Y = _point_pairs(cfg, params.k)
     coords = [[repr(v) for v in row] for row in np.hstack([X, Y]).tolist()]
     buf = io.StringIO()
@@ -224,7 +224,7 @@ def cmd_kernel(cfg):
                 check_df_time(t, params)
             # one broadcast evaluation over all pairs of this time
             kv = zonal_kernel_closed(sigma, a, t, X, Y, params)
-        except SingularTimeError:
+        except NumericError:
             had_error = True
             w.writerows([repr(t)] + c + ["ERROR"] * 6 for c in coords)
             continue
@@ -238,12 +238,10 @@ def cmd_kernel(cfg):
 
 def cmd_partition(cfg):
     from . import thermo
-    from .kernels import SingularTimeError
-    from .quadrature import QuadratureError
     params = build_params(cfg)
     variant = build_variant(cfg)
     sigma = _check_sigma(cfg)
-    a = int(cfg["zone"])
+    a = _check_range(cfg, "zone", 0)
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
     w.writerow(["t", "closed_re", "closed_im", "trace_re", "trace_im",
@@ -254,7 +252,7 @@ def cmd_partition(cfg):
             z = thermo.partition(sigma, a, float(t), params, variant)
             ztr, delta = thermo.partition_trace(sigma, a, float(t), params,
                                                 variant)
-        except (SingularTimeError, QuadratureError):
+        except NumericError:
             had_error = True
             w.writerow([repr(float(t))] + ["ERROR"] * 6)
             continue
@@ -269,7 +267,7 @@ def cmd_zeta(cfg):
     from . import thermo
     params = build_params(cfg)
     variant = build_variant(cfg)
-    a = int(cfg["zone"])
+    a = _check_range(cfg, "zone", 0)
     rows = []
     # the Riemann relation holds for a single block with k=2 only
     riemann = len(params.blocks) == 1 and params.k == 2
@@ -287,30 +285,22 @@ def cmd_zeta(cfg):
 
 def cmd_pathint(cfg):
     from . import pathint
-    from .kernels import SingularTimeError, zonal_kernel_closed
-    from .quadrature import QuadratureError
+    from .kernels import zonal_kernel_closed
     params = build_params(cfg)
     sigma = _check_sigma(cfg)
-    a = int(cfg["zone"])
+    a = _check_range(cfg, "zone", 0)
     deg = _check_quad_degree(cfg)
     T = float(cfg["total_time"])
     X, Y = (Z[0] for Z in _point_pairs(cfg, params.k))
     ref = zonal_kernel_closed(sigma, a, T, X, Y, params).value
     rows = []
-    try:
-        for n in cfg["n_slices"]:
-            val = pathint.cylinder_value(sigma, a,
-                                         pathint.TimeSlicing(T, int(n)),
-                                         None, X, Y, params, quad_degree=deg)
-            rows.append({"sigma": sigma, "zone": a, "T": T, "n": int(n),
-                         "value_re": val.real, "value_im": val.imag,
-                         "reference_re": ref.real, "reference_im": ref.imag,
-                         "residual": abs(val - ref)})
-    except (SingularTimeError, QuadratureError) as exc:
-        # a numeric ERROR (exit 3), not a usage error: SingularTimeError
-        # is a ValueError, which main() would report as exit 2
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+    for n in cfg["n_slices"]:
+        val = pathint.cylinder_value(sigma, a, pathint.TimeSlicing(T, int(n)),
+                                     None, X, Y, params, quad_degree=deg)
+        rows.append({"sigma": sigma, "zone": a, "T": T, "n": int(n),
+                     "value_re": val.real, "value_im": val.imag,
+                     "reference_re": ref.real, "reference_im": ref.imag,
+                     "residual": abs(val - ref)})
     write_out(json.dumps({"convergence": rows}, indent=2) + "\n", cfg["out"])
     return 0
 
@@ -405,6 +395,10 @@ def main(argv=None) -> int:
             if key in DEFAULTS and value is not None:
                 cfg[key] = value
         return COMMANDS[args.command](cfg)
+    except NumericError as exc:
+        # before ValueError: SingularTimeError is both
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
     except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -15,12 +15,13 @@ from functools import partial, reduce
 
 import numpy as np
 
-from .params import MagneticParams, J_apply, _compositions, sigma_value
+from .params import (MagneticParams, J_apply, NumericError, _compositions,
+                     sigma_value)
 from .quadrature import QuadRule, exact_value, integrate, tree_sum
 from .special import laguerre
 
 
-class SingularTimeError(ValueError):
+class SingularTimeError(NumericError, ValueError):
     """DF evaluation at t within tolerance of a sin-zero n*pi/lambda_i."""
 
 

@@ -21,6 +21,11 @@ import numpy as np
 SIGMA = {"wk": 1.0 + 0j, "df": 1j}
 
 
+class NumericError(Exception):
+    """A computation that cannot give a trustworthy number (the CLI's
+    numeric ERROR, exit 3)."""
+
+
 def sigma_value(sigma) -> complex:
     if sigma in SIGMA:
         return SIGMA[sigma]

@@ -5,12 +5,11 @@ intermediate points with plain Lebesgue measure (the flat gauge keeps all
 Gaussian weights inside the kernels, and Lebesgue chaining is what makes
 the pinned F=1 chain collapse to d(T, x, y) exactly).
 
-F = 1 and separable integrands go through an operator chain on a shared
-tensor grid: each step applies a kernel's `plane_step` operator to a
-vector of grid values, contracting plane by plane, so no N x N step
-matrix is built.  Genuinely joint integrands take the dense tensor path,
-which refuses above a hard dimension ceiling instead of silently
-degrading.  All reductions are fixed-order pairwise trees.
+The integrand F is None (F = 1) or separable, one factor per interior
+point, and every chain is one operator chain on a shared tensor grid:
+each step applies a kernel's `plane_step` operator to a vector of grid
+values, contracting plane by plane, so no N x N step matrix is built.
+All reductions are fixed-order pairwise trees.
 """
 
 from __future__ import annotations
@@ -20,12 +19,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .params import MagneticParams, sigma_value
-from .kernels import check_df_time, plane_step, zonal_kernel_closed, zonal_step
+from .kernels import check_df_time, plane_step, zonal_step
 from .quadrature import (QuadRule, QuadratureError, tensor_points,
                          tensor_weights, tree_sum)
 
-SLICE_DIM_CEILING = 8          # n*k for the dense tensor path
-DENSE_NODE_CEILING = 40_000_000
 STEP_ENTRY_CEILING = 2 ** 22   # quad_degree^(k+1): a chain step's largest array
 
 
@@ -55,8 +52,16 @@ def slicing_grid(params: MagneticParams, quad_degree: int):
     Lebesgue weights (N,) of its points (`tensor_points` order).
 
     Chain integrands decay like e^{-lam_i |m|^2} in each intermediate
-    point (half a Gaussian from each adjacent kernel factor).
+    point (half a Gaussian from each adjacent kernel factor).  Refused
+    before anything is allocated when a grid-to-grid step's largest
+    intermediate array (quad_degree^(k+1) entries) would exceed
+    STEP_ENTRY_CEILING.
     """
+    size = int(quad_degree) ** (params.k + 1)
+    if size > STEP_ENTRY_CEILING:
+        raise QuadratureError(
+            f"chain step array of {size} entries exceeds the ceiling of "
+            f"{STEP_ENTRY_CEILING}; reduce quad_degree")
     rule = QuadRule(quad_degree, params.axis_lambdas())
     axes, wts = zip(*(rule.axis_nodes_weights(j) for j in range(rule.dim)))
     return list(axes), tensor_weights(wts)
@@ -67,18 +72,6 @@ def _point_axes(x):
     return np.asarray(x, dtype=float)[:, None]
 
 
-def _step_grid(params: MagneticParams, quad_degree: int):
-    """slicing_grid for the operator chain, refused before anything is
-    allocated when a grid-to-grid step's largest intermediate array
-    (quad_degree^(k+1) entries) would exceed STEP_ENTRY_CEILING."""
-    size = int(quad_degree) ** (params.k + 1)
-    if size > STEP_ENTRY_CEILING:
-        raise QuadratureError(
-            f"chain step array of {size} entries exceeds the ceiling of "
-            f"{STEP_ENTRY_CEILING}; reduce quad_degree")
-    return slicing_grid(params, quad_degree)
-
-
 def _check_slicing(sigma, slicing: TimeSlicing, params: MagneticParams):
     if sigma == "df":
         for j in range(1, slicing.n_slices + 1):
@@ -86,16 +79,19 @@ def _check_slicing(sigma, slicing: TimeSlicing, params: MagneticParams):
 
 
 def _interior_factors(F, n_interior, G):
-    """Per-point diagonal factors for F=None or a separable F, on the
-    points of the tensor grid G."""
+    """Per-point diagonal factors for F=None or a separable F (a list or
+    tuple of callables), on the N points of the tensor grid G; each
+    factor's values must broadcast to (N,)."""
     if F is None:
         return [None] * n_interior
-    factors = list(F)
-    if len(factors) != n_interior:
+    if not isinstance(F, (list, tuple)):
+        raise ValueError("F must be None or a sequence of per-point "
+                         f"factors, got {type(F).__name__}")
+    if len(F) != n_interior:
         raise ValueError(f"separable F needs {n_interior} factors, "
-                         f"got {len(factors)}")
-    points = tensor_points(G) if factors else None
-    return [np.asarray(f(points)) for f in factors]
+                         f"got {len(F)}")
+    points = tensor_points(G) if F else None
+    return [np.broadcast_to(f(points), (len(points),)) for f in F]
 
 
 def _chain(step, x, y, F, n_interior, params, quad_degree):
@@ -112,10 +108,11 @@ def _chain(step, x, y, F, n_interior, params, quad_degree):
     if n_interior == 0:
         _interior_factors(F, 0, None)           # a separable F must be empty
         return complex(step(x, _point_axes(y))(np.ones(1))[0])
-    G, w = _step_grid(params, quad_degree)
+    G, w = slicing_grid(params, quad_degree)
+    factors = _interior_factors(F, n_interior, G)
     inner = step(G, G) if n_interior > 1 else None
     v = step(x, G)(np.ones(1))
-    for j, f in enumerate(_interior_factors(F, n_interior, G)):
+    for j, f in enumerate(factors):
         vw = v * w if f is None else v * w * f
         if j < n_interior - 1:
             v = inner(vw)
@@ -128,48 +125,17 @@ def cylinder_value(sigma, a: int, slicing: TimeSlicing, F, x, y,
                    pinned: bool = True):
     """W_{sigma,n}^{T(a)}(F): n-fold chain of zone-a kernels against F.
 
-    F is None (constant 1), a sequence of per-interior-point callables
-    (separable), or a single callable taking the stacked interior points
-    with shape (..., n_interior, k) (dense path, dimension-limited).
-    Pinned chains have n-1 interior points and end at y; free chains
-    integrate the final point as well (n interior points, y ignored).
+    F is None (constant 1) or a list or tuple of n_interior callables,
+    one per interior point, each mapping the (N, k) grid points to N
+    values (separable F); anything else is a ValueError.  Pinned chains
+    have n-1 interior points and end at y; free chains integrate the
+    final point as well (n interior points, y ignored).
     """
-    x = np.asarray(x, dtype=float)
     _check_slicing(sigma, slicing, params)
-    n = slicing.n_slices
     dt = slicing.step
-    n_int = n - 1 if pinned else n
-
-    if F is None or isinstance(F, (list, tuple)):
-        return _chain(
-            lambda X, Y: zonal_step(sigma, a, dt, X, Y, params),
-            x, y if pinned else None, F, n_int, params, quad_degree)
-
-    # dense path for a joint integrand
-    axes, w = slicing_grid(params, quad_degree)
-    G = tensor_points(axes)
-    if n_int * params.k > SLICE_DIM_CEILING:
-        raise QuadratureError(
-            f"dense cylinder integral dimension {n_int * params.k} exceeds "
-            f"ceiling {SLICE_DIM_CEILING}")
-    N = G.shape[0]
-    if N ** n_int > DENSE_NODE_CEILING:
-        raise QuadratureError("dense cylinder grid too large; "
-                              "reduce quad_degree or n")
-    idx = np.meshgrid(*[np.arange(N)] * n_int, indexing="ij")
-    pts = G[np.stack([i.reshape(-1) for i in idx], axis=-1)]  # (M, n_int, k)
-    vals = np.asarray(F(pts)).astype(complex)
-    wts = np.ones(pts.shape[0])
-    for d in range(n_int):
-        wts = wts * w[idx[d].reshape(-1)]
-    # the chain's points in order: x, the interior points, then y if pinned
-    ends = [x[None, :]] + [pts[:, j, :] for j in range(n_int)]
-    if pinned:
-        ends.append(np.asarray(y, dtype=float)[None, :])
-    chain = 1.0
-    for X, Y in zip(ends, ends[1:]):
-        chain = chain * zonal_kernel_closed(sigma, a, dt, X, Y, params).value
-    return complex(tree_sum(vals * wts * chain))
+    return _chain(lambda X, Y: zonal_step(sigma, a, dt, X, Y, params),
+                  x, y if pinned else None, F,
+                  slicing.n_slices - int(pinned), params, quad_degree)
 
 
 def nu_cylinder_value(slicing: TimeSlicing, F, x, y,
@@ -178,8 +144,6 @@ def nu_cylinder_value(slicing: TimeSlicing, F, x, y,
     """Same chaining with the holomorphic point-spread delta^{(0)} as the
     step kernel (the time-independent nu measure); F=1 pinned gives
     delta^{(0)}(x, y) for every n by exact idempotency."""
-    if F is not None and not isinstance(F, (list, tuple)):
-        raise ValueError("nu_cylinder_value supports F=None or separable F")
     # d^{(0)} at t = 0 is delta^{(0)}
     return _chain(lambda X, Y: zonal_step("wk", 0, 0.0, X, Y, params),
                        x, y if pinned else None, F,
@@ -296,7 +260,7 @@ def probability_conservation(t: float, x, params: MagneticParams,
     """| ||psi(t)|| - 1 | for psi(0) the normalized holomorphic point
     spread at x, evolved by the DF zone flow (unitary on the zone)."""
     check_df_time(t, params)
-    G, w = _step_grid(params, quad_degree)
+    G, w = slicing_grid(params, quad_degree)
     psi0 = zonal_step("wk", 0, 0.0, _point_axes(x), G, params)(np.ones(1))
     psi0 /= np.sqrt(tree_sum(w * np.abs(psi0) ** 2).real)
     psit = zonal_step("df", 0, t, G, G, params)(psi0 * w)

@@ -28,8 +28,10 @@ from functools import lru_cache
 
 import numpy as np
 
+from .params import NumericError
 
-class QuadratureError(Exception):
+
+class QuadratureError(NumericError):
     pass
 
 

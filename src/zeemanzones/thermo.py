@@ -245,6 +245,8 @@ def zeta_zonal(a: int, s: complex, params: MagneticParams,
     multiplicity in powers of mu_p (requires Re(s) > q).
     """
     s = complex(s)
+    if a < 0:
+        raise ValueError(f"zone index must be nonnegative, got {a}")
     if not s.real > 1:
         raise ValueError("zeta_zonal implemented for Re(s) > 1 only "
                          "(no analytic continuation)")

@@ -13,10 +13,10 @@ import numpy as np
 import pytest
 
 import zeemanzones
-from zeemanzones import kernels, pathint, spectrum, verify
+from zeemanzones import kernels, pathint, spectrum, thermo, verify
 from zeemanzones.cli import ConfigError, build_params, load_config, main
-from zeemanzones.kernels import zonal_kernel_closed
-from zeemanzones.quadrature import MAX_DEGREE
+from zeemanzones.kernels import SingularTimeError, zonal_kernel_closed
+from zeemanzones.quadrature import MAX_DEGREE, QuadratureNonConvergence
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -108,20 +108,51 @@ def _refuse(*args, **kwargs):
     (["verify", "--threads", "-2"], "threads"),
     (["spectrum", "--max-p", "-1"], "max_p"),
     (["spectrum", "--max-zone", "-1"], "max_zone"),
+    (["kernel", "--zone", "-1"], "zone"),
+    (["partition", "--zone", "-1"], "zone"),
+    (["zeta", "--zone", "-1"], "zone"),
+    (["pathint", "--zone", "-1"], "zone"),
 ], ids=["pathint-deg0", "pathint-deg-max", "verify-deg0", "verify-deg-max",
         "verify-threads0", "verify-threads-neg", "spectrum-max-p",
-        "spectrum-max-zone"])
+        "spectrum-max-zone", "kernel-zone", "partition-zone", "zeta-zone",
+        "pathint-zone"])
 def test_out_of_range_exit_2(capsys, monkeypatch, argv, field):
     # a value outside its range is a config error, caught before any
     # computation (not a numeric ERROR, and not silently replaced)
     monkeypatch.setattr(pathint, "cylinder_value", _refuse)
     monkeypatch.setattr(verify, "run_suite", _refuse)
     monkeypatch.setattr(spectrum, "spectrum_table", _refuse)
+    monkeypatch.setattr(kernels, "zonal_kernel_closed", _refuse)
+    monkeypatch.setattr(thermo, "partition", _refuse)
+    monkeypatch.setattr(thermo, "zeta_zonal", _refuse)
     code = main(argv)
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
     assert f"error: config field '{field}'" in captured.err
+
+
+def _raise(exc):
+    def fail(*args, **kwargs):
+        raise exc
+    return fail
+
+
+@pytest.mark.parametrize("module, name, exc, argv", [
+    (thermo, "zeta_zonal", QuadratureNonConvergence("no"), ["zeta"]),
+    (spectrum, "spectrum_table", QuadratureNonConvergence("no"),
+     ["spectrum"]),
+    (thermo, "zeta_zonal", SingularTimeError("no"), ["zeta"]),
+], ids=["zeta-quadrature", "spectrum-quadrature", "zeta-singular"])
+def test_numeric_error_exit_3(capsys, monkeypatch, module, name, exc, argv):
+    # one policy in main(): a numeric error from any subcommand exits 3,
+    # even one that is also a ValueError
+    monkeypatch.setattr(module, name, _raise(exc))
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err == "error: no\n"
 
 
 # ---------------------------------------------------------------------------
@@ -427,7 +458,7 @@ def test_pathint_matrix_ceiling_exit_3(tmp_path, capsys, monkeypatch):
     def no_grid(*args, **kwargs):
         raise AssertionError("grid built above the ceiling")
 
-    monkeypatch.setattr(pathint, "slicing_grid", no_grid)
+    monkeypatch.setattr(pathint, "QuadRule", no_grid)
     cfg = tmp_path / "k4.json"
     cfg.write_text(json.dumps({
         "params": [{"lambda": 1.0, "k": 2}, {"lambda": 2.0, "k": 2}],

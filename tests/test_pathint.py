@@ -75,20 +75,37 @@ def test_per_slice_functional_factorizes(p2):
     assert abs(a - b) < 1e-12
 
 
-def test_joint_functional_matches_product(p2):
-    # a joint functional that factorizes equals the per-slice evaluation
-    sl = TimeSlicing(0.6, 3)
-
-    def g(M):
-        return np.exp(-0.1 * (M ** 2).sum(axis=-1))
-
-    per = cylinder_value("wk", 0, sl, [g, g], X0, Y0, p2, quad_degree=12)
-
+@pytest.mark.parametrize("chain", [
+    lambda sl, F, p: cylinder_value("wk", 0, sl, F, X0, Y0, p, quad_degree=8),
+    lambda sl, F, p: nu_cylinder_value(sl, F, X0, Y0, p, quad_degree=8),
+], ids=["cylinder", "nu"])
+def test_callable_F_refused(p2, chain):
+    # F is None or a sequence of per-point factors; a single (joint)
+    # callable has no chain path
     def joint(Ms):
-        return g(Ms[..., 0, :]) * g(Ms[..., 1, :])
+        return np.exp(-0.1 * (Ms ** 2).sum(axis=(-2, -1)))
 
-    dense = cylinder_value("wk", 0, sl, joint, X0, Y0, p2, quad_degree=12)
-    assert abs(per - dense) < 1e-12
+    for n in (1, 3):
+        with pytest.raises(ValueError, match="sequence of per-point"):
+            chain(TimeSlicing(0.6, n), joint, p2)
+
+
+def test_factor_shape_checked_before_first_step(p2, monkeypatch):
+    # an (N, 1) factor would broadcast the chain vector to N x N
+    sl = TimeSlicing(0.6, 3)
+    calls = []
+    real_step = pathint.zonal_step
+    monkeypatch.setattr(pathint, "zonal_step",
+                        lambda *a: calls.append(a) or real_step(*a))
+    with pytest.raises(ValueError):
+        cylinder_value("wk", 0, sl, [lambda m: m[:, :1]] * 2, X0, Y0, p2,
+                       quad_degree=8)
+    assert calls == []
+    # scalars and (N,) arrays broadcast to one value per grid point
+    F = [lambda m: 1.0, lambda m: np.ones(len(m))]
+    ones = cylinder_value("wk", 0, sl, F, X0, Y0, p2, quad_degree=8)
+    assert ones == cylinder_value("wk", 0, sl, None, X0, Y0, p2,
+                                  quad_degree=8)
 
 
 def test_unpinned_mass_slicing_invariant(p2):
@@ -283,7 +300,7 @@ def test_matrix_path_ceiling_refuses_before_allocating(monkeypatch):
     def no_grid(*args, **kwargs):
         raise AssertionError("grid built above the ceiling")
 
-    monkeypatch.setattr(pathint, "slicing_grid", no_grid)
+    monkeypatch.setattr(pathint, "QuadRule", no_grid)
     sl = TimeSlicing(0.5, 3)
     for run in (
             lambda: cylinder_value("wk", 0, sl, None, x4, y4, p4, 24),

@@ -212,6 +212,12 @@ def test_zonal_zeta_head_matches_binomial_sum(k):
         assert zeta_zonal(a, s, params, tail=False) == ref
 
 
+def test_zonal_zeta_negative_zone_refused():
+    # binom(a+q-1, q-1) is 0 for a = -1, q = 2: a silent zero, not a value
+    with pytest.raises(ValueError, match="zone"):
+        zeta_zonal(-1, 3.0, MagneticParams.make([(1.0, 4)]))
+
+
 def test_mehler_comparison_bound_envelopes(p2, p2b):
     for params in (p2, p2b):
         for a in (0, 1):
