@@ -2,7 +2,10 @@
 
 One command per process.  Configuration comes from a single JSON file
 (--config); command-line flags override config fields; no environment
-variables are consulted.  Output files are written atomically (temp file
+variables are consulted.  `COMMANDS` declares each subcommand's flags: a
+flag's name and type come from its config field's name and default, and
+`CHOICES` and `RANGES` hold the allowed values, checked before the
+subcommand runs.  Output files are written atomically (temp file
 + rename) so a crashed run never leaves a truncated artifact.  CSV floats
 use repr(), i.e. the shortest decimal that round-trips binary64, so golden
 files are stable across platforms.
@@ -26,7 +29,8 @@ import sys
 
 import numpy as np
 
-from .params import HamiltonianVariant, MagneticParams, NumericError
+from .params import (MAX_DEGREE, SIGMA, HamiltonianVariant, MagneticParams,
+                     NumericError)
 
 
 class ConfigError(Exception):
@@ -37,7 +41,6 @@ DEFAULTS = {
     "params": [{"lambda": 1.0, "k": 2}],
     "variant": "H_Z",
     "c_f": None,
-    "c_f_mode": "block",
     "quad_degree": 40,
     "threads": 1,
     "sigma": "wk",
@@ -54,6 +57,11 @@ DEFAULTS = {
     "out": None,
     "timings": None,
 }
+# the allowed values of a field: one of its CHOICES, or within its RANGES
+# (low, high), both inclusive, high None for no upper bound
+CHOICES = {"sigma": tuple(SIGMA), "format": ("csv", "json")}
+RANGES = {"zone": (0, None), "max_p": (0, None), "max_zone": (0, None),
+          "quad_degree": (1, MAX_DEGREE), "threads": (1, None)}
 # a value of the JSON type of each field whose default is null
 _NULLABLE = {"c_f": 0.0, "out": "", "timings": ""}
 # JSON type (name, accepted Python types) by the Python type of a default
@@ -124,32 +132,21 @@ def build_params(cfg) -> MagneticParams:
 def build_variant(cfg) -> HamiltonianVariant:
     try:
         return HamiltonianVariant(
-            cfg["variant"],
-            None if cfg["c_f"] is None else float(cfg["c_f"]),
-            cfg["c_f_mode"])
+            cfg["variant"], None if cfg["c_f"] is None else float(cfg["c_f"]))
     except ValueError as exc:
-        raise ConfigError(f"config field 'variant'/'c_f_mode': {exc}") from exc
+        raise ConfigError(f"config field 'variant': {exc}") from exc
 
 
-def _check_sigma(cfg):
-    if cfg["sigma"] not in ("wk", "df"):
-        raise ConfigError("config field 'sigma': must be 'wk' or 'df'")
-    return cfg["sigma"]
-
-
-def _check_range(cfg, name, lo, hi=None):
-    """cfg[name] as an int, or ConfigError unless lo <= it (<= hi)."""
-    value = int(cfg[name])
-    if value < lo or (hi is not None and value > hi):
+def _check_field(name, value):
+    """Raise ConfigError unless CHOICES and RANGES allow value for name."""
+    if name in CHOICES and value not in CHOICES[name]:
+        raise ConfigError(f"config field {name!r}: must be "
+                          + " or ".join(map(repr, CHOICES[name])))
+    lo, hi = RANGES.get(name, (None, None))
+    if lo is not None and (value < lo or (hi is not None and value > hi)):
         bound = f"in [{lo}, {hi}]" if hi is not None else f">= {lo}"
         raise ConfigError(f"config field {name!r}: must be {bound}, "
                           f"got {value}")
-    return value
-
-
-def _check_quad_degree(cfg):
-    from .quadrature import MAX_DEGREE
-    return _check_range(cfg, "quad_degree", 1, MAX_DEGREE)
 
 
 def write_out(text: str, out_path):
@@ -176,10 +173,8 @@ def write_out(text: str, out_path):
 def cmd_spectrum(cfg):
     from .spectrum import (spectrum_table, spectrum_table_csv,
                            spectrum_table_json)
-    max_p = _check_range(cfg, "max_p", 0)
-    max_zone = _check_range(cfg, "max_zone", 0)
     entries = spectrum_table(build_params(cfg), build_variant(cfg),
-                             max_p, max_zone)
+                             cfg["max_p"], cfg["max_zone"])
     if cfg["format"] == "json":
         write_out(spectrum_table_json(entries) + "\n", cfg["out"])
     else:
@@ -190,84 +185,77 @@ def cmd_spectrum(cfg):
 def _point_pairs(cfg, k):
     """The config's point pairs stacked as X (P, k) and Y (P, k)."""
     pts = cfg["points"]
+    if not pts:
+        raise ConfigError("config field 'points': need at least one pair")
     for i, pair in enumerate(pts):
         if len(pair) != 2 or any(len(v) != k for v in pair):
             raise ConfigError(f"config field 'points[{i}]': expected a pair "
                               f"of length-{k} coordinate lists")
-    X = np.array([pair[0] for pair in pts], dtype=float).reshape(-1, k)
-    Y = np.array([pair[1] for pair in pts], dtype=float).reshape(-1, k)
+    X, Y = (np.array([pair[j] for pair in pts], dtype=float) for j in (0, 1))
     return X, Y
+
+
+def _csv_by_time(cfg, head, keys, values_at):
+    """Write the CSV of `head` and, for each time t, one row per key: t, the
+    key's cells and the six values values_at(t) gives for it; six ERROR
+    cells instead if values_at raises NumericError (exit code 3)."""
+    buf = io.StringIO()
+    w = csv.writer(buf, lineterminator="\n")
+    w.writerow(head)
+    code = 0
+    for t in map(float, cfg["times"]):
+        try:
+            cells = [[repr(float(v)) for v in row] for row in values_at(t)]
+        except NumericError:
+            code = 3
+            cells = [["ERROR"] * 6] * len(keys)
+        w.writerows([repr(t)] + key + row for key, row in zip(keys, cells))
+    write_out(buf.getvalue(), cfg["out"])
+    return code
 
 
 def cmd_kernel(cfg):
     from .kernels import check_df_time, zonal_kernel_closed
     params = build_params(cfg)
-    sigma = _check_sigma(cfg)
-    a = _check_range(cfg, "zone", 0)
+    sigma, a = cfg["sigma"], cfg["zone"]
     X, Y = _point_pairs(cfg, params.k)
-    coords = [[repr(v) for v in row] for row in np.hstack([X, Y]).tolist()]
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    head = (["t"] + [f"x{i+1}" for i in range(params.k)]
-            + [f"y{i+1}" for i in range(params.k)]
-            + ["re", "im", "dominant_re", "dominant_im",
-               "longterm_re", "longterm_im"])
-    w.writerow(head)
-    had_error = False
-    for t in cfg["times"]:
-        t = float(t)
-        try:
-            # the zonal closed forms are entire in t, but the caustic
-            # times of the underlying evolution are flagged anyway so
-            # grids never silently straddle them
-            if sigma == "df":
-                check_df_time(t, params)
-            # one broadcast evaluation over all pairs of this time
-            kv = zonal_kernel_closed(sigma, a, t, X, Y, params)
-        except NumericError:
-            had_error = True
-            w.writerows([repr(t)] + c + ["ERROR"] * 6 for c in coords)
-            continue
-        vals = np.stack([f(v) for v in (kv.value, kv.dominant, kv.long_term)
+
+    def values_at(t):
+        # the zonal closed forms are entire in t, but the caustic times of
+        # the underlying evolution are flagged anyway so grids never
+        # silently straddle them
+        if sigma == "df":
+            check_df_time(t, params)
+        # one broadcast evaluation over all pairs of this time
+        kv = zonal_kernel_closed(sigma, a, t, X, Y, params)
+        return np.stack([f(v) for v in (kv.value, kv.dominant, kv.long_term)
                          for f in (np.real, np.imag)], axis=-1).tolist()
-        w.writerows([repr(t)] + c + [repr(v) for v in row]
-                    for c, row in zip(coords, vals))
-    write_out(buf.getvalue(), cfg["out"])
-    return 3 if had_error else 0
+
+    head = (["t"] + [f"{c}{i + 1}" for c in "xy" for i in range(params.k)]
+            + ["re", "im", "dominant_re", "dominant_im", "longterm_re",
+               "longterm_im"])
+    coords = [[repr(v) for v in row] for row in np.hstack([X, Y]).tolist()]
+    return _csv_by_time(cfg, head, coords, values_at)
 
 
 def cmd_partition(cfg):
     from . import thermo
-    params = build_params(cfg)
-    variant = build_variant(cfg)
-    sigma = _check_sigma(cfg)
-    a = _check_range(cfg, "zone", 0)
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(["t", "closed_re", "closed_im", "trace_re", "trace_im",
-                "residual", "quad_delta"])
-    had_error = False
-    for t in cfg["times"]:
-        try:
-            z = thermo.partition(sigma, a, float(t), params, variant)
-            ztr, delta = thermo.partition_trace(sigma, a, float(t), params,
-                                                variant)
-        except NumericError:
-            had_error = True
-            w.writerow([repr(float(t))] + ["ERROR"] * 6)
-            continue
-        w.writerow([repr(float(t))]
-                   + [repr(float(v)) for v in (z.real, z.imag, ztr.real,
-                                               ztr.imag, abs(z - ztr), delta)])
-    write_out(buf.getvalue(), cfg["out"])
-    return 3 if had_error else 0
+    params, variant = build_params(cfg), build_variant(cfg)
+    sigma, a = cfg["sigma"], cfg["zone"]
+
+    def values_at(t):
+        z = thermo.partition(sigma, a, t, params, variant)
+        ztr, delta = thermo.partition_trace(sigma, a, t, params, variant)
+        return [[z.real, z.imag, ztr.real, ztr.imag, abs(z - ztr), delta]]
+
+    return _csv_by_time(cfg, ["t", "closed_re", "closed_im", "trace_re",
+                              "trace_im", "residual", "quad_delta"],
+                        [[]], values_at)
 
 
 def cmd_zeta(cfg):
     from . import thermo
-    params = build_params(cfg)
-    variant = build_variant(cfg)
-    a = _check_range(cfg, "zone", 0)
+    params, variant, a = build_params(cfg), build_variant(cfg), cfg["zone"]
     rows = []
     # the Riemann relation holds for a single block with k=2 only
     riemann = len(params.blocks) == 1 and params.k == 2
@@ -287,16 +275,15 @@ def cmd_pathint(cfg):
     from . import pathint
     from .kernels import zonal_kernel_closed
     params = build_params(cfg)
-    sigma = _check_sigma(cfg)
-    a = _check_range(cfg, "zone", 0)
-    deg = _check_quad_degree(cfg)
-    T = float(cfg["total_time"])
+    sigma, a, T = cfg["sigma"], cfg["zone"], float(cfg["total_time"])
+    # the chain runs between the first point pair only
     X, Y = (Z[0] for Z in _point_pairs(cfg, params.k))
     ref = zonal_kernel_closed(sigma, a, T, X, Y, params).value
     rows = []
     for n in cfg["n_slices"]:
         val = pathint.cylinder_value(sigma, a, pathint.TimeSlicing(T, int(n)),
-                                     None, X, Y, params, quad_degree=deg)
+                                     None, X, Y, params,
+                                     quad_degree=cfg["quad_degree"])
         rows.append({"sigma": sigma, "zone": a, "T": T, "n": int(n),
                      "value_re": val.real, "value_im": val.imag,
                      "reference_re": ref.real, "reference_im": ref.imag,
@@ -307,9 +294,7 @@ def cmd_pathint(cfg):
 
 def cmd_verify(cfg):
     from . import verify
-    results = verify.run_suite(cfg["suite"],
-                               {"quad_degree": _check_quad_degree(cfg),
-                                "threads": _check_range(cfg, "threads", 1)})
+    results = verify.run_suite(cfg["suite"], cfg["threads"])
     write_out(verify.report_json(results) + "\n", cfg["out"])
     if cfg["timings"] is not None:
         write_out(verify.timings_json(results) + "\n", cfg["timings"])
@@ -323,6 +308,23 @@ def cmd_verify(cfg):
 # argument parsing
 # ---------------------------------------------------------------------------
 
+# subcommand: (function, help, the fields it takes as flags); each also
+# takes --config and --out, and only these flags
+COMMANDS = {
+    "spectrum": (cmd_spectrum, "eigenvalue table by zone",
+                 ("format", "max_p", "max_zone")),
+    "kernel": (cmd_kernel, "zonal kernel values on a grid",
+               ("sigma", "zone", "times")),
+    "partition": (cmd_partition, "partition function, closed vs trace",
+                  ("sigma", "zone", "times")),
+    "zeta": (cmd_zeta, "zonal zeta values", ("zone", "s_values")),
+    "pathint": (cmd_pathint, "cylinder-value convergence report",
+                ("sigma", "zone", "total_time", "n_slices", "quad_degree")),
+    "verify": (cmd_verify, "run the verification harness",
+               ("suite", "threads", "timings")),
+}
+
+
 def _float_list(text):
     return [float(v) for v in text.split(",") if v]
 
@@ -331,70 +333,43 @@ def _int_list(text):
     return [int(v) for v in text.split(",") if v]
 
 
+def _flag_type(default):
+    """A flag's argparse type from its field's default: a comma list of the
+    elements' type for a list, a path for null."""
+    if isinstance(default, list):
+        return _float_list if isinstance(default[0], float) else _int_list
+    return str if default is None else type(default)
+
+
 def build_parser():
     p = argparse.ArgumentParser(
         prog="zeemanzones",
         description="zonal Zeeman spectra, kernels, traces and verification")
     sub = p.add_subparsers(dest="command", required=True)
-
-    # each subcommand takes only the flags it reads
-    def common(sp):
+    for command, (_, text, fields) in COMMANDS.items():
+        sp = sub.add_parser(command, help=text)
         sp.add_argument("--config", metavar="PATH")
         sp.add_argument("--out", metavar="PATH")
-        return sp
-
-    sp = common(sub.add_parser("spectrum", help="eigenvalue table by zone"))
-    sp.add_argument("--format", choices=("csv", "json"))
-    sp.add_argument("--max-p", type=int, dest="max_p")
-    sp.add_argument("--max-zone", type=int, dest="max_zone")
-
-    for name, text in (("kernel", "zonal kernel values on a grid"),
-                       ("partition", "partition function, closed vs trace")):
-        sp = common(sub.add_parser(name, help=text))
-        sp.add_argument("--sigma", choices=("wk", "df"))
-        sp.add_argument("--zone", type=int)
-        sp.add_argument("--times", type=_float_list)
-
-    sp = common(sub.add_parser("zeta", help="zonal zeta values"))
-    sp.add_argument("--zone", type=int)
-    sp.add_argument("--s-values", type=_float_list, dest="s_values")
-
-    sp = common(sub.add_parser("pathint",
-                               help="cylinder-value convergence report"))
-    sp.add_argument("--sigma", choices=("wk", "df"))
-    sp.add_argument("--zone", type=int)
-    sp.add_argument("--total-time", type=float, dest="total_time")
-    sp.add_argument("--n-slices", type=_int_list, dest="n_slices")
-    sp.add_argument("--quad-degree", type=int, dest="quad_degree")
-
-    sp = common(sub.add_parser("verify", help="run the verification harness"))
-    sp.add_argument("--suite")
-    sp.add_argument("--quad-degree", type=int, dest="quad_degree")
-    sp.add_argument("--threads", type=int)
-    sp.add_argument("--timings", metavar="PATH",
-                    help="also write {check_id: seconds} to PATH")
+        for name in fields:
+            default = DEFAULTS[name]
+            sp.add_argument("--" + name.replace("_", "-"),
+                            type=_flag_type(default),
+                            choices=CHOICES.get(name),
+                            metavar="PATH" if default is None else None)
     return p
 
 
-COMMANDS = {
-    "spectrum": cmd_spectrum,
-    "kernel": cmd_kernel,
-    "partition": cmd_partition,
-    "zeta": cmd_zeta,
-    "pathint": cmd_pathint,
-    "verify": cmd_verify,
-}
-
-
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    run, _, fields = COMMANDS[args.command]
     try:
         cfg = load_config(args.config)
         for key, value in vars(args).items():
             if key in DEFAULTS and value is not None:
                 cfg[key] = value
-        return COMMANDS[args.command](cfg)
+        for name in fields:
+            _check_field(name, cfg[name])
+        return run(cfg)
     except NumericError as exc:
         # before ValueError: SingularTimeError is both
         print(f"error: {exc}", file=sys.stderr)

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 SIGMA = {"wk": 1.0 + 0j, "df": 1j}
+MAX_DEGREE = 200        # the most nodes per axis of a Gauss-Hermite rule
 
 
 class NumericError(Exception):
@@ -123,25 +124,20 @@ class HamiltonianVariant:
 
     The paper is internally inconsistent about the field constant; c_f is
     therefore explicit configuration.  ``c_f=None`` selects the default
-    sum(2*lambda_i^2*k_i); mode='plane' selects the alternative
-    2*sum(lambda_i^2).
+    sum(2*lambda_i^2*k_i); any other constant, such as the per-plane
+    alternative 2*sum(lambda_i^2), is given as c_f itself.
     """
 
     kind: str = "H_Z"
     c_f: float | None = None
-    c_f_mode: str = "block"  # 'block' -> sum 2 lam^2 k ; 'plane' -> 2 sum lam^2
 
     def __post_init__(self):
         if self.kind not in ("box", "H_Z", "H_Zf"):
             raise ValueError(f"unknown Hamiltonian kind {self.kind!r}")
-        if self.c_f_mode not in ("block", "plane"):
-            raise ValueError(f"unknown c_f mode {self.c_f_mode!r}")
 
     def field_constant(self, params: MagneticParams) -> float:
         if self.c_f is not None:
             return self.c_f
-        if self.c_f_mode == "plane":
-            return 2.0 * sum(b.lam ** 2 for b in params.blocks)
         return sum(2.0 * b.lam ** 2 * b.k for b in params.blocks)
 
 

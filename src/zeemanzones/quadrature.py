@@ -28,7 +28,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .params import NumericError
+from .params import MAX_DEGREE, NumericError
 
 
 class QuadratureError(NumericError):
@@ -43,7 +43,6 @@ class QuadratureNonConvergence(QuadratureError):
     pass
 
 
-MAX_DEGREE = 200
 MAX_TENSOR_NODES = 50_000_000
 EXACT_TOL = 1e-10
 

@@ -53,6 +53,7 @@ _Y4 = np.array([0.1, 0.4, -0.3, 0.05])
 _ZONES = (0, 1, 2, 3)
 _TIMES = (0.5, 1.0)
 _S_T = ((0.2, 0.3), (0.5, 0.5))     # (s, t) pairs of the CK checks
+_DEGREE = 40                        # every other rule and chain grid
 _K4_DEGREE = 24                     # every k=4 rule: 24^4 nodes
 _GEOMETRIES = ((1, 2), (2, 2), (1, 4))    # one-block (lambda, k), exact
 _LAG_GRID = np.linspace(0.0, 8.0, 17)
@@ -89,11 +90,6 @@ def _plain(v):
     return [v.real, v.imag] if isinstance(v, complex) else v
 
 
-def _cfg_degree(config: dict, default: int) -> int:
-    d = config.get("quad_degree")
-    return default if d is None else max(int(d), default)
-
-
 def _worst(values):
     """The largest residual in `values` (0.0 for none), or NaN if one is
     NaN, which max() would drop, letting a NaN check PASS."""
@@ -112,10 +108,10 @@ def _points(axes: dict):
 
 def _sweep(case, tol, note="", degree=None, ran=(), **axes):
     """A check whose residual is the worst case(**point) over the points of
-    `axes` (each case also gets deg=_cfg_degree(config, degree) if degree is
-    given); it reports that degree, the axes, then `ran`, what cases fix."""
-    def check(config):
-        deg = {} if degree is None else {"deg": _cfg_degree(config, degree)}
+    `axes` (each case also gets deg=degree if degree is given); it reports
+    that degree, the axes, then `ran`, what cases fix."""
+    def check():
+        deg = {} if degree is None else {"deg": degree}
         residual = _worst(case(**deg, **point) for point in _points(axes))
         used = {"quad_degree": deg["deg"]} if deg else {}
         return residual, tol, note, _plain({**used, **axes, **dict(ran)})
@@ -125,7 +121,7 @@ def _sweep(case, tol, note="", degree=None, ran=(), **axes):
 def _holds(case, ran=(), **axes):
     """An exact check: case(**point) must be true at every point of `axes`;
     the note names the first point where it is not."""
-    def check(config):
+    def check():
         bad = next((p for p in _points(axes) if not case(**p)), None)
         note = "" if bad is None else ", ".join(
             f"{name}={_plain(v)}" for name, v in bad.items())
@@ -190,7 +186,7 @@ _LAGUERRE = [
         lambda alpha, n: laguerre_composition_check(alpha, n),
         alpha=range(4), n=range(9))),
     ("laguerre.gaussian_moment_quadrature", _sweep(
-        _moment_gap, 1e-9, degree=40,
+        _moment_gap, 1e-9, degree=_DEGREE,
         ran={"C": _MOMENT_C, "k4_quad_degree": _K4_DEGREE},
         k=(1, 2, 4), A=(1.0, 1.0 + 0.5j, 2.0 - 1.0j))),
 ]
@@ -215,7 +211,7 @@ def _box_eigen(geometry, order):
                for comp in split_by_magnetic(hp).values())
 
 
-def _chk_upsilon_independence(config):
+def _chk_upsilon_independence():
     # every level of zone 0, in order, against the same level of zones 1, 2
     ran = _plain({"geometry": (_P2, _P4), "a": (0, 1, 2), "max_p": 5})
     for params in (_P2, _P4):
@@ -228,7 +224,7 @@ def _chk_upsilon_independence(config):
     return 0.0, 0.0, "", ran
 
 
-def _chk_isochromatic(config):
+def _chk_isochromatic():
     ran = _plain({"geometry": (_P4, _P2), "a": (0, 1), "max_p": 5})
     t4 = spectrum_table(_P4, H_Z, max_p=5, max_zone=1)
     ev = {a: [e.eigenvalue for e in t4 if e.zone == a] for a in (0, 1)}
@@ -313,25 +309,25 @@ def _ladder_step(degrees):
     return abs(hi - lo)
 
 
-def _chk_quad_determinism(config):
-    nodes = _rule(_P2, 40)
+def _chk_quad_determinism():
+    nodes = _rule(_P2, _DEGREE)
     a, b = (_conv(_delta(1, _P2), _delta(1, _P2), _X0, _Y0, nodes)
             for _ in range(2))
     return (float(a != b), 0.0, "pairwise tree reduction, fixed order",
-            {"quad_degree": 40, "a": 1})
+            {"quad_degree": _DEGREE, "a": 1})
 
 
 _PROJECTIONS = [
     ("projections.idempotency", _sweep(
-        _idempotency, 1e-8, degree=40,
+        _idempotency, 1e-8, degree=_DEGREE,
         ran={"a": _ZONES, "k4_a": _ZONES[:3], "k4_quad_degree": _K4_DEGREE},
         geometry=(_P2, _P2B, _P4))),
     ("projections.orthogonality", _sweep(
         lambda deg, a, b: 0.0 if a == b else abs(_conv(
             _delta(a, _P2), _delta(b, _P2), _X0, _Y0, _rule(_P2, deg))),
-        1e-8, degree=40, a=_ZONES, b=_ZONES)),
+        1e-8, degree=_DEGREE, a=_ZONES, b=_ZONES)),
     ("projections.reproducing", _sweep(
-        _reproducing, 1e-8, degree=40, geometry=(_P2, _P2B), m=range(5))),
+        _reproducing, 1e-8, degree=_DEGREE, geometry=(_P2, _P2B), m=range(5))),
     ("quadrature.convergence_ladder", _sweep(
         _ladder_step, 1e-8, ran={"a": 2}, degrees=((20, 30), (30, 40)))),
     ("quadrature.determinism", _chk_quad_determinism),
@@ -339,7 +335,7 @@ _PROJECTIONS = [
 
 
 # --- global kernels suite --------------------------------------------------
-def _chk_pde(sigma, config):
+def _chk_pde(sigma):
     seed = 42 if sigma == "wk" else 43
     rng = np.random.default_rng(seed)
     res = []
@@ -367,7 +363,7 @@ def _global_ck(deg, s_t, geometry):
     return abs(conv - global_kernel("wk", s + t, X, Y, geometry))
 
 
-def _chk_global_df_divergence(config):
+def _chk_global_df_divergence():
     # the modulus of the DF chaining integrand is constant in the midpoint,
     # so the convolution is not absolutely convergent; we demonstrate the
     # constancy rather than "test" a divergent integral
@@ -386,7 +382,7 @@ def _chk_global_df_divergence(config):
 _GLOBAL = [
     ("global.heat_equation", partial(_chk_pde, "wk")),
     ("global.schrodinger_equation", partial(_chk_pde, "df")),
-    ("global.ck_wk", _sweep(_global_ck, 1e-7, degree=40,
+    ("global.ck_wk", _sweep(_global_ck, 1e-7, degree=_DEGREE,
                             ran={"k4_quad_degree": _K4_DEGREE},
                             s_t=_S_T, geometry=(_P2, _P4))),
     ("global.df_divergence_note", _chk_global_df_divergence),
@@ -402,7 +398,7 @@ def _zonal_ck(deg, sigma, s_t, a):
     return abs(conv - zonal_kernel_closed(sigma, a, s + t, _X0, _Y0, _P2).value)
 
 
-def _chk_delta_limit(sigma, config):
+def _chk_delta_limit(sigma):
     times = (1e-1, 1e-2, 1e-3)
     ran = _plain({"sigma": (sigma,), "a": _ZONES, "t": times})
     for a in _ZONES:
@@ -433,8 +429,8 @@ def _zonal_checks(sigma):
                 * zonal0(sigma, t, _X0, _Y0, _P2)),
             1e-12, "printed k=2, lambda=1 long-term factor",
             ran={"a": 1, "geometry": _P2}, sigma=one, t=_TIMES)),
-        ("chapman_kolmogorov", _sweep(_zonal_ck, 1e-7, degree=40, sigma=one,
-                                      s_t=_S_T, a=_ZONES)),
+        ("chapman_kolmogorov", _sweep(_zonal_ck, 1e-7, degree=_DEGREE,
+                                      sigma=one, s_t=_S_T, a=_ZONES)),
         ("delta_limit", partial(_chk_delta_limit, sigma)),
         ("longterm_vanish_t0", _sweep(
             lambda sigma, a: abs(zonal_kernel_closed(sigma, a, 0.0, _X0, _Y0,
@@ -458,7 +454,7 @@ def _partition_gap(value, tol, note="", t=_TIMES, **ran):
         t=t)
 
 
-def _chk_hurwitz_conditional(config):
+def _chk_hurwitz_conditional():
     # recorded, not asserted: no constant shift makes the zonal spectrum
     # sum equal (1 - 2^{-s}) zeta_Hu(s, 4) termwise; report candidates
     residuals = {}
@@ -506,25 +502,24 @@ _THERMO = [
 
 
 # --- pathint suite ---------------------------------------------------------
-def _chk_uniform_bound(config):
-    deg = _cfg_degree(config, 24)
+def _chk_uniform_bound():
     rep = pathint.uniform_bound_check(pathint.TimeSlicing(1.0, 3), _X0, _P2,
-                                      deg)
+                                      _DEGREE)
     note = "; ".join(f"{r['F']}: |W|={r['abs']:.4f} <= {r['bound']:.4f}"
                      for r in rep["results"])
     return (float(not rep["all_ok"]), 0.0, note,
-            {"quad_degree": deg, "sigma": "df", "T": 1.0, "n": 3})
+            {"quad_degree": _DEGREE, "sigma": "df", "T": 1.0, "n": 3})
 
 
-def _chk_discrete_fk(config):
-    deg = _cfg_degree(config, 24)
+def _chk_discrete_fk():
     notes = []
-    params = _plain({"quad_degree": deg, "sigma": _SIGMAS, "T": 0.5,
+    params = _plain({"quad_degree": _DEGREE, "sigma": _SIGMAS, "T": 0.5,
                      "n": (1, 2, 3, 4)})
     for sigma in _SIGMAS:
         ref = zonal_kernel_closed(sigma, 0, 0.5, _X0, _Y0, _P2).value
         res = [abs(pathint.feynman_kac_chain(
-            sigma, pathint.TimeSlicing(0.5, n), _X0, _Y0, _P2, deg) - ref)
+            sigma, pathint.TimeSlicing(0.5, n), _X0, _Y0, _P2, _DEGREE)
+            - ref)
             / abs(ref) for n in (1, 2, 3, 4)]
         notes.append(f"{sigma}: " + ", ".join(f"{r:.2e}" for r in res))
         if not all(res[i + 1] < res[i] for i in range(3)):
@@ -532,15 +527,14 @@ def _chk_discrete_fk(config):
     return 0.0, 0.0, "monotone in n; " + "; ".join(notes), params
 
 
-def _chk_rn_consistency(config):
-    deg = _cfg_degree(config, 24)
+def _chk_rn_consistency():
     rep2, rep4 = (pathint.radon_nikodym_consistency(
-        pathint.TimeSlicing(0.3, n), _X0, _Y0, _P2, deg) for n in (2, 4))
+        pathint.TimeSlicing(0.3, n), _X0, _Y0, _P2, _DEGREE) for n in (2, 4))
     note = (f"left-action residuals n=2: {rep2['residual_left']:.3e}, "
             f"n=4: {rep4['residual_left']:.3e} (O(T/n) discretization)")
-    return (_worst((rep2["residual_exact"], rep4["residual_exact"])), 1e-6, note,
-            _plain({"quad_degree": deg, "sigma": _SIGMAS, "T": 0.3,
-                    "n": (2, 4)}))
+    return (_worst((rep2["residual_exact"], rep4["residual_exact"])), 1e-6,
+            note, _plain({"quad_degree": _DEGREE, "sigma": _SIGMAS,
+                          "T": 0.3, "n": (2, 4)}))
 
 
 _PATHINT = [
@@ -549,24 +543,24 @@ _PATHINT = [
             pathint.cylinder_value(sigma, 0, pathint.TimeSlicing(T, n), None,
                                    _X0, _Y0, _P2, deg)
             - zonal_kernel_closed(sigma, 0, T, _X0, _Y0, _P2).value),
-        1e-6, degree=24, ran={"a": 0}, sigma=_SIGMAS, T=(0.3, 1.0),
+        1e-6, degree=_DEGREE, ran={"a": 0}, sigma=_SIGMAS, T=(0.3, 1.0),
         n=(1, 2, 3, 4))),
     ("pathint.uniform_bound", _chk_uniform_bound),
     ("pathint.probability_conservation", _sweep(
         lambda deg, T: pathint.probability_conservation(T, _X0, _P2, deg),
-        1e-7, "unitary zone evolution", degree=40,
+        1e-7, "unitary zone evolution", degree=_DEGREE,
         ran={"sigma": "df", "n": 1}, T=(0.3, 0.7))),
     ("pathint.discrete_feynman_kac", _chk_discrete_fk),
     ("pathint.nu_consistency", _sweep(
         lambda deg, n: abs(pathint.nu_cylinder_value(
             pathint.TimeSlicing(1.0, n), None, _X0, _Y0, _P2, deg)
             - complex(projection_kernel(0, _X0, _Y0, _P2))),
-        1e-8, "n-independent by exact idempotency", degree=24,
+        1e-8, "n-independent by exact idempotency", degree=_DEGREE,
         ran={"T": 1.0}, n=(1, 2, 3, 4))),
     ("pathint.second_form_identity", _sweep(
         lambda deg, sigma, T: pathint.second_form_residual(
             sigma, pathint.TimeSlicing(T, 3), _X0, _Y0, _P2, deg),
-        1e-8, "action-weighted chain vs kernel chain", degree=24,
+        1e-8, "action-weighted chain vs kernel chain", degree=_DEGREE,
         ran={"n": 3}, sigma=_SIGMAS, T=(0.3, 1.0))),
     ("pathint.rn_consistency", _chk_rn_consistency),
 ]
@@ -579,11 +573,11 @@ CHECKS = [(cid, suite, check) for suite, checks in zip(SUITES, (
     _zonal_checks("df"), _THERMO, _PATHINT)) for cid, check in checks]
 
 
-def _run_one(check_id, func, config) -> CheckResult:
+def _run_one(check_id, func) -> CheckResult:
     t0 = time.perf_counter()
     try:
         # a check returns (residual, tolerance, note, params it ran with)
-        residual, tolerance, note, params = func(config)
+        residual, tolerance, note, params = func()
         status = "PASS" if residual <= tolerance else "FAIL"
         res = CheckResult(check_id, params, float(residual), float(tolerance),
                           status, note)
@@ -596,22 +590,18 @@ def _run_one(check_id, func, config) -> CheckResult:
     return res
 
 
-def run_suite(suite: str, config: dict | None = None) -> list[CheckResult]:
-    """Run one suite (or 'all'); deterministic order, three-state results."""
-    config = dict(config or {})
+def run_suite(suite: str, threads: int = 1) -> list[CheckResult]:
+    """Run one suite (or 'all') on `threads` threads; deterministic order,
+    three-state results."""
     if suite != "all" and suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}; "
                          f"choose from {', '.join(SUITES + ('all',))}")
     selected = [(cid, fn) for cid, s, fn in CHECKS
                 if suite == "all" or s == suite]
-    threads = int(config.get("threads", 1) or 1)
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(lambda cf: _run_one(cf[0], cf[1], config),
-                                    selected))
-    else:
-        results = [_run_one(cid, fn, config) for cid, fn in selected]
-    return results
+            return list(pool.map(lambda cf: _run_one(*cf), selected))
+    return [_run_one(cid, fn) for cid, fn in selected]
 
 
 def report_json(results: list[CheckResult]) -> str:

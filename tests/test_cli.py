@@ -14,9 +14,11 @@ import pytest
 
 import zeemanzones
 from zeemanzones import kernels, pathint, spectrum, thermo, verify
-from zeemanzones.cli import ConfigError, build_params, load_config, main
+from zeemanzones.cli import (COMMANDS, ConfigError, build_params,
+                             build_parser, load_config, main)
 from zeemanzones.kernels import SingularTimeError, zonal_kernel_closed
 from zeemanzones.quadrature import MAX_DEGREE, QuadratureNonConvergence
+from zeemanzones.verify import report_json, run_suite
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -74,6 +76,43 @@ def test_unread_flag_is_usage_error(capsys):
     assert "unrecognized arguments: --threads" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "--quad-degree", "0"],
+    ["verify", "--quad-degree", str(MAX_DEGREE + 1)],
+    ["verify", "--quad-degree", "8"],
+], ids=["verify-deg0", "verify-deg-max", "verify-deg8"])
+def test_verify_quad_degree_usage_error(capsys, monkeypatch, argv):
+    # quad_degree is the pathint grid degree only: verify's checks declare
+    # their own degrees, so verify takes no --quad-degree at all
+    monkeypatch.setattr(verify, "run_suite", _refuse)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --quad-degree" in capsys.readouterr().err
+
+
+_FLAGS = {
+    "spectrum": {"--format", "--max-p", "--max-zone"},
+    "kernel": {"--sigma", "--zone", "--times"},
+    "partition": {"--sigma", "--zone", "--times"},
+    "zeta": {"--zone", "--s-values"},
+    "pathint": {"--sigma", "--zone", "--total-time", "--n-slices",
+                "--quad-degree"},
+    "verify": {"--suite", "--threads", "--timings"},
+}
+
+
+@pytest.mark.parametrize("command", sorted(_FLAGS))
+def test_flags_are_the_commands_table(command):
+    # a subcommand accepts exactly the fields of its COMMANDS entry, as
+    # flags, plus --config and --out
+    sub = build_parser()._subparsers._group_actions[0].choices[command]
+    flags = {o for a in sub._actions for o in a.option_strings}
+    table = {"--" + name.replace("_", "-") for name in COMMANDS[command][2]}
+    assert table == _FLAGS[command]
+    assert flags == table | {"--config", "--out", "-h", "--help"}
+
+
 @pytest.mark.parametrize("doc, command, field", [
     ({"zone": [1]}, "kernel", "zone"),
     ({"zone": [1]}, "pathint", "zone"),
@@ -81,11 +120,15 @@ def test_unread_flag_is_usage_error(capsys):
     ({"points": [[1, 2]]}, "kernel", "points"),
     ({"points": [[1, 2]]}, "pathint", "points"),
     ({"n_slices": 3}, "pathint", "n_slices"),
+    ({"format": "xml"}, "spectrum", "format"),
+    ({"points": []}, "pathint", "points"),
 ], ids=["zone-kernel", "zone-pathint", "times-kernel", "points-kernel",
-        "points-pathint", "n_slices-pathint"])
+        "points-pathint", "n_slices-pathint", "format-choice",
+        "points-empty"])
 def test_wrong_json_type_exit_2(capsys, tmp_path, doc, command, field):
-    # a config value of the wrong JSON type is a config error, not a
-    # verification FAIL (exit 1) with a traceback
+    # a config value of the wrong JSON type, or one its field does not
+    # allow, is a config error, not a verification FAIL (exit 1), a
+    # traceback or output in another format
     p = tmp_path / "c.json"
     p.write_text(json.dumps(doc))
     code = main([command, "--config", str(p)])
@@ -102,8 +145,6 @@ def _refuse(*args, **kwargs):
 @pytest.mark.parametrize("argv, field", [
     (["pathint", "--quad-degree", "0"], "quad_degree"),
     (["pathint", "--quad-degree", str(MAX_DEGREE + 1)], "quad_degree"),
-    (["verify", "--quad-degree", "0"], "quad_degree"),
-    (["verify", "--quad-degree", str(MAX_DEGREE + 1)], "quad_degree"),
     (["verify", "--threads", "0"], "threads"),
     (["verify", "--threads", "-2"], "threads"),
     (["spectrum", "--max-p", "-1"], "max_p"),
@@ -112,10 +153,9 @@ def _refuse(*args, **kwargs):
     (["partition", "--zone", "-1"], "zone"),
     (["zeta", "--zone", "-1"], "zone"),
     (["pathint", "--zone", "-1"], "zone"),
-], ids=["pathint-deg0", "pathint-deg-max", "verify-deg0", "verify-deg-max",
-        "verify-threads0", "verify-threads-neg", "spectrum-max-p",
-        "spectrum-max-zone", "kernel-zone", "partition-zone", "zeta-zone",
-        "pathint-zone"])
+], ids=["pathint-deg0", "pathint-deg-max", "verify-threads0",
+        "verify-threads-neg", "spectrum-max-p", "spectrum-max-zone",
+        "kernel-zone", "partition-zone", "zeta-zone", "pathint-zone"])
 def test_out_of_range_exit_2(capsys, monkeypatch, argv, field):
     # a value outside its range is a config error, caught before any
     # computation (not a numeric ERROR, and not silently replaced)
@@ -475,6 +515,14 @@ def test_verify_suite_pass_exit_0(capsys):
     code, out = run_cli(capsys, "verify", "--suite", "laguerre")
     assert code == 0
     assert json.loads(out)["summary"]["FAIL"] == 0
+
+
+def test_verify_report_is_the_library_report(tmp_path):
+    # the CLI adds nothing to what the checks declare: its report is the
+    # library's, byte for byte
+    path = tmp_path / "pathint.json"
+    assert main(["verify", "--suite", "pathint", "--out", str(path)]) == 0
+    assert path.read_text() == report_json(run_suite("pathint")) + "\n"
 
 
 def test_verify_timings_side_file(capsys, tmp_path):

@@ -105,16 +105,16 @@ def test_report_json_shape():
 
 
 def test_exceptions_become_error_status():
-    def boom(config):
+    def boom():
         raise ValueError("synthetic failure")
 
-    res = verify._run_one("synthetic.boom", boom, {})
+    res = verify._run_one("synthetic.boom", boom)
     assert res.status == "ERROR"
     assert "synthetic failure" in res.note
 
 
 def test_unexpected_exception_is_error_not_abort(monkeypatch):
-    def broken(config):
+    def broken():
         raise TypeError("synthetic bug")
 
     monkeypatch.setattr(verify, "CHECKS", verify.CHECKS + [
@@ -133,15 +133,9 @@ def test_tolerance_zero_means_exact_flag():
 
 
 def test_thread_determinism_small_suite():
-    a = report_json(run_suite("spectrum", {"threads": 1}))
-    b = report_json(run_suite("spectrum", {"threads": 4}))
+    a = report_json(run_suite("spectrum", threads=1))
+    b = report_json(run_suite("spectrum", threads=4))
     assert a == b
-
-
-def test_quad_degree_only_raises():
-    # a user-supplied degree below a check's default is ignored, not honored
-    lo = run_suite("laguerre", {"quad_degree": 4})
-    assert all(r.status == "PASS" for r in lo)
 
 
 def test_rec3_identity_can_fail():
@@ -152,20 +146,18 @@ def test_rec3_identity_can_fail():
 
 
 def test_pathint_checks_report_what_ran():
-    results = run_suite("pathint", {"quad_degree": 30})
+    results = run_suite("pathint")
     assert len(results) == 7
     for r in results:
         assert r.status == "PASS", r.check_id
         assert r.params["n"] and r.params["T"]
-        assert r.params["quad_degree"] == (40 if r.check_id ==
-                                           "pathint.probability_conservation"
-                                           else 30)
+        assert r.params["quad_degree"] == 40
 
 
 @pytest.mark.parametrize("check_id", [cid for cid, _, _ in CHECKS])
 def test_checks_report_what_ran(check_id):
     func = dict((cid, fn) for cid, _, fn in CHECKS)[check_id]
-    r = verify._run_one(check_id, func, {})
+    r = verify._run_one(check_id, func)
     assert r.status == "PASS"
     assert r.params
     if check_id.startswith("zonal_"):
@@ -188,11 +180,11 @@ def test_reported_params_are_what_ran(monkeypatch):
     monkeypatch.setattr(pathint, "cylinder_value", recorded)
     check_id = "pathint.slicing_invariance"
     func = dict((cid, fn) for cid, _, fn in CHECKS)[check_id]
-    r = verify._run_one(check_id, func, {"quad_degree": 30})
+    r = verify._run_one(check_id, func)
     assert r.status == "PASS"
     p = r.params
-    assert p["quad_degree"] == 30
-    assert calls == set(itertools.product(p["sigma"], p["T"], p["n"], [30]))
+    assert p["quad_degree"] == 40
+    assert calls == set(itertools.product(p["sigma"], p["T"], p["n"], [40]))
 
 
 def test_nan_residual_is_not_pass(monkeypatch):
