@@ -29,8 +29,8 @@ import sys
 
 import numpy as np
 
-from .params import (MAX_DEGREE, SIGMA, HamiltonianVariant, MagneticParams,
-                     NumericError)
+from .params import (CHAIN_DEGREE, MAX_DEGREE, SIGMA, HamiltonianVariant,
+                     MagneticParams, NumericError)
 
 
 class ConfigError(Exception):
@@ -41,7 +41,7 @@ DEFAULTS = {
     "params": [{"lambda": 1.0, "k": 2}],
     "variant": "H_Z",
     "c_f": None,
-    "quad_degree": 40,
+    "quad_degree": CHAIN_DEGREE,
     "threads": 1,
     "sigma": "wk",
     "zone": 0,
@@ -138,7 +138,10 @@ def build_variant(cfg) -> HamiltonianVariant:
 
 
 def _check_field(name, value):
-    """Raise ConfigError unless CHOICES and RANGES allow value for name."""
+    """Raise ConfigError unless CHOICES and RANGES allow value for name and
+    a list holds at least one value."""
+    if value == []:
+        raise ConfigError(f"config field {name!r}: need at least one value")
     if name in CHOICES and value not in CHOICES[name]:
         raise ConfigError(f"config field {name!r}: must be "
                           + " or ".join(map(repr, CHOICES[name])))

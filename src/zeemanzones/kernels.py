@@ -15,9 +15,9 @@ from functools import partial, reduce
 
 import numpy as np
 
-from .params import (MagneticParams, J_apply, NumericError, _compositions,
+from .params import (MagneticParams, J_apply, NumericError, _composition_sum,
                      sigma_value)
-from .quadrature import QuadRule, exact_value, integrate, tree_sum
+from .quadrature import exact_value, tree_sum
 from .special import laguerre
 
 
@@ -173,18 +173,6 @@ def dominant_kernel(sigma, a: int, t: float, X, Y, params: MagneticParams):
     """D_sigma^{(a)} = L_a^{((k/2)-1)}(sum lam |X-Y|^2) * zonal0."""
     lag = laguerre(params.k // 2 - 1, a, weighted_dist_sq(X, Y, params))
     return lag * zonal0(sigma, t, X, Y, params)
-
-
-def _composition_sum(a: int, parts: int, term):
-    """Sum of term(comp) over the compositions comp of a over `parts`
-    parts, in a fixed order."""
-    if a < 0:
-        raise ValueError("zone index must be nonnegative")
-    terms = (term(comp) for comp in _compositions(a, parts))
-    total = next(terms)
-    for t in terms:
-        total += t              # in place: one sum and one term live
-    return total
 
 
 def zonal_kernel_closed(sigma, a: int, t: float, X, Y,
@@ -378,19 +366,20 @@ def _convolution_centre(sigma, t: float, X, Y, params: MagneticParams):
     return np.concatenate(parts, axis=-1)
 
 
-def zonal_convolution(sigma, a: int, t: float, X, Y, params: MagneticParams,
-                      n: int):
-    """int P^{(a)}(X,U) d_sigma(t,U,Y) dU by the rotated n-node rule.
+def zonal_kernel_numeric(sigma, a: int, t: float, X, Y, params: MagneticParams):
+    """d_sigma^{(a)}(t,X,Y) = int P^{(a)}(X,U) d_sigma(t,U,Y) dU by quadrature.
 
-    The rule sits at the integrand's stationary point with the complex
-    decay of `zonal_numeric_scales`; it is exact once n exceeds the zone
-    index (the projection's polynomial has degree 2a per axis).  X and Y
-    may be complex (points on a rotated contour) and broadcast.
+    The rotated rule sits at the integrand's stationary point with the
+    complex decay of `zonal_numeric_scales`; the projection's polynomial
+    has degree 2a per axis, so `exact_value` is exact at a+1 nodes per
+    axis (checked against a+3; a disagreement raises QuadratureError).
+    X and Y may be complex (points on a rotated contour) and broadcast
+    over leading axes.
     """
+    if sigma == "df":
+        check_df_time(t, params)
     X = np.asarray(X, dtype=complex if np.iscomplexobj(X) else float)
     Y = np.asarray(Y, dtype=complex if np.iscomplexobj(Y) else float)
-    rule = QuadRule(n, zonal_numeric_scales(sigma, t, params),
-                    _convolution_centre(sigma, t, X, Y, params))
     Xb, Yb = X[..., None, :], Y[..., None, :]
 
     def f(U):
@@ -400,21 +389,8 @@ def zonal_convolution(sigma, a: int, t: float, X, Y, params: MagneticParams,
         # two factors can be large and small separately
         return p_pref * g_pref * np.exp(p_expo + g_expo)
 
-    return integrate(f, rule)
-
-
-def zonal_kernel_numeric(sigma, a: int, t: float, X, Y, params: MagneticParams):
-    """d_sigma^{(a)}(t,X,Y) = int P^{(a)}(X,U) d_sigma(t,U,Y) dU by quadrature.
-
-    The exact rotated rule of `zonal_convolution` is sized from the zone
-    index (a+1 nodes per axis) and checked against a+3 nodes; a
-    disagreement raises QuadratureError.  Broadcasts over leading axes of
-    X and Y.
-    """
-    if sigma == "df":
-        check_df_time(t, params)
-    return exact_value(lambda m: zonal_convolution(sigma, a, t, X, Y, params,
-                                                   m), 1 + a)[0]
+    return exact_value(f, zonal_numeric_scales(sigma, t, params), 1 + a,
+                       _convolution_centre(sigma, t, X, Y, params))[0]
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,7 @@ import numpy as np
 
 SIGMA = {"wk": 1.0 + 0j, "df": 1j}
 MAX_DEGREE = 200        # the most nodes per axis of a Gauss-Hermite rule
+CHAIN_DEGREE = 40       # nodes per axis of a path chain's grid by default
 
 
 class NumericError(Exception):
@@ -41,6 +42,18 @@ def _compositions(total: int, parts: int):
     for first in range(total + 1):
         for rest in _compositions(total - first, parts - 1):
             yield (first,) + rest
+
+
+def _composition_sum(a: int, parts: int, term):
+    """Sum of term(comp) over the compositions comp of a over `parts`
+    parts, in a fixed order."""
+    if a < 0:
+        raise ValueError("zone index must be nonnegative")
+    terms = (term(comp) for comp in _compositions(a, parts))
+    total = next(terms)
+    for t in terms:
+        total += t              # in place: one sum and one term live
+    return total
 
 
 @dataclass(frozen=True)

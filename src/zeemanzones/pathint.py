@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .params import MagneticParams, sigma_value
+from .params import CHAIN_DEGREE, MagneticParams, sigma_value
 from .kernels import check_df_time, plane_step, zonal_step
 from .quadrature import (QuadRule, QuadratureError, tensor_points,
                          tensor_weights, tree_sum)
@@ -121,7 +121,7 @@ def _chain(step, x, y, F, n_interior, params, quad_degree):
 
 
 def cylinder_value(sigma, a: int, slicing: TimeSlicing, F, x, y,
-                   params: MagneticParams, quad_degree: int = 24,
+                   params: MagneticParams, quad_degree: int = CHAIN_DEGREE,
                    pinned: bool = True):
     """W_{sigma,n}^{T(a)}(F): n-fold chain of zone-a kernels against F.
 
@@ -139,7 +139,7 @@ def cylinder_value(sigma, a: int, slicing: TimeSlicing, F, x, y,
 
 
 def nu_cylinder_value(slicing: TimeSlicing, F, x, y,
-                      params: MagneticParams, quad_degree: int = 24,
+                      params: MagneticParams, quad_degree: int = CHAIN_DEGREE,
                       pinned: bool = True):
     """Same chaining with the holomorphic point-spread delta^{(0)} as the
     step kernel (the time-independent nu measure); F=1 pinned gives
@@ -207,7 +207,7 @@ def _delta_chain(coeffs, shift, slicing: TimeSlicing, x, y,
 
 
 def feynman_kac_chain(sigma, slicing: TimeSlicing, x, y,
-                      params: MagneticParams, quad_degree: int = 24,
+                      params: MagneticParams, quad_degree: int = CHAIN_DEGREE,
                       exact_step: bool = False):
     """delta^{(0)} chain with Feynman-Kac weights, pinned at y.
 
@@ -227,7 +227,7 @@ def feynman_kac_chain(sigma, slicing: TimeSlicing, x, y,
 # ---------------------------------------------------------------------------
 
 def uniform_bound_check(slicing: TimeSlicing, x, params: MagneticParams,
-                        quad_degree: int = 24) -> dict:
+                        quad_degree: int = CHAIN_DEGREE) -> dict:
     """|W_{i,n}^{T(0)}(F)| <= (2 pi)^{k/2} sup|F| on a family of test F.
 
     Free-endpoint DF chains with F = 1, F = 0 and three random phase
@@ -256,7 +256,7 @@ def uniform_bound_check(slicing: TimeSlicing, x, params: MagneticParams,
 
 
 def probability_conservation(t: float, x, params: MagneticParams,
-                             quad_degree: int = 40) -> float:
+                             quad_degree: int = CHAIN_DEGREE) -> float:
     """| ||psi(t)|| - 1 | for psi(0) the normalized holomorphic point
     spread at x, evolved by the DF zone flow (unitary on the zone)."""
     check_df_time(t, params)
@@ -270,7 +270,7 @@ def probability_conservation(t: float, x, params: MagneticParams,
 
 def radon_nikodym_consistency(slicing: TimeSlicing, x, y,
                               params: MagneticParams,
-                              quad_degree: int = 24) -> dict:
+                              quad_degree: int = CHAIN_DEGREE) -> dict:
     """DF chain vs WK chain times the Radon-Nikodym ratio at the discrete
     level.
 
@@ -310,7 +310,7 @@ def _rn_wk_side(slicing, x, y, params, quad_degree, exact):
 
 def second_form_residual(sigma, slicing: TimeSlicing, x, y,
                          params: MagneticParams,
-                         quad_degree: int = 24) -> float:
+                         quad_degree: int = CHAIN_DEGREE) -> float:
     """Exact-step delta chain vs direct kernel chain, pinned F=1.
 
     Both equal d_sigma^{(0)}(T, x, y); the residual is pure quadrature

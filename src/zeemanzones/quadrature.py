@@ -14,8 +14,9 @@ e^{-A u^2}: for an entire integrand p(U) e^{-sum_j A_j (U_j - c_j)^2}
 whose polynomial p has degree <= 2n - 1 on every axis, the n-node rule
 centred at the stationary point c is exact (Gil, Segura & Temme,
 *Numerical Methods for Special Functions*, SIAM 2007, on Gauss rules
-along saddle-point contours).  `exact_value` pairs that rule with a
-two-node-larger one as convergence evidence.
+along saddle-point contours).  `exact_value` integrates by that rule and
+by a two-node-larger one as convergence evidence; it is the package's one
+exact Gaussian integral.
 
 Reduction order is a fixed pairwise tree, independent of any thread
 count, so results are bitwise reproducible.
@@ -141,16 +142,17 @@ def integrate(f, rule: QuadRule):
     return tree_sum(np.moveaxis(weights * vals, -1, 0))
 
 
-def exact_value(evaluate, n: int):
-    """An exact Gaussian-rule integral with its convergence evidence.
+def exact_value(f, scales, n: int, centre=None):
+    """int f(U) dU by the exact n-node rule with its convergence evidence.
 
-    evaluate(m) integrates with m nodes per axis and is exact at m = n.
-    The m = n + 2 result must agree within EXACT_TOL * (1 + |value|)
-    (elementwise for array values); returns (value at n, largest
+    The rule on `scales` and `centre` (as for `QuadRule`) is exact at n
+    nodes per axis; the (n+2)-node result must agree within
+    EXACT_TOL * (1 + |value|) (elementwise for batched centres).  f is
+    evaluated as for `integrate`.  Returns (value at n, largest
     |difference|) or raises QuadratureNonConvergence.
     """
-    value = evaluate(n)
-    delta = np.abs(evaluate(n + 2) - value)
+    value = integrate(f, QuadRule(n, scales, centre))
+    delta = np.abs(integrate(f, QuadRule(n + 2, scales, centre)) - value)
     if not np.all(delta <= EXACT_TOL * (1.0 + np.abs(value))):
         raise QuadratureNonConvergence(
             f"exact rule disagrees with its check: |Delta|={np.max(delta):.3e} "

@@ -6,10 +6,10 @@ import math
 
 import numpy as np
 
-from .params import (MagneticParams, HamiltonianVariant, _compositions,
+from .params import (MagneticParams, HamiltonianVariant, _composition_sum,
                      sigma_value)
 from .kernels import check_df_time, zonal_kernel_closed
-from .quadrature import QuadRule, exact_value, tree_sum
+from .quadrature import exact_value, tree_sum
 from .spectrum import zone_count
 
 
@@ -53,40 +53,44 @@ def _plane_trace(sigma, a: int, t: float, lam: float,
     """
     pp = MagneticParams.make([(lam, 2)])
     A = complex(lam * (1 - np.exp(-2 * lam * t * sigma_value(sigma))))
+    return exact_value(lambda X: getattr(
+        zonal_kernel_closed(sigma, a, t, X, X, pp), part), (A, A), a + 1)
 
-    def trace(n):
-        X, w = QuadRule(n, (A, A)).nodes_weights()
-        return tree_sum(w * getattr(zonal_kernel_closed(sigma, a, t, X, X,
-                                                        pp), part))
 
-    return exact_value(trace, a + 1)
+def _composed_trace(sigma, a: int, t: float, params: MagneticParams,
+                    part: str = "value") -> tuple[complex, float]:
+    """Sum over the compositions (a_p) of a over the coordinate planes of
+    the products of plane traces, part `part` of each plane with a_p > 0
+    and the zone-0 value of the others, with the worst plane delta.
+
+    The kernels are products over planes, so their diagonal integrals over
+    R^k factorize; each (lambda, a_p) plane trace is computed once.
+    """
+    if sigma == "df":
+        check_df_time(t, params)
+    plam = params.plane_lambdas()
+    cache: dict[tuple[float, int], tuple[complex, float]] = {}
+
+    def trace(lam, m):
+        key = (float(lam), m)
+        if key not in cache:
+            cache[key] = _plane_trace(sigma, m, t, lam, part if m else "value")
+        return cache[key][0]
+
+    total = _composition_sum(a, len(plam), lambda comp: math.prod(
+        map(trace, plam, comp), start=1.0 + 0j))
+    return total, max(d for _, d in cache.values())
 
 
 def partition_trace(sigma, a: int, t: float, params: MagneticParams,
                     variant: HamiltonianVariant | None = None
                     ) -> tuple[complex, float]:
     """Quadrature of the diagonal, the trace-side oracle for `partition`,
-    with the worst quadrature delta over the plane traces used.
-
-    The gross kernel expands over irreducible tuples and both the
-    projection and flow kernels are products over coordinate planes, so
-    the diagonal integral over R^k factorizes into plane traces.
-    """
+    with the worst quadrature delta over the plane traces used: the gross
+    kernel expands over irreducible tuples, whose kernels are products
+    over planes (`_composed_trace`)."""
+    total, delta = _composed_trace(sigma, a, t, params)
     s = sigma_value(sigma)
-    if sigma == "df":
-        check_df_time(t, params)
-    plam = params.plane_lambdas()
-    cache: dict[tuple[float, int], tuple[complex, float]] = {}
-    total = 0j
-    for tup in _compositions(a, params.n_planes):
-        prod = 1.0 + 0j
-        for lam, aj in zip(plam, tup):
-            key = (float(lam), aj)
-            if key not in cache:
-                cache[key] = _plane_trace(sigma, aj, t, lam)
-            prod *= cache[key][0]
-        total += prod
-    delta = max(d for _, d in cache.values())
     return total * np.exp(-s * t * _variant_shift(variant, params)), delta
 
 
@@ -100,10 +104,9 @@ def partition_by_trace(sigma, a: int, t: float, params: MagneticParams,
 
 
 def dominant_trace(sigma, a: int, t: float, params: MagneticParams) -> complex:
-    """Diagonal quadrature of the dominant kernel alone (equals `partition`);
-    the plane rules are exact."""
-    z0 = [_plane_trace(sigma, 0, t, lam)[0] for lam in params.plane_lambdas()]
-    return zone_count(a, params.k) * complex(np.prod(z0))
+    """Diagonal quadrature of the dominant kernel alone (equals `partition`):
+    on the diagonal it is binom(a + k/2 - 1, a) times d^{(0)}."""
+    return zone_count(a, params.k) * _composed_trace(sigma, 0, t, params)[0]
 
 
 def longterm_trace(sigma, t: float, params: MagneticParams,
@@ -111,20 +114,10 @@ def longterm_trace(sigma, t: float, params: MagneticParams,
     """Diagonal quadrature of the a=1 long-term kernel; zero trace class.
 
     The gross long-term part is sum_j lt_j prod_{i!=j} zonal0_i over
-    planes, so the trace is assembled from 2D plane integrals.
-    quad_degree is accepted for compatibility; the rule is exact.
+    planes, the zone-1 compositions of `_composed_trace`.  quad_degree is
+    accepted for compatibility; the rule is exact.
     """
-    plam = params.plane_lambdas()
-    z0 = [_plane_trace(sigma, 0, t, lam)[0] for lam in plam]
-    lt = [_plane_trace(sigma, 1, t, lam, part="long_term")[0] for lam in plam]
-    total = 0j
-    for j in range(len(plam)):
-        prod = lt[j]
-        for i in range(len(plam)):
-            if i != j:
-                prod *= z0[i]
-        total += prod
-    return total
+    return _composed_trace(sigma, 1, t, params, part="long_term")[0]
 
 
 def _level_multiplicities(q: int, n: int) -> np.ndarray:
@@ -142,29 +135,20 @@ def _level_multiplicities(q: int, n: int) -> np.ndarray:
     return m
 
 
-def _binom_poly(n: int, shift: int = 0) -> np.ndarray:
-    """Ascending coefficients in m of binom(m + shift + n, n), built as
-    prod_{i=1..n} (shift + m + i) / i one factor at a time."""
+def _binom_poly(n: int) -> np.ndarray:
+    """Ascending coefficients in m of binom(m + n, n), built as
+    prod_{i=1..n} (m + i) / i one factor at a time."""
     poly = np.array([1.0])
     for i in range(1, n + 1):
-        poly = np.convolve(poly, [shift + i, 1.0]) / i
+        poly = np.convolve(poly, [i, 1.0]) / i
     return poly
 
 
 def _mult_tail(q: int, L: int, r: complex) -> complex:
-    """sum_{p >= L} binom(p+q-1, q-1) r^p in closed form.
-
-    Shift p = L + m; the binomial is a degree q-1 polynomial in m which is
-    re-expanded in the basis binom(m+j, j), whose geometric sums are
-    (1-r)^{-(j+1)}.
-    """
-    acc = 0j
-    coeff = _binom_poly(q - 1, L).astype(complex)
-    for j in range(q - 1, -1, -1):
-        aj = coeff[j] * math.factorial(j)
-        coeff[:j + 1] -= aj * _binom_poly(j)
-        acc += aj * (1 - r) ** (-(j + 1))
-    return r ** L * acc
+    """sum_{p >= L} binom(p+q-1, q-1) r^p in closed form, L >= 1:
+    r^L sum_j binom(L+q-2-j, q-1-j) (1-r)^{-(j+1)}, j = 0..q-1."""
+    return r ** L * sum(math.comb(L + q - 2 - j, q - 1 - j)
+                        * (1 - r) ** (-(j + 1)) for j in range(q - 1, -1, -1))
 
 
 def partition_spectral(sigma, a: int, t: float, params: MagneticParams,
@@ -194,12 +178,14 @@ def partition_spectral(sigma, a: int, t: float, params: MagneticParams,
 # ---------------------------------------------------------------------------
 
 _BERNOULLI = [1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730]
+_EM_DIRECT = 40             # direct terms before an Euler-Maclaurin tail
+_ZETA_TERMS = 100_000       # direct levels of a zonal zeta sum
 
 
-def _em_sum_inverse_powers(s: complex, base: float, step: float, start: int,
-                           direct: int = 40) -> complex:
+def _em_sum_inverse_powers(s: complex, base: float, step: float,
+                           start: int) -> complex:
     """sum_{n >= start} (base + step*n)^{-s} by direct terms + Euler-Maclaurin."""
-    N = start + direct
+    N = start + _EM_DIRECT
     n = np.arange(start, N)
     acc = np.sum((base + step * n) ** (-s))
     w = base + step * N
@@ -234,15 +220,14 @@ def hurwitz_zeta(s: complex, x: float) -> complex:
 
 
 def zeta_zonal(a: int, s: complex, params: MagneticParams,
-               variant: HamiltonianVariant | None = None,
-               truncation: int = 100_000, tail: bool = True) -> complex:
-    """Zonal zeta sum mult(p) mu_p^{-s} on gross zone a, Re(s) > 1.
+               variant: HamiltonianVariant | None = None) -> complex:
+    """Zonal zeta sum mult(p) mu_p^{-s} on gross zone a, Re(s) > k/2.
 
     Single-block parameters only (the acceptance scope); the per-level
     multiplicity is binom(p+q-1, q-1) binom(a+q-1, q-1) with q = k/2 and
-    mu_p = lam (2p + q) + c_f.  With tail=True the remainder past the
-    truncation is summed by Euler-Maclaurin after expanding the binomial
-    multiplicity in powers of mu_p (requires Re(s) > q).
+    mu_p = lam (2p + q) + c_f.  The first _ZETA_TERMS levels are summed
+    directly and the rest by Euler-Maclaurin after expanding the binomial
+    multiplicity in powers of mu_p (which needs Re(s) > q).
     """
     s = complex(s)
     if a < 0:
@@ -256,24 +241,22 @@ def zeta_zonal(a: int, s: complex, params: MagneticParams,
     q = b.k // 2
     c = _variant_shift(variant, params)
     alpha, beta = b.lam * q + c, 2 * b.lam
+    if not s.real > q:
+        raise ValueError("Euler-Maclaurin tail requires Re(s) > k/2")
     zone_mult = math.comb(a + q - 1, q - 1)
-
-    p = np.arange(truncation)
-    mult = _level_multiplicities(q, truncation)
+    p = np.arange(_ZETA_TERMS)
+    mult = _level_multiplicities(q, _ZETA_TERMS)
     acc = complex(np.sum(mult * (alpha + beta * p) ** (-s)))
-    if tail:
-        if not s.real > q:
-            raise ValueError("Euler-Maclaurin tail requires Re(s) > k/2")
-        # binom(p+q-1, q-1) as a polynomial in w = alpha + beta p
-        poly_p = _binom_poly(q - 1)  # coefficients in p, ascending
-        coeff_w = np.zeros(len(poly_p))
-        for d, cd in enumerate(poly_p):
-            for j in range(d + 1):
-                coeff_w[j] += cd * math.comb(d, j) * (-alpha) ** (d - j) / beta ** d
-        for j, cj in enumerate(coeff_w):
-            if cj:
-                acc += cj * _em_sum_inverse_powers(s - j, alpha, beta,
-                                                   start=truncation)
+    # binom(p+q-1, q-1) as a polynomial in w = alpha + beta p
+    poly_p = _binom_poly(q - 1)  # coefficients in p, ascending
+    coeff_w = np.zeros(len(poly_p))
+    for d, cd in enumerate(poly_p):
+        for j in range(d + 1):
+            coeff_w[j] += cd * math.comb(d, j) * (-alpha) ** (d - j) / beta ** d
+    for j, cj in enumerate(coeff_w):
+        if cj:
+            acc += cj * _em_sum_inverse_powers(s - j, alpha, beta,
+                                               start=_ZETA_TERMS)
     return zone_mult * acc
 
 

@@ -153,9 +153,15 @@ def _refuse(*args, **kwargs):
     (["partition", "--zone", "-1"], "zone"),
     (["zeta", "--zone", "-1"], "zone"),
     (["pathint", "--zone", "-1"], "zone"),
+    (["kernel", "--times", ","], "times"),
+    (["partition", "--times", ","], "times"),
+    (["zeta", "--s-values", ","], "s_values"),
+    (["pathint", "--n-slices", ","], "n_slices"),
 ], ids=["pathint-deg0", "pathint-deg-max", "verify-threads0",
         "verify-threads-neg", "spectrum-max-p", "spectrum-max-zone",
-        "kernel-zone", "partition-zone", "zeta-zone", "pathint-zone"])
+        "kernel-zone", "partition-zone", "zeta-zone", "pathint-zone",
+        "kernel-times-empty", "partition-times-empty", "zeta-s-empty",
+        "pathint-n-empty"])
 def test_out_of_range_exit_2(capsys, monkeypatch, argv, field):
     # a value outside its range is a config error, caught before any
     # computation (not a numeric ERROR, and not silently replaced)

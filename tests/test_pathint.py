@@ -1,11 +1,13 @@
 """Time-sliced cylinder approximants of the zonal path integrals."""
 
+import inspect
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from zeemanzones import pathint
+from zeemanzones.cli import DEFAULTS
 from zeemanzones.kernels import (SingularTimeError, plane_step,
                                  projection_kernel, zonal_kernel_closed,
                                  zonal_kernel_numeric)
@@ -20,6 +22,18 @@ from zeemanzones.pathint import (TimeSlicing, cylinder_value,
 
 X0 = np.array([0.3, -0.2])
 Y0 = np.array([0.1, 0.4])
+
+
+def test_chain_degree_defaults_match_cli():
+    # a library caller who omits the degree gets the grid the CLI runs
+    defaults = {name: inspect.signature(fn).parameters["quad_degree"].default
+                for name, fn in vars(pathint).items()
+                if inspect.isfunction(fn) and fn.__module__ == pathint.__name__
+                and "quad_degree" in inspect.signature(fn).parameters}
+    defaults = {name: d for name, d in defaults.items()
+                if d is not inspect.Parameter.empty}
+    assert len(defaults) == 7
+    assert set(defaults.values()) == {DEFAULTS["quad_degree"]}
 
 
 def test_time_slicing_grid():

@@ -106,11 +106,9 @@ def test_exact_value_rotated_polynomial():
     # c is exact up to degree 2n - 1, and the n + 2 check agrees
     A, c = 0.7 - 2.0j, 0.3 + 0.4j
     for m in range(6):
-        def at(n):
-            return integrate(lambda U: (U[:, 0] - c) ** m
-                             * np.exp(-A * (U[:, 0] - c) ** 2),
-                             QuadRule(n, (A,), (c,)))
-        got, delta = exact_value(at, m // 2 + 1)
+        got, delta = exact_value(lambda U: (U[:, 0] - c) ** m
+                                 * np.exp(-A * (U[:, 0] - c) ** 2),
+                                 (A,), m // 2 + 1, (c,))
         assert abs(got - _rotated_moment(A, c, m)) < 1e-14
         assert delta < 1e-14
 
@@ -129,8 +127,6 @@ def test_batched_centres_integrate_per_entry():
 
 def test_exact_value_flags_nonpolynomial():
     # a discontinuity defeats the exactness argument; n and n + 2 disagree
-    def at(n):
-        return integrate(lambda U: np.exp(-U[:, 0] ** 2)
-                         * np.sign(U[:, 0] - 0.37), QuadRule(n, (1.0,)))
     with pytest.raises(QuadratureNonConvergence):
-        exact_value(at, 8)
+        exact_value(lambda U: np.exp(-U[:, 0] ** 2) * np.sign(U[:, 0] - 0.37),
+                    (1.0,), 8)
