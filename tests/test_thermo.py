@@ -213,14 +213,18 @@ def test_level_multiplicities_match_binomials():
     assert np.max(np.abs(_level_multiplicities(8, n) - ref) / ref) <= 1e-15
 
 
-def test_zonal_zeta_k4_vs_mpmath():
-    # one block, k=4, lam=1: mu_p = 2p + 2 with multiplicity (p+1)(a+1);
-    # the direct levels plus the Euler-Maclaurin tail against mpmath
-    params, s = MagneticParams.make([(1.0, 4)]), 3.0
-    ref = complex(mp.nsum(lambda p: (p + 1) * (2 * p + 2) ** (-s),
-                          [0, mp.inf]))
+@pytest.mark.parametrize("k", [2, 4])
+def test_zonal_zeta_head_matches_binomial_sum(k):
+    # one block, lam=1: mu_p = q + 2p with multiplicity binom(p+q-1, q-1),
+    # q = k/2; the direct levels plus the Euler-Maclaurin tail against the
+    # binomial sum in mpmath
+    params, s = MagneticParams.make([(1.0, k)]), 3.0
+    q = k // 2
+    ref = complex(mp.nsum(lambda p: mp.binomial(p + q - 1, q - 1)
+                          * (q + 2 * p) ** (-s), [0, mp.inf]))
     for a in (0, 2):
-        assert abs(zeta_zonal(a, s, params) - (a + 1) * ref) <= 1e-12 * abs(ref)
+        want = math.comb(a + q - 1, q - 1) * ref
+        assert abs(zeta_zonal(a, s, params) - want) <= 1e-12 * abs(want)
 
 
 def test_zonal_zeta_negative_zone_refused():
