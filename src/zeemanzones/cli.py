@@ -174,14 +174,16 @@ def write_out(text: str, out_path):
 # ---------------------------------------------------------------------------
 
 def cmd_spectrum(cfg):
-    from .spectrum import (spectrum_table, spectrum_table_csv,
-                           spectrum_table_json)
-    entries = spectrum_table(build_params(cfg), build_variant(cfg),
-                             cfg["max_p"], cfg["max_zone"])
+    from .spectrum import spectrum_table
+    rows = [vars(e) for e in spectrum_table(build_params(cfg),
+                                            build_variant(cfg),
+                                            cfg["max_p"], cfg["max_zone"])]
     if cfg["format"] == "json":
-        write_out(spectrum_table_json(entries) + "\n", cfg["out"])
+        write_out(json.dumps(rows, indent=2) + "\n", cfg["out"])
     else:
-        write_out(spectrum_table_csv(entries), cfg["out"])
+        _write_csv(cfg, [list(rows[0])] + [
+            [repr(v) if isinstance(v, float) else v for v in row.values()]
+            for row in rows])
     return 0
 
 
@@ -198,13 +200,18 @@ def _point_pairs(cfg, k):
     return X, Y
 
 
+def _write_csv(cfg, rows):
+    """Write rows, the header first, as CSV to the config's out."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    write_out(buf.getvalue(), cfg["out"])
+
+
 def _csv_by_time(cfg, head, keys, values_at):
     """Write the CSV of `head` and, for each time t, one row per key: t, the
     key's cells and the six values values_at(t) gives for it; six ERROR
     cells instead if values_at raises NumericError (exit code 3)."""
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(head)
+    rows = [head]
     code = 0
     for t in map(float, cfg["times"]):
         try:
@@ -212,8 +219,8 @@ def _csv_by_time(cfg, head, keys, values_at):
         except NumericError:
             code = 3
             cells = [["ERROR"] * 6] * len(keys)
-        w.writerows([repr(t)] + key + row for key, row in zip(keys, cells))
-    write_out(buf.getvalue(), cfg["out"])
+        rows += ([repr(t)] + key + row for key, row in zip(keys, cells))
+    _write_csv(cfg, rows)
     return code
 
 
@@ -259,16 +266,21 @@ def cmd_partition(cfg):
 def cmd_zeta(cfg):
     from . import thermo
     params, variant, a = build_params(cfg), build_variant(cfg), cfg["zone"]
+    # mu_p = lam (2p + 1) relates the sum to the Riemann zeta for one k=2
+    # block under H_Z only
+    riemann = (len(params.blocks) == 1 and params.k == 2
+               and variant.kind == "H_Z")
     rows = []
-    # the Riemann relation holds for a single block with k=2 only
-    riemann = len(params.blocks) == 1 and params.k == 2
-    for s in cfg["s_values"]:
-        zz = thermo.zeta_zonal(a, float(s), params, variant=variant)
-        ref = (1 - 2.0 ** (-float(s))) * thermo.riemann_zeta(float(s))
-        rows.append({"s": float(s),
-                     "zeta_zonal_re": zz.real, "zeta_zonal_im": zz.imag,
-                     "riemann_reference": ref.real if riemann else None,
-                     "riemann_residual": abs(zz - ref) if riemann else None})
+    for s in map(float, cfg["s_values"]):
+        zz = thermo.zeta_zonal(a, s, params, variant=variant)
+        row = {"s": s, "zeta_zonal_re": zz.real, "zeta_zonal_im": zz.imag,
+               "riemann_reference": None, "riemann_residual": None}
+        if riemann:
+            ref = (params.blocks[0].lam ** -s * (1 - 2.0 ** -s)
+                   * thermo.riemann_zeta(s))
+            row.update(riemann_reference=ref.real,
+                       riemann_residual=abs(zz - ref))
+        rows.append(row)
     write_out(json.dumps({"zone": a, "values": rows}, indent=2) + "\n",
               cfg["out"])
     return 0

@@ -7,11 +7,8 @@ upsilon; eigenvalues depend only on the holomorphic indices.
 
 from __future__ import annotations
 
-import csv
-import io
-import json
 import math
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -117,20 +114,6 @@ def spectrum_table(params: MagneticParams, variant: HamiltonianVariant,
                                          m=p - a, eigenvalue=float(ev),
                                          multiplicity=mult))
     return entries
-
-
-def spectrum_table_csv(entries: list[SpectrumEntry]) -> str:
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(["zone", "p", "upsilon", "l", "m", "eigenvalue", "multiplicity"])
-    for e in entries:
-        w.writerow([e.zone, e.p, e.upsilon, e.l, e.m, repr(e.eigenvalue),
-                    e.multiplicity])
-    return buf.getvalue()
-
-
-def spectrum_table_json(entries: list[SpectrumEntry]) -> str:
-    return json.dumps([asdict(e) for e in entries], indent=2)
 
 
 # ---------------------------------------------------------------------------

@@ -120,30 +120,6 @@ def longterm_trace(sigma, t: float, params: MagneticParams,
     return _composed_trace(sigma, 1, t, params, part="long_term")[0]
 
 
-def _level_multiplicities(q: int, n: int) -> np.ndarray:
-    """binom(p+q-1, q-1) for p = 0..n-1 as floats, one column op per factor.
-
-    m <- m (p + i) / i for i = 1..q-1.  For q <= 5 and n up to ~2.6e5 this
-    is float(math.comb(p+q-1, q-1)) bit for bit: the products up to i = 3
-    are exact integers, and the i = 4 product is rounded once and then
-    divided by a power of two.  Larger q rounds once per further factor.
-    """
-    p = np.arange(n, dtype=float)
-    m = np.ones(n)
-    for i in range(1, q):
-        m = m * (p + i) / i
-    return m
-
-
-def _binom_poly(n: int) -> np.ndarray:
-    """Ascending coefficients in m of binom(m + n, n), built as
-    prod_{i=1..n} (m + i) / i one factor at a time."""
-    poly = np.array([1.0])
-    for i in range(1, n + 1):
-        poly = np.convolve(poly, [i, 1.0]) / i
-    return poly
-
-
 def _mult_tail(q: int, L: int, r: complex) -> complex:
     """sum_{p >= L} binom(p+q-1, q-1) r^p in closed form, L >= 1:
     r^L sum_j binom(L+q-2-j, q-1-j) (1-r)^{-(j+1)}, j = 0..q-1."""
@@ -166,7 +142,7 @@ def partition_spectral(sigma, a: int, t: float, params: MagneticParams,
     for b in params.blocks:
         q = b.k // 2
         p = np.arange(levels)
-        mult = _level_multiplicities(q, levels)
+        mult = np.array([math.comb(n + q - 1, q - 1) for n in p], float)
         r = complex(np.exp(-2 * s * t * b.lam))
         head = tree_sum(mult * r ** p)
         total *= (head + _mult_tail(q, levels, r)) * np.exp(-s * t * b.lam * q)
@@ -179,7 +155,6 @@ def partition_spectral(sigma, a: int, t: float, params: MagneticParams,
 
 _BERNOULLI = [1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730]
 _EM_DIRECT = 40             # direct terms before an Euler-Maclaurin tail
-_ZETA_TERMS = 100_000       # direct levels of a zonal zeta sum
 
 
 def _em_sum_inverse_powers(s: complex, base: float, step: float,
@@ -225,39 +200,33 @@ def zeta_zonal(a: int, s: complex, params: MagneticParams,
 
     Single-block parameters only (the acceptance scope); the per-level
     multiplicity is binom(p+q-1, q-1) binom(a+q-1, q-1) with q = k/2 and
-    mu_p = lam (2p + q) + c_f.  The first _ZETA_TERMS levels are summed
-    directly and the rest by Euler-Maclaurin after expanding the binomial
-    multiplicity in powers of mu_p (which needs Re(s) > q).
+    mu_p = alpha + beta p, alpha = lam q + c_f, beta = 2 lam.  The first
+    _EM_DIRECT levels are summed directly; beyond them binom(p+q-1, q-1)
+    = prod_{i<q} (mu_p - alpha + i beta) / (i beta) is a polynomial in mu_p
+    and each power j of mu_p adds one Euler-Maclaurin sum of mu_p^{j-s}
+    (which needs Re(s) > q).  The direct head keeps that polynomial away
+    from mu_p = alpha, where its terms cancel.
     """
-    s = complex(s)
     if a < 0:
         raise ValueError(f"zone index must be nonnegative, got {a}")
-    if not s.real > 1:
-        raise ValueError("zeta_zonal implemented for Re(s) > 1 only "
-                         "(no analytic continuation)")
     if len(params.blocks) != 1:
         raise ValueError("zeta_zonal supports single-block parameters")
     b = params.blocks[0]
     q = b.k // 2
-    c = _variant_shift(variant, params)
-    alpha, beta = b.lam * q + c, 2 * b.lam
-    if not s.real > q:
-        raise ValueError("Euler-Maclaurin tail requires Re(s) > k/2")
-    zone_mult = math.comb(a + q - 1, q - 1)
-    p = np.arange(_ZETA_TERMS)
-    mult = _level_multiplicities(q, _ZETA_TERMS)
+    # q >= 1, so this also keeps Re(s) > 1 (no analytic continuation)
+    if not complex(s).real > q:
+        raise ValueError(f"zeta_zonal needs Re(s) > k/2 = {q}, got s = {s}")
+    s = complex(s)
+    alpha, beta = b.lam * q + _variant_shift(variant, params), 2 * b.lam
+    p = np.arange(_EM_DIRECT)
+    mult = np.array([math.comb(n + q - 1, q - 1) for n in p], float)
     acc = complex(np.sum(mult * (alpha + beta * p) ** (-s)))
-    # binom(p+q-1, q-1) as a polynomial in w = alpha + beta p
-    poly_p = _binom_poly(q - 1)  # coefficients in p, ascending
-    coeff_w = np.zeros(len(poly_p))
-    for d, cd in enumerate(poly_p):
-        for j in range(d + 1):
-            coeff_w[j] += cd * math.comb(d, j) * (-alpha) ** (d - j) / beta ** d
-    for j, cj in enumerate(coeff_w):
-        if cj:
-            acc += cj * _em_sum_inverse_powers(s - j, alpha, beta,
-                                               start=_ZETA_TERMS)
-    return zone_mult * acc
+    poly = np.array([1.0])  # ascending coefficients in mu
+    for i in range(1, q):
+        poly = np.convolve(poly, [1 - alpha / (i * beta), 1 / (i * beta)])
+    for j, cj in enumerate(poly):
+        acc += cj * _em_sum_inverse_powers(s - j, alpha, beta, _EM_DIRECT)
+    return zone_count(a, b.k) * acc
 
 
 def mehler_comparison_bound(a: int, t: float, params: MagneticParams) -> float:

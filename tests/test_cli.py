@@ -17,6 +17,7 @@ from zeemanzones import kernels, pathint, spectrum, thermo, verify
 from zeemanzones.cli import (COMMANDS, ConfigError, build_params,
                              build_parser, load_config, main)
 from zeemanzones.kernels import SingularTimeError, zonal_kernel_closed
+from zeemanzones.params import H_Z
 from zeemanzones.quadrature import MAX_DEGREE, QuadratureNonConvergence
 from zeemanzones.verify import report_json, run_suite
 
@@ -275,6 +276,32 @@ def test_spectrum_json_format(capsys):
     assert doc[0]["eigenvalue"] == 1.0
 
 
+def test_spectrum_table_csv_golden(capsys):
+    code, out = run_cli(capsys, "spectrum", "--max-p", "2", "--max-zone", "1")
+    assert code == 0
+    rows = list(csv.reader(io.StringIO(out)))
+    assert rows[0] == ["zone", "p", "upsilon", "l", "m", "eigenvalue",
+                       "multiplicity"]
+    # [DERIVED] zone 0 ladder 1, 3, 5, each simple
+    assert rows[1] == ["0", "0", "0", "0", "0", "1.0", "1"]
+    assert rows[2] == ["0", "1", "0", "1", "1", "3.0", "1"]
+    assert rows[3] == ["0", "2", "0", "2", "2", "5.0", "1"]
+
+
+def test_spectrum_table_json_round_trip(capsys, tmp_path, p4):
+    cfg = tmp_path / "c.json"
+    cfg.write_text('{"params": [{"lambda": 1.0, "k": 2}, '
+                   '{"lambda": 2.0, "k": 2}]}')
+    code, out = run_cli(capsys, "spectrum", "--config", str(cfg),
+                        "--format", "json", "--max-p", "3", "--max-zone", "2")
+    assert code == 0
+    entries = spectrum.spectrum_table(p4, H_Z,
+                                      max_p=3, max_zone=2)
+    doc = json.loads(out)
+    assert len(doc) == len(entries)
+    assert doc[0]["zone"] == 0 and "eigenvalue" in doc[0]
+
+
 def test_kernel_csv_round_trips(capsys):
     code, out = run_cli(capsys, "kernel", "--times", "0.5")
     assert code == 0
@@ -455,6 +482,41 @@ def test_zeta_no_riemann_reference_for_k4(capsys, tmp_path):
         assert v["riemann_reference"] is None
         assert v["riemann_residual"] is None
         assert math.isfinite(v["zeta_zonal_re"])
+
+
+def _zeta_config(tmp_path, **fields):
+    p = tmp_path / "zeta.json"
+    p.write_text(json.dumps(fields))
+    return str(p)
+
+
+def test_zeta_riemann_reference_scales_with_lambda(capsys, tmp_path):
+    # mu_p = 2 (2p + 1): the sum is 2^{-s} (1 - 2^{-s}) zeta_R(s)
+    cfg = _zeta_config(tmp_path, params=[{"lambda": 2.0, "k": 2}])
+    code, out = run_cli(capsys, "zeta", "--config", cfg, "--s-values", "3")
+    assert code == 0
+    (row,) = json.loads(out)["values"]
+    assert row["riemann_residual"] < 1e-12
+
+
+def test_zeta_no_riemann_reference_for_h_zf(capsys, tmp_path):
+    # the field constant shifts every level: no Riemann relation
+    cfg = _zeta_config(tmp_path, variant="H_Zf")
+    code, out = run_cli(capsys, "zeta", "--config", cfg, "--s-values", "3")
+    assert code == 0
+    (row,) = json.loads(out)["values"]
+    assert row["riemann_reference"] is None
+    assert row["riemann_residual"] is None
+    assert math.isfinite(row["zeta_zonal_re"])
+
+
+def test_zeta_domain_refusal_names_value_and_bound(capsys, tmp_path):
+    # one k=4 block with the default s values: s = 2.0 is not above k/2
+    cfg = _zeta_config(tmp_path, params=[{"lambda": 1.0, "k": 4}])
+    code = main(["zeta", "--config", cfg])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "k/2 = 2" in captured.err and "s = 2.0" in captured.err
 
 
 def test_pathint_convergence_report(capsys):

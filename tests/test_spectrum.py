@@ -1,8 +1,5 @@
 """Spectra, multiplicities, eigenfunctions, zones."""
 
-import csv
-import io
-import json
 from fractions import Fraction
 
 import numpy as np
@@ -14,8 +11,7 @@ from zeemanzones.params import BOX, H_Z, H_ZF, HamiltonianVariant, MagneticParam
 from zeemanzones.spectrum import (build_eigenfunction, eigenvalue,
                                   multiplicity, radial_eigenpoly,
                                   radial_operator_residual, radial_vs_laguerre,
-                                  spectrum_table, spectrum_table_csv,
-                                  spectrum_table_json, split_by_magnetic,
+                                  spectrum_table, split_by_magnetic,
                                   vandermonde_split, zonal_series_value,
                                   zone_count, zone_eigenfunction_exact,
                                   zone_of)
@@ -81,24 +77,6 @@ def test_zone_of_magnetic_index():
 # ---------------------------------------------------------------------------
 # spectrum tables
 # ---------------------------------------------------------------------------
-
-def test_spectrum_table_csv_golden(p2):
-    text = spectrum_table_csv(spectrum_table(p2, H_Z, max_p=2, max_zone=1))
-    rows = list(csv.reader(io.StringIO(text)))
-    assert rows[0] == ["zone", "p", "upsilon", "l", "m", "eigenvalue",
-                       "multiplicity"]
-    # [DERIVED] zone 0 ladder 1, 3, 5, each simple
-    assert rows[1] == ["0", "0", "0", "0", "0", "1.0", "1"]
-    assert rows[2] == ["0", "1", "0", "1", "1", "3.0", "1"]
-    assert rows[3] == ["0", "2", "0", "2", "2", "5.0", "1"]
-
-
-def test_spectrum_table_json_round_trip(p4):
-    entries = spectrum_table(p4, H_Z, max_p=3, max_zone=2)
-    doc = json.loads(spectrum_table_json(entries))
-    assert len(doc) == len(entries)
-    assert doc[0]["zone"] == 0 and "eigenvalue" in doc[0]
-
 
 def test_zone_eigenvalues_upsilon_independent(p4):
     table = spectrum_table(p4, H_Z, max_p=4, max_zone=2)

@@ -14,7 +14,7 @@ from zeemanzones.thermo import (dominant_trace, hurwitz_zeta, longterm_trace,
                                 mehler_comparison_bound, partition,
                                 partition_by_trace, partition_spectral,
                                 partition_trace, riemann_zeta, zeta_zonal,
-                                _level_multiplicities, _mult_tail)
+                                _mult_tail)
 
 
 # ---------------------------------------------------------------------------
@@ -160,9 +160,12 @@ def test_spectral_sum_matches_closed(p2, sigma, a):
 
 
 def test_spectral_sum_k4():
-    p4s = MagneticParams.make([(1.0, 4)])
-    got = partition_spectral("wk", 1, 0.5, p4s)
-    assert abs(got - partition("wk", 1, 0.5, p4s)) < 1e-10
+    # one block of k = 4, 6 and 8: the level multiplicities binom(p+q-1, q-1)
+    # grow like p^{q-1}
+    for k in (4, 6, 8):
+        params = MagneticParams.make([(1.0, k)])
+        got = partition_spectral("wk", 1, 0.5, params)
+        assert abs(got - partition("wk", 1, 0.5, params)) < 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -199,18 +202,46 @@ def test_zonal_zeta_direct_sum(p2):
     assert abs(zeta_zonal(0, s, p2, variant=H_Z) - ref) < 1e-10
 
 
-def _comb_column(q, n):
-    return np.array([float(math.comb(p + q - 1, q - 1)) for p in range(n)])
+def _hurwitz_zonal_zeta(a, s, lam, k, c_f):
+    """The zonal zeta at 50 digits: binom(p+q-1, q-1) as a polynomial in
+    mu_p = alpha + beta p, each power j of mu_p one Hurwitz zeta
+    beta^{j-s} zeta_Hu(s-j, alpha/beta)."""
+    with mp.workdps(50):
+        q = k // 2
+        alpha, beta = mp.mpf(lam) * q + mp.mpf(c_f), 2 * mp.mpf(lam)
+        poly = [mp.mpf(1)]  # ascending coefficients in mu
+        for i in range(1, q):
+            lo, hi = 1 - alpha / (i * beta), 1 / (i * beta)
+            poly = [(poly[d] if d < len(poly) else 0) * lo
+                    + (poly[d - 1] if d else 0) * hi
+                    for d in range(len(poly) + 1)]
+        s = mp.mpf(s)
+        return math.comb(a + q - 1, q - 1) * sum(
+            cj * beta ** (j - s) * mp.zeta(s - j, alpha / beta)
+            for j, cj in enumerate(poly))
 
 
-def test_level_multiplicities_match_binomials():
-    n = 100_000
-    for q in range(1, 6):
-        got = _level_multiplicities(q, n)
-        assert got.dtype == np.float64 and got.shape == (n,)
-        assert np.array_equal(got, _comb_column(q, n))
-    ref = _comb_column(8, n)
-    assert np.max(np.abs(_level_multiplicities(8, n) - ref) / ref) <= 1e-15
+@pytest.mark.parametrize("kind", ["H_Z", "H_Zf"])
+@pytest.mark.parametrize("k", [2, 4, 6, 8])
+def test_zonal_zeta_vs_hurwitz(k, kind):
+    # down to s within 0.01 of the bound k/2, where the top power of mu
+    # sums like zeta_Hu(1.01, .)
+    variant = HamiltonianVariant(kind)
+    for lam in (0.5, 1.0, 2.0, 3.0):
+        params = MagneticParams.make([(lam, k)])
+        c_f = 0.0 if kind == "H_Z" else variant.field_constant(params)
+        for s in (k / 2 + 0.01, k / 2 + 0.5, k / 2 + 2.5, k / 2 + 6):
+            for a in (0, 2):
+                want = _hurwitz_zonal_zeta(a, s, lam, k, c_f)
+                got = zeta_zonal(a, s, params, variant)
+                assert abs(got - want) <= 2e-15 * abs(want), (lam, s, a)
+
+
+def test_zonal_zeta_domain_refusal_names_value_and_bound():
+    with pytest.raises(ValueError, match=r"k/2 = 2, got s = 2\.0"):
+        zeta_zonal(0, 2.0, MagneticParams.make([(1.0, 4)]))
+    with pytest.raises(ValueError, match=r"k/2 = 1, got s = 0\.5"):
+        zeta_zonal(0, 0.5, MagneticParams.make([(1.0, 2)]))
 
 
 @pytest.mark.parametrize("k", [2, 4])
