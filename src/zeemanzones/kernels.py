@@ -275,17 +275,23 @@ def _contract_plane(g, plane, m):
     u[x1, y1, y2] v[x2, y1, y2] M_m^{(0)}(ru[x1] + rv, eps), with the
     plane's y axes moved last.
 
-    Slab by slab over x1, each sum a `tree_sum` over a fixed axis: the
-    largest arrays hold len(x2) or len(x1) times the size of the result.
+    x2 is contracted by a matrix product, (rest, x2) @ (x2, y1 y2): one
+    product for every x1 slab at zone 0, one per slab with that slab's
+    zone factor at m >= 1.  x1 is then reduced by a `tree_sum`; its input
+    h, len(x1) times the size of the result, is the largest array built.
     """
     u, v, ru, rv, eps = plane
-    pad = (None,) * (g.ndim - 2)
-    h = np.empty((g.shape[0],) + v.shape[1:] + g.shape[2:], dtype=complex)
-    for i, gi in enumerate(g):
-        kern = v if m == 0 else v * laguerre(0, m, ru[i] + rv, eps)
-        h[i] = tree_sum(kern[(...,) + pad] * gi[:, None, None])
-    h *= u[(...,) + pad]
-    return np.moveaxis(tree_sum(h), (0, 1), (-2, -1))
+    n1, n2 = g.shape[:2]
+    gt = np.moveaxis(g, 1, -1).reshape(n1, -1, n2)       # (x1, rest, x2)
+    vt = v.reshape(n2, -1)                               # (x2, y1 y2)
+    if m == 0:
+        h = (gt.reshape(-1, n2) @ vt).reshape(gt.shape[:2] + vt.shape[1:])
+    else:
+        h = np.empty(gt.shape[:2] + vt.shape[1:], dtype=complex)
+        for i, gi in enumerate(gt):
+            h[i] = gi @ (vt * laguerre(0, m, ru[i] + rv, eps).reshape(n2, -1))
+    h *= u.reshape(n1, 1, -1)
+    return tree_sum(h).reshape(g.shape[2:] + u.shape[1:])
 
 
 def _apply_step(planes, a, x_shape, f):

@@ -9,7 +9,9 @@ The integrand F is None (F = 1) or separable, one factor per interior
 point, and every chain is one operator chain on a shared tensor grid:
 each step applies a kernel's `plane_step` operator to a vector of grid
 values, contracting plane by plane, so no N x N step matrix is built.
-All reductions are fixed-order pairwise trees.
+Within a plane x2 is contracted by a matrix product and x1 by a
+`tree_sum`, and a free end is summed by a `tree_sum`; neither depends on
+the thread count.
 """
 
 from __future__ import annotations
@@ -101,7 +103,7 @@ def _chain(step, x, y, F, n_interior, params, quad_degree):
     Every step is the operator step(X, Y) from tensor grid X to tensor grid
     Y (`plane_step`): the first, each grid-to-grid step (its factors built
     once) and the last.  F is None or a separable F (`_interior_factors`),
-    a diagonal factor per interior point.  Every reduction is a
+    a diagonal factor per interior point.  A free end is summed by a
     `tree_sum`.
     """
     x = _point_axes(x)
@@ -146,8 +148,8 @@ def nu_cylinder_value(slicing: TimeSlicing, F, x, y,
     delta^{(0)}(x, y) for every n by exact idempotency."""
     # d^{(0)} at t = 0 is delta^{(0)}
     return _chain(lambda X, Y: zonal_step("wk", 0, 0.0, X, Y, params),
-                       x, y if pinned else None, F,
-                       slicing.n_slices - int(pinned), params, quad_degree)
+                  x, y if pinned else None, F,
+                  slicing.n_slices - int(pinned), params, quad_degree)
 
 
 # ---------------------------------------------------------------------------

@@ -18,8 +18,10 @@ along saddle-point contours).  `exact_value` integrates by that rule and
 by a two-node-larger one as convergence evidence; it is the package's one
 exact Gaussian integral.
 
-Reduction order is a fixed pairwise tree, independent of any thread
-count, so results are bitwise reproducible.
+`tree_sum` reduces in a fixed pairwise tree, independent of any thread
+count, so its results are bitwise reproducible.  Chain steps contract one
+axis per plane by a BLAS matrix product instead (`kernels._contract_plane`);
+a test pins its bits at 1 and 2 BLAS threads.
 """
 
 from __future__ import annotations

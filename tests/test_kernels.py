@@ -301,13 +301,13 @@ def zonal_matrix(sigma, a, t, G, H, params):
     return zonal_step(sigma, a, t, G, H, params)(np.eye(N))
 
 
-def _assert_matches_closed(sigma, a, t, G, H, params):
+def _assert_matches_closed(sigma, a, t, G, H, params, tol=1e-12):
     ref = zonal_kernel_closed(sigma, a, t, tensor_points(G)[:, None, :],
                               tensor_points(H)[None, :, :], params).value
     got = zonal_matrix(sigma, a, t, G, H, params)
     assert got.shape == ref.shape
     assert np.all(np.isfinite(got))
-    assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+    assert np.max(np.abs(got - ref)) <= tol * np.max(np.abs(ref))
 
 
 @pytest.mark.parametrize("blocks", [[(1.0, 2)], [(1.0, 2), (2.0, 2)],
@@ -348,18 +348,22 @@ def test_zonal_matrix_point_row(p4, xy4, sigma, a):
 
 
 @pytest.mark.parametrize("sigma", ["wk", "df"])
-@pytest.mark.parametrize("a", [0, 1])
+@pytest.mark.parametrize("a", [0, 1, 2, 3, 4])
 def test_zonal_matrix_far_points_finite(p2, sigma, a):
     # neither per-axis factor overflows when points lie far from the
     # origin (|z|^2 / 2 > 709), in either slot or in both; at t = pi/4 the
-    # DF flow turns z_y = 40i onto z_x = -40, where the kernel is O(1)
+    # DF flow turns z_y = 40i onto z_x = -40, where the kernel is O(1).
+    # Zones 2-4 miss by up to 2.5e-12 (DF zone 4); a zone factor split
+    # over the x1 and x2 halves by the addition theorem misses by 5e-10
+    # to 5e-4 there
     G = _axes(p2, 40)
     H = [np.array([0.1, 45.0]), np.array([-0.2, 38.0])]
     F = [np.array([0.1, -40.0]), np.array([0.2, 0.0])]
     F2 = [np.array([0.0, 0.3]), np.array([40.0, -0.1])]
     for t in (0.05, np.pi / 4, 1.3):
         for X, Y in ((G, H), (H, G), (F, F2)):
-            _assert_matches_closed(sigma, a, t, X, Y, p2)
+            _assert_matches_closed(sigma, a, t, X, Y, p2,
+                                   tol=1e-12 if a <= 1 else 1e-11)
 
 
 def test_zonal_matrix_refuses_point_sets(p2):

@@ -1,7 +1,11 @@
 """Time-sliced cylinder approximants of the zonal path integrals."""
 
 import inspect
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -304,6 +308,47 @@ def test_chain_allocates_no_step_matrix(p2, a):
     finally:
         tracemalloc.stop()
     assert peak < 20 * 2 ** 20
+
+
+def test_k4_chain_memory(p4, xy4):
+    # the largest array of a two-block step is the x1 slab stack of
+    # `_contract_plane`, 16^5 complex entries (16 MiB) at degree 16
+    tracemalloc.start()
+    try:
+        cylinder_value("df", 0, TimeSlicing(0.5, 3), None, *xy4, p4,
+                       quad_degree=16)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 40 * 2 ** 20
+
+
+_THREAD_CHAINS = """
+import numpy as np
+from zeemanzones.params import MagneticParams
+from zeemanzones.pathint import TimeSlicing, cylinder_value
+x2, y2 = np.array([0.3, -0.2]), np.array([0.1, 0.4])
+x4, y4 = np.array([0.3, -0.2, 0.1, 0.2]), np.array([0.1, 0.4, -0.3, 0.05])
+print(repr(cylinder_value("df", 1, TimeSlicing(0.5, 4), None, x2, y2,
+                          MagneticParams.make([(1.0, 2)]), quad_degree=40)))
+print(repr(cylinder_value("df", 2, TimeSlicing(0.5, 3), None, x4, y4,
+                          MagneticParams.make([(1.0, 2), (2.0, 2)]),
+                          quad_degree=12)))
+"""
+
+
+def test_chain_values_independent_of_blas_threads():
+    # x2 is contracted inside BLAS; its threads must not change a bit
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    outs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads,
+                   OMP_NUM_THREADS=threads)
+        outs.append(subprocess.run(
+            [sys.executable, "-c", _THREAD_CHAINS], env=env,
+            capture_output=True, text=True, check=True).stdout)
+    assert len(outs[0].split()) == 2
+    assert outs[0] == outs[1]
 
 
 def test_matrix_path_ceiling_refuses_before_allocating(monkeypatch):
