@@ -71,12 +71,6 @@ class QC:
             raise ZeroDivisionError("division by exact zero")
         return QC(self.re / d, -self.im / d)
 
-    def __truediv__(self, o):
-        if isinstance(o, QC):
-            return self * o.inv()
-        f = _frac(o)
-        return QC(self.re / f, self.im / f)
-
     def is_zero(self) -> bool:
         return self.re == 0 and self.im == 0
 

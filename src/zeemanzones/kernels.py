@@ -1,4 +1,4 @@
-"""Closed-form projection, global, zonal, and Mehler kernels.
+"""Closed-form projection, global and zonal kernels.
 
 Flat gauge throughout: every kernel carries its Gaussian factor
 internally and every convolution is a plain Lebesgue integral.
@@ -23,16 +23,6 @@ from .special import laguerre
 
 class SingularTimeError(NumericError, ValueError):
     """DF evaluation at t within tolerance of a sin-zero n*pi/lambda_i."""
-
-
-def df_singular_times(params: MagneticParams, t_max: float) -> list[float]:
-    out = set()
-    for b in params.blocks:
-        n = 1
-        while n * np.pi / b.lam <= t_max:
-            out.add(n * np.pi / b.lam)
-            n += 1
-    return sorted(out)
 
 
 def check_df_time(t: float, params: MagneticParams, tol: float = 1e-9):
@@ -88,7 +78,8 @@ def projection_parts(a: int, X, Y, params: MagneticParams):
 def projection_kernel(a: int, X, Y, params: MagneticParams):
     """Gross-zone point-spread delta^{(a)}(X, Y): the dominant zone-a
     kernel at t = 0."""
-    return dominant_kernel("wk", a, 0.0, X, Y, params)
+    lag = laguerre(params.k // 2 - 1, a, weighted_dist_sq(X, Y, params))
+    return lag * zonal0("wk", 0.0, X, Y, params)
 
 
 def irreducible_projection_kernel(a_tuple, X, Y, params: MagneticParams):
@@ -167,12 +158,6 @@ def zonal0(sigma, t: float, X, Y, params: MagneticParams):
     """Holomorphic-zone kernel d_sigma^{(0)}; entire in t >= 0."""
     pref, expo = _zonal0_parts(sigma, t, X, Y, params)
     return pref * np.exp(expo)
-
-
-def dominant_kernel(sigma, a: int, t: float, X, Y, params: MagneticParams):
-    """D_sigma^{(a)} = L_a^{((k/2)-1)}(sum lam |X-Y|^2) * zonal0."""
-    lag = laguerre(params.k // 2 - 1, a, weighted_dist_sq(X, Y, params))
-    return lag * zonal0(sigma, t, X, Y, params)
 
 
 def zonal_kernel_closed(sigma, a: int, t: float, X, Y,
@@ -397,22 +382,6 @@ def zonal_kernel_numeric(sigma, a: int, t: float, X, Y, params: MagneticParams):
 
     return exact_value(f, zonal_numeric_scales(sigma, t, params), 1 + a,
                        _convolution_centre(sigma, t, X, Y, params))[0]
-
-
-# ---------------------------------------------------------------------------
-# Mehler (harmonic oscillator) kernel
-# ---------------------------------------------------------------------------
-
-def mehler_kernel(t: float, X, Y, B: float, k: int):
-    """Heat kernel of (1/2)(-Delta + B|X|^2) on R^k."""
-    if not (t > 0 and B > 0):
-        raise ValueError("mehler_kernel requires t > 0 and B > 0")
-    X = np.asarray(X, dtype=complex if np.iscomplexobj(X) else float)
-    Y = np.asarray(Y, dtype=complex if np.iscomplexobj(Y) else float)
-    sh = np.sinh(2 * B * t)
-    expo = (B / sh) * (-0.5 * np.cosh(2 * B * t) * (_sq(X) + _sq(Y))
-                       + np.sum(X * Y, axis=-1))
-    return np.exp(expo) / (2 * np.pi * sh) ** (k / 2)
 
 
 # ---------------------------------------------------------------------------

@@ -36,7 +36,7 @@ def laguerre(alpha: int, n: int, t, eps=1.0):
     return cur if shape else complex(cur) if cur.dtype.kind == "c" else float(cur)
 
 
-def gaussian_moment_integral(A: complex, C, k: int | None = None) -> complex:
+def gaussian_moment_integral(A: complex, C) -> complex:
     """int_{R^k} exp(-A|Z|^2/2 + C.Z) dZ for scalar A with Re(A) > 0.
 
     Equals ((2pi)^k / A^k)^{1/2} exp(C.C / (2A)) with the principal branch
@@ -46,10 +46,7 @@ def gaussian_moment_integral(A: complex, C, k: int | None = None) -> complex:
     if not A.real > 0:
         raise ValueError("gaussian_moment_integral requires Re(A) > 0")
     C = np.asarray(C, dtype=complex)
-    if k is None:
-        k = C.shape[-1]
-    elif C.shape == () and k > 0:
-        C = np.full(k, complex(C))
+    k = C.shape[-1]
     cc = np.sum(C * C, axis=-1)
     pref = np.exp(0.5 * k * (np.log(2 * np.pi) - np.log(A)))
     return pref * np.exp(cc / (2 * A))

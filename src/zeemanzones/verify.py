@@ -5,9 +5,13 @@ quadrature non-convergence, singular times and any other exception a
 check raises surface as ERROR, never as FAIL, so numerical limitations
 cannot masquerade as mathematical failure.  Most checks are declared
 as sweeps (`_sweep`, `_holds`): a case function and the named axes it
-runs over, which are also the params the check reports.  Check ordering
-and JSON output are deterministic: wall times are kept on the in-memory
-results and written only by `timings_json`.
+runs over, which are also the params the check reports.  Five stay
+hand-written: `_chk_pde` feeds both geometries from one random stream per
+flow, which a sweep over geometry would reorder; `_chk_hurwitz_conditional`
+reports the Hurwitz shift without asserting it; `_chk_uniform_bound`,
+`_chk_discrete_fk` and `_chk_rn_consistency` put per-case numbers in their
+notes.  Check ordering and JSON output are deterministic: wall times are
+kept on the in-memory results and written only by `timings_json`.
 """
 
 from __future__ import annotations
@@ -52,6 +56,7 @@ _X4 = np.array([0.3, -0.2, 0.15, 0.25])
 _Y4 = np.array([0.1, 0.4, -0.3, 0.05])
 _ZONES = (0, 1, 2, 3)
 _TIMES = (0.5, 1.0)
+_DELTA_TIMES = (1e-1, 1e-2, 1e-3)  # t -> 0 in the delta-limit checks
 _S_T = ((0.2, 0.3), (0.5, 0.5))     # (s, t) pairs of the CK checks
 _DEGREE = 40                        # every other rule and chain grid
 _K4_DEGREE = 24                     # every k=4 rule: 24^4 nodes
@@ -154,7 +159,7 @@ def _rec3_residual(alpha, a, lower):
 def _moment_gap(deg, k, A):
     """Relative error of the rule for int exp(-A|U|^2/2 + U.C) dU on R^k."""
     C = _MOMENT_C[:k]
-    ref = gaussian_moment_integral(A, C, k)
+    ref = gaussian_moment_integral(A, C)
     got = integrate(lambda U: np.exp(-0.5 * A * np.sum(U ** 2, axis=-1)
                                      + U @ C),
                     QuadRule(deg if k <= 2 else _K4_DEGREE, (A.real / 2,) * k))
@@ -211,33 +216,27 @@ def _box_eigen(geometry, order):
                for comp in split_by_magnetic(hp).values())
 
 
-def _chk_upsilon_independence():
-    # every level of zone 0, in order, against the same level of zones 1, 2
-    ran = _plain({"geometry": (_P2, _P4), "a": (0, 1, 2), "max_p": 5})
-    for params in (_P2, _P4):
-        table = spectrum_table(params, H_Z, max_p=5, max_zone=2)
-        ev = [[e.eigenvalue for e in table if e.zone == a] for a in (0, 1, 2)]
-        for a in (1, 2):
-            if len(ev[a]) != len(ev[0]) or not all(
-                    abs(x - y) <= 1e-12 for x, y in zip(ev[0], ev[a])):
-                return 1.0, 0.0, f"k={params.k}, zone={a}: {ev[a]}", ran
-    return 0.0, 0.0, "", ran
+def _zones(params, max_zone):
+    """(eigenvalues, multiplicities) of the H_Z levels through degree 5 of
+    each zone 0..max_zone, in table order."""
+    table = spectrum_table(params, H_Z, max_p=5, max_zone=max_zone)
+    return [([e.eigenvalue for e in table if e.zone == a],
+             [e.multiplicity for e in table if e.zone == a])
+            for a in range(max_zone + 1)]
 
 
-def _chk_isochromatic():
-    ran = _plain({"geometry": (_P4, _P2), "a": (0, 1), "max_p": 5})
-    t4 = spectrum_table(_P4, H_Z, max_p=5, max_zone=1)
-    ev = {a: [e.eigenvalue for e in t4 if e.zone == a] for a in (0, 1)}
-    mu = {a: [e.multiplicity for e in t4 if e.zone == a] for a in (0, 1)}
-    if ev[0] != ev[1]:
-        return 1.0, 0.0, "k=4 eigenvalue sets differ", ran
-    if mu[0] == mu[1]:
-        return 1.0, 0.0, "k=4 multiplicity vectors should differ", ran
-    t2 = spectrum_table(_P2, H_Z, max_p=5, max_zone=1)
-    mu2 = {a: [e.multiplicity for e in t2 if e.zone == a] for a in (0, 1)}
-    if mu2[0] != mu2[1]:
-        return 1.0, 0.0, "k=2 multiplicity vectors should agree", ran
-    return 0.0, 0.0, "", ran
+def _upsilon_independent(geometry, a):
+    """Every level of zone a, in order, equals that of zone 0 (to 1e-12)."""
+    ev = [eigenvalues for eigenvalues, _ in _zones(geometry, 2)]
+    return len(ev[a]) == len(ev[0]) and all(
+        abs(x - y) <= 1e-12 for x, y in zip(ev[0], ev[a]))
+
+
+def _isochromatic(geometry):
+    """Zones 0 and 1 share their eigenvalues; their multiplicities differ
+    on k=4 and agree on k=2."""
+    (ev0, mu0), (ev1, mu1) = _zones(geometry, 1)
+    return ev0 == ev1 and (mu0 == mu1) == (geometry.k == 2)
 
 
 _SPECTRUM = [
@@ -248,8 +247,11 @@ _SPECTRUM = [
             vandermonde_split(hp, order, params) == split_by_magnetic(hp)
             for hp, params in _eigenfunctions(geometry, order)),
         geometry=_GEOMETRIES, order=range(4))),
-    ("spectrum.upsilon_independence", _chk_upsilon_independence),
-    ("spectrum.isochromatic_zones", _chk_isochromatic),
+    ("spectrum.upsilon_independence", _holds(
+        _upsilon_independent, ran={"max_p": 5}, geometry=(_P2, _P4),
+        a=(0, 1, 2))),
+    ("spectrum.isochromatic_zones", _holds(
+        _isochromatic, ran={"a": (0, 1), "max_p": 5}, geometry=(_P4, _P2))),
     ("spectrum.zone_of_consistency", _holds(
         lambda l, p: p > l or zone_of(l, 2 * p - l) == l - p,
         l=range(9), p=range(9))),
@@ -309,12 +311,11 @@ def _ladder_step(degrees):
     return abs(hi - lo)
 
 
-def _chk_quad_determinism():
-    nodes = _rule(_P2, _DEGREE)
-    a, b = (_conv(_delta(1, _P2), _delta(1, _P2), _X0, _Y0, nodes)
+def _rerun_gap(deg):
+    """1.0 if the zone-1 idempotency convolution changes between two runs."""
+    a, b = (_conv(_delta(1, _P2), _delta(1, _P2), _X0, _Y0, _rule(_P2, deg))
             for _ in range(2))
-    return (float(a != b), 0.0, "pairwise tree reduction, fixed order",
-            {"quad_degree": _DEGREE, "a": 1})
+    return float(a != b)
 
 
 _PROJECTIONS = [
@@ -330,7 +331,9 @@ _PROJECTIONS = [
         _reproducing, 1e-8, degree=_DEGREE, geometry=(_P2, _P2B), m=range(5))),
     ("quadrature.convergence_ladder", _sweep(
         _ladder_step, 1e-8, ran={"a": 2}, degrees=((20, 30), (30, 40)))),
-    ("quadrature.determinism", _chk_quad_determinism),
+    ("quadrature.determinism", _sweep(
+        _rerun_gap, 0.0, "pairwise tree reduction, fixed order",
+        degree=_DEGREE, ran={"a": 1})),
 ]
 
 
@@ -363,20 +366,19 @@ def _global_ck(deg, s_t, geometry):
     return abs(conv - global_kernel("wk", s + t, X, Y, geometry))
 
 
-def _chk_global_df_divergence():
-    # the modulus of the DF chaining integrand is constant in the midpoint,
-    # so the convolution is not absolutely convergent; we demonstrate the
-    # constancy rather than "test" a divergent integral
-    s, t = 0.2, 0.3
-    U0 = np.array([0.5, -0.1])
-    U1 = np.array([40.0, 25.0])
-    mods = [abs(global_kernel("df", s, _X0, U, _P2)
-                * global_kernel("df", t, U, _Y0, _P2)) for U in (U0, U1)]
-    res = abs(mods[1] / mods[0] - 1.0)
-    return res, 1e-10, ("|integrand| is independent of the midpoint: the "
-                        "global DF kernel is neither L1 nor L2, CK holds "
-                        "only as an oscillatory (improper) integral"), \
-        _plain({"s": s, "t": t, "U": (U0, U1)})
+# the modulus of the DF chaining integrand is constant in the midpoint, so
+# the convolution is not absolutely convergent; the check demonstrates the
+# constancy rather than "test" a divergent integral
+_DF_MIDPOINTS = {"s": 0.2, "t": 0.3,
+                 "U": (np.array([0.5, -0.1]), np.array([40.0, 25.0]))}
+
+
+def _df_modulus_change(s, t, U):
+    """|change| of |d_df(s, X, U) d_df(t, U, Y)| from the first midpoint U
+    to the second."""
+    near, far = (abs(global_kernel("df", s, _X0, u, _P2)
+                     * global_kernel("df", t, u, _Y0, _P2)) for u in U)
+    return abs(far / near - 1.0)
 
 
 _GLOBAL = [
@@ -385,7 +387,11 @@ _GLOBAL = [
     ("global.ck_wk", _sweep(_global_ck, 1e-7, degree=_DEGREE,
                             ran={"k4_quad_degree": _K4_DEGREE},
                             s_t=_S_T, geometry=(_P2, _P4))),
-    ("global.df_divergence_note", _chk_global_df_divergence),
+    ("global.df_divergence_note", _sweep(
+        lambda: _df_modulus_change(**_DF_MIDPOINTS), 1e-10,
+        "|integrand| is independent of the midpoint: the global DF kernel "
+        "is neither L1 nor L2, CK holds only as an oscillatory (improper) "
+        "integral", ran=_DF_MIDPOINTS)),
 ]
 
 
@@ -398,17 +404,15 @@ def _zonal_ck(deg, sigma, s_t, a):
     return abs(conv - zonal_kernel_closed(sigma, a, s + t, _X0, _Y0, _P2).value)
 
 
-def _chk_delta_limit(sigma):
-    times = (1e-1, 1e-2, 1e-3)
-    ran = _plain({"sigma": (sigma,), "a": _ZONES, "t": times})
-    for a in _ZONES:
-        gaps = [_worst(abs(zonal_kernel_closed(sigma, a, t, X, Y, _P2).value
-                           - projection_kernel(a, X, Y, _P2))
-                       for X, Y in ((_X0, _Y0), (_X0, _X0), (_Y0, 0 * _Y0)))
-                for t in times]
-        if not (gaps[0] > gaps[1] > gaps[2]):
-            return 1.0, 0.0, f"a={a}: gaps {gaps}", ran
-    return 0.0, 0.0, "", ran
+def _delta_limit(sigma, a):
+    """d_sigma^{(a)}(t) -> delta^{(a)} at rate O(t) as t runs down
+    _DELTA_TIMES: the worst gap over three point pairs, divided by t, grows
+    less than 2x from each time to the next."""
+    slopes = [_worst(abs(zonal_kernel_closed(sigma, a, t, X, Y, _P2).value
+                         - projection_kernel(a, X, Y, _P2))
+                     for X, Y in ((_X0, _Y0), (_X0, _X0), (_Y0, 0 * _Y0))) / t
+              for t in _DELTA_TIMES]
+    return all(s1 < 2 * s0 for s0, s1 in zip(slopes, slopes[1:]))
 
 
 def _zonal_checks(sigma):
@@ -431,7 +435,8 @@ def _zonal_checks(sigma):
             ran={"a": 1, "geometry": _P2}, sigma=one, t=_TIMES)),
         ("chapman_kolmogorov", _sweep(_zonal_ck, 1e-7, degree=_DEGREE,
                                       sigma=one, s_t=_S_T, a=_ZONES)),
-        ("delta_limit", partial(_chk_delta_limit, sigma)),
+        ("delta_limit", _holds(_delta_limit, ran={"t": _DELTA_TIMES},
+                               sigma=one, a=_ZONES)),
         ("longterm_vanish_t0", _sweep(
             lambda sigma, a: abs(zonal_kernel_closed(sigma, a, 0.0, _X0, _Y0,
                                                      _P2).long_term),

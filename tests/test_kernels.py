@@ -1,19 +1,19 @@
 """Projection, heat and Schrodinger kernels: identities and residuals."""
 
+import mpmath as mp
 import numpy as np
 import pytest
 
 from zeemanzones.kernels import (SingularTimeError, check_df_time,
-                                 df_singular_times, dominant_kernel,
                                  global_kernel, global_parts,
                                  irreducible_projection_kernel, lt1_printed,
-                                 mehler_kernel, pde_residual,
-                                 projection_kernel, projection_parts,
-                                 weighted_dist_sq, zonal0,
+                                 pde_residual, projection_kernel,
+                                 projection_parts, weighted_dist_sq, zonal0,
                                  zonal_kernel_closed, zonal_kernel_numeric,
                                  zonal_numeric_scales, zonal_step)
 from zeemanzones.params import MagneticParams
 from zeemanzones.quadrature import QuadRule, tensor_points, tree_sum
+from zeemanzones.special import laguerre
 from zeemanzones.spectrum import zonal_series_value
 
 
@@ -81,17 +81,6 @@ def test_weighted_dist_sq_symmetry(p4, xy4):
 # global kernels
 # ---------------------------------------------------------------------------
 
-def test_mehler_kernel_chapman_kolmogorov():
-    # the oscillator comparison kernel is itself a semigroup
-    X = np.array([0.3, -0.2])
-    Y = np.array([0.1, 0.4])
-    s, t, B = 0.4, 0.3, 1.0
-    U, w = QuadRule(40, (1.0, 1.0)).nodes_weights()
-    conv = tree_sum(w * mehler_kernel(s, X[None, :], U, B, 2)
-                    * mehler_kernel(t, U, Y[None, :], B, 2))
-    assert abs(conv - mehler_kernel(s + t, X, Y, B, 2)) < 1e-9
-
-
 def test_global_parts_consistency(p4, xy4):
     X, Y = xy4
     for sigma in ("wk", "df"):
@@ -112,8 +101,6 @@ def test_global_wk_chapman_kolmogorov(p2, xy2):
 
 
 def test_df_singular_times_and_guard(p2b):
-    ts = df_singular_times(p2b, 4.0)
-    assert ts == pytest.approx([np.pi / 2, np.pi])
     with pytest.raises(SingularTimeError):
         check_df_time(np.pi / 2, p2b)
     with pytest.raises(SingularTimeError):
@@ -148,7 +135,8 @@ def test_zonal_split_sums(p2, xy2):
         assert kv.value == pytest.approx(kv.dominant + kv.long_term,
                                          abs=1e-15)
         assert kv.dominant == pytest.approx(
-            dominant_kernel(sigma, 1, 0.5, X, Y, p2), abs=1e-15)
+            laguerre(0, 1, weighted_dist_sq(X, Y, p2))
+            * zonal0(sigma, 0.5, X, Y, p2), abs=1e-15)
 
 
 def test_zonal_long_term_vanishes_at_zero(p2, xy2):
@@ -235,7 +223,10 @@ def test_zonal_closed_every_zone_split(p2, p4, xy2, xy4, sigma):
     for params, (X, Y) in ((p2, xy2), (p4, xy4)):
         for a in range(5):
             kv = zonal_kernel_closed(sigma, a, 0.7, X, Y, params)
-            assert kv.dominant == dominant_kernel(sigma, a, 0.7, X, Y, params)
+            # D^{(a)} = L_a^{(k/2 - 1)}(sum lam_i |X_i - Y_i|^2) d^{(0)}
+            assert kv.dominant == laguerre(
+                params.k // 2 - 1, a, weighted_dist_sq(X, Y, params)) \
+                * zonal0(sigma, 0.7, X, Y, params)
             assert abs(kv.value - kv.dominant - kv.long_term) <= 1e-15
     for a in range(7):
         assert zonal_kernel_closed(sigma, a, 0.0, *xy2, p2).long_term == 0
@@ -347,23 +338,47 @@ def test_zonal_matrix_point_row(p4, xy4, sigma, a):
     assert np.max(np.abs(got[0] - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
+def _zonal_closed_mp(sigma, a, t, X, Y):
+    """d_sigma^{(a)}(t, X, Y) on k=2, lambda=1 in 60-digit mpmath, on the
+    same double inputs: eps^a L_a(rho / eps) d^{(0)} with eps = e^{-2 t
+    sigma}, P = z_x conj(z_y), rho = eps |X - Y|^2 - (1 - eps)^2 Re P
+    + i (1 - eps^2) Im P and d^{(0)} = e^{-sigma t - (|X|^2 + |Y|^2) / 2
+    + eps P} / pi (`zonal_kernel_closed`)."""
+    with mp.workdps(60):
+        st = mp.mpf(t) * (1 if sigma == "wk" else 1j)
+        x1, x2, y1, y2 = (mp.mpf(float(v)) for v in (*X, *Y))
+        eps = mp.exp(-2 * st)
+        P = mp.mpc(x1, x2) * mp.mpc(y1, -y2)
+        rho = (eps * ((x1 - y1) ** 2 + (x2 - y2) ** 2)
+               - (1 - eps) ** 2 * P.real + 1j * (1 - eps ** 2) * P.imag)
+        d0 = mp.exp(-st - (x1 ** 2 + x2 ** 2 + y1 ** 2 + y2 ** 2) / 2
+                    + eps * P) / mp.pi
+        return complex(eps ** a * mp.laguerre(a, 0, rho / eps) * d0)
+
+
 @pytest.mark.parametrize("sigma", ["wk", "df"])
 @pytest.mark.parametrize("a", [0, 1, 2, 3, 4])
 def test_zonal_matrix_far_points_finite(p2, sigma, a):
     # neither per-axis factor overflows when points lie far from the
     # origin (|z|^2 / 2 > 709), in either slot or in both; at t = pi/4 the
     # DF flow turns z_y = 40i onto z_x = -40, where the kernel is O(1).
-    # Zones 2-4 miss by up to 2.5e-12 (DF zone 4); a zone factor split
-    # over the x1 and x2 halves by the addition theorem misses by 5e-10
-    # to 5e-4 there
+    # Against the point form, zones 2-4 miss by up to 2.5e-12 (DF zone 4);
+    # the point form itself is off mpmath by up to 2.6e-12 on F x F2,
+    # where the operator is within 3.0e-13 (DF zone 4; WK within 6.2e-16).
+    # A zone factor split over the x1 and x2 halves by the addition theorem
+    # misses by 5e-10 to 5e-4 there
     G = _axes(p2, 40)
     H = [np.array([0.1, 45.0]), np.array([-0.2, 38.0])]
     F = [np.array([0.1, -40.0]), np.array([0.2, 0.0])]
     F2 = [np.array([0.0, 0.3]), np.array([40.0, -0.1])]
     for t in (0.05, np.pi / 4, 1.3):
-        for X, Y in ((G, H), (H, G), (F, F2)):
+        for X, Y in ((G, H), (H, G)):
             _assert_matches_closed(sigma, a, t, X, Y, p2,
                                    tol=1e-12 if a <= 1 else 1e-11)
+        ref = np.array([[_zonal_closed_mp(sigma, a, t, x, y)
+                         for y in tensor_points(F2)] for x in tensor_points(F)])
+        got = zonal_matrix(sigma, a, t, F, F2, p2)
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 def test_zonal_matrix_refuses_point_sets(p2):

@@ -1,5 +1,6 @@
 """The verification harness: registry, statuses, determinism."""
 
+import dataclasses
 import itertools
 import json
 
@@ -215,3 +216,48 @@ def test_upsilon_independence_compares_every_level(monkeypatch, k, level):
     monkeypatch.setattr(verify, "spectrum_table", one_level_short)
     by_id = {r.check_id: r for r in run_suite("spectrum")}
     assert by_id["spectrum.upsilon_independence"].status == "FAIL"
+
+
+def _multiplicities_of_zone_0(table):
+    # k=4 zone-1 levels get the multiplicities of zone 0, level by level
+    def patched(params, *args, **kwargs):
+        entries = table(params, *args, **kwargs)
+        if params.k != 4:
+            return entries
+        mu = iter([e.multiplicity for e in entries if e.zone == 0])
+        return [dataclasses.replace(e, multiplicity=next(mu))
+                if e.zone == 1 else e for e in entries]
+    return patched
+
+
+def _offset(kernel):
+    return lambda *args, **kwargs: kernel(*args, **kwargs) + 1e-3
+
+
+def _midpoint_dependent(kernel):
+    # the midpoint is one of the two points of each kernel in the chaining
+    # integrand, so a factor growing with |X| + |Y| depends on it
+    return lambda sigma, t, X, Y, params: kernel(sigma, t, X, Y, params) * (
+        1 + 1e-3 * np.sum(np.abs(X) + np.abs(Y)))
+
+
+def _second_call_differs(conv):
+    calls = itertools.count()
+    return lambda *args: conv(*args) * (1 + next(calls) * 1e-12)
+
+
+@pytest.mark.parametrize("check_id,subject,plant", [
+    ("spectrum.isochromatic_zones", "spectrum_table",
+     _multiplicities_of_zone_0),
+    ("zonal_wk.delta_limit", "projection_kernel", _offset),
+    ("zonal_df.delta_limit", "projection_kernel", _offset),
+    ("global.df_divergence_note", "global_kernel", _midpoint_dependent),
+    ("quadrature.determinism", "_conv", _second_call_differs),
+])
+def test_declared_checks_can_fail(monkeypatch, check_id, subject, plant):
+    # each check looks its subject up when it runs, so a planted fault in
+    # the subject reaches it and turns it into a FAIL
+    monkeypatch.setattr(verify, subject, plant(getattr(verify, subject)))
+    func = dict((cid, fn) for cid, _, fn in CHECKS)[check_id]
+    r = verify._run_one(check_id, func)
+    assert r.status == "FAIL", (r.residual, r.note)
