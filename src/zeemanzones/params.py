@@ -14,6 +14,7 @@ sigma = i).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,12 +45,13 @@ def _compositions(total: int, parts: int):
             yield (first,) + rest
 
 
-def _composition_sum(a: int, parts: int, term):
-    """Sum of term(comp) over the compositions comp of a over `parts`
-    parts, in a fixed order."""
+def _composition_sum(a: int, factors):
+    """Sum over the compositions comp of a over len(factors) parts of the
+    products prod_p factors[p](comp[p]), in a fixed order."""
     if a < 0:
         raise ValueError("zone index must be nonnegative")
-    terms = (term(comp) for comp in _compositions(a, parts))
+    terms = (math.prod(f(m) for f, m in zip(factors, comp))
+             for comp in _compositions(a, len(factors)))
     total = next(terms)
     for t in terms:
         total += t              # in place: one sum and one term live

@@ -5,27 +5,28 @@ intermediate points with plain Lebesgue measure (the flat gauge keeps all
 Gaussian weights inside the kernels, and Lebesgue chaining is what makes
 the pinned F=1 chain collapse to d(T, x, y) exactly).
 
-The integrand F is None (F = 1) or separable, one factor per interior
-point, and every chain is one operator chain on a shared tensor grid:
-each step applies a kernel's `plane_step` operator to a vector of grid
-values, contracting plane by plane, so no N x N step matrix is built.
-Within a plane x2 is contracted by a matrix product and x1 by a
-`tree_sum`, and a free end is summed by a `tree_sum`; neither depends on
-the thread count.
+Every chain is a sum of products of one-plane chains (`_chain`), each
+on its plane's grid: a step applies a `plane_step` operator to the
+vector of grid values, so no N x N step matrix is built.  x2 is
+contracted by a matrix product and x1 by a `tree_sum`, and a free end is
+summed by a `tree_sum`; neither depends on the thread count.  The
+integrand F is None (F = 1) or, on one plane only, separable.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import cache, partial
 
 import numpy as np
 
-from .params import CHAIN_DEGREE, MagneticParams, sigma_value
+from .params import CHAIN_DEGREE, MagneticParams, _composition_sum, sigma_value
 from .kernels import check_df_time, plane_step, zonal_step
 from .quadrature import (QuadRule, QuadratureError, tensor_points,
                          tensor_weights, tree_sum)
 
-STEP_ENTRY_CEILING = 2 ** 22   # quad_degree^(k+1): a chain step's largest array
+STEP_ENTRY_CEILING = 2 ** 22   # quad_degree^3: a chain step's largest array
 
 
 @dataclass(frozen=True)
@@ -49,29 +50,24 @@ class TimeSlicing:
         return [j * self.step for j in range(self.n_slices + 1)]
 
 
-def slicing_grid(params: MagneticParams, quad_degree: int):
-    """Shared per-slice tensor grid: k per-axis node arrays and the
-    Lebesgue weights (N,) of its points (`tensor_points` order).
+def slicing_grid(lam: float, quad_degree: int):
+    """One coordinate plane's per-slice chain grid: its two axis node
+    arrays and the Lebesgue weights (quad_degree^2,) of its points
+    (`tensor_points` order).
 
-    Chain integrands decay like e^{-lam_i |m|^2} in each intermediate
-    point (half a Gaussian from each adjacent kernel factor).  Refused
-    before anything is allocated when a grid-to-grid step's largest
-    intermediate array (quad_degree^(k+1) entries) would exceed
-    STEP_ENTRY_CEILING.
+    Chain integrands decay like e^{-lam |m|^2} in each intermediate point
+    (half a Gaussian from each adjacent kernel factor).  Refused before
+    anything is allocated when a grid-to-grid step's largest array
+    (quad_degree^3 entries) would exceed STEP_ENTRY_CEILING.
     """
-    size = int(quad_degree) ** (params.k + 1)
+    size = int(quad_degree) ** 3
     if size > STEP_ENTRY_CEILING:
         raise QuadratureError(
             f"chain step array of {size} entries exceeds the ceiling of "
             f"{STEP_ENTRY_CEILING}; reduce quad_degree")
-    rule = QuadRule(quad_degree, params.axis_lambdas())
-    axes, wts = zip(*(rule.axis_nodes_weights(j) for j in range(rule.dim)))
+    rule = QuadRule(quad_degree, (lam, lam))
+    axes, wts = zip(*(rule.axis_nodes_weights(j) for j in range(2)))
     return list(axes), tensor_weights(wts)
-
-
-def _point_axes(x):
-    """A point (k,) as a one-point tensor grid: k length-1 axes."""
-    return np.asarray(x, dtype=float)[:, None]
 
 
 def _check_slicing(sigma, slicing: TimeSlicing, params: MagneticParams):
@@ -82,7 +78,7 @@ def _check_slicing(sigma, slicing: TimeSlicing, params: MagneticParams):
 
 def _interior_factors(F, n_interior, G):
     """Per-point diagonal factors for F=None or a separable F (a list or
-    tuple of callables), on the N points of the tensor grid G; each
+    tuple of callables), on the N points of the plane grid G; each
     factor's values must broadcast to (N,)."""
     if F is None:
         return [None] * n_interior
@@ -96,30 +92,42 @@ def _interior_factors(F, n_interior, G):
     return [np.broadcast_to(f(points), (len(points),)) for f in F]
 
 
-def _chain(step, x, y, F, n_interior, params, quad_degree):
-    """Integrate a chain from the point x to the point y (None: free end)
-    over n_interior points of the shared grid.
+def _chain(step, a, x, y, F, n_interior, params, quad_degree):
+    """Integrate a chain of zone-a steps from the point x to the point y
+    (None: free end) over n_interior points.
 
-    Every step is the operator step(X, Y) from tensor grid X to tensor grid
-    Y (`plane_step`): the first, each grid-to-grid step (its factors built
-    once) and the last.  F is None or a separable F (`_interior_factors`),
-    a diagonal factor per interior point.  A free end is summed by a
-    `tree_sum`.
+    Steps are products over the planes, whose zone kernels are orthogonal
+    projections times the flow, so the chain is the sum over the
+    compositions (a_p) of a over the planes of products of one-plane
+    chains at constant zone a_p, `plane(j, m)`.  Its steps are
+    step(lam, m, X, Y) from grid X to grid Y (`plane_step`), the
+    grid-to-grid one built once.  F is None or, on one plane only, a
+    separable F (`_interior_factors`).
     """
-    x = _point_axes(x)
-    if n_interior == 0:
-        _interior_factors(F, 0, None)           # a separable F must be empty
-        return complex(step(x, _point_axes(y))(np.ones(1))[0])
-    G, w = slicing_grid(params, quad_degree)
-    factors = _interior_factors(F, n_interior, G)
-    inner = step(G, G) if n_interior > 1 else None
-    v = step(x, G)(np.ones(1))
-    for j, f in enumerate(factors):
-        vw = v * w if f is None else v * w * f
-        if j < n_interior - 1:
-            v = inner(vw)
-    return complex(tree_sum(vw) if y is None
-                   else step(G, _point_axes(y))(vw)[0])
+    plam = params.plane_lambdas().tolist()
+    if F is not None and len(plam) > 1:
+        raise ValueError("a separable F needs a one-plane geometry (k = 2)")
+    x, y = (None if z is None else np.asarray(z, dtype=float).reshape(-1, 2, 1)
+            for z in (x, y))
+
+    @cache
+    def plane(j, m):
+        lam = plam[j]
+        if n_interior == 0:
+            _interior_factors(F, 0, None)       # a separable F must be empty
+            return complex(step(lam, m, x[j], y[j])(np.ones(1))[0])
+        G, w = slicing_grid(lam, quad_degree)
+        factors = _interior_factors(F, n_interior, G)
+        inner = step(lam, m, G, G) if n_interior > 1 else None
+        v = step(lam, m, x[j], G)(np.ones(1))
+        for i, f in enumerate(factors):
+            vw = v * w if f is None else v * w * f
+            if i < n_interior - 1:
+                v = inner(vw)
+        return complex(tree_sum(vw) if y is None
+                       else step(lam, m, G, y[j])(vw)[0])
+
+    return _composition_sum(a, [partial(plane, j) for j in range(len(plam))])
 
 
 def cylinder_value(sigma, a: int, slicing: TimeSlicing, F, x, y,
@@ -127,16 +135,17 @@ def cylinder_value(sigma, a: int, slicing: TimeSlicing, F, x, y,
                    pinned: bool = True):
     """W_{sigma,n}^{T(a)}(F): n-fold chain of zone-a kernels against F.
 
-    F is None (constant 1) or a list or tuple of n_interior callables,
-    one per interior point, each mapping the (N, k) grid points to N
-    values (separable F); anything else is a ValueError.  Pinned chains
-    have n-1 interior points and end at y; free chains integrate the
-    final point as well (n interior points, y ignored).
+    F is None (constant 1) or, on a one-plane geometry (k = 2), a list or
+    tuple of n_interior callables, one per interior point, each mapping
+    the (N, 2) grid points to N values (separable F); anything else is a
+    ValueError.  Pinned chains have n-1 interior points and end at y;
+    free chains integrate the final point as well (n interior points, y
+    ignored).
     """
     _check_slicing(sigma, slicing, params)
     dt = slicing.step
-    return _chain(lambda X, Y: zonal_step(sigma, a, dt, X, Y, params),
-                  x, y if pinned else None, F,
+    return _chain(lambda lam, m, X, Y: zonal_step(sigma, m, dt, X, Y, lam),
+                  a, x, y if pinned else None, F,
                   slicing.n_slices - int(pinned), params, quad_degree)
 
 
@@ -147,8 +156,8 @@ def nu_cylinder_value(slicing: TimeSlicing, F, x, y,
     step kernel (the time-independent nu measure); F=1 pinned gives
     delta^{(0)}(x, y) for every n by exact idempotency."""
     # d^{(0)} at t = 0 is delta^{(0)}
-    return _chain(lambda X, Y: zonal_step("wk", 0, 0.0, X, Y, params),
-                  x, y if pinned else None, F,
+    return _chain(lambda lam, m, X, Y: zonal_step("wk", 0, 0.0, X, Y, lam),
+                  0, x, y if pinned else None, F,
                   slicing.n_slices - int(pinned), params, quad_degree)
 
 
@@ -179,33 +188,24 @@ def feynman_kac_weight(sigma, omega, T: float, params: MagneticParams):
     return complex(np.exp(expo))
 
 
-def _fk_step(sigma, dt, params: MagneticParams, exact: bool):
-    """delta^{(0)} times the per-step Feynman-Kac weight, as the plane-form
-    (coefficients, shift) of `plane_step`.
+def _fk_step(sigma, dt, lam: float, exact: bool):
+    """delta^{(0)} times the per-step Feynman-Kac weight on a plane of
+    field lam, as the (coefficient, shift) of `plane_step`.
 
-    The weight is e^{-sum_i k_i lam_i dt s / 2} e^{sum_i lam_i c_i P_i},
-    P_i = <m_i, m'_i + i J m'_i>.  exact=True takes c_i = e^{-2 lam_i dt s}
-    - 1, for which delta^{(0)} times the weight is d^{(0)}(dt, m, m');
-    exact=False is the Feynman-Kac surrogate with linearized coefficient
-    c_i = -2 s dt lam_i: the slice value of |omega|^2 evaluated with the
-    left point paired against the right (for continuous paths
-    <m, m' + i J m'> -> |m|^2 since <v, J v> = 0, and the surrogate
-    differs from exact at O(dt^2) per step, so the chain converges at
-    rate O(dt)).  delta^{(0)} contributes the coefficient 1.
+    The weight is e^{-lam dt s} e^{lam c P}, P = <m, m' + i J m'>.
+    exact=True takes c = e^{-2 lam dt s} - 1, for which delta^{(0)} times
+    the weight is d^{(0)}(dt, m, m'); exact=False is the Feynman-Kac
+    surrogate with linearized coefficient c = -2 s dt lam: the slice value
+    of |omega|^2 evaluated with the left point paired against the right
+    (for continuous paths <m, m' + i J m'> -> |m|^2 since <v, J v> = 0,
+    and the surrogate differs from exact at O(dt^2) per step, so the
+    chain converges at rate O(dt)).  delta^{(0)} contributes the
+    coefficient 1.  The weight of R^k is the product over its planes.
     """
     s = sigma_value(sigma)
-    coeffs = [1 + (np.exp(-2 * b.lam * dt * s) - 1 if exact
-                   else -2 * b.lam * dt * s) for b in params.blocks]
-    return coeffs, -0.5 * s * dt * sum(b.k * b.lam for b in params.blocks)
-
-
-def _delta_chain(coeffs, shift, slicing: TimeSlicing, x, y,
-                 params: MagneticParams, quad_degree: int):
-    """Pinned chain whose every step is the plane-form operator (coeffs,
-    shift)."""
-    return _chain(
-        lambda X, Y: plane_step(X, Y, params, coeffs, shift),
-        x, y, None, slicing.n_slices - 1, params, quad_degree)
+    coeff = 1 + (np.exp(-2 * lam * dt * s) - 1 if exact
+                 else -2 * lam * dt * s)
+    return coeff, -0.5 * s * dt * (2 * lam)
 
 
 def feynman_kac_chain(sigma, slicing: TimeSlicing, x, y,
@@ -220,8 +220,9 @@ def feynman_kac_chain(sigma, slicing: TimeSlicing, x, y,
     second form of the cylinder functional).
     """
     _check_slicing(sigma, slicing, params)
-    coeffs, shift = _fk_step(sigma, slicing.step, params, exact_step)
-    return _delta_chain(coeffs, shift, slicing, x, y, params, quad_degree)
+    return _chain(lambda lam, m, X, Y: plane_step(
+        X, Y, lam, *_fk_step(sigma, slicing.step, lam, exact_step)),
+        0, x, y, None, slicing.n_slices - 1, params, quad_degree)
 
 
 # ---------------------------------------------------------------------------
@@ -259,14 +260,20 @@ def uniform_bound_check(slicing: TimeSlicing, x, params: MagneticParams,
 def probability_conservation(t: float, x, params: MagneticParams,
                              quad_degree: int = CHAIN_DEGREE) -> float:
     """| ||psi(t)|| - 1 | for psi(0) the normalized holomorphic point
-    spread at x, evolved by the DF zone flow (unitary on the zone)."""
+    spread at x, evolved by the DF zone flow (unitary on the zone); its
+    norm is the product of the per-plane norms."""
     check_df_time(t, params)
-    G, w = slicing_grid(params, quad_degree)
-    psi0 = zonal_step("wk", 0, 0.0, _point_axes(x), G, params)(np.ones(1))
-    psi0 /= np.sqrt(tree_sum(w * np.abs(psi0) ** 2).real)
-    psit = zonal_step("df", 0, t, G, G, params)(psi0 * w)
-    nrm = np.sqrt(tree_sum(w * np.abs(psit) ** 2).real)
-    return abs(nrm - 1.0)
+    x = np.asarray(x, dtype=float).reshape(-1, 2, 1)
+
+    def norm(j, lam):
+        G, w = slicing_grid(lam, quad_degree)
+        psi0 = zonal_step("wk", 0, 0.0, x[j], G, lam)(np.ones(1))
+        psi0 /= np.sqrt(tree_sum(w * np.abs(psi0) ** 2).real)
+        psit = zonal_step("df", 0, t, G, G, lam)(psi0 * w)
+        return np.sqrt(tree_sum(w * np.abs(psit) ** 2).real)
+
+    plam = params.plane_lambdas().tolist()
+    return abs(math.prod(norm(j, lam) for j, lam in enumerate(plam)) - 1.0)
 
 
 def radon_nikodym_consistency(slicing: TimeSlicing, x, y,
@@ -288,22 +295,25 @@ def radon_nikodym_consistency(slicing: TimeSlicing, x, y,
         for name, exact in (("exact", True), ("left", False))}
 
 
-def _rn_ratio(dt, params: MagneticParams, exact: bool):
-    """Per-step Radon-Nikodym ratio DF/WK, e^{sum_i lam_i r_i P_i + c}, as
-    (r_i, c), written out on its own: r_i = e^{-2 i lam_i dt} -
-    e^{-2 lam_i dt} with the exact pairing action, 2 lam_i dt (1 - i) with
-    the left-endpoint one, and c = -(1/2) sum_i k_i lam_i dt (i - 1)."""
-    ratios = [np.exp(-2j * b.lam * dt) - np.exp(-2 * b.lam * dt) if exact
-              else 2 * b.lam * dt * (1 - 1j) for b in params.blocks]
-    return ratios, -0.5 * dt * (1j - 1) * sum(b.k * b.lam for b in params.blocks)
+def _rn_ratio(dt, lam: float, exact: bool):
+    """Per-step Radon-Nikodym ratio DF/WK on a plane of field lam,
+    e^{lam r P + c}, as (r, c), written out on its own: r = e^{-2 i lam
+    dt} - e^{-2 lam dt} with the exact pairing action, 2 lam dt (1 - i)
+    with the left-endpoint one, and c = -lam dt (i - 1)."""
+    ratio = (np.exp(-2j * lam * dt) - np.exp(-2 * lam * dt) if exact
+             else 2 * lam * dt * (1 - 1j))
+    return ratio, -0.5 * dt * (1j - 1) * (2 * lam)
 
 
 def _rn_wk_side(slicing, x, y, params, quad_degree, exact):
     """WK delta-chain reweighted step by step to the DF measure."""
-    coeffs, shift = _fk_step("wk", slicing.step, params, exact)
-    ratios, const = _rn_ratio(slicing.step, params, exact)
-    return _delta_chain([c + r for c, r in zip(coeffs, ratios)],
-                        shift + const, slicing, x, y, params, quad_degree)
+    def step(lam, m, X, Y):
+        coeff, shift = _fk_step("wk", slicing.step, lam, exact)
+        ratio, const = _rn_ratio(slicing.step, lam, exact)
+        return plane_step(X, Y, lam, coeff + ratio, shift + const)
+
+    return _chain(step, 0, x, y, None, slicing.n_slices - 1, params,
+                  quad_degree)
 
 
 def second_form_residual(sigma, slicing: TimeSlicing, x, y,

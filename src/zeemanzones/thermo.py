@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from functools import partial
 
 import numpy as np
 
@@ -77,8 +78,7 @@ def _composed_trace(sigma, a: int, t: float, params: MagneticParams,
             cache[key] = _plane_trace(sigma, m, t, lam, part if m else "value")
         return cache[key][0]
 
-    total = _composition_sum(a, len(plam), lambda comp: math.prod(
-        map(trace, plam, comp), start=1.0 + 0j))
+    total = _composition_sum(a, [partial(trace, lam) for lam in plam])
     return total, max(d for _, d in cache.values())
 
 

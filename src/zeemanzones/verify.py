@@ -56,7 +56,7 @@ _X4 = np.array([0.3, -0.2, 0.15, 0.25])
 _Y4 = np.array([0.1, 0.4, -0.3, 0.05])
 _ZONES = (0, 1, 2, 3)
 _TIMES = (0.5, 1.0)
-_DELTA_TIMES = (1e-1, 1e-2, 1e-3)  # t -> 0 in the delta-limit checks
+_DELTA_TIMES = (1e-1, 1e-2, 1e-3, 1e-4)  # t -> 0 in the delta-limit checks
 _S_T = ((0.2, 0.3), (0.5, 0.5))     # (s, t) pairs of the CK checks
 _DEGREE = 40                        # every other rule and chain grid
 _K4_DEGREE = 24                     # every k=4 rule: 24^4 nodes

@@ -1,5 +1,7 @@
 """Projection, heat and Schrodinger kernels: identities and residuals."""
 
+from functools import reduce
+
 import mpmath as mp
 import numpy as np
 import pytest
@@ -11,7 +13,7 @@ from zeemanzones.kernels import (SingularTimeError, check_df_time,
                                  projection_parts, weighted_dist_sq, zonal0,
                                  zonal_kernel_closed, zonal_kernel_numeric,
                                  zonal_numeric_scales, zonal_step)
-from zeemanzones.params import MagneticParams
+from zeemanzones.params import MagneticParams, _compositions
 from zeemanzones.quadrature import QuadRule, tensor_points, tree_sum
 from zeemanzones.special import laguerre
 from zeemanzones.spectrum import zonal_series_value
@@ -276,8 +278,9 @@ def test_zonal_multiblock_consistency(p4, xy4):
 
 
 # ---------------------------------------------------------------------------
-# plane-form step operators, applied to an identity to give the kernel
-# matrix
+# one-plane step operators, applied to an identity to give the kernel
+# matrix of a plane; on R^k, the sum over the compositions of the zone
+# over the planes of Kronecker products of plane matrices
 # ---------------------------------------------------------------------------
 
 def _axes(params, deg):
@@ -286,10 +289,17 @@ def _axes(params, deg):
 
 
 def zonal_matrix(sigma, a, t, G, H, params):
-    """d_sigma^{(a)}(t, G_n, H_m) as an (N, M) array: the step operator on
-    the identity."""
-    N = int(np.prod([len(ax) for ax in G]))
-    return zonal_step(sigma, a, t, G, H, params)(np.eye(N))
+    """d_sigma^{(a)}(t, G_n, H_m) as an (N, M) array: per plane, the step
+    operator on the identity; over the planes, the addition theorem."""
+    lams = params.plane_lambdas()
+
+    def plane(j, m):
+        X, Y = G[2 * j:2 * j + 2], H[2 * j:2 * j + 2]
+        return zonal_step(sigma, m, t, X, Y, lams[j])(
+            np.eye(len(X[0]) * len(X[1])))
+
+    return sum(reduce(np.kron, [plane(j, m) for j, m in enumerate(comp)])
+               for comp in _compositions(a, len(lams)))
 
 
 def _assert_matches_closed(sigma, a, t, G, H, params, tol=1e-12):
@@ -326,16 +336,16 @@ def test_zonal_matrix_full_degree_grid(p2, a):
 
 @pytest.mark.parametrize("sigma", ["wk", "df"])
 @pytest.mark.parametrize("a", [0, 1])
-def test_zonal_matrix_point_row(p4, xy4, sigma, a):
-    # a one-point grid (k length-1 axes) against a grid: one row, equal
+def test_zonal_matrix_point_row(p2, xy2, sigma, a):
+    # a one-point grid (two length-1 axes) against a grid: one row, equal
     # to per-point closed-form values
-    x, _ = xy4
-    G = _axes(p4, 4)
-    got = zonal_matrix(sigma, a, 0.4, x[:, None], G, p4)
-    assert got.shape == (1, 4 ** 4)
-    ref = np.array([zonal_kernel_closed(sigma, a, 0.4, x, u, p4).value
+    x, _ = xy2
+    G = _axes(p2, 4)
+    got = zonal_step(sigma, a, 0.4, x[:, None], G, 1.0)(np.ones(1))
+    assert got.shape == (4 ** 2,)
+    ref = np.array([zonal_kernel_closed(sigma, a, 0.4, x, u, p2).value
                     for u in tensor_points(G)])
-    assert np.max(np.abs(got[0] - ref)) <= 1e-12 * np.max(np.abs(ref))
+    assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 def _zonal_closed_mp(sigma, a, t, X, Y):
@@ -381,7 +391,7 @@ def test_zonal_matrix_far_points_finite(p2, sigma, a):
         assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
-def test_zonal_matrix_refuses_point_sets(p2):
-    # an (N, k) point set is not a tensor grid
+def test_zonal_matrix_refuses_point_sets():
+    # an (N, 2) point set is not a plane grid
     with pytest.raises(ValueError, match="axes"):
-        zonal_step("wk", 0, 0.5, np.zeros((3, 2)), np.zeros((2, 1)), p2)
+        zonal_step("wk", 0, 0.5, np.zeros((3, 2)), np.zeros((2, 1)), 1.0)

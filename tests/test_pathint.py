@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from functools import reduce
 from pathlib import Path
 
 import numpy as np
@@ -175,9 +176,9 @@ def test_feynman_kac_weight_is_product_of_chain_steps(sigma):
     params = MagneticParams.make([(2.0, 2)])
     T, n = 0.5, 4
     omega = np.tile([0.3, -0.2], (n + 1, 1))
-    coeffs, shift = pathint._fk_step(sigma, T / n, params, exact=False)
     lam = params.blocks[0].lam
-    steps = [np.exp(shift + lam * (coeffs[0] - 1)
+    coeff, shift = pathint._fk_step(sigma, T / n, lam, exact=False)
+    steps = [np.exp(shift + lam * (coeff - 1)
                     * (m @ m2 + 1j * (m @ J_apply(m2))))
              for m, m2 in zip(omega[:-1], omega[1:])]
     assert feynman_kac_weight(sigma, omega, T, params) == pytest.approx(
@@ -258,21 +259,31 @@ def _old_step(sigma, dt, G, params, exact):
 @pytest.mark.parametrize("exact", [True, False])
 def test_action_weighted_steps_match_generic_products(blocks, exact):
     params = MagneticParams.make(blocks)
-    G, _ = pathint.slicing_grid(params, 10 if params.k == 2 else 4)
-    P = tensor_points(G)
+    lams = params.plane_lambdas()
+    grids = [pathint.slicing_grid(lam, 10 if params.k == 2 else 4)[0]
+             for lam in lams]
+    P = tensor_points([ax for G in grids for ax in G])
     dt = 0.15
-    # the step operator on the identity gives the step kernel on G x G
-    identity = np.eye(len(P))
+
+    def step(form):
+        # each plane's step operator on the identity gives its step kernel
+        # on G x G; the step kernel on R^k is their Kronecker product
+        return reduce(np.kron, [
+            plane_step(G, G, lam, *form(lam))(np.eye(len(G[0]) * len(G[1])))
+            for G, lam in zip(grids, lams)])
+
     for sigma in ("wk", "df"):
         ref = _old_step(sigma, dt, P, params, exact)
-        got = plane_step(G, G, params,
-                         *pathint._fk_step(sigma, dt, params, exact))(identity)
+        got = step(lambda lam: pathint._fk_step(sigma, dt, lam, exact))
         assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
     # the WK step reweighted by the Radon-Nikodym ratio is the DF step
-    coeffs, shift = pathint._fk_step("wk", dt, params, exact)
-    ratios, const = pathint._rn_ratio(dt, params, exact)
-    got = plane_step(G, G, params, [c + r for c, r in zip(coeffs, ratios)],
-                     shift + const)(identity)
+    def reweighted(lam):
+        coeff, shift = pathint._fk_step("wk", dt, lam, exact)
+        ratio, const = pathint._rn_ratio(dt, lam, exact)
+        return coeff + ratio, shift + const
+
+    got = step(reweighted)
     ref = _old_step("df", dt, P, params, exact)
     assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
@@ -283,9 +294,9 @@ def test_step_factors_built_once(p2, monkeypatch):
     calls = []
     build = pathint.zonal_step
 
-    def counted(sigma, a, t, X, Y, params):
+    def counted(sigma, a, t, X, Y, lam):
         calls.append((len(X[0]), len(Y[0])))
-        return build(sigma, a, t, X, Y, params)
+        return build(sigma, a, t, X, Y, lam)
 
     monkeypatch.setattr(pathint, "zonal_step", counted)
     got = cylinder_value("wk", 0, TimeSlicing(0.6, 6), None, X0, Y0, p2,
@@ -311,16 +322,44 @@ def test_chain_allocates_no_step_matrix(p2, a):
 
 
 def test_k4_chain_memory(p4, xy4):
-    # the largest array of a two-block step is the x1 slab stack of
-    # `_contract_plane`, 16^5 complex entries (16 MiB) at degree 16
+    # a two-block chain is a sum of products of one-plane chains, so its
+    # arrays are those of a k=2 chain: 40^3 complex entries (1 MiB) each
+    # at degree 40
     tracemalloc.start()
     try:
-        cylinder_value("df", 0, TimeSlicing(0.5, 3), None, *xy4, p4,
-                       quad_degree=16)
+        cylinder_value("df", 3, TimeSlicing(0.5, 3), None, *xy4, p4,
+                       quad_degree=40)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 40 * 2 ** 20
+    assert peak < 20 * 2 ** 20
+
+
+@pytest.mark.parametrize("blocks", [[(1.0, 2), (2.0, 2)], [(1.5, 4)]])
+@pytest.mark.parametrize("sigma", ["wk", "df"])
+def test_k4_chains_match_closed_form(blocks, sigma):
+    # pinned F = 1 chains of every zone up to 3 collapse to the kernel on
+    # both k=4 geometries at the default degree
+    params = MagneticParams.make(blocks)
+    x = np.array([0.3, -0.2, 0.1, 0.4])
+    y = np.array([-0.1, 0.25, 0.2, -0.3])
+    for a in range(4):
+        ref = complex(zonal_kernel_closed(sigma, a, 0.5, x, y, params).value)
+        for n in (1, 2, 3):
+            got = cylinder_value(sigma, a, TimeSlicing(0.5, n), None, x, y,
+                                 params)
+            assert abs(got - ref) <= 1e-13 * abs(ref), (a, n)
+
+
+def test_separable_F_refused_on_several_planes(p4, xy4, monkeypatch):
+    # a per-point F factors over the planes only on one plane
+    def no_grid(*args, **kwargs):
+        raise AssertionError("grid built for a refused F")
+
+    monkeypatch.setattr(pathint, "QuadRule", no_grid)
+    F = [lambda m: np.ones(len(m))] * 2
+    with pytest.raises(ValueError, match="one-plane"):
+        cylinder_value("wk", 0, TimeSlicing(0.6, 3), F, *xy4, p4)
 
 
 _THREAD_CHAINS = """
@@ -354,7 +393,7 @@ def test_chain_values_independent_of_blas_threads():
 def test_matrix_path_ceiling_refuses_before_allocating(monkeypatch):
     p4 = MagneticParams.make([(1.0, 2), (2.0, 2)])
     x4, y4 = np.array([0.3, -0.2, 0.1, 0.2]), np.array([0.1, 0.4, -0.3, 0.05])
-    assert 24 ** 5 > pathint.STEP_ENTRY_CEILING
+    assert 162 ** 3 > pathint.STEP_ENTRY_CEILING
 
     def no_grid(*args, **kwargs):
         raise AssertionError("grid built above the ceiling")
@@ -362,13 +401,13 @@ def test_matrix_path_ceiling_refuses_before_allocating(monkeypatch):
     monkeypatch.setattr(pathint, "QuadRule", no_grid)
     sl = TimeSlicing(0.5, 3)
     for run in (
-            lambda: cylinder_value("wk", 0, sl, None, x4, y4, p4, 24),
-            lambda: nu_cylinder_value(sl, None, x4, y4, p4, 24),
-            lambda: feynman_kac_chain("wk", sl, x4, y4, p4, 24),
-            lambda: probability_conservation(0.5, x4, p4, 24)):
+            lambda: cylinder_value("wk", 0, sl, None, x4, y4, p4, 162),
+            lambda: nu_cylinder_value(sl, None, x4, y4, p4, 162),
+            lambda: feynman_kac_chain("wk", sl, x4, y4, p4, 162),
+            lambda: probability_conservation(0.5, x4, p4, 162)):
         with pytest.raises(QuadratureError, match="ceiling"):
             run()
     # a single slice needs no grid
-    one = cylinder_value("wk", 0, TimeSlicing(0.5, 1), None, x4, y4, p4, 24)
+    one = cylinder_value("wk", 0, TimeSlicing(0.5, 1), None, x4, y4, p4, 162)
     assert one == pytest.approx(complex(zonal_kernel_closed(
         "wk", 0, 0.5, x4, y4, p4).value), rel=1e-12)

@@ -261,3 +261,13 @@ def test_declared_checks_can_fail(monkeypatch, check_id, subject, plant):
     func = dict((cid, fn) for cid, _, fn in CHECKS)[check_id]
     r = verify._run_one(check_id, func)
     assert r.status == "FAIL", (r.residual, r.note)
+
+
+@pytest.mark.parametrize("sigma", ["wk", "df"])
+def test_delta_limit_sees_offset_at_every_zone(monkeypatch, sigma):
+    # the last time, t = 1e-4, leaves a true gap far below a 1e-3 error of
+    # delta^{(a)}, so that error breaks the O(t) approach at every zone
+    assert all(verify._delta_limit(sigma, a) for a in range(4))
+    monkeypatch.setattr(verify, "projection_kernel",
+                        _offset(verify.projection_kernel))
+    assert not any(verify._delta_limit(sigma, a) for a in range(4))
