@@ -65,12 +65,6 @@ class QC:
     def conj(self) -> "QC":
         return QC(self.re, -self.im)
 
-    def inv(self) -> "QC":
-        d = self.re * self.re + self.im * self.im
-        if d == 0:
-            raise ZeroDivisionError("division by exact zero")
-        return QC(self.re / d, -self.im / d)
-
     def is_zero(self) -> bool:
         return self.re == 0 and self.im == 0
 

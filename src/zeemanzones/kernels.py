@@ -25,12 +25,12 @@ class SingularTimeError(NumericError, ValueError):
     """DF evaluation at t within tolerance of a sin-zero n*pi/lambda_i."""
 
 
-def check_df_time(t: float, params: MagneticParams, tol: float = 1e-9):
+def check_df_time(t: float, params: MagneticParams):
     for b in params.blocks:
         n = round(b.lam * t / np.pi)
-        if n >= 1 and abs(t - n * np.pi / b.lam) < tol:
+        if n >= 1 and abs(t - n * np.pi / b.lam) < 1e-9:
             raise SingularTimeError(
-                f"t={t} is within {tol} of the singular time {n}*pi/{b.lam}")
+                f"t={t} is within 1e-09 of the singular time {n}*pi/{b.lam}")
 
 
 # ---------------------------------------------------------------------------
@@ -133,8 +133,8 @@ def global_kernel(sigma, t: float, X, Y, params: MagneticParams):
 @dataclass(frozen=True)
 class KernelValue:
     value: complex
-    dominant: complex | None = None
-    long_term: complex | None = None
+    dominant: complex
+    long_term: complex
 
 
 def _zonal0_parts(sigma, t: float, X, Y, params: MagneticParams):

@@ -46,9 +46,6 @@ class TimeSlicing:
     def step(self) -> float:
         return self.total_time / self.n_slices
 
-    def boundaries(self):
-        return [j * self.step for j in range(self.n_slices + 1)]
-
 
 def slicing_grid(lam: float, quad_degree: int):
     """One coordinate plane's per-slice chain grid: its two axis node
@@ -150,15 +147,13 @@ def cylinder_value(sigma, a: int, slicing: TimeSlicing, F, x, y,
 
 
 def nu_cylinder_value(slicing: TimeSlicing, F, x, y,
-                      params: MagneticParams, quad_degree: int = CHAIN_DEGREE,
-                      pinned: bool = True):
-    """Same chaining with the holomorphic point-spread delta^{(0)} as the
-    step kernel (the time-independent nu measure); F=1 pinned gives
-    delta^{(0)}(x, y) for every n by exact idempotency."""
+                      params: MagneticParams, quad_degree: int = CHAIN_DEGREE):
+    """Same chaining, pinned at y, with the holomorphic point-spread
+    delta^{(0)} as the step kernel (the time-independent nu measure); F=1
+    gives delta^{(0)}(x, y) for every n by exact idempotency."""
     # d^{(0)} at t = 0 is delta^{(0)}
     return _chain(lambda lam, m, X, Y: zonal_step("wk", 0, 0.0, X, Y, lam),
-                  0, x, y if pinned else None, F,
-                  slicing.n_slices - int(pinned), params, quad_degree)
+                  0, x, y, F, slicing.n_slices - 1, params, quad_degree)
 
 
 # ---------------------------------------------------------------------------

@@ -142,6 +142,14 @@ def _poly_subst(coeffs, x: ZonePoly) -> ZonePoly:
     return acc
 
 
+def _exact_lambda(params: MagneticParams) -> Fraction:
+    """The one field strength as the exact rational it must be."""
+    lam = Fraction(params.single_lambda).limit_denominator(10 ** 12)
+    if float(lam) != params.single_lambda:
+        raise ValueError("exact eigenfunction oracle needs a rational lambda")
+    return lam
+
+
 def build_eigenfunction(l_tuple, params: MagneticParams) -> ZonePoly:
     """Hermite-product eigenfunction as an exact (z, zbar) polynomial.
 
@@ -149,9 +157,7 @@ def build_eigenfunction(l_tuple, params: MagneticParams) -> ZonePoly:
     complex coordinates (the lam^{-l/2} rescaling keeps coefficients
     rational and does not affect eigenfunction properties).
     """
-    lam = Fraction(params.single_lambda).limit_denominator(10 ** 12)
-    if float(lam) != params.single_lambda:
-        raise ValueError("exact eigenfunction oracle needs a rational lambda")
+    lam = _exact_lambda(params)
     k = params.k
     if len(l_tuple) != k:
         raise ValueError(f"need one Hermite order per coordinate, k={k}")
@@ -179,39 +185,29 @@ def _angular_operator(hp: ZonePoly, lam: Fraction) -> ZonePoly:
 
 
 def vandermonde_split(hp: ZonePoly, l: int, params: MagneticParams) -> dict[int, ZonePoly]:
-    """Recover magnetic components by inverting the Vandermonde system.
+    """Recover magnetic components through the inverse Vandermonde matrix.
 
-    The candidate magnetic numbers of an order-l Hermite product are
-    m = 2p - l, p = 0..l.  With w_i = D^i(hp) and D-eigenvalues
-    c_m = -m*lam, solving the Vandermonde system sum_m c_m^i H^{(m)} = w_i
-    reproduces the components without inspecting monomial degrees.
-    """
-    lam = Fraction(params.single_lambda).limit_denominator(10 ** 12)
-    ms = [2 * p - l for p in range(l + 1)]
-    cs = [QC.of(-m * lam) for m in ms]
-    assert len({(c.re, c.im) for c in cs}) == len(cs), "Vandermonde nodes must be distinct"
-    r = len(ms)
+    An order-l Hermite product has candidate magnetic numbers m = 2p - l,
+    p = 0..l, with D-eigenvalues c_m = -m*lam.  The Lagrange basis
+    ell_m(x) = prod_{m' != m} (x - c_{m'}) / (c_m - c_{m'}) inverts the
+    Vandermonde system sum_m c_m^i H^{(m)} = D^i(hp), so D's spectral
+    projector gives H^{(m)} = sum_i ell_{m,i} D^i(hp) without reading
+    monomial degrees."""
+    lam = _exact_lambda(params)
+    cs = {m: -m * lam for m in range(-l, l + 1, 2)}
     powers = [hp]
-    for _ in range(r - 1):
+    for _ in range(l):
         powers.append(_angular_operator(powers[-1], lam))
-    # exact Gaussian elimination on the Vandermonde matrix V[i][j] = cs[j]^i
-    mat = [[QC.of(1) for _ in range(r)]]
-    for i in range(1, r):
-        mat.append([mat[i - 1][j] * cs[j] for j in range(r)])
-    rhs = list(powers)
-    for col in range(r):
-        piv = next(i for i in range(col, r) if not mat[i][col].is_zero())
-        mat[col], mat[piv] = mat[piv], mat[col]
-        rhs[col], rhs[piv] = rhs[piv], rhs[col]
-        inv = mat[col][col].inv()
-        mat[col] = [x * inv for x in mat[col]]
-        rhs[col] = rhs[col] * inv
-        for i in range(r):
-            if i != col and not mat[i][col].is_zero():
-                f = mat[i][col]
-                mat[i] = [mat[i][j] - f * mat[col][j] for j in range(r)]
-                rhs[i] = rhs[i] - rhs[col] * f
-    return {m: comp for m, comp in zip(ms, rhs) if not comp.is_zero()}
+    out = {}
+    for m, c in cs.items():
+        ell = [Fraction(1)]
+        for n, cn in cs.items():
+            if n != m:
+                ell = pmul(ell, [-cn / (c - cn), 1 / (c - cn)])
+        comp = sum((w * e for e, w in zip(ell, powers)), ZonePoly(hp.nvars))
+        if not comp.is_zero():
+            out[m] = comp
+    return out
 
 
 # ---------------------------------------------------------------------------

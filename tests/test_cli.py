@@ -620,6 +620,21 @@ def test_atomic_out_file(tmp_path, capsys):
     assert not [f for f in os.listdir(tmp_path) if f.startswith(".tmp-")]
 
 
+@pytest.mark.parametrize("argv", [
+    ["spectrum", "--max-p", "1", "--out"],
+    ["verify", "--suite", "laguerre", "--timings"],
+])
+@pytest.mark.parametrize("target", ["missing/x.out", "."])
+def test_unwritable_out_exit_2(tmp_path, capsys, argv, target):
+    # a missing directory or a directory target is a usage error, not a
+    # FAIL (exit 1) with a traceback; no temp file is left behind
+    code = main(argv + [str(tmp_path / target)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith(f"error: cannot write {tmp_path / target}: ")
+    assert os.listdir(tmp_path) == []
+
+
 def test_config_flag_override(tmp_path, capsys):
     p = tmp_path / "c.json"
     p.write_text('{"max_p": 9, "max_zone": 0}')

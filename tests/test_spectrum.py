@@ -5,9 +5,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from zeemanzones.exact import (apply_box, box_eigenvalue_exact,
+from zeemanzones import spectrum
+from zeemanzones.exact import (QC, apply_box, box_eigenvalue_exact,
                                box_field_constant, ptrim)
-from zeemanzones.params import BOX, H_Z, H_ZF, HamiltonianVariant, MagneticParams
+from zeemanzones.params import (BOX, H_Z, H_ZF, HamiltonianVariant,
+                                MagneticParams, _compositions)
 from zeemanzones.spectrum import (build_eigenfunction, eigenvalue,
                                   multiplicity, radial_eigenpoly,
                                   radial_operator_residual, radial_vs_laguerre,
@@ -107,11 +109,36 @@ def test_box_eigen_exact(lam, k):
                 assert apply_box(comp, Fraction(lam), cf) == comp * QC.of(mu)
 
 
-def test_vandermonde_split_equals_degree_split(p2):
-    for l1 in range(4):
-        for l2 in range(4 - l1):
-            hp = build_eigenfunction((l1, l2), p2)
-            assert vandermonde_split(hp, l1 + l2, p2) == split_by_magnetic(hp)
+def _hermite_products(lam, k, orders):
+    params = MagneticParams.make([(float(lam), k)])
+    return [(build_eigenfunction(lt, params), sum(lt), params)
+            for tot in orders for lt in _compositions(tot, k)]
+
+
+def test_vandermonde_split_equals_degree_split():
+    for lam, k in [(1, 2), (2, 2), (1, 4)]:
+        for hp, order, params in _hermite_products(lam, k, range(4)):
+            assert vandermonde_split(hp, order, params) == split_by_magnetic(hp)
+
+
+@pytest.mark.parametrize("lam,k", [(1, 2), (2, 2), (1, 4)])
+def test_vandermonde_split_reads_the_operator(monkeypatch, lam, k):
+    # with D shifted to D + lam*I every eigenvalue moves off its node, so a
+    # split that reads D (and not monomial degrees) must change
+    angular = spectrum._angular_operator
+    monkeypatch.setattr(spectrum, "_angular_operator",
+                        lambda hp, exact: angular(hp, exact) + hp * QC.of(exact))
+    assert any(vandermonde_split(hp, order, params) != split_by_magnetic(hp)
+               for hp, order, params in _hermite_products(lam, k, (1, 2)))
+
+
+def test_exact_oracles_refuse_irrational_lambda():
+    tiny = MagneticParams.make([(1e-13, 2)])
+    hp = build_eigenfunction((1, 0), MagneticParams.make([(1.0, 2)]))
+    for call in (lambda: build_eigenfunction((1, 0), tiny),
+                 lambda: vandermonde_split(hp, 1, tiny)):
+        with pytest.raises(ValueError, match="needs a rational lambda"):
+            call()
 
 
 @pytest.mark.parametrize("k", [2, 4])

@@ -9,6 +9,11 @@ re-exporting a name from `__init__` does not count as a use.
 The check matches identifiers only, without types: a method whose name
 numpy also uses (such as `conj` or `copy`) counts as used wherever an
 array's method of that name is loaded.
+
+In the same way, each defaulted parameter of a public function or method
+must be set by some call in those files, by keyword or by position; a
+`functools.partial(f, ...)` is a call of f, and a call with `*args` or
+`**kwargs` sets every parameter.
 """
 
 import ast
@@ -62,3 +67,68 @@ def test_no_unused_public_names():
     loaded = _loaded_identifiers()
     unused = [q for q, name in _defined_names() if name not in loaded]
     assert not unused, f"public names nothing loads: {unused}"
+
+
+def _public_functions():
+    """(qualified name, node, leading parameters a call does not pass) of
+    every public function and of every public method of a public class."""
+    for path in sorted(PKG.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.FunctionDef) and _public(node.name):
+                yield f"{path.stem}.{node.name}", node, 0
+            elif isinstance(node, ast.ClassDef) and _public(node.name):
+                for m in node.body:
+                    if isinstance(m, ast.FunctionDef) and _public(m.name):
+                        static = any(getattr(d, "id", None) == "staticmethod"
+                                     for d in m.decorator_list)
+                        yield (f"{path.stem}.{node.name}.{m.name}", m,
+                               0 if static else 1)
+
+
+def _defaulted_parameters():
+    """(qualified name, identifier, parameter, position) of every defaulted
+    parameter of a public function or method; the position is that of the
+    call's positional argument, None for a keyword-only parameter."""
+    out = []
+    for qual, fn, skip in _public_functions():
+        a = fn.args
+        positional = a.posonlyargs + a.args
+        first = len(positional) - len(a.defaults)
+        out += [(qual, fn.name, p.arg, i - skip)
+                for i, p in enumerate(positional) if i >= first]
+        out += [(qual, fn.name, p.arg, None)
+                for p, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None]
+    return out
+
+
+def _calls():
+    """(callee identifier, number of positional arguments, keywords set)
+    of every call, a `partial(f, ...)` counting as a call of f; `*args`
+    or `**kwargs` set every parameter (None)."""
+    out = []
+    for top in ("src", "tests", "bench"):
+        for path in (ROOT / top).rglob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if not isinstance(node, ast.Call):
+                    continue
+                func, args = node.func, node.args
+                name = getattr(func, "id", getattr(func, "attr", None))
+                if name == "partial" and args:
+                    func, args = args[0], args[1:]
+                    name = getattr(func, "id", getattr(func, "attr", None))
+                keywords = {k.arg for k in node.keywords}
+                if None in keywords or any(isinstance(x, ast.Starred) for x in args):
+                    keywords = None
+                out.append((name, len(args), keywords))
+    return out
+
+
+def test_no_default_parameter_nothing_sets():
+    calls = _calls()
+    unset = [f"{qual}.{param}"
+             for qual, name, param, pos in _defaulted_parameters()
+             if not any(callee == name and (
+                 keywords is None or param in keywords
+                 or (pos is not None and n_args > pos))
+                 for callee, n_args, keywords in calls)]
+    assert not unset, f"defaulted parameters no call sets: {unset}"
