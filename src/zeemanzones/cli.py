@@ -3,12 +3,12 @@
 One command per process.  Configuration comes from a single JSON file
 (--config); command-line flags override config fields; no environment
 variables are consulted.  `COMMANDS` declares each subcommand's flags: a
-flag's name and type come from its config field's name and default, and
-`CHOICES` and `RANGES` hold the allowed values, checked before the
-subcommand runs.  Output files are written atomically (temp file
-+ rename) so a crashed run never leaves a truncated artifact.  CSV floats
-use repr(), i.e. the shortest decimal that round-trips binary64, so golden
-files are stable across platforms.
+flag's name and type come from its config field's name and default.  Every
+field, from the file or a flag, passes `_check_field` (JSON type, no empty
+list, `CHOICES`, `RANGES`) before anything runs.  Output files are written
+atomically (temp file + rename) so a crashed run never leaves a truncated
+artifact.  CSV floats use repr(), i.e. the shortest decimal that
+round-trips binary64, so golden files are stable across platforms.
 
 Exit codes: 0 success / all checks pass, 1 verification FAIL present,
 2 usage or config error (including out-of-range values), 3 numeric ERROR
@@ -29,8 +29,8 @@ import sys
 
 import numpy as np
 
-from .params import (CHAIN_DEGREE, MAX_DEGREE, SIGMA, HamiltonianVariant,
-                     MagneticParams, NumericError)
+from .params import (CHAIN_DEGREE, MAX_DEGREE, SIGMA, VARIANTS,
+                     HamiltonianVariant, MagneticParams, NumericError)
 
 
 class ConfigError(Exception):
@@ -59,7 +59,8 @@ DEFAULTS = {
 }
 # the allowed values of a field: one of its CHOICES, or within its RANGES
 # (low, high), both inclusive, high None for no upper bound
-CHOICES = {"sigma": tuple(SIGMA), "format": ("csv", "json")}
+CHOICES = {"sigma": tuple(SIGMA), "format": ("csv", "json"),
+           "variant": VARIANTS}
 RANGES = {"zone": (0, None), "max_p": (0, None), "max_zone": (0, None),
           "quad_degree": (1, MAX_DEGREE), "threads": (1, None)}
 # a value of the JSON type of each field whose default is null
@@ -70,27 +71,41 @@ _JSON_TYPES = {float: ("a number", (int, float)), int: ("an integer", int),
                dict: ("an object", dict)}
 
 
-def _check_json_type(name, value, default):
-    """Raise ConfigError unless value has the JSON type of its default,
-    checking list elements against the default's first element and object
-    members against the default's members of the same name."""
+def _check_field(name, value, default):
+    """Raise ConfigError unless value has its default's JSON type (null only
+    for a null default), is no empty list and CHOICES and RANGES allow it;
+    list elements and object members are checked against the default's."""
+    if default is None:
+        if value is None:
+            return
+        default = _NULLABLE[name]
     kind, types = _JSON_TYPES[type(default)]
     if isinstance(value, bool) or not isinstance(value, types):
         raise ConfigError(f"config field {name!r}: expected {kind}, "
                           f"got {json.dumps(value)}")
+    if value == []:
+        raise ConfigError(f"config field {name!r}: need at least one value")
+    if name in CHOICES and value not in CHOICES[name]:
+        raise ConfigError(f"config field {name!r}: must be "
+                          + " or ".join(map(repr, CHOICES[name])))
+    lo, hi = RANGES.get(name, (None, None))
+    if lo is not None and (value < lo or (hi is not None and value > hi)):
+        bound = f"in [{lo}, {hi}]" if hi is not None else f">= {lo}"
+        raise ConfigError(f"config field {name!r}: must be {bound}, "
+                          f"got {value}")
     if isinstance(value, list):
         for i, v in enumerate(value):
-            _check_json_type(f"{name}[{i}]", v, default[0])
+            _check_field(f"{name}[{i}]", v, default[0])
     elif isinstance(value, dict):
         for key in value.keys() & default.keys():
-            _check_json_type(f"{name}.{key}", value[key], default[key])
+            _check_field(f"{name}.{key}", value[key], default[key])
 
 
 def load_config(path):
-    """Read and validate a JSON config; report the offending field."""
-    cfg = dict(DEFAULTS)
+    """Read a JSON config over the defaults; refuse an unknown field (the
+    first in file order).  `_check_field` checks the values."""
     if path is None:
-        return cfg
+        return dict(DEFAULTS)
     try:
         with open(path) as fh:
             raw = json.load(fh)
@@ -102,24 +117,16 @@ def load_config(path):
             f"column {exc.colno}: {exc.msg}") from exc
     if not isinstance(raw, dict):
         raise ConfigError(f"config {path}: top level must be an object")
-    for key, value in raw.items():
+    for key in raw:
         if key not in DEFAULTS:
             raise ConfigError(f"config {path}: unknown field {key!r}")
-        # null is a value only where the default is null
-        if value is not None or DEFAULTS[key] is not None:
-            _check_json_type(key, value, _NULLABLE.get(key, DEFAULTS[key]))
-        cfg[key] = value
-    return cfg
+    return {**DEFAULTS, **raw}
 
 
 def build_params(cfg) -> MagneticParams:
-    blocks = cfg["params"]
-    if not isinstance(blocks, list) or not blocks:
-        raise ConfigError("config field 'params': need a non-empty list "
-                          "of {lambda, k} blocks")
     pairs = []
-    for i, b in enumerate(blocks):
-        if not isinstance(b, dict) or set(b) != {"lambda", "k"}:
+    for i, b in enumerate(cfg["params"]):
+        if set(b) != {"lambda", "k"}:
             raise ConfigError(f"config field 'params[{i}]': expected keys "
                               "'lambda' and 'k'")
         pairs.append((float(b["lambda"]), int(b["k"])))
@@ -130,26 +137,8 @@ def build_params(cfg) -> MagneticParams:
 
 
 def build_variant(cfg) -> HamiltonianVariant:
-    try:
-        return HamiltonianVariant(
-            cfg["variant"], None if cfg["c_f"] is None else float(cfg["c_f"]))
-    except ValueError as exc:
-        raise ConfigError(f"config field 'variant': {exc}") from exc
-
-
-def _check_field(name, value):
-    """Raise ConfigError unless CHOICES and RANGES allow value for name and
-    a list holds at least one value."""
-    if value == []:
-        raise ConfigError(f"config field {name!r}: need at least one value")
-    if name in CHOICES and value not in CHOICES[name]:
-        raise ConfigError(f"config field {name!r}: must be "
-                          + " or ".join(map(repr, CHOICES[name])))
-    lo, hi = RANGES.get(name, (None, None))
-    if lo is not None and (value < lo or (hi is not None and value > hi)):
-        bound = f"in [{lo}, {hi}]" if hi is not None else f">= {lo}"
-        raise ConfigError(f"config field {name!r}: must be {bound}, "
-                          f"got {value}")
+    return HamiltonianVariant(
+        cfg["variant"], None if cfg["c_f"] is None else float(cfg["c_f"]))
 
 
 def write_out(text: str, out_path):
@@ -193,8 +182,6 @@ def cmd_spectrum(cfg):
 def _point_pairs(cfg, k):
     """The config's point pairs stacked as X (P, k) and Y (P, k)."""
     pts = cfg["points"]
-    if not pts:
-        raise ConfigError("config field 'points': need at least one pair")
     for i, pair in enumerate(pts):
         if len(pair) != 2 or any(len(v) != k for v in pair):
             raise ConfigError(f"config field 'points[{i}]': expected a pair "
@@ -379,14 +366,14 @@ def build_parser():
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    run, _, fields = COMMANDS[args.command]
+    run = COMMANDS[args.command][0]
     try:
         cfg = load_config(args.config)
         for key, value in vars(args).items():
             if key in DEFAULTS and value is not None:
                 cfg[key] = value
-        for name in fields:
-            _check_field(name, cfg[name])
+        for name, value in cfg.items():
+            _check_field(name, value, DEFAULTS[name])
         return run(cfg)
     except NumericError as exc:
         # before ValueError: SingularTimeError is both

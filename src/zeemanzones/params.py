@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 SIGMA = {"wk": 1.0 + 0j, "df": 1j}
+VARIANTS = ("box", "H_Z", "H_Zf")  # the kinds of HamiltonianVariant
 MAX_DEGREE = 200        # the most nodes per axis of a Gauss-Hermite rule
 CHAIN_DEGREE = 40       # nodes per axis of a path chain's grid by default
 
@@ -147,7 +148,7 @@ class HamiltonianVariant:
     c_f: float | None = None
 
     def __post_init__(self):
-        if self.kind not in ("box", "H_Z", "H_Zf"):
+        if self.kind not in VARIANTS:
             raise ValueError(f"unknown Hamiltonian kind {self.kind!r}")
 
     def field_constant(self, params: MagneticParams) -> float:

@@ -142,12 +142,12 @@ def _poly_subst(coeffs, x: ZonePoly) -> ZonePoly:
     return acc
 
 
-def _exact_lambda(params: MagneticParams) -> Fraction:
-    """The one field strength as the exact rational it must be."""
-    lam = Fraction(params.single_lambda).limit_denominator(10 ** 12)
-    if float(lam) != params.single_lambda:
+def _exact_lambda(lam: float) -> Fraction:
+    """The field strength lam as the exact rational it must be."""
+    exact = Fraction(lam).limit_denominator(10 ** 12)
+    if float(exact) != lam:
         raise ValueError("exact eigenfunction oracle needs a rational lambda")
-    return lam
+    return exact
 
 
 def build_eigenfunction(l_tuple, params: MagneticParams) -> ZonePoly:
@@ -157,7 +157,7 @@ def build_eigenfunction(l_tuple, params: MagneticParams) -> ZonePoly:
     complex coordinates (the lam^{-l/2} rescaling keeps coefficients
     rational and does not affect eigenfunction properties).
     """
-    lam = _exact_lambda(params)
+    lam = _exact_lambda(params.single_lambda)
     k = params.k
     if len(l_tuple) != k:
         raise ValueError(f"need one Hermite order per coordinate, k={k}")
@@ -193,7 +193,7 @@ def vandermonde_split(hp: ZonePoly, l: int, params: MagneticParams) -> dict[int,
     Vandermonde system sum_m c_m^i H^{(m)} = D^i(hp), so D's spectral
     projector gives H^{(m)} = sum_i ell_{m,i} D^i(hp) without reading
     monomial degrees."""
-    lam = _exact_lambda(params)
+    lam = _exact_lambda(params.single_lambda)
     cs = {m: -m * lam for m in range(-l, l + 1, 2)}
     powers = [hp]
     for _ in range(l):
@@ -243,6 +243,7 @@ def zonal_series_value(sigma, a: int, t: float, X, Y, lam: float,
     """Truncated eigen-expansion sum_p e^{-sigma t mu_p} phi_p(X) conj(phi_p(Y))
     of the k=2 zone-a kernel under H_Z (mu_p = lam (2p+1))."""
     s = sigma_value(sigma)
+    exact = _exact_lambda(lam)
     X = np.asarray(X, dtype=float)
     Y = np.asarray(Y, dtype=float)
     zx = X[..., 0] + 1j * X[..., 1]
@@ -251,7 +252,7 @@ def zonal_series_value(sigma, a: int, t: float, X, Y, lam: float,
     gy = np.exp(-0.5 * lam * np.abs(zy) ** 2)
     out = 0j
     for p in range(levels + 1):
-        cs, nsq = zone_eigenfunction_exact(p, a, Fraction(lam).limit_denominator(10 ** 12))
+        cs, nsq = zone_eigenfunction_exact(p, a, exact)
         hx, hy = (sum(float(c) * z ** (p - r) * np.conj(z) ** (a - r)
                       for r, c in enumerate(cs)) for z in (zx, zy))
         mu = lam * (2 * p + 1)

@@ -209,15 +209,12 @@ def zeta_zonal(a: int, s: complex, params: MagneticParams,
     """
     if a < 0:
         raise ValueError(f"zone index must be nonnegative, got {a}")
-    if len(params.blocks) != 1:
-        raise ValueError("zeta_zonal supports single-block parameters")
-    b = params.blocks[0]
-    q = b.k // 2
+    lam, q = params.single_lambda, params.k // 2
     # q >= 1, so this also keeps Re(s) > 1 (no analytic continuation)
     if not complex(s).real > q:
         raise ValueError(f"zeta_zonal needs Re(s) > k/2 = {q}, got s = {s}")
     s = complex(s)
-    alpha, beta = b.lam * q + _variant_shift(variant, params), 2 * b.lam
+    alpha, beta = lam * q + _variant_shift(variant, params), 2 * lam
     p = np.arange(_EM_DIRECT)
     mult = np.array([math.comb(n + q - 1, q - 1) for n in p], float)
     acc = complex(np.sum(mult * (alpha + beta * p) ** (-s)))
@@ -226,7 +223,7 @@ def zeta_zonal(a: int, s: complex, params: MagneticParams,
         poly = np.convolve(poly, [1 - alpha / (i * beta), 1 / (i * beta)])
     for j, cj in enumerate(poly):
         acc += cj * _em_sum_inverse_powers(s - j, alpha, beta, _EM_DIRECT)
-    return zone_count(a, b.k) * acc
+    return zone_count(a, params.k) * acc
 
 
 def mehler_comparison_bound(a: int, t: float, params: MagneticParams) -> float:
@@ -236,9 +233,6 @@ def mehler_comparison_bound(a: int, t: float, params: MagneticParams) -> float:
     all t > 0: as t -> infinity it flattens to 1/B^{k/2} while the zone
     trace decays, and for t -> 0 it blows up one order faster.
     """
-    b = params.blocks[0]
-    if len(params.blocks) != 1:
-        raise ValueError("comparison bound implemented for single-block parameters")
-    B = b.lam
-    return float(np.exp((4 * a + b.k) * b.lam * t) /
-                 (B * (np.cosh(2 * B * t) - 1)) ** (b.k / 2))
+    B, k = params.single_lambda, params.k
+    return float(np.exp((4 * a + k) * B * t) /
+                 (B * (np.cosh(2 * B * t) - 1)) ** (k / 2))

@@ -14,8 +14,8 @@ import pytest
 
 import zeemanzones
 from zeemanzones import kernels, pathint, spectrum, thermo, verify
-from zeemanzones.cli import (COMMANDS, ConfigError, build_params,
-                             build_parser, load_config, main)
+from zeemanzones.cli import (COMMANDS, DEFAULTS, ConfigError, _check_field,
+                             build_params, build_parser, load_config, main)
 from zeemanzones.kernels import SingularTimeError, zonal_kernel_closed
 from zeemanzones.params import H_Z
 from zeemanzones.quadrature import MAX_DEGREE, QuadratureNonConvergence
@@ -35,6 +35,10 @@ def run_cli(capsys, *argv):
 # ---------------------------------------------------------------------------
 
 def test_default_config_valid():
+    # every default passes its own field's check, so no run is refused
+    # for a field it left at its default
+    for name, default in DEFAULTS.items():
+        _check_field(name, default, default)
     cfg = load_config(None)
     assert build_params(cfg).k == 2
 
@@ -123,9 +127,15 @@ def test_flags_are_the_commands_table(command):
     ({"n_slices": 3}, "pathint", "n_slices"),
     ({"format": "xml"}, "spectrum", "format"),
     ({"points": []}, "pathint", "points"),
+    ({"zone": -1}, "spectrum", "zone"),
+    ({"times": []}, "spectrum", "times"),
+    ({"params": []}, "kernel", "params"),
+    ({"variant": "Hx"}, "partition", "variant"),
+    ({"params": [{"lambda": 1.0, "k": 2.5}]}, "kernel", "params[0].k"),
 ], ids=["zone-kernel", "zone-pathint", "times-kernel", "points-kernel",
         "points-pathint", "n_slices-pathint", "format-choice",
-        "points-empty"])
+        "points-empty", "zone-unread", "times-unread-empty", "params-empty",
+        "variant-choice", "params-k-type"])
 def test_wrong_json_type_exit_2(capsys, tmp_path, doc, command, field):
     # a config value of the wrong JSON type, or one its field does not
     # allow, is a config error, not a verification FAIL (exit 1), a

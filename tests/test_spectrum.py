@@ -136,7 +136,9 @@ def test_exact_oracles_refuse_irrational_lambda():
     tiny = MagneticParams.make([(1e-13, 2)])
     hp = build_eigenfunction((1, 0), MagneticParams.make([(1.0, 2)]))
     for call in (lambda: build_eigenfunction((1, 0), tiny),
-                 lambda: vandermonde_split(hp, 1, tiny)):
+                 lambda: vandermonde_split(hp, 1, tiny),
+                 lambda: zonal_series_value("wk", 0, 0.5, (0.3, -0.2),
+                                            (0.1, 0.4), 1e-13)):
         with pytest.raises(ValueError, match="needs a rational lambda"):
             call()
 

@@ -264,6 +264,15 @@ def test_zonal_zeta_negative_zone_refused():
         zeta_zonal(-1, 3.0, MagneticParams.make([(1.0, 4)]))
 
 
+def test_single_block_closed_forms_refuse_two_blocks(p4):
+    # the zonal zeta and the Mehler envelope are single-block closed forms:
+    # on the two-block geometry they refuse rather than read one block
+    for call in (lambda: zeta_zonal(0, 3.0, p4),
+                 lambda: mehler_comparison_bound(0, 0.5, p4)):
+        with pytest.raises(ValueError, match="single-lambda"):
+            call()
+
+
 def test_mehler_comparison_bound_envelopes(p2, p2b):
     for params in (p2, p2b):
         for a in (0, 1):
