@@ -224,8 +224,7 @@ def cmd_kernel(cfg):
         # the zonal closed forms are entire in t, but the caustic times of
         # the underlying evolution are flagged anyway so grids never
         # silently straddle them
-        if sigma == "df":
-            check_df_time(t, params)
+        check_df_time(sigma, t, params)
         # one broadcast evaluation over all pairs of this time
         kv = zonal_kernel_closed(sigma, a, t, X, Y, params)
         return np.stack([f(v) for v in (kv.value, kv.dominant, kv.long_term)

@@ -41,7 +41,7 @@ class QC:
     im: Fraction = Fraction(0)
 
     @staticmethod
-    def of(re=0, im=0) -> "QC":
+    def of(re, im=0) -> "QC":
         return QC(_frac(re), _frac(im))
 
     def __add__(self, o: "QC") -> "QC":
@@ -154,33 +154,22 @@ def laguerre_recurrence_exact(alpha: int, n: int) -> list[Fraction]:
     return cur
 
 
-def hermite_exact(l: int) -> list[Fraction]:
-    """Physicists' Hermite H_l, ascending integer coefficients."""
-    if l < 0:
-        raise ValueError("l must be nonnegative")
-    out = [Fraction(0)] * (l + 1)
-    for j in range(l // 2 + 1):
-        deg = l - 2 * j
-        out[deg] = Fraction((-1) ** j * math.factorial(l) * 2 ** deg,
-                            math.factorial(j) * math.factorial(deg))
-    return ptrim(out)
-
-
 def hermite_scaled_exact(l: int, lam: Fraction) -> list[Fraction]:
-    """lam^{-l/2} H_l(sqrt(lam) x) as an exact polynomial in x.
+    """lam^{-l/2} H_l(sqrt(lam) x), H_l the physicists' Hermite
+    polynomial, as ascending exact coefficients in x (at lam = 1, H_l).
 
     All monomials of H_l share the parity of l, so factoring lam^{l/2}
     out leaves rational coefficients: the x^{l-2j} term picks up lam^{-j}.
     The overall scalar does not affect eigenfunction properties.
     """
+    if l < 0:
+        raise ValueError("l must be nonnegative")
     lam = _frac(lam)
-    h = hermite_exact(l)
-    out = [Fraction(0)] * len(h)
-    for deg, c in enumerate(h):
-        if c == 0:
-            continue
-        j = (l - deg) // 2
-        out[deg] = c / lam ** j
+    out = [Fraction(0)] * (l + 1)
+    for j in range(l // 2 + 1):
+        deg = l - 2 * j
+        out[deg] = Fraction((-1) ** j * math.factorial(l) * 2 ** deg,
+                            math.factorial(j) * math.factorial(deg)) / lam ** j
     return ptrim(out)
 
 

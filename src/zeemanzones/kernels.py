@@ -25,7 +25,13 @@ class SingularTimeError(NumericError, ValueError):
     """DF evaluation at t within tolerance of a sin-zero n*pi/lambda_i."""
 
 
-def check_df_time(t: float, params: MagneticParams):
+def check_df_time(sigma, t: float, params: MagneticParams):
+    """Refuse t within 1e-9 of a caustic n pi / lambda_i, n >= 1, of the
+    DF flow, where the global kernel and every trace and chain built on
+    it are singular; the WK flow has none, so any other sigma passes.
+    The zonal closed forms are entire and call no check."""
+    if sigma != "df":
+        return
     for b in params.blocks:
         n = round(b.lam * t / np.pi)
         if n >= 1 and abs(t - n * np.pi / b.lam) < 1e-9:
@@ -109,8 +115,7 @@ def global_parts(sigma, t: float, X, Y, params: MagneticParams):
     (lam / (2 pi sinh(lam t sigma)))^{k_i/2} and -lam (g |X_i - Y_i|^2 / 2
     + i <X_i, J Y_i>), g = coth(lam t sigma) (`_flow_coth`)."""
     s = sigma_value(sigma)
-    if sigma == "df":
-        check_df_time(t, params)
+    check_df_time(sigma, t, params)
     pref, expo = 1.0 + 0j, 0j
     for b, Xi, Yi in _blockwise(X, Y, params):
         g = _flow_coth(sigma, t, b.lam)
@@ -197,7 +202,7 @@ def zonal_kernel_closed(sigma, a: int, t: float, X, Y,
                        long_term=(fac - lag) * z0)
 
 
-def plane_step(X, Y, lam: float, kap, shift=0j, a=0):
+def plane_step(X, Y, lam: float, kap, shift, a=0):
     """The step operator f -> r, r[y] = sum_x f[x] K(x, y), on one
     coordinate plane of field lam, of the kernel K = (lam / pi) e^{shift
     + lam (kap P - (|x|^2 + |y|^2) / 2)} times, for a > 0, the zone-a
@@ -343,10 +348,8 @@ def zonal_kernel_numeric(sigma, a: int, t: float, X, Y, params: MagneticParams):
     has degree 2a per axis, so `exact_value` is exact at a+1 nodes per
     axis (checked against a+3; a disagreement raises QuadratureError).
     X and Y may be complex (points on a rotated contour) and broadcast
-    over leading axes.
+    over leading axes.  A DF caustic is refused by `global_parts`.
     """
-    if sigma == "df":
-        check_df_time(t, params)
     X = np.asarray(X, dtype=complex if np.iscomplexobj(X) else float)
     Y = np.asarray(Y, dtype=complex if np.iscomplexobj(Y) else float)
     Xb, Yb = X[..., None, :], Y[..., None, :]
@@ -366,35 +369,26 @@ def zonal_kernel_numeric(sigma, a: int, t: float, X, Y, params: MagneticParams):
 # PDE residuals for the global kernels
 # ---------------------------------------------------------------------------
 
-def _global_exponent_derivs(sigma, t, X, Y, params):
-    """(grad, laplacian) of log global_kernel in X (prefactor is X-free)."""
-    grad = np.zeros(np.asarray(X).shape, dtype=complex)
-    lap = 0j
-    off = 0
-    for b, Xi, Yi in _blockwise(X, Y, params):
-        g = _flow_coth(sigma, t, b.lam)
-        grad[..., off:off + b.k] = -b.lam * (g * (Xi - Yi) + 1j * J_apply(Yi))
-        lap = lap - b.lam * g * b.k
-        off += b.k
-    return grad, lap
-
-
 def apply_H_Z_global(sigma, t: float, X, Y, params: MagneticParams):
     """H_Z acting on the global kernel in the X variable, analytically.
 
     H_Z = -(1/2)(Delta + 2i D_lam - sum lam_i^2 |X_i|^2) applied to
     K = e^{g}: H_Z K = -(1/2)(lap g + grad g . grad g
-    + 2i sum lam_i grad_i g . J(X_i) - sum lam_i^2 |X_i|^2) K.
+    + 2i sum lam_i grad_i g . J(X_i) - sum lam_i^2 |X_i|^2) K, with the
+    gradient and Laplacian of g = log K in X (the prefactor is X-free).
     """
     K = global_kernel(sigma, t, X, Y, params)
-    grad, lap = _global_exponent_derivs(sigma, t, X, Y, params)
+    blocks = list(zip(params.block_slices(), _blockwise(X, Y, params)))
+    grad = np.zeros(np.asarray(X).shape, dtype=complex)
+    lap = 0j
+    for sl, (b, Xi, Yi) in blocks:
+        g = _flow_coth(sigma, t, b.lam)
+        grad[..., sl] = -b.lam * (g * (Xi - Yi) + 1j * J_apply(Yi))
+        lap = lap - b.lam * g * b.k
     acc = lap + np.sum(grad * grad, axis=-1)
-    off = 0
-    for b, Xi, _ in _blockwise(X, Y, params):
-        gi = grad[..., off:off + b.k]
-        acc = acc + 2j * b.lam * np.sum(gi * J_apply(Xi), axis=-1)
+    for sl, (b, Xi, _) in blocks:
+        acc = acc + 2j * b.lam * np.sum(grad[..., sl] * J_apply(Xi), axis=-1)
         acc = acc - b.lam ** 2 * _sq(Xi)
-        off += b.k
     return -0.5 * acc * K
 
 

@@ -68,9 +68,8 @@ def slicing_grid(lam: float, quad_degree: int):
 
 
 def _check_slicing(sigma, slicing: TimeSlicing, params: MagneticParams):
-    if sigma == "df":
-        for j in range(1, slicing.n_slices + 1):
-            check_df_time(j * slicing.step, params)
+    for j in range(1, slicing.n_slices + 1):
+        check_df_time(sigma, j * slicing.step, params)
 
 
 def _interior_factors(F, n_interior, G):
@@ -147,7 +146,7 @@ def cylinder_value(sigma, a: int, slicing: TimeSlicing, F, x, y,
 
 
 def nu_cylinder_value(slicing: TimeSlicing, F, x, y,
-                      params: MagneticParams, quad_degree: int = CHAIN_DEGREE):
+                      params: MagneticParams, quad_degree: int):
     """Same chaining, pinned at y, with the holomorphic point-spread
     delta^{(0)} as the step kernel (the time-independent nu measure); F=1
     gives delta^{(0)}(x, y) for every n by exact idempotency."""
@@ -204,7 +203,7 @@ def _fk_step(sigma, dt, lam: float, exact: bool):
 
 
 def feynman_kac_chain(sigma, slicing: TimeSlicing, x, y,
-                      params: MagneticParams, quad_degree: int = CHAIN_DEGREE,
+                      params: MagneticParams, quad_degree: int,
                       exact_step: bool = False):
     """delta^{(0)} chain with Feynman-Kac weights, pinned at y.
 
@@ -225,7 +224,7 @@ def feynman_kac_chain(sigma, slicing: TimeSlicing, x, y,
 # ---------------------------------------------------------------------------
 
 def uniform_bound_check(slicing: TimeSlicing, x, params: MagneticParams,
-                        quad_degree: int = CHAIN_DEGREE) -> dict:
+                        quad_degree: int) -> dict:
     """|W_{i,n}^{T(0)}(F)| <= (2 pi)^{k/2} sup|F| on a family of test F.
 
     Free-endpoint DF chains with F = 1, F = 0 and three random phase
@@ -257,7 +256,7 @@ def probability_conservation(t: float, x, params: MagneticParams,
     """| ||psi(t)|| - 1 | for psi(0) the normalized holomorphic point
     spread at x, evolved by the DF zone flow (unitary on the zone); its
     norm is the product of the per-plane norms."""
-    check_df_time(t, params)
+    check_df_time("df", t, params)
     x = np.asarray(x, dtype=float).reshape(-1, 2, 1)
 
     def norm(j, lam):
@@ -273,7 +272,7 @@ def probability_conservation(t: float, x, params: MagneticParams,
 
 def radon_nikodym_consistency(slicing: TimeSlicing, x, y,
                               params: MagneticParams,
-                              quad_degree: int = CHAIN_DEGREE) -> dict:
+                              quad_degree: int) -> dict:
     """DF chain vs WK chain times the Radon-Nikodym ratio at the discrete
     level.
 
@@ -313,7 +312,7 @@ def _rn_wk_side(slicing, x, y, params, quad_degree, exact):
 
 def second_form_residual(sigma, slicing: TimeSlicing, x, y,
                          params: MagneticParams,
-                         quad_degree: int = CHAIN_DEGREE) -> float:
+                         quad_degree: int) -> float:
     """Exact-step delta chain vs direct kernel chain, pinned F=1.
 
     Both equal d_sigma^{(0)}(T, x, y); the residual is pure quadrature

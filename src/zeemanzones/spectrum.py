@@ -85,7 +85,7 @@ class SpectrumEntry:
 
 
 def spectrum_table(params: MagneticParams, variant: HamiltonianVariant,
-                   max_p: int, max_zone: int = 2) -> list[SpectrumEntry]:
+                   max_p: int, max_zone: int) -> list[SpectrumEntry]:
     """Eigenvalue table grouped by gross zone, eigenvalues ascending.
 
     Complete through total holomorphic degree max_p: multiplicities

@@ -33,8 +33,7 @@ def partition(sigma, a: int, t: float, params: MagneticParams,
     if not t > 0:
         raise ValueError("partition function requires t > 0")
     s = sigma_value(sigma)
-    if sigma == "df":
-        check_df_time(t, params)
+    check_df_time(sigma, t, params)
     out = complex(zone_count(a, params.k))
     for b in params.blocks:
         e = np.exp(-2 * b.lam * t * s)
@@ -67,8 +66,7 @@ def _composed_trace(sigma, a: int, t: float, params: MagneticParams,
     The kernels are products over planes, so their diagonal integrals over
     R^k factorize; each (lambda, a_p) plane trace is computed once.
     """
-    if sigma == "df":
-        check_df_time(t, params)
+    check_df_time(sigma, t, params)
     plam = params.plane_lambdas()
     cache: dict[tuple[float, int], tuple[complex, float]] = {}
 
@@ -138,6 +136,7 @@ def partition_spectral(sigma, a: int, t: float, params: MagneticParams,
     independently of the level, so the sum factorizes over blocks.
     """
     s = sigma_value(sigma)
+    check_df_time(sigma, t, params)
     total = complex(zone_count(a, params.k))
     for b in params.blocks:
         q = b.k // 2

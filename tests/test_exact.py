@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 
 from zeemanzones.exact import (QC, ZonePoly, apply_box, box_eigenvalue_exact,
                                box_field_constant, gaussian_pair_integral_exact,
-                               hermite_exact, laguerre_composition_check,
+                               hermite_scaled_exact,
+                               laguerre_composition_check,
                                laguerre_exact, laguerre_recurrence_exact,
                                padd, pderiv, peval, pmul, pscale, psub, ptrim,
                                rodrigues_check)
@@ -91,10 +92,10 @@ def test_alpha_sum(alpha, n):
 
 def test_hermite_exact_table():
     # [TRIVIAL] physicists' H_0..H_3
-    assert hermite_exact(0) == [Fraction(1)]
-    assert hermite_exact(1) == [Fraction(0), Fraction(2)]
-    assert hermite_exact(3) == [Fraction(0), Fraction(-12), Fraction(0),
-                                Fraction(8)]
+    assert hermite_scaled_exact(0, 1) == [Fraction(1)]
+    assert hermite_scaled_exact(1, 1) == [Fraction(0), Fraction(2)]
+    assert hermite_scaled_exact(3, 1) == [Fraction(0), Fraction(-12),
+                                          Fraction(0), Fraction(8)]
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+from zeemanzones import pathint, thermo
 from zeemanzones.kernels import (SingularTimeError, check_df_time,
                                  global_kernel, global_parts,
                                  irreducible_projection_kernel, lt1_printed,
@@ -14,6 +15,7 @@ from zeemanzones.kernels import (SingularTimeError, check_df_time,
                                  zonal_kernel_closed, zonal_kernel_numeric,
                                  zonal_numeric_scales, zonal_step)
 from zeemanzones.params import MagneticParams, _compositions
+from zeemanzones.pathint import TimeSlicing
 from zeemanzones.quadrature import QuadRule, tensor_points, tree_sum
 from zeemanzones.special import laguerre
 from zeemanzones.spectrum import zonal_series_value
@@ -104,10 +106,44 @@ def test_global_wk_chapman_kolmogorov(p2, xy2):
 
 def test_df_singular_times_and_guard(p2b):
     with pytest.raises(SingularTimeError):
-        check_df_time(np.pi / 2, p2b)
+        check_df_time("df", np.pi / 2, p2b)
     with pytest.raises(SingularTimeError):
         global_kernel("df", np.pi / 2, np.zeros(2), np.zeros(2), p2b)
-    check_df_time(0.7, p2b)  # regular time passes
+    check_df_time("df", 0.7, p2b)  # regular time passes
+    check_df_time("wk", np.pi / 2, p2b)  # the heat flow has no caustic
+
+
+_XC = np.array([0.3, -0.2])
+_SLC = TimeSlicing(np.pi, 2)     # its second slice ends at the caustic
+DF_AT_CAUSTIC = {
+    "global_kernel": lambda p: global_kernel("df", np.pi, _XC, _XC, p),
+    "zonal_kernel_numeric": lambda p: zonal_kernel_numeric(
+        "df", 0, np.pi, _XC, _XC, p),
+    "partition": lambda p: thermo.partition("df", 0, np.pi, p),
+    "partition_spectral": lambda p: thermo.partition_spectral(
+        "df", 0, np.pi, p),
+    "partition_trace": lambda p: thermo.partition_trace("df", 0, np.pi, p),
+    "dominant_trace": lambda p: thermo.dominant_trace("df", 0, np.pi, p),
+    "longterm_trace": lambda p: thermo.longterm_trace("df", np.pi, p),
+    "cylinder_value": lambda p: pathint.cylinder_value(
+        "df", 0, _SLC, None, _XC, _XC, p, quad_degree=8),
+    "feynman_kac_chain": lambda p: pathint.feynman_kac_chain(
+        "df", _SLC, _XC, _XC, p, 8),
+    "probability_conservation": lambda p: pathint.probability_conservation(
+        np.pi, _XC, p, quad_degree=8),
+    "radon_nikodym_consistency": lambda p: pathint.radon_nikodym_consistency(
+        _SLC, _XC, _XC, p, 8),
+    "second_form_residual": lambda p: pathint.second_form_residual(
+        "df", _SLC, _XC, _XC, p, 8),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DF_AT_CAUSTIC))
+def test_df_number_refused_at_caustic(p2, name):
+    # every DF quantity built on the global kernel is singular at t = pi
+    # for lambda = 1; only the zonal closed forms are entire
+    with pytest.raises(SingularTimeError):
+        DF_AT_CAUSTIC[name](p2)
 
 
 @pytest.mark.parametrize("sigma", ["wk", "df"])

@@ -37,7 +37,7 @@ def test_chain_degree_defaults_match_cli():
                 and "quad_degree" in inspect.signature(fn).parameters}
     defaults = {name: d for name, d in defaults.items()
                 if d is not inspect.Parameter.empty}
-    assert len(defaults) == 7
+    assert len(defaults) == 2
     assert set(defaults.values()) == {DEFAULTS["quad_degree"]}
 
 

@@ -13,7 +13,8 @@ array's method of that name is loaded.
 In the same way, each defaulted parameter of a public function or method
 must be set by some call in those files, by keyword or by position; a
 `functools.partial(f, ...)` is a call of f, and a call with `*args` or
-`**kwargs` sets every parameter.
+`**kwargs` sets every parameter.  Conversely, each such default must be
+relied on: some call leaves its parameter unset.
 """
 
 import ast
@@ -123,12 +124,24 @@ def _calls():
     return out
 
 
+def _sets(param, pos, n_args, keywords):
+    return (keywords is None or param in keywords
+            or (pos is not None and n_args > pos))
+
+
 def test_no_default_parameter_nothing_sets():
     calls = _calls()
     unset = [f"{qual}.{param}"
              for qual, name, param, pos in _defaulted_parameters()
-             if not any(callee == name and (
-                 keywords is None or param in keywords
-                 or (pos is not None and n_args > pos))
-                 for callee, n_args, keywords in calls)]
+             if not any(callee == name and _sets(param, pos, n_args, keywords)
+                        for callee, n_args, keywords in calls)]
     assert not unset, f"defaulted parameters no call sets: {unset}"
+
+
+def test_no_default_parameter_every_call_sets():
+    calls = _calls()
+    always = [f"{qual}.{param}"
+              for qual, name, param, pos in _defaulted_parameters()
+              if all(_sets(param, pos, n_args, keywords)
+                     for callee, n_args, keywords in calls if callee == name)]
+    assert not always, f"defaulted parameters every call sets: {always}"
