@@ -19,15 +19,23 @@ by a two-node-larger one as convergence evidence; it is the package's one
 exact Gaussian integral.
 
 `tree_sum` reduces in a fixed pairwise tree, independent of any thread
-count, so its results are bitwise reproducible.  Chain steps contract one
-axis per plane by a BLAS matrix product instead (`kernels._contract_plane`);
-a test pins its bits at 1 and 2 BLAS threads.
+count, so its results are bitwise reproducible.  `integrate` evaluates the
+integrand one block of the grid at a time (`QuadRule.blocks`): a block
+fixes the leading axes at one node each and spans the full grid of as many
+trailing axes as fit in BLOCK_NODES nodes, and the blocks run in
+`tensor_points` order.  Each block is reduced by `tree_sum`, then the
+block sums are, so memory is bounded by BLOCK_NODES nodes per batch entry
+and the order is still fixed; with one block (every k <= 2 rule up to
+degree 128) the result is that of a single `tree_sum` over the grid.
+Chain steps contract one axis per plane by a BLAS matrix product instead
+(`kernels._contract_plane`); a test pins its bits at 1 and 2 BLAS threads.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import product
 
 import numpy as np
 
@@ -47,6 +55,7 @@ class QuadratureNonConvergence(QuadratureError):
 
 
 MAX_TENSOR_NODES = 50_000_000
+BLOCK_NODES = 2 ** 14       # the most grid nodes `integrate` evaluates at once
 EXACT_TOL = 1e-10
 
 
@@ -98,7 +107,25 @@ class QuadRule:
     def nodes_weights(self):
         """Full tensor grid: nodes (N, k), or (..., N, k) for a batch of
         centres, and Lebesgue weights (N,)."""
+        return self._grid(*zip(*(self.axis_nodes_weights(j)
+                                 for j in range(self.dim))))
+
+    def blocks(self):
+        """The grid of `nodes_weights` as (nodes, weights) blocks in its
+        order: one per node of the leading axes, each the full grid of as
+        many trailing axes as fit in BLOCK_NODES nodes."""
         axes, wts = zip(*(self.axis_nodes_weights(j) for j in range(self.dim)))
+        lead = next(m for m in range(self.dim + 1)
+                    if self.degree ** (self.dim - m) <= BLOCK_NODES)
+
+        def at(arrays, index):
+            return ([a[i:i + 1] for a, i in zip(arrays, index)]
+                    + list(arrays[lead:]))
+
+        for index in product(range(self.degree), repeat=lead):
+            yield self._grid(at(axes, index), at(wts, index))
+
+    def _grid(self, axes, wts):
         nodes = tensor_points(axes)
         if self.centre is not None:
             nodes = np.asarray(self.centre)[..., None, :] + nodes
@@ -134,14 +161,17 @@ def tree_sum(values: np.ndarray):
 
 def integrate(f, rule: QuadRule):
     """int f(U) dU over R^k by the tensor rule; f maps nodes (..., N, k)
-    to values (..., N), one integral per batch entry."""
-    nodes, weights = rule.nodes_weights()
-    vals = np.asarray(f(nodes))
-    if vals.shape != nodes.shape[:-1]:
-        raise QuadratureError("integrand must return one value per node")
-    if not np.all(np.isfinite(vals)):
-        raise NonFiniteIntegrand("integrand produced non-finite values")
-    return tree_sum(np.moveaxis(weights * vals, -1, 0))
+    to values (..., N), one integral per batch entry.  f is called once
+    per block of `rule.blocks()`, so N is at most BLOCK_NODES."""
+    sums = []
+    for nodes, weights in rule.blocks():
+        vals = np.asarray(f(nodes))
+        if vals.shape != nodes.shape[:-1]:
+            raise QuadratureError("integrand must return one value per node")
+        if not np.all(np.isfinite(vals)):
+            raise NonFiniteIntegrand("integrand produced non-finite values")
+        sums.append(tree_sum(np.moveaxis(weights * vals, -1, 0)))
+    return tree_sum(np.stack(sums))
 
 
 def exact_value(f, scales, n: int, centre=None):

@@ -26,14 +26,20 @@ def _variant_shift(variant: HamiltonianVariant | None, params) -> float:
 # closed form and oracles
 # ---------------------------------------------------------------------------
 
+def _check_partition_time(sigma, t: float, params: MagneticParams) -> None:
+    """Refuse a t the partition sums are not defined at: t <= 0 or NaN,
+    and a DF caustic (`check_df_time`)."""
+    if not t > 0:
+        raise ValueError("partition function requires t > 0")
+    check_df_time(sigma, t, params)
+
+
 def partition(sigma, a: int, t: float, params: MagneticParams,
               variant: HamiltonianVariant | None = None) -> complex:
     """Z_sigma^{(a)}(t) = binom(a + k/2 - 1, a) prod e^{-k_i lam_i t s / 2}
     / (1 - e^{-2 lam_i t s})^{k_i/2}, times e^{-s t c_f} for H_Zf."""
-    if not t > 0:
-        raise ValueError("partition function requires t > 0")
+    _check_partition_time(sigma, t, params)
     s = sigma_value(sigma)
-    check_df_time(sigma, t, params)
     out = complex(zone_count(a, params.k))
     for b in params.blocks:
         e = np.exp(-2 * b.lam * t * s)
@@ -135,8 +141,8 @@ def partition_spectral(sigma, a: int, t: float, params: MagneticParams,
     The upsilon-composition binomials sum to zone_count(a, k)
     independently of the level, so the sum factorizes over blocks.
     """
+    _check_partition_time(sigma, t, params)
     s = sigma_value(sigma)
-    check_df_time(sigma, t, params)
     total = complex(zone_count(a, params.k))
     for b in params.blocks:
         q = b.k // 2

@@ -36,7 +36,7 @@ from .kernels import (global_kernel, lt1_printed, pde_residual,
                       projection_kernel, zonal0, zonal_kernel_closed,
                       zonal_kernel_numeric)
 from .params import H_Z, MagneticParams, _compositions
-from .quadrature import QuadRule, integrate, tree_sum
+from .quadrature import QuadRule, integrate
 from .special import gaussian_moment_integral, laguerre
 from .spectrum import (build_eigenfunction, radial_operator_residual,
                        radial_eigenpoly, radial_vs_laguerre, spectrum_table,
@@ -271,13 +271,12 @@ _SPECTRUM = [
 
 # --- projections suite -----------------------------------------------------
 def _rule(params, degree):
-    return QuadRule(degree, params.axis_lambdas()).nodes_weights()
+    return QuadRule(degree, params.axis_lambdas())
 
 
-def _conv(left, right, X, Y, nodes):
-    """int left(X, U) right(U, Y) dU on the rule nodes (U, w)."""
-    U, w = nodes
-    return tree_sum(w * left(X[None, :], U) * right(U, Y[None, :]))
+def _conv(left, right, X, Y, rule):
+    """int left(X, U) right(U, Y) dU by the rule."""
+    return integrate(lambda U: left(X[None, :], U) * right(U, Y[None, :]), rule)
 
 
 def _delta(a, params):
@@ -289,9 +288,9 @@ def _idempotency(deg, geometry):
     """Worst |delta^{(a)} * delta^{(a)} - delta^{(a)}| over the zones."""
     X, Y, deg, zones = ((_X0, _Y0, deg, _ZONES) if geometry.k == 2
                         else (_X4, _Y4, _K4_DEGREE, _ZONES[:3]))
-    nodes = _rule(geometry, deg)
+    rule = _rule(geometry, deg)
     return _worst(abs(_conv(_delta(a, geometry), _delta(a, geometry),
-                            X, Y, nodes)
+                            X, Y, rule)
                       - projection_kernel(a, X, Y, geometry)) for a in zones)
 
 
@@ -362,7 +361,7 @@ def _global_ck(deg, s_t, geometry):
                    for l in geometry.axis_lambdas())
     conv = _conv(partial(global_kernel, "wk", s, params=geometry),
                  partial(global_kernel, "wk", t, params=geometry),
-                 X, Y, QuadRule(deg, scales).nodes_weights())
+                 X, Y, QuadRule(deg, scales))
     return abs(conv - global_kernel("wk", s + t, X, Y, geometry))
 
 

@@ -1,6 +1,8 @@
 """Tensor Gauss-Hermite rules: exactness, determinism, failure modes."""
 
+import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,7 +10,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from zeemanzones import quadrature
-from zeemanzones.quadrature import (MAX_DEGREE, NonFiniteIntegrand, QuadRule,
+from zeemanzones.quadrature import (BLOCK_NODES, MAX_DEGREE,
+                                    NonFiniteIntegrand, QuadRule,
                                     QuadratureError, QuadratureNonConvergence,
                                     exact_value, gauss_hermite_rule, integrate,
                                     tree_sum)
@@ -130,3 +133,89 @@ def test_exact_value_flags_nonpolynomial():
     with pytest.raises(QuadratureNonConvergence):
         exact_value(lambda U: np.exp(-U[:, 0] ** 2) * np.sign(U[:, 0] - 0.37),
                     (1.0,), 8)
+
+
+# ---------------------------------------------------------------------------
+# blocks: integrate evaluates the grid one bounded block at a time
+# ---------------------------------------------------------------------------
+
+K4_SCALES = (0.5, 0.5 - 0.25j, 1.0, 1.0)
+K4_C = np.array([0.4 - 0.2j, -0.3 + 0.1j, 0.2, 0.5j])
+
+
+def _k4_rule(degree=24, centre=None):
+    # 24^4 = 331,776 nodes: 24 blocks of 24^3; 12^4: 12 blocks of 12^3
+    return QuadRule(degree, K4_SCALES, centre)
+
+
+def _k4_gaussian(U):
+    return np.exp(-np.sum(np.array(K4_SCALES) * U ** 2, axis=-1) + U @ K4_C)
+
+
+def test_blocks_bound_the_nodes_per_batch_entry():
+    centres = np.array([[0.0, 0.0, 0.0, 0.0], [0.1, -0.2j, 0.3, 0.0]])
+    for rule, batch in ((_k4_rule(), ()), (_k4_rule(centre=centres), (2,))):
+        assert rule.degree ** rule.dim > BLOCK_NODES
+        shapes = []
+
+        def f(U):
+            shapes.append(U.shape)
+            return _k4_gaussian(U)
+
+        integrate(f, rule)
+        assert shapes == [batch + (24 ** 3, 4)] * 24
+
+
+@pytest.mark.parametrize("rule", [
+    _k4_rule(), _k4_rule(12, np.array([[0.0, 0.1, 0.2j, 0.0],
+                                       [0.3, 0.0, 0.0, -0.1]]))])
+def test_blocks_concatenate_to_the_grid_bit_for_bit(rule):
+    U, w = rule.nodes_weights()
+    nodes, weights = zip(*rule.blocks())
+    assert len(nodes) == rule.degree
+    assert np.concatenate(nodes, axis=-2).tobytes() == U.tobytes()
+    assert np.concatenate(weights).tobytes() == w.tobytes()
+
+
+def test_blocked_integral_matches_flat_tree_sum():
+    rule = _k4_rule()
+    U, w = rule.nodes_weights()
+    flat = tree_sum(w * _k4_gaussian(U))
+    assert abs(integrate(_k4_gaussian, rule) - flat) <= 1e-15 * abs(flat)
+
+
+def test_one_block_is_bit_identical_to_flat_tree_sum():
+    # 128^2 = BLOCK_NODES: the largest k=2 rule that is a single block
+    rule = QuadRule(128, (1.0, 2.0 - 0.5j))
+    assert len(list(rule.blocks())) == 1
+    U, w = rule.nodes_weights()
+
+    def f(U):
+        return np.exp(-U[:, 0] ** 2 - (2.0 - 0.5j) * U[:, 1] ** 2 + 0.3 * U[:, 0])
+
+    assert integrate(f, rule) == tree_sum(w * f(U))
+
+
+def test_nonfinite_in_last_block_raises():
+    calls = itertools.count(1)
+
+    def f(U):
+        v = _k4_gaussian(U)
+        if next(calls) == 24:
+            v[-1] = np.nan
+        return v
+
+    with pytest.raises(NonFiniteIntegrand):
+        integrate(f, _k4_rule())
+    assert next(calls) == 25
+
+
+def test_k4_integral_memory_is_bounded_by_the_block():
+    # the whole 24^4 grid with its temporaries at once takes about 69 MB
+    tracemalloc.start()
+    try:
+        integrate(_k4_gaussian, _k4_rule())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 10 ** 6

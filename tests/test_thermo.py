@@ -42,6 +42,15 @@ def test_partition_df_unit_modulus_ratio(p2):
     assert zdf == pytest.approx(ref, abs=1e-14)
 
 
+@pytest.mark.parametrize("t", [-0.5, 0.0, math.nan])
+@pytest.mark.parametrize("sigma", ["wk", "df"])
+def test_partition_sums_refuse_nonpositive_time(p2, sigma, t):
+    # the closed form and the spectral sum share one refusal
+    for value in (partition, partition_spectral):
+        with pytest.raises(ValueError, match="requires t > 0"):
+            value(sigma, 0, t, p2)
+
+
 def test_partition_blocks_multiply(p4):
     z = partition("wk", 0, 0.9, p4)
     z1 = partition("wk", 0, 0.9, MagneticParams.make([(1.0, 2)]))

@@ -3,11 +3,13 @@
 import dataclasses
 import itertools
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from zeemanzones import pathint, verify
+from zeemanzones.quadrature import QuadRule
 from zeemanzones.verify import (CHECKS, SUITES, CheckResult, report_json,
                                 run_suite)
 
@@ -271,3 +273,28 @@ def test_delta_limit_sees_offset_at_every_zone(monkeypatch, sigma):
     monkeypatch.setattr(verify, "projection_kernel",
                         _offset(verify.projection_kernel))
     assert not any(verify._delta_limit(sigma, a) for a in range(4))
+
+
+def test_k4_idempotency_memory_is_bounded_by_the_block(p4):
+    # the k=4 rule's 24^4 nodes are integrated one 24^3 block at a time;
+    # the whole grid with its temporaries at once takes about 40 MB
+    tracemalloc.start()
+    try:
+        verify._idempotency(40, p4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 10 ** 6
+
+
+def test_quadrature_checks_integrate_by_blocks(monkeypatch):
+    # every quadrature check integrates through `integrate`, never over a
+    # whole grid of its own
+    def no_grid(self):
+        raise AssertionError("a whole tensor grid was built")
+
+    monkeypatch.setattr(QuadRule, "nodes_weights", no_grid)
+    for suite in ("laguerre", "projections", "global_kernels", "zonal_wk",
+                  "zonal_df"):
+        results = run_suite(suite)
+        assert results and all(r.status == "PASS" for r in results), suite
