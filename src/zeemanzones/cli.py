@@ -83,6 +83,8 @@ def _check_field(name, value, default):
     if isinstance(value, bool) or not isinstance(value, types):
         raise ConfigError(f"config field {name!r}: expected {kind}, "
                           f"got {json.dumps(value)}")
+    if "[" in name and not isinstance(value, (list, dict)):
+        return      # a scalar list element: CHOICES and RANGES name none
     if value == []:
         raise ConfigError(f"config field {name!r}: need at least one value")
     if name in CHOICES and value not in CHOICES[name]:

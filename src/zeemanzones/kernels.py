@@ -181,9 +181,10 @@ def zonal_kernel_closed(sigma, a: int, t: float, X, Y,
     the long-term part is exactly 0.  X and Y may be complex.
 
     Far from the origin the exponent and rho cancel O(|z|^2) terms: on
-    points with |z| <= 40 (DF, t = pi/4) this point form is off a 60-digit
-    evaluation by up to 1.1e-13 of the largest entry at zone 0 and 2.6e-12
-    at zone 4, where the plane operator (`zonal_step`) is within 3e-13.
+    points with |z| <= 40 (DF, t = 0.05, pi/4 and 1.3) this point form is
+    off a 60-digit evaluation by up to 1.1e-13 of the largest entry at
+    zone 0 and 2.6e-12 at zone 4, where the plane operator (`zonal_step`)
+    is within 2.7e-14 and 2.9e-13.
     """
     z0 = zonal0(sigma, t, X, Y, params)
     if a == 0:
@@ -219,36 +220,60 @@ def plane_step(X, Y, lam: float, kap, shift, a=0):
     action-weighted delta^{(0)} steps of `pathint`.
 
     P = (x1 y1 - i x1 y2) + (x2 y2 + i x2 y1), so the kernel is u[x1, y1,
-    y2] v[x2, y1, y2], two exponentials of n^3 entries with the row and
-    column Gaussians folded in, and on a real grid rho = lam (kap (|x|^2
-    + |y|^2) - kap^2 P - conj P) is also two n^3 pieces, ru[x1, y1, y2]
-    + rv[x2, y1, y2].  Only these factors are built; applying the
-    operator (`_contract_plane`) builds no array of the kernel's N x M
-    size.
+    y2] v[x2, y1, y2] with the row and column Gaussians folded in, and each
+    of u and v has an exponent e1[x, y1] + e2[x, y2] + c[y1, y2] of n x n
+    pieces (`_outer_exp`).  With kap = kr + i ki, w1 = kr y1 + ki y2 and
+    w2 = kr y2 - ki y1 (w1^2 + w2^2 = |kap|^2 |y|^2), the real part of
+    u's exponent is -lam (x1 - w1)^2 / 2 + Re(shift + log(lam / pi)) and
+    that of v's is -lam (x2 - w2)^2 / 2 - lam (1 - |kap|^2) |y|^2 / 2, so
+    for |kap| <= 1 (every zonal step) neither modulus, one real
+    exponential of n^3 entries each, can overflow however far out the grids
+    lie; each phase is a product of two n x n exponentials.  On a real grid
+    rho = lam (kap (|x|^2 + |y|^2) - kap^2 P - conj P) is ru[x1, y1, y2] +
+    rv[x2, y1, y2], each again an outer sum of n x n pieces.  Only these
+    tables are kept; applying the operator (`_contract_plane`) builds no
+    array of the kernel's N x M size.
     """
     X = [np.asarray(v, dtype=float) for v in X]
     Y = [np.asarray(v, dtype=float) for v in Y]
     if len(X) != 2 or len(Y) != 2 or any(v.ndim != 1 for v in X + Y):
         raise ValueError("plane grids need two one-dimensional axes")
-    x1, x2 = X[0][:, None, None], X[1][:, None, None]
-    y1, y2 = Y[0][:, None], Y[1][None, :]
+    (x1, x2), (y1, y2) = X, Y
+    x1y1, x1y2 = np.multiply.outer(x1, y1), np.multiply.outer(x1, y2)
+    x2y1, x2y2 = np.multiply.outer(x2, y1), np.multiply.outer(x2, y2)
     kap = complex(kap)
-    pu = x1 * y1 - 1j * (x1 * y2)                        # P = pu + pv
-    pv = x2 * y2 + 1j * (x2 * y1)
-    # Re(kap pu) = x1 w1 and Re(kap pv) = x2 w2 with w1^2 + w2^2 =
-    # |kap|^2 |z_y|^2: each factor's exponent is -(x1 - w1)^2 / 2 or
-    # -(x2 - w2)^2 / 2 - (1 - |kap|^2) |z_y|^2 / 2 in real part, so
-    # neither overflows
-    w1sq = (kap.real * y1 + kap.imag * y2) ** 2
-    u = np.exp(lam * (kap * pu - 0.5 * x1 * x1 - 0.5 * w1sq)
-               + (shift + np.log(lam) - np.log(np.pi)))
-    v = np.exp(lam * (kap * pv - 0.5 * x2 * x2
-                      - 0.5 * (y1 * y1 + y2 * y2 - w1sq)))
+    w1sq = np.add.outer(kap.real * y1, kap.imag * y2) ** 2
+    u = _outer_exp(lam * (kap * x1y1 - 0.5 * (x1 * x1)[:, None])
+                   + (shift + np.log(lam) - np.log(np.pi)),
+                   -1j * lam * kap * x1y2, -0.5 * lam * w1sq)
+    v = _outer_exp(1j * lam * kap * x2y1,
+                   lam * (kap * x2y2 - 0.5 * (x2 * x2)[:, None]),
+                   -0.5 * lam * (np.add.outer(y1 * y1, y2 * y2) - w1sq))
     ru = rv = None
     if a:
-        ru = lam * (kap * (x1 * x1 + y1 * y1) - kap * kap * pu - pu.conj())
-        rv = lam * (kap * (x2 * x2 + y2 * y2) - kap * kap * pv - pv.conj())
+        # each half of rho is lam (kap (x^2 + y^2) - (kap^2 + 1) x y) on
+        # its own y axis plus i lam (kap^2 - 1) x y on the other, with the
+        # sign of P's imaginary part: + for x1 y2, - for x2 y1
+        k2 = kap * kap
+        ru = (lam * (kap * np.add.outer(x1 * x1, y1 * y1)
+                     - (k2 + 1) * x1y1))[:, :, None] \
+            + (1j * lam * (k2 - 1) * x1y2)[:, None, :]
+        rv = (-1j * lam * (k2 - 1) * x2y1)[:, :, None] \
+            + (lam * (kap * np.add.outer(x2 * x2, y2 * y2)
+                      - (k2 + 1) * x2y2))[:, None, :]
     return partial(_contract_plane, (u, v, ru, rv, kap), a)
+
+
+def _outer_exp(e1, e2, c):
+    """e^{e1[x, y1] + e2[x, y2] + c[y1, y2]} as an (x, y1, y2) array, for
+    complex n x n pieces e1, e2 and real c: one real exponential of the
+    outer sum of the real parts (the modulus), times the product of two
+    n x n phases.  No complex exponential of n^3 entries is taken."""
+    out = np.exp(1j * e1.imag)[:, :, None] * np.exp(1j * e2.imag)[:, None, :]
+    mod = e1.real[:, :, None] + e2.real[:, None, :]
+    mod += c
+    out *= np.exp(mod, out=mod)
+    return out
 
 
 def _contract_plane(plane, m, f):
@@ -260,6 +285,10 @@ def _contract_plane(plane, m, f):
     product for every x1 slab at zone 0, one per slab with that slab's
     zone factor at m >= 1.  x1 is then reduced by a `tree_sum`; its input
     h, len(x1) times the size of the result, is the largest array built.
+    The slabs share one rho buffer and take the v factor in place: with
+    two fresh n^3 temporaries per slab the C allocator handed their pages
+    back and faulted them in again every slab (about 470 page faults per
+    slab at degree 40).
     """
     u, v, ru, rv, eps = plane
     f = np.asarray(f)
@@ -271,8 +300,10 @@ def _contract_plane(plane, m, f):
         h = (gt.reshape(-1, n2) @ vt).reshape(gt.shape[:2] + vt.shape[1:])
     else:
         h = np.empty(gt.shape[:2] + vt.shape[1:], dtype=complex)
+        rho = np.empty_like(rv)
         for i, gi in enumerate(gt):
-            h[i] = gi @ (vt * laguerre(0, m, ru[i] + rv, eps).reshape(n2, -1))
+            lag = laguerre(0, m, np.add(ru[i], rv, out=rho), eps).reshape(n2, -1)
+            h[i] = gi @ np.multiply(vt, lag, out=lag)
     h *= u.reshape(n1, 1, -1)
     return tree_sum(h).reshape(f.shape[1:] + (-1,))
 

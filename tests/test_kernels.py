@@ -1,5 +1,6 @@
 """Projection, heat and Schrodinger kernels: identities and residuals."""
 
+import tracemalloc
 from functools import reduce
 
 import mpmath as mp
@@ -408,9 +409,10 @@ def test_zonal_matrix_far_points_finite(p2, sigma, a):
     # neither per-axis factor overflows when points lie far from the
     # origin (|z|^2 / 2 > 709), in either slot or in both; at t = pi/4 the
     # DF flow turns z_y = 40i onto z_x = -40, where the kernel is O(1).
-    # Against the point form, zones 2-4 miss by up to 2.5e-12 (DF zone 4);
+    # Against the point form on G x H, zones 0-4 miss by up to 1.9e-15;
     # the point form itself is off mpmath by up to 2.6e-12 on F x F2,
-    # where the operator is within 3.0e-13 (DF zone 4; WK within 6.2e-16).
+    # where the operator is within 2.9e-13 (DF zone 4; 2.7e-14 at DF zone
+    # 0, WK within 6.2e-16).
     # A zone factor split over the x1 and x2 halves by the addition theorem
     # misses by 5e-10 to 5e-4 there
     G = _axes(p2, 40)
@@ -425,6 +427,39 @@ def test_zonal_matrix_far_points_finite(p2, sigma, a):
                          for y in tensor_points(F2)] for x in tensor_points(F)])
         got = zonal_matrix(sigma, a, t, F, F2, p2)
         assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("lam", [1.0, 2.0, 4.0])
+@pytest.mark.parametrize("sigma", ["wk", "df"])
+def test_zonal_step_far_grids_finite(lam, sigma):
+    # both coordinates of G lie at 30-45 and H holds them with either
+    # sign, so a quarter-turn DF step (t = pi / (4 lam)) still meets G.
+    # lam kap x y reaches 8100 here: a product of the four n x n factors
+    # e^{lam kap x_i y_j} overflows, while the step's one real exponential
+    # stays bounded (worst miss 3.1e-12, DF zone 2)
+    p = MagneticParams.make([(lam, 2)])
+    side = np.linspace(30.0, 45.0, 5)
+    G = [np.linspace(30.0, 45.0, 7), np.linspace(30.0, 45.0, 6)]
+    H = [np.concatenate([-side[::-1], side])] * 2
+    for t in (0.05, np.pi / (8 * lam), np.pi / (4 * lam), 1.3):
+        for a in (0, 2):
+            for X, Y in ((G, H), (H, G)):
+                _assert_matches_closed(sigma, a, t, X, Y, p, tol=1e-11)
+
+
+@pytest.mark.parametrize("a, ceiling_mib", [(0, 3.0), (1, 5.5)])
+def test_zonal_step_build_memory(p2, a, ceiling_mib):
+    # a degree-40 operator keeps u and v, 40^3 complex entries (1 MiB)
+    # each, and at zone 1 also ru and rv; the build adds one real 40^3
+    # modulus and n x n pieces
+    G = _axes(p2, 40)
+    tracemalloc.start()
+    try:
+        zonal_step("df", a, 0.3, G, G, 1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= ceiling_mib * 2 ** 20
 
 
 def test_zonal_matrix_refuses_point_sets():
