@@ -4,8 +4,10 @@ Flat gauge throughout: every kernel carries its Gaussian factor
 internally and every convolution is a plain Lebesgue integral.
 
 Flows are labelled by sigma: 'wk' (heat, sigma = 1) and 'df'
-(Schrodinger, sigma = i).  All evaluators broadcast over leading axes of
-X and Y; the last axis has length k.
+(Schrodinger, sigma = i).  The point-form evaluators broadcast over
+leading axes of X and Y, whose last axis holds (x, y) pairs, one per
+coordinate plane; they walk the planes (`_planes`), adding elementwise
+products of coordinate views in coordinate order.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from functools import partial
 
 import numpy as np
 
-from .params import (MagneticParams, J_apply, NumericError, _composition_sum,
+from .params import (MagneticParams, NumericError, _composition_sum,
                      sigma_value)
 from .quadrature import exact_value, tree_sum
 from .special import laguerre
@@ -40,34 +42,63 @@ def check_df_time(sigma, t: float, params: MagneticParams):
 
 
 # ---------------------------------------------------------------------------
-# per-block helpers
+# coordinate planes
 # ---------------------------------------------------------------------------
 
-def _blockwise(X, Y, params):
-    """Yield (block, X_i, Y_i) with block slices applied on the last axis."""
+def _planes(X, Y, params):
+    """Yield (block, planes) per block: its coordinate planes in order,
+    each as four strided views (x1, x2, y1, y2) of X and Y."""
     X = np.asarray(X, dtype=complex if np.iscomplexobj(X) else float)
     Y = np.asarray(Y, dtype=complex if np.iscomplexobj(Y) else float)
     if X.shape[-1] != params.k or Y.shape[-1] != params.k:
         raise ValueError(f"points must have dimension k={params.k}")
     for b, sl in zip(params.blocks, params.block_slices()):
-        yield b, X[..., sl], Y[..., sl]
+        yield b, [(X[..., i], X[..., i + 1], Y[..., i], Y[..., i + 1])
+                  for i in range(sl.start, sl.stop, 2)]
 
 
-def _block_pair(Xi, Yi):
-    """Unweighted complex pairing <X,Y> + i<X,J(Y)> on one block."""
-    return np.sum(Xi * Yi, axis=-1) + 1j * np.sum(Xi * J_apply(Yi), axis=-1)
+def _coord_sum(planes, term):
+    """sum of term(x, y) over a block's coordinates, added in place in
+    coordinate order: on real points np.sum's bits (it adds left to right)."""
+    terms = (term(p[i], p[i + 2]) for p in planes for i in (0, 1))
+    acc = next(terms)
+    for t in terms:
+        acc += t
+    return acc
 
 
-def _sq(Z):
-    return np.sum(Z * Z, axis=-1)
+def _dist_sq(planes):
+    """|X - Y|^2 on one block."""
+    return _coord_sum(planes, lambda x, y: np.square(x - y))
+
+
+def _norms_sq(planes):
+    """|X|^2 + |Y|^2 on one block."""
+    return (_coord_sum(planes, lambda x, _: x * x)
+            + _coord_sum(planes, lambda _, y: y * y))
+
+
+def _j_dot(planes):
+    """<X, J Y> on one block, J(y1, y2) = (-y2, y1): each plane's -y2 x1 +
+    x2 y1, the same product at X = Y, so it cancels exactly on complex
+    points too (numpy's vectorised complex product does not commute)."""
+    (x1, x2, y1, y2), *rest = planes
+    acc = x2 * y1
+    acc -= y2 * x1
+    for x1, x2, y1, y2 in rest:
+        acc -= y2 * x1
+        acc += x2 * y1
+    return acc
+
+
+def _pairing(planes):
+    """<X, Y> + i <X, J Y> on one block."""
+    return _coord_sum(planes, np.multiply) + 1j * _j_dot(planes)
 
 
 def weighted_dist_sq(X, Y, params):
     """sum_i lambda_i |X_i - Y_i|^2."""
-    out = 0.0
-    for b, Xi, Yi in _blockwise(X, Y, params):
-        out = out + b.lam * _sq(Xi - Yi)
-    return out
+    return sum(b.lam * _dist_sq(planes) for b, planes in _planes(X, Y, params))
 
 
 # ---------------------------------------------------------------------------
@@ -95,14 +126,11 @@ def irreducible_projection_kernel(a_tuple, X, Y, params: MagneticParams):
         raise ValueError(f"need one zone index per plane, k/2={params.n_planes}")
     if any(a < 0 for a in a_tuple):
         raise ValueError("zone indices must be nonnegative")
-    X = np.asarray(X, dtype=complex if np.iscomplexobj(X) else float)
-    Y = np.asarray(Y, dtype=complex if np.iscomplexobj(Y) else float)
-    plam = params.plane_lambdas()
+    zones = iter(a_tuple)
     lag = 1.0
-    for j, aj in enumerate(a_tuple):
-        d2 = ((X[..., 2 * j] - Y[..., 2 * j]) ** 2 +
-              (X[..., 2 * j + 1] - Y[..., 2 * j + 1]) ** 2)
-        lag = lag * laguerre(0, aj, plam[j] * d2)
+    for b, planes in _planes(X, Y, params):
+        for plane in planes:
+            lag = lag * laguerre(0, next(zones), b.lam * _dist_sq([plane]))
     return lag * zonal0("wk", 0.0, X, Y, params)
 
 
@@ -117,11 +145,11 @@ def global_parts(sigma, t: float, X, Y, params: MagneticParams):
     s = sigma_value(sigma)
     check_df_time(sigma, t, params)
     pref, expo = 1.0 + 0j, 0j
-    for b, Xi, Yi in _blockwise(X, Y, params):
+    for b, planes in _planes(X, Y, params):
         g = _flow_coth(sigma, t, b.lam)
         pref *= (b.lam / (2 * np.pi * np.sinh(b.lam * t * s))) ** (b.k // 2)
-        expo = expo - b.lam * (0.5 * g * _sq(Xi - Yi)
-                               + 1j * np.sum(Xi * J_apply(Yi), axis=-1))
+        expo = expo - b.lam * (0.5 * g * _dist_sq(planes)
+                               + 1j * _j_dot(planes))
     return pref, expo
 
 
@@ -153,9 +181,9 @@ def _zonal0_parts(sigma, t: float, X, Y, params: MagneticParams):
     pref = np.prod([b.lam ** (b.k / 2) for b in params.blocks]) / np.pi ** (params.k / 2)
     pref = pref * np.exp(-0.5 * s * t * sum(b.lam * b.k for b in params.blocks))
     expo = 0j
-    for b, Xi, Yi in _blockwise(X, Y, params):
+    for b, planes in _planes(X, Y, params):
         e = np.exp(-2 * b.lam * t * s)
-        expo = expo + b.lam * (-0.5 * (_sq(Xi) + _sq(Yi)) + e * _block_pair(Xi, Yi))
+        expo = expo + b.lam * (e * _pairing(planes) - 0.5 * _norms_sq(planes))
     return pref, expo
 
 
@@ -191,11 +219,11 @@ def zonal_kernel_closed(sigma, a: int, t: float, X, Y,
         return KernelValue(value=z0, dominant=z0, long_term=np.zeros_like(z0))
     s = sigma_value(sigma)
     levels = []
-    for b, Xi, Yi in _blockwise(X, Y, params):
+    for b, planes in _planes(X, Y, params):
         e = np.exp(-2 * b.lam * t * s)
-        rho = b.lam * (e * _sq(Xi - Yi)
-                       - (1 - e) ** 2 * np.sum(Xi * Yi, axis=-1)
-                       + 1j * (1 - e * e) * np.sum(Xi * J_apply(Yi), axis=-1))
+        rho = b.lam * (e * _dist_sq(planes)
+                       - (1 - e) ** 2 * _coord_sum(planes, np.multiply)
+                       + 1j * (1 - e * e) * _j_dot(planes))
         levels.append(partial(laguerre, b.k // 2 - 1, t=rho, eps=e))
     fac = _composition_sum(a, levels)
     lag = laguerre(params.k // 2 - 1, a, weighted_dist_sq(X, Y, params))
@@ -328,11 +356,9 @@ def lt1_printed(sigma, t: float, X, Y):
     zone factor of `zonal_kernel_closed` at a = 1.
     """
     s = sigma_value(sigma)
-    X = np.asarray(X, dtype=complex if np.iscomplexobj(X) else float)
-    Y = np.asarray(Y, dtype=complex if np.iscomplexobj(Y) else float)
+    (_, planes), = _planes(X, Y, MagneticParams.make([(1.0, 2)]))
     e = np.exp(-2 * t * s)
-    pair = _block_pair(X, Y)
-    return (1 - e) * (_sq(X) + _sq(Y) - 1 - (1 + e) * pair)
+    return (1 - e) * (_norms_sq(planes) - 1 - (1 + e) * _pairing(planes))
 
 
 # ---------------------------------------------------------------------------
@@ -354,21 +380,20 @@ def zonal_numeric_scales(sigma, t: float, params: MagneticParams) -> tuple[compl
     with A = lam (1 + g) / 2, g = coth(lam t sigma): Re A = lam (1 + coth)
     / 2 for WK and lam / 2 for DF, whose A is complex.
     """
-    out = []
-    for b in params.blocks:
-        out.extend([b.lam * (1 + _flow_coth(sigma, t, b.lam)) / 2] * b.k)
-    return tuple(out)
+    return tuple(b.lam * (1 + _flow_coth(sigma, t, b.lam)) / 2
+                 for b in params.blocks for _ in range(b.k))
 
 
 def _convolution_centre(sigma, t: float, X, Y, params: MagneticParams):
     """Stationary point U0 = B / 2A of the convolution exponent in U:
     (X - iJX + g Y - iJY) / (1 + g) per block; broadcasts over X and Y."""
     parts = []
-    for b, Xi, Yi in _blockwise(X, Y, params):
+    for b, planes in _planes(X, Y, params):
         g = _flow_coth(sigma, t, b.lam)
-        parts.append((Xi - 1j * J_apply(Xi) + g * Yi - 1j * J_apply(Yi))
-                     / (1 + g))
-    return np.concatenate(parts, axis=-1)
+        for x1, x2, y1, y2 in planes:
+            parts += [(x1 - 1j * -x2 + g * y1 - 1j * -y2) / (1 + g),
+                      (x2 - 1j * x1 + g * y2 - 1j * y1) / (1 + g)]
+    return np.stack(parts, axis=-1)
 
 
 def zonal_kernel_numeric(sigma, a: int, t: float, X, Y, params: MagneticParams):
@@ -381,9 +406,7 @@ def zonal_kernel_numeric(sigma, a: int, t: float, X, Y, params: MagneticParams):
     X and Y may be complex (points on a rotated contour) and broadcast
     over leading axes.  A DF caustic is refused by `global_parts`.
     """
-    X = np.asarray(X, dtype=complex if np.iscomplexobj(X) else float)
-    Y = np.asarray(Y, dtype=complex if np.iscomplexobj(Y) else float)
-    Xb, Yb = X[..., None, :], Y[..., None, :]
+    Xb, Yb = np.asarray(X)[..., None, :], np.asarray(Y)[..., None, :]
 
     def f(U):
         p_pref, p_expo = projection_parts(a, Xb, U, params)
@@ -409,17 +432,20 @@ def apply_H_Z_global(sigma, t: float, X, Y, params: MagneticParams):
     gradient and Laplacian of g = log K in X (the prefactor is X-free).
     """
     K = global_kernel(sigma, t, X, Y, params)
-    blocks = list(zip(params.block_slices(), _blockwise(X, Y, params)))
-    grad = np.zeros(np.asarray(X).shape, dtype=complex)
-    lap = 0j
-    for sl, (b, Xi, Yi) in blocks:
+    lap, grad_sq, blocks = 0j, 0j, []
+    for b, planes in _planes(X, Y, params):
         g = _flow_coth(sigma, t, b.lam)
-        grad[..., sl] = -b.lam * (g * (Xi - Yi) + 1j * J_apply(Yi))
         lap = lap - b.lam * g * b.k
-    acc = lap + np.sum(grad * grad, axis=-1)
-    for sl, (b, Xi, _) in blocks:
-        acc = acc + 2j * b.lam * np.sum(grad[..., sl] * J_apply(Xi), axis=-1)
-        acc = acc - b.lam ** 2 * _sq(Xi)
+        grad_jx = 0j                        # grad_i g . J(X_i)
+        for x1, x2, y1, y2 in planes:
+            g1 = -b.lam * (g * (x1 - y1) + 1j * -y2)
+            g2 = -b.lam * (g * (x2 - y2) + 1j * y1)
+            grad_sq = grad_sq + (g1 * g1 + g2 * g2)
+            grad_jx = grad_jx + (g2 * x1 - g1 * x2)
+        blocks.append((b.lam, grad_jx, _coord_sum(planes, lambda x, _: x * x)))
+    acc = lap + grad_sq
+    for lam, grad_jx, xx in blocks:
+        acc = acc + 2j * lam * grad_jx - lam ** 2 * xx
     return -0.5 * acc * K
 
 

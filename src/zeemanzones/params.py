@@ -46,6 +46,13 @@ def _compositions(total: int, parts: int):
             yield (first,) + rest
 
 
+def zone_count(a: int, k: int) -> int:
+    """Number of irreducible zones inside gross zone a."""
+    if a < 0 or k <= 0 or k % 2:
+        raise ValueError("need a >= 0 and even k > 0")
+    return math.comb(a + k // 2 - 1, a)
+
+
 def _composition_sum(a: int, factors):
     """Sum over the compositions comp of a over len(factors) parts of the
     products prod_p factors[p](comp[p]), in a fixed order."""

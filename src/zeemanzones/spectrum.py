@@ -15,9 +15,9 @@ import numpy as np
 
 from .exact import (QC, ZonePoly, hermite_scaled_exact, laguerre_exact,
                     padd, pderiv, pmul, psub, pscale, ptrim)
-# _compositions is also imported from here by the acceptance tests
+# _compositions and zone_count are also imported from here by the tests
 from .params import (MagneticParams, HamiltonianVariant, _compositions,
-                     sigma_value)
+                     sigma_value, zone_count)
 
 
 # ---------------------------------------------------------------------------
@@ -55,13 +55,6 @@ def multiplicity(p_blocks, v_blocks, params: MagneticParams) -> int:
         q = b.k // 2
         out *= math.comb(p + q - 1, q - 1) * math.comb(v + q - 1, q - 1)
     return out
-
-
-def zone_count(a: int, k: int) -> int:
-    """Number of irreducible zones inside gross zone a."""
-    if a < 0 or k <= 0 or k % 2:
-        raise ValueError("need a >= 0 and even k > 0")
-    return math.comb(a + k // 2 - 1, a)
 
 
 def zone_of(l: int, m: int) -> int:

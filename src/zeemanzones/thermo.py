@@ -8,10 +8,9 @@ from functools import partial
 import numpy as np
 
 from .params import (MagneticParams, HamiltonianVariant, _composition_sum,
-                     sigma_value)
+                     sigma_value, zone_count)
 from .kernels import check_df_time, zonal_kernel_closed
 from .quadrature import exact_value, tree_sum
-from .spectrum import zone_count
 
 
 def _variant_shift(variant: HamiltonianVariant | None, params) -> float:

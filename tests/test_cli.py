@@ -231,7 +231,7 @@ print(json.dumps({"code": code,
                   "futures": "concurrent.futures" in sys.modules}))
 """
 _BASE = {"cli", "params"}
-_TRACE = {"thermo", "kernels", "quadrature", "special", "spectrum", "exact"}
+_TRACE = {"thermo", "kernels", "quadrature", "special"}
 
 
 @pytest.mark.parametrize("argv, adds", [

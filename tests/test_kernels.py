@@ -1,21 +1,22 @@
 """Projection, heat and Schrodinger kernels: identities and residuals."""
 
 import tracemalloc
-from functools import reduce
+from functools import partial, reduce
 
 import mpmath as mp
 import numpy as np
 import pytest
 
 from zeemanzones import pathint, thermo
-from zeemanzones.kernels import (SingularTimeError, check_df_time,
-                                 global_kernel, global_parts,
+from zeemanzones.kernels import (SingularTimeError, _zonal0_parts,
+                                 check_df_time, global_kernel, global_parts,
                                  irreducible_projection_kernel, lt1_printed,
                                  pde_residual, projection_kernel,
                                  projection_parts, weighted_dist_sq, zonal0,
                                  zonal_kernel_closed, zonal_kernel_numeric,
                                  zonal_numeric_scales, zonal_step)
-from zeemanzones.params import MagneticParams, _compositions
+from zeemanzones.params import (J_apply, MagneticParams, _composition_sum,
+                                _compositions, sigma_value)
 from zeemanzones.pathint import TimeSlicing
 from zeemanzones.quadrature import QuadRule, tensor_points, tree_sum
 from zeemanzones.special import laguerre
@@ -414,7 +415,9 @@ def test_zonal_matrix_far_points_finite(p2, sigma, a):
     # where the operator is within 2.9e-13 (DF zone 4; 2.7e-14 at DF zone
     # 0, WK within 6.2e-16).
     # A zone factor split over the x1 and x2 halves by the addition theorem
-    # misses by 5e-10 to 5e-4 there
+    # misses by 5e-10 to 5e-4 there.  The point form is pinned too: it
+    # misses by up to 5.2e-16 (WK) and by 1.1e-13 (DF zone 0) to 2.6e-12
+    # (DF zone 4), cancelling O(|z|^2) terms of its exponent and rho
     G = _axes(p2, 40)
     H = [np.array([0.1, 45.0]), np.array([-0.2, 38.0])]
     F = [np.array([0.1, -40.0]), np.array([0.2, 0.0])]
@@ -427,6 +430,9 @@ def test_zonal_matrix_far_points_finite(p2, sigma, a):
                          for y in tensor_points(F2)] for x in tensor_points(F)])
         got = zonal_matrix(sigma, a, t, F, F2, p2)
         assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+        point = zonal_kernel_closed(sigma, a, t, tensor_points(F)[:, None, :],
+                                    tensor_points(F2)[None, :, :], p2).value
+        assert np.max(np.abs(point - ref)) <= 5e-12 * np.max(np.abs(ref))
 
 
 @pytest.mark.parametrize("lam", [1.0, 2.0, 4.0])
@@ -466,3 +472,147 @@ def test_zonal_matrix_refuses_point_sets():
     # an (N, 2) point set is not a plane grid
     with pytest.raises(ValueError, match="axes"):
         zonal_step("wk", 0, 0.5, np.zeros((3, 2)), np.zeros((2, 1)), 1.0)
+
+
+# ---------------------------------------------------------------------------
+# point-form kernels walk the coordinate planes; the references below
+# take the same sums over each block's axis (np.sum, J applied by copy),
+# and on real points the plane walk must match them bit for bit
+# ---------------------------------------------------------------------------
+
+_PLANE_GEOMETRIES = [[(1.0, 2)], [(1.0, 2), (2.0, 2)], [(1.5, 4)],
+                     [(1.5, 4), (0.5, 2)]]
+_ZONES = 4
+
+
+def _block_reference(sigma, t, X, Y, params, zones=_ZONES):
+    """weighted |X - Y|^2, the exponents of d^{(0)} and (t > 0) of the
+    global kernel, and (value, dominant, long_term) of d^{(a)} at the
+    first `zones` zones, from sums over each block's axis."""
+    s = sigma_value(sigma)
+    dist, z0_expo, g_expo, levels = 0.0, 0j, 0j, []
+    for b, sl in zip(params.blocks, params.block_slices()):
+        Xi, Yi = X[..., sl], Y[..., sl]
+        d2 = np.sum((Xi - Yi) * (Xi - Yi), axis=-1)
+        dot = np.sum(Xi * Yi, axis=-1)
+        jdot = np.sum(Xi * J_apply(Yi), axis=-1)
+        e = np.exp(-2 * b.lam * t * s)
+        dist = dist + b.lam * d2
+        z0_expo = z0_expo + b.lam * (
+            -0.5 * (np.sum(Xi * Xi, axis=-1) + np.sum(Yi * Yi, axis=-1))
+            + e * (dot + 1j * jdot))
+        if t > 0:
+            g = complex(1.0 / np.tanh(b.lam * t * s))
+            g_expo = g_expo - b.lam * (0.5 * g * d2 + 1j * jdot)
+        rho = b.lam * (e * d2 - (1 - e) ** 2 * dot + 1j * (1 - e * e) * jdot)
+        levels.append(partial(laguerre, b.k // 2 - 1, t=rho, eps=e))
+    parts = []
+    if zones:
+        z0 = _zonal0_parts(sigma, t, X, Y, params)[0] * np.exp(z0_expo)
+        parts.append((z0, z0, np.zeros_like(z0)))
+    for a in range(1, zones):
+        fac = _composition_sum(a, levels)
+        lag = laguerre(params.k // 2 - 1, a, dist)
+        parts.append((fac * z0, lag * z0, (fac - lag) * z0))
+    return dist, z0_expo, g_expo if t > 0 else None, parts
+
+
+def _plane_walk(sigma, t, X, Y, params, zones=_ZONES):
+    """The same quantities from the kernels."""
+    parts = [zonal_kernel_closed(sigma, a, t, X, Y, params)
+             for a in range(zones)]
+    return (weighted_dist_sq(X, Y, params),
+            _zonal0_parts(sigma, t, X, Y, params)[1],
+            global_parts(sigma, t, X, Y, params)[1] if t > 0 else None,
+            [(kv.value, kv.dominant, kv.long_term) for kv in parts])
+
+
+def _pair_grid(rng, k, imag=0.0):
+    """X (5, 1, k) and Y (1, 6, k), 30 pairs, with imaginary parts drawn
+    uniformly from [-imag, imag]."""
+    X, Y = rng.normal(size=(5, 1, k)), rng.normal(size=(1, 6, k))
+    if imag:
+        X = X + 1j * rng.uniform(-imag, imag, X.shape)
+        Y = Y + 1j * rng.uniform(-imag, imag, Y.shape)
+    return X, Y
+
+
+@pytest.mark.parametrize("blocks", _PLANE_GEOMETRIES)
+@pytest.mark.parametrize("sigma", ["wk", "df"])
+@pytest.mark.parametrize("t", [0.0, 0.3, 1.3])
+def test_plane_walk_same_bits_on_real_points(blocks, sigma, t):
+    params = MagneticParams.make(blocks)
+    rng = np.random.default_rng(25)
+    single = rng.normal(size=params.k), rng.normal(size=params.k)
+    for X, Y in (_pair_grid(rng, params.k), single):
+        got = _plane_walk(sigma, t, X, Y, params)
+        ref = _block_reference(sigma, t, X, Y, params)
+        for g, r in zip(got[:3], ref[:3]):
+            assert np.array_equal(g, r)
+        for g, r in zip(got[3], ref[3]):
+            assert all(np.array_equal(gp, rp) for gp, rp in zip(g, r))
+
+
+@pytest.mark.parametrize("blocks", _PLANE_GEOMETRIES)
+@pytest.mark.parametrize("sigma", ["wk", "df"])
+@pytest.mark.parametrize("t", [0.0, 0.3, 1.3])
+def test_plane_walk_on_complex_points(blocks, sigma, t):
+    # numpy adds a complex block axis of length 4 pairwise, the plane walk
+    # in coordinate order, so a k_i = 4 block may move the last bits.  The
+    # exponents are compared with imaginary parts up to 50; the kernel
+    # values, which grow like e^{(1 - eps) |Im X|^2} there, with parts up
+    # to 1, where they stay finite
+    params = MagneticParams.make(blocks)
+    rng = np.random.default_rng(26)
+    X, Y = _pair_grid(rng, params.k, imag=50.0)
+    got = _plane_walk(sigma, t, X, Y, params, zones=0)
+    ref = _block_reference(sigma, t, X, Y, params, zones=0)
+    for g, r in zip(got[:3], ref[:3]):
+        if r is not None:
+            assert np.all(np.abs(g - r) <= 1e-13 * np.abs(r))
+    X, Y = _pair_grid(rng, params.k, imag=1.0)
+    got = _plane_walk(sigma, t, X, Y, params)[3]
+    ref = _block_reference(sigma, t, X, Y, params)[3]
+    for (value, dominant, long_term), (rv, rd, rl) in zip(got, ref):
+        assert np.all(np.isfinite(rv))
+        assert np.all(np.abs(value - rv) <= 1e-13 * np.abs(rv))
+        assert np.all(np.abs(dominant - rd) <= 1e-13 * np.abs(rd))
+        # the long-term part is their difference: relative to its terms
+        assert np.all(np.abs(long_term - rl)
+                      <= 1e-13 * (np.abs(rv) + np.abs(rd)))
+
+
+@pytest.mark.parametrize("blocks", _PLANE_GEOMETRIES)
+def test_j_pairing_exactly_zero_on_complex_diagonal(blocks):
+    # both products of a plane's <X, J X> multiply the same coordinate pair
+    # in the same order, so on complex points, as on thermo's rotated
+    # contours, the global exponent vanishes exactly at X = Y; numpy's
+    # vectorised complex product does not commute bit for bit, so a sum of
+    # x1 (-x2) and x2 x1 leaves rounding
+    params = MagneticParams.make(blocks)
+    rng = np.random.default_rng(27)
+    X = (rng.normal(size=(64, params.k))
+         + 1j * rng.uniform(-50.0, 50.0, (64, params.k)))
+    for sigma in ("wk", "df"):
+        assert np.all(global_parts(sigma, 0.7, X, X, params)[1] == 0)
+
+
+@pytest.mark.parametrize("zone_kernel, ceiling_mib", [
+    (partial(projection_kernel, 2), 1.2),
+    (lambda X, U, p: zonal_kernel_closed("df", 2, 0.3, X, U, p), 2.0)],
+    ids=["projection_kernel", "zonal_kernel_closed"])
+def test_point_form_block_memory(p4, zone_kernel, ceiling_mib):
+    # one `integrate` block of the 24^4 rule, 13,824 nodes (0.21 MiB per
+    # complex array): the plane sums accumulate in place, so the peak is
+    # 0.98 MiB (projection) and 1.80 MiB (zonal), where a list of every
+    # coordinate's products reached 1.71 MiB on the projection
+    U, _ = next(QuadRule(24, p4.axis_lambdas()).blocks())
+    assert U.shape == (24 ** 3, 4)
+    X = np.array([0.3, -0.2, 0.15, 0.25])[None, :]
+    tracemalloc.start()
+    try:
+        zone_kernel(X, U, p4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= ceiling_mib * 2 ** 20

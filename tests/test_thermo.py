@@ -1,6 +1,10 @@
 """Partition functions, trace quadrature, zeta values."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import mpmath as mp
@@ -15,6 +19,20 @@ from zeemanzones.thermo import (dominant_trace, hurwitz_zeta, longterm_trace,
                                 partition_by_trace, partition_spectral,
                                 partition_trace, riemann_zeta, zeta_zonal,
                                 _mult_tail)
+
+
+def test_import_loads_no_exact_algebra():
+    # `partition` and `zeta` jobs start by importing thermo in a fresh
+    # interpreter; zone_count lives in params, so neither the rational
+    # layer nor the spectrum tables (nor fractions, nor decimal) load
+    src = Path(__file__).resolve().parents[1] / "src"
+    probe = ("import sys, zeemanzones.thermo; print(sorted(m for m in ("
+             "'zeemanzones.spectrum', 'zeemanzones.exact', 'fractions') "
+             "if m in sys.modules))")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                          env=dict(os.environ, PYTHONPATH=str(src)),
+                          text=True, check=True)
+    assert proc.stdout.strip() == "[]"
 
 
 # ---------------------------------------------------------------------------
