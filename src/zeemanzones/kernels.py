@@ -373,36 +373,40 @@ def _flow_coth(sigma, t: float, lam: float) -> complex:
     return complex(1.0 / np.tanh(lam * t * sigma_value(sigma)))
 
 
-def zonal_numeric_scales(sigma, t: float, params: MagneticParams) -> tuple[complex, ...]:
-    """Per-axis complex decay A of P^{(a)}(X,U) d_sigma(t,U,Y) in U.
-
-    On each block the integrand is a polynomial times e^{-A|U|^2 + B.U}
-    with A = lam (1 + g) / 2, g = coth(lam t sigma): Re A = lam (1 + coth)
-    / 2 for WK and lam / 2 for DF, whose A is complex.
-    """
-    return tuple(b.lam * (1 + _flow_coth(sigma, t, b.lam)) / 2
-                 for b in params.blocks for _ in range(b.k))
+def zonal_factor(sigma, t: float):
+    """d_sigma^{(a)}(t) as a `convolution_rule` factor (delta^{(a)}: t = 0)."""
+    return lambda lam: (1,) + (np.exp(-2 * lam * t * sigma_value(sigma)),) * 2
 
 
-def _convolution_centre(sigma, t: float, X, Y, params: MagneticParams):
-    """Stationary point U0 = B / 2A of the convolution exponent in U:
-    (X - iJX + g Y - iJY) / (1 + g) per block; broadcasts over X and Y."""
-    parts = []
+def global_factor(sigma, t: float):
+    """The global kernel as a `convolution_rule` factor."""
+    return lambda lam: (_flow_coth(sigma, t, lam),) * 2 + (-1,)
+
+
+def convolution_rule(left, right, X, Y, params: MagneticParams):
+    """(scales, centre) of the exact rule for int K1(X, U) K2(U, Y) dU: a
+    factor maps a block's lam to the (r, p, q) of its exponent lam (p <A,
+    B> + i q <A, J B> - r (|A|^2 + |B|^2) / 2) on points A, B, (1, eps,
+    eps) for d_sigma^{(a)} and (g, g, -1) for the global kernel.  Per axis
+    the product decays as e^{-lam (r1 + r2) (U - U0)^2 / 2} about U0 = (p1
+    X - i q1 J X + p2 Y + i q2 J Y) / (r1 + r2); broadcasts over X, Y."""
+    scales, parts = [], []
     for b, planes in _planes(X, Y, params):
-        g = _flow_coth(sigma, t, b.lam)
-        for x1, x2, y1, y2 in planes:
-            parts += [(x1 - 1j * -x2 + g * y1 - 1j * -y2) / (1 + g),
-                      (x2 - 1j * x1 + g * y2 - 1j * y1) / (1 + g)]
-    return np.stack(parts, axis=-1)
+        (r1, p1, q1), (r2, p2, q2) = left(b.lam), right(b.lam)
+        r = r1 + r2
+        scales += [b.lam * r / 2] * b.k
+        for x1, x2, y1, y2 in planes:        # J (x1, x2) = (-x2, x1)
+            parts += [(p1 * x1 - 1j * q1 * -x2 + p2 * y1 + 1j * q2 * -y2) / r,
+                      (p1 * x2 - 1j * q1 * x1 + p2 * y2 + 1j * q2 * y1) / r]
+    return tuple(scales), np.stack(parts, axis=-1)
 
 
 def zonal_kernel_numeric(sigma, a: int, t: float, X, Y, params: MagneticParams):
     """d_sigma^{(a)}(t,X,Y) = int P^{(a)}(X,U) d_sigma(t,U,Y) dU by quadrature.
 
-    The rotated rule sits at the integrand's stationary point with the
-    complex decay of `zonal_numeric_scales`; the projection's polynomial
-    has degree 2a per axis, so `exact_value` is exact at a+1 nodes per
-    axis (checked against a+3; a disagreement raises QuadratureError).
+    The rotated rule sits at the integrand's stationary point
+    (`convolution_rule`); the projection's polynomial has degree 2a per
+    axis, so `exact_value` is exact at a+1 nodes (checked against a+3).
     X and Y may be complex (points on a rotated contour) and broadcast
     over leading axes.  A DF caustic is refused by `global_parts`.
     """
@@ -415,8 +419,9 @@ def zonal_kernel_numeric(sigma, a: int, t: float, X, Y, params: MagneticParams):
         # two factors can be large and small separately
         return p_pref * g_pref * np.exp(p_expo + g_expo)
 
-    return exact_value(f, zonal_numeric_scales(sigma, t, params), 1 + a,
-                       _convolution_centre(sigma, t, X, Y, params))[0]
+    scales, centre = convolution_rule(zonal_factor("wk", 0.0),
+                                      global_factor(sigma, t), X, Y, params)
+    return exact_value(f, scales, 1 + a, centre)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -7,26 +7,25 @@ one scale s_j per axis and an optional centre c; nodes are
 c_j + x / sqrt(s_j) and weights absorb the de-weighting factor
 e^{x^2} / sqrt(s_j).
 
-With real scales and no centre this is the real-axis rule, which
-integrates polynomial-times-phase remainders accurately.  A complex scale
-A (Re A > 0) rotates the nodes onto the steepest-descent line of
-e^{-A u^2}: for an entire integrand p(U) e^{-sum_j A_j (U_j - c_j)^2}
-whose polynomial p has degree <= 2n - 1 on every axis, the n-node rule
-centred at the stationary point c is exact (Gil, Segura & Temme,
-*Numerical Methods for Special Functions*, SIAM 2007, on Gauss rules
-along saddle-point contours).  `exact_value` integrates by that rule and
-by a two-node-larger one as convergence evidence; it is the package's one
-exact Gaussian integral.
+With real scales and no centre this is the real-axis rule, which only
+its own checks (verify's degree ladder, rerun and moment checks) and the
+chain grids use.  A complex scale A (Re A > 0) rotates the nodes onto the
+steepest-descent line of e^{-A u^2}: for an entire integrand p(U)
+e^{-sum_j A_j (U_j - c_j)^2} whose polynomial p has degree <= 2n - 1 on
+every axis, the n-node rule centred at the stationary point c is exact
+(Gil, Segura & Temme, *Numerical Methods for Special Functions*, SIAM
+2007, on Gauss rules along saddle-point contours).  `exact_value`
+integrates by that rule and by a two-node-larger one as convergence
+evidence; it is the package's one exact Gaussian integral, which every
+convolution and plane trace uses.
 
 `tree_sum` reduces in a fixed pairwise tree, independent of any thread
 count, so its results are bitwise reproducible.  `integrate` evaluates the
-integrand one block of the grid at a time (`QuadRule.blocks`): a block
-fixes the leading axes at one node each and spans the full grid of as many
-trailing axes as fit in BLOCK_NODES nodes, and the blocks run in
-`tensor_points` order.  Each block is reduced by `tree_sum`, then the
-block sums are, so memory is bounded by BLOCK_NODES nodes per batch entry
-and the order is still fixed; with one block (every k <= 2 rule up to
-degree 128) the result is that of a single `tree_sum` over the grid.
+integrand one block of the grid at a time (`QuadRule.blocks`, in grid
+order), reducing each block by `tree_sum`, then the block sums, so memory
+is bounded by BLOCK_NODES nodes per batch entry and the order is fixed;
+with one block (every k <= 2 rule up to degree 128) the result is that of
+a single `tree_sum` over the grid.
 Chain steps contract one axis per plane by a BLAS matrix product instead
 (`kernels._contract_plane`); a test pins its bits at 1 and 2 BLAS threads.
 """
@@ -178,10 +177,11 @@ def exact_value(f, scales, n: int, centre=None):
     """int f(U) dU by the exact n-node rule with its convergence evidence.
 
     The rule on `scales` and `centre` (as for `QuadRule`) is exact at n
-    nodes per axis; the (n+2)-node result must agree within
-    EXACT_TOL * (1 + |value|) (elementwise for batched centres).  f is
-    evaluated as for `integrate`.  Returns (value at n, largest
-    |difference|) or raises QuadratureNonConvergence.
+    nodes per axis; the (n+2)-node result must agree within EXACT_TOL *
+    (1 + |value|) (elementwise for batched centres).  f is evaluated as
+    for `integrate`, on complex nodes: it must be the entire extension of
+    the integrand in U, with no abs, conj or .real of U.  Returns (value
+    at n, largest |difference|) or raises QuadratureNonConvergence.
     """
     value = integrate(f, QuadRule(n, scales, centre))
     delta = np.abs(integrate(f, QuadRule(n + 2, scales, centre)) - value)

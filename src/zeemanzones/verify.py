@@ -10,8 +10,11 @@ hand-written: `_chk_pde` feeds both geometries from one random stream per
 flow, which a sweep over geometry would reorder; `_chk_hurwitz_conditional`
 reports the Hurwitz shift without asserting it; `_chk_uniform_bound`,
 `_chk_discrete_fk` and `_chk_rn_consistency` put per-case numbers in their
-notes.  Check ordering and JSON output are deterministic: wall times are
-kept on the in-memory results and written only by `timings_json`.
+notes.  Every convolution (`_conv`) is one `exact_value` call, its node
+count (`rule_nodes`) set by the zones; the real-axis rule runs only where
+it is under test (the degree ladder, rerun and moment checks).  Check
+ordering and JSON output are deterministic: wall times are kept on the
+in-memory results and written only by `timings_json`.
 """
 
 from __future__ import annotations
@@ -32,11 +35,11 @@ from .exact import (apply_box, box_eigenvalue_exact,
                     laguerre_composition_check, laguerre_exact,
                     laguerre_recurrence_exact, padd, pderiv, peval, pmul,
                     pscale, psub, ptrim, rodrigues_check)
-from .kernels import (global_kernel, lt1_printed, pde_residual,
-                      projection_kernel, zonal0, zonal_kernel_closed,
-                      zonal_kernel_numeric)
+from .kernels import (convolution_rule, global_factor, global_kernel,
+                      lt1_printed, pde_residual, projection_kernel, zonal0,
+                      zonal_factor, zonal_kernel_closed, zonal_kernel_numeric)
 from .params import H_Z, MagneticParams, _compositions
-from .quadrature import QuadRule, integrate
+from .quadrature import QuadRule, exact_value, integrate
 from .special import gaussian_moment_integral, laguerre
 from .spectrum import (build_eigenfunction, radial_operator_residual,
                        radial_eigenpoly, radial_vs_laguerre, spectrum_table,
@@ -59,7 +62,7 @@ _TIMES = (0.5, 1.0)
 _DELTA_TIMES = (1e-1, 1e-2, 1e-3, 1e-4)  # t -> 0 in the delta-limit checks
 _S_T = ((0.2, 0.3), (0.5, 0.5))     # (s, t) pairs of the CK checks
 _DEGREE = 40                        # every other rule and chain grid
-_K4_DEGREE = 24                     # every k=4 rule: 24^4 nodes
+_K4_DEGREE = 24                     # the moment check's k=4 rule: 24^4 nodes
 _GEOMETRIES = ((1, 2), (2, 2), (1, 4))    # one-block (lambda, k), exact
 _LAG_GRID = np.linspace(0.0, 8.0, 17)
 _MOMENT_C = np.array([0.4 - 0.2j, -0.3 + 0.1j, 0.2, 0.5j])
@@ -270,69 +273,65 @@ _SPECTRUM = [
 
 
 # --- projections suite -----------------------------------------------------
-def _rule(params, degree):
-    return QuadRule(degree, params.axis_lambdas())
-
-
-def _conv(left, right, X, Y, rule):
-    """int left(X, U) right(U, Y) dU by the rule."""
-    return integrate(lambda U: left(X[None, :], U) * right(U, Y[None, :]), rule)
+def _conv(left, right, n, X, Y, params):
+    """int K1(X, U) K2(U, Y) dU for (kernel, `convolution_rule` factor)
+    pairs, by the exact n-node rule at the stationary point."""
+    (k1, f1), (k2, f2) = left, right
+    scales, centre = convolution_rule(f1, f2, X, Y, params)
+    return exact_value(lambda U: k1(X[None, :], U) * k2(U, Y[None, :]),
+                       scales, n, centre)[0]
 
 
 def _delta(a, params):
-    """delta^{(a)} on params as a kernel of (X, Y)."""
-    return partial(projection_kernel, a, params=params)
+    """delta^{(a)} on params as a (kernel of (X, Y), factor) pair."""
+    return partial(projection_kernel, a, params=params), zonal_factor("wk", 0)
 
 
-def _idempotency(deg, geometry):
-    """Worst |delta^{(a)} * delta^{(a)} - delta^{(a)}| over the zones."""
-    X, Y, deg, zones = ((_X0, _Y0, deg, _ZONES) if geometry.k == 2
-                        else (_X4, _Y4, _K4_DEGREE, _ZONES[:3]))
-    rule = _rule(geometry, deg)
-    return _worst(abs(_conv(_delta(a, geometry), _delta(a, geometry),
-                            X, Y, rule)
-                      - projection_kernel(a, X, Y, geometry)) for a in zones)
+def _idempotency(geometry, a):
+    """|delta^{(a)} * delta^{(a)} - delta^{(a)}|: degree 4a per axis."""
+    X, Y = (_X0, _Y0) if geometry.k == 2 else (_X4, _Y4)
+    return abs(_conv(_delta(a, geometry), _delta(a, geometry), 2 * a + 1, X,
+                     Y, geometry) - projection_kernel(a, X, Y, geometry))
 
 
-def _reproducing(deg, geometry, m):
-    """|delta^{(0)} applied to f = z^m e^{-lambda|z|^2/2}, minus f| at _X0."""
+def _reproducing(geometry, m):
+    """|delta^{(0)} applied to f = z^m e^{-lambda|z|^2/2}, minus f| at _X0;
+    f is entire (|z|^2 = u1^2 + u2^2), degree m per axis, factor (1, 0, 0)."""
     def f(U, _=None):
         z = U[..., 0] + 1j * U[..., 1]
-        return z ** m * np.exp(-0.5 * geometry.single_lambda * np.abs(z) ** 2)
-    return abs(_conv(_delta(0, geometry), f, _X0, _X0, _rule(geometry, deg))
-               - f(_X0))
+        return z ** m * np.exp(-0.5 * geometry.single_lambda
+                               * (U[..., 0] ** 2 + U[..., 1] ** 2))
+    return abs(_conv(_delta(0, geometry), (f, lambda lam: (1, 0, 0)),
+                     m // 2 + 1, _X0, _X0, geometry) - f(_X0))
 
 
-def _ladder_step(degrees):
-    """|change| of the zone-2 idempotency convolution between two degrees."""
-    lo, hi = (_conv(_delta(2, _P2), _delta(2, _P2), _X0, _Y0, _rule(_P2, d))
-              for d in degrees)
-    return abs(hi - lo)
-
-
-def _rerun_gap(deg):
-    """1.0 if the zone-1 idempotency convolution changes between two runs."""
-    a, b = (_conv(_delta(1, _P2), _delta(1, _P2), _X0, _Y0, _rule(_P2, deg))
-            for _ in range(2))
-    return float(a != b)
+def _axis_conv(a, deg):
+    """delta^{(a)} * delta^{(a)} on _P2 by the real-axis rule of degree deg."""
+    return integrate(lambda U: projection_kernel(a, _X0[None, :], U, _P2)
+                     * projection_kernel(a, U, _Y0[None, :], _P2),
+                     QuadRule(deg, _P2.axis_lambdas()))
 
 
 _PROJECTIONS = [
     ("projections.idempotency", _sweep(
-        _idempotency, 1e-8, degree=_DEGREE,
-        ran={"a": _ZONES, "k4_a": _ZONES[:3], "k4_quad_degree": _K4_DEGREE},
-        geometry=(_P2, _P2B, _P4))),
+        _idempotency, 1e-12, ran={"rule_nodes": "2a+1"},
+        geometry=(_P2, _P2B, _P4), a=_ZONES)),
     ("projections.orthogonality", _sweep(
-        lambda deg, a, b: 0.0 if a == b else abs(_conv(
-            _delta(a, _P2), _delta(b, _P2), _X0, _Y0, _rule(_P2, deg))),
-        1e-8, degree=_DEGREE, a=_ZONES, b=_ZONES)),
+        lambda a, b: 0.0 if a == b else abs(_conv(
+            _delta(a, _P2), _delta(b, _P2), a + b + 1, _X0, _Y0, _P2)),
+        1e-12, ran={"rule_nodes": "a+b+1"}, a=_ZONES, b=_ZONES)),
     ("projections.reproducing", _sweep(
-        _reproducing, 1e-8, degree=_DEGREE, geometry=(_P2, _P2B), m=range(5))),
+        _reproducing, 1e-12, ran={"rule_nodes": "m//2+1"},
+        geometry=(_P2, _P2B), m=range(5))),
+    # the real-axis rule under test: change between degrees, between runs
     ("quadrature.convergence_ladder", _sweep(
-        _ladder_step, 1e-8, ran={"a": 2}, degrees=((20, 30), (30, 40)))),
+        lambda degrees: abs(_axis_conv(2, degrees[1])
+                            - _axis_conv(2, degrees[0])),
+        1e-8, ran={"a": 2}, degrees=((20, 30), (30, 40)))),
     ("quadrature.determinism", _sweep(
-        _rerun_gap, 0.0, "pairwise tree reduction, fixed order",
-        degree=_DEGREE, ran={"a": 1})),
+        lambda deg: float(_axis_conv(1, deg) != _axis_conv(1, deg)),
+        0.0, "pairwise tree reduction, fixed order", degree=_DEGREE,
+        ran={"a": 1})),
 ]
 
 
@@ -352,17 +351,12 @@ def _chk_pde(sigma):
                 "t_range": (0.3, 1.2)})
 
 
-def _global_ck(deg, s_t, geometry):
-    """|e^{-sH} * e^{-tH} - e^{-(s+t)H}| (WK) on the product's own rule."""
-    s, t = s_t
-    X, Y, deg = ((_X0, _Y0, deg) if geometry.k == 2
-                 else (_X4, _Y4, _K4_DEGREE))
-    scales = tuple(l * (1 / np.tanh(l * s) + 1 / np.tanh(l * t)) / 2
-                   for l in geometry.axis_lambdas())
-    conv = _conv(partial(global_kernel, "wk", s, params=geometry),
-                 partial(global_kernel, "wk", t, params=geometry),
-                 X, Y, QuadRule(deg, scales))
-    return abs(conv - global_kernel("wk", s + t, X, Y, geometry))
+def _global_ck(s_t, geometry):
+    """|e^{-sH} * e^{-tH} - e^{-(s+t)H}| (WK): a pure Gaussian, 1 node."""
+    X, Y = (_X0, _Y0) if geometry.k == 2 else (_X4, _Y4)
+    conv = _conv(*[(partial(global_kernel, "wk", u, params=geometry),
+                    global_factor("wk", u)) for u in s_t], 1, X, Y, geometry)
+    return abs(conv - global_kernel("wk", sum(s_t), X, Y, geometry))
 
 
 # the modulus of the DF chaining integrand is constant in the midpoint, so
@@ -383,8 +377,7 @@ def _df_modulus_change(s, t, U):
 _GLOBAL = [
     ("global.heat_equation", partial(_chk_pde, "wk")),
     ("global.schrodinger_equation", partial(_chk_pde, "df")),
-    ("global.ck_wk", _sweep(_global_ck, 1e-7, degree=_DEGREE,
-                            ran={"k4_quad_degree": _K4_DEGREE},
+    ("global.ck_wk", _sweep(_global_ck, 1e-13, ran={"rule_nodes": 1},
                             s_t=_S_T, geometry=(_P2, _P4))),
     ("global.df_divergence_note", _sweep(
         lambda: _df_modulus_change(**_DF_MIDPOINTS), 1e-10,
@@ -395,12 +388,13 @@ _GLOBAL = [
 
 
 # --- zonal suites ----------------------------------------------------------
-def _zonal_ck(deg, sigma, s_t, a):
-    s, t = s_t
-    conv = _conv(lambda X, Y: zonal_kernel_closed(sigma, a, s, X, Y, _P2).value,
-                 lambda X, Y: zonal_kernel_closed(sigma, a, t, X, Y, _P2).value,
-                 _X0, _Y0, _rule(_P2, deg))
-    return abs(conv - zonal_kernel_closed(sigma, a, s + t, _X0, _Y0, _P2).value)
+def _zonal_ck(sigma, s_t, a):
+    """|d^{(a)}(s) * d^{(a)}(t) - d^{(a)}(s + t)|: degree 4a per axis."""
+    def d(u):                               # d_sigma^{(a)}(u) on _P2
+        return (lambda X, Y: zonal_kernel_closed(sigma, a, u, X, Y, _P2).value,
+                zonal_factor(sigma, u))
+    conv = _conv(*map(d, s_t), 2 * a + 1, _X0, _Y0, _P2)
+    return abs(conv - d(sum(s_t))[0](_X0, _Y0))
 
 
 def _delta_limit(sigma, a):
@@ -432,8 +426,9 @@ def _zonal_checks(sigma):
                 * zonal0(sigma, t, _X0, _Y0, _P2)),
             1e-12, "printed k=2, lambda=1 long-term factor",
             ran={"a": 1, "geometry": _P2}, sigma=one, t=_TIMES)),
-        ("chapman_kolmogorov", _sweep(_zonal_ck, 1e-7, degree=_DEGREE,
-                                      sigma=one, s_t=_S_T, a=_ZONES)),
+        ("chapman_kolmogorov", _sweep(
+            _zonal_ck, 1e-13 if sigma == "wk" else 1e-12,
+            ran={"rule_nodes": "2a+1"}, sigma=one, s_t=_S_T, a=_ZONES)),
         ("delta_limit", _holds(_delta_limit, ran={"t": _DELTA_TIMES},
                                sigma=one, a=_ZONES)),
         ("longterm_vanish_t0", _sweep(

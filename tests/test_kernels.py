@@ -9,12 +9,13 @@ import pytest
 
 from zeemanzones import pathint, thermo
 from zeemanzones.kernels import (SingularTimeError, _zonal0_parts,
-                                 check_df_time, global_kernel, global_parts,
+                                 check_df_time, convolution_rule,
+                                 global_factor, global_kernel, global_parts,
                                  irreducible_projection_kernel, lt1_printed,
                                  pde_residual, projection_kernel,
                                  projection_parts, weighted_dist_sq, zonal0,
-                                 zonal_kernel_closed, zonal_kernel_numeric,
-                                 zonal_numeric_scales, zonal_step)
+                                 zonal_factor, zonal_kernel_closed,
+                                 zonal_kernel_numeric, zonal_step)
 from zeemanzones.params import (J_apply, MagneticParams, _composition_sum,
                                 _compositions, sigma_value)
 from zeemanzones.pathint import TimeSlicing
@@ -274,11 +275,35 @@ def test_zonal_closed_every_zone_split(p2, p4, xy2, xy4, sigma):
         zonal_kernel_closed(sigma, -1, 0.7, *xy2, p2)
 
 
-def test_zonal_numeric_scales_positive(p2):
+def _oracle_scales(sigma, params, X, Y):
+    # the numeric oracle's rule: delta^{(a)} times the global kernel
+    return convolution_rule(zonal_factor("wk", 0.0), global_factor(sigma, 0.5),
+                            X, Y, params)[0]
+
+
+def test_zonal_numeric_scales_positive(p2, xy2):
     # the decay A is complex for DF; the rotated rule needs Re A > 0
     for sigma in ("wk", "df"):
-        assert all(np.real(s) > 0 for s in zonal_numeric_scales(sigma, 0.5, p2))
-    assert all(np.imag(s) != 0 for s in zonal_numeric_scales("df", 0.5, p2))
+        assert all(np.real(s) > 0 for s in _oracle_scales(sigma, p2, *xy2))
+    assert all(np.imag(s) != 0 for s in _oracle_scales("df", p2, *xy2))
+
+
+@pytest.mark.parametrize("sigma", ["wk", "df"])
+def test_convolution_rule_centre_is_stationary(p4, xy4, sigma):
+    # every pair of zonal and global factors: the summed exponent in U has
+    # zero gradient at the centre and second derivative -2 S on each axis
+    X, Y = xy4
+    factors = [(zonal_factor(sigma, 0.3), partial(_zonal0_parts, sigma, 0.3)),
+               (global_factor(sigma, 0.4), partial(global_parts, sigma, 0.4))]
+    h = 1e-3
+    for (f1, e1), (f2, e2) in [(f, g) for f in factors for g in factors]:
+        scales, centre = convolution_rule(f1, f2, X, Y, p4)
+        step = h * np.eye(4)
+        up, mid, down = (e1(X, U, p4)[1] + e2(U, Y, p4)[1]
+                         for U in (centre + step, centre, centre - step))
+        assert np.max(np.abs((up - down) / (2 * h))) < 1e-8
+        assert np.max(np.abs((up + down - 2 * mid) / h ** 2
+                             + 2 * np.array(scales))) < 1e-5
 
 
 @pytest.mark.parametrize("a", [0, 1])

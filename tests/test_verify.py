@@ -254,7 +254,7 @@ def _second_call_differs(conv):
     ("zonal_wk.delta_limit", "projection_kernel", _offset),
     ("zonal_df.delta_limit", "projection_kernel", _offset),
     ("global.df_divergence_note", "global_kernel", _midpoint_dependent),
-    ("quadrature.determinism", "_conv", _second_call_differs),
+    ("quadrature.determinism", "_axis_conv", _second_call_differs),
 ])
 def test_declared_checks_can_fail(monkeypatch, check_id, subject, plant):
     # each check looks its subject up when it runs, so a planted fault in
@@ -275,16 +275,54 @@ def test_delta_limit_sees_offset_at_every_zone(monkeypatch, sigma):
     assert not any(verify._delta_limit(sigma, a) for a in range(4))
 
 
-def test_k4_idempotency_memory_is_bounded_by_the_block(p4):
-    # the k=4 rule's 24^4 nodes are integrated one 24^3 block at a time;
-    # the whole grid with its temporaries at once takes about 40 MB
+def test_k4_idempotency_memory_is_bounded_by_the_block():
+    # the moment check's k=4 rule, the one verify grid larger than a block:
+    # its 24^4 nodes are integrated one 24^3 block at a time; the whole grid
+    # with its temporaries at once takes about 40 MB
     tracemalloc.start()
     try:
-        verify._idempotency(40, p4)
+        verify._moment_gap(40, 4, 1.0 + 0.5j)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 8 * 10 ** 6
+
+
+def test_idempotency_sees_a_relative_error_of_1e_10(monkeypatch):
+    # delta^{(a)} off by a factor 1 + 1e-10 leaves a residual of about
+    # 1e-10 |delta^{(a)}|, far above the exact rule's rounding
+    kernel = verify.projection_kernel
+    monkeypatch.setattr(verify, "projection_kernel",
+                        lambda *args, **kwargs: kernel(*args, **kwargs)
+                        * (1 + 1e-10))
+    func = dict((cid, fn) for cid, _, fn in CHECKS)["projections.idempotency"]
+    r = verify._run_one("projections.idempotency", func)
+    assert r.status == "FAIL", (r.residual, r.tolerance)
+
+
+_CONVOLUTION_CHECKS = ("projections.idempotency", "projections.orthogonality",
+                       "projections.reproducing", "global.ck_wk",
+                       "zonal_wk.chapman_kolmogorov",
+                       "zonal_df.chapman_kolmogorov")
+
+
+def test_convolution_checks_take_their_nodes_from_the_zones(monkeypatch):
+    # each convolution's exact rule has 2a+1 nodes at most (zone a <= 3),
+    # checked at two more: no tuned degree, no 24^4 grid
+    degrees = []
+    post_init = QuadRule.__post_init__
+
+    def recorded(self):
+        degrees.append(self.degree)
+        post_init(self)
+
+    monkeypatch.setattr(QuadRule, "__post_init__", recorded)
+    checks = dict((cid, fn) for cid, _, fn in CHECKS)
+    for check_id in _CONVOLUTION_CHECKS:
+        degrees.clear()
+        assert verify._run_one(check_id, checks[check_id]).status == "PASS"
+        assert degrees and max(degrees) <= 2 * max(verify._ZONES) + 3, \
+            check_id
 
 
 def test_quadrature_checks_integrate_by_blocks(monkeypatch):
