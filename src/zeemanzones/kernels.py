@@ -18,7 +18,7 @@ from functools import partial
 import numpy as np
 
 from .params import (MagneticParams, NumericError, _composition_sum,
-                     sigma_value)
+                     sigma_value, zone_flow)
 from .quadrature import exact_value, tree_sum
 from .special import laguerre
 
@@ -175,16 +175,13 @@ def _zonal0_parts(sigma, t: float, X, Y, params: MagneticParams):
     projection delta^{(0)}.  Callers can merge the exponent with other
     kernel factors before exponentiating (avoids overflow on shifted
     contours)."""
-    s = sigma_value(sigma)
-    if t < 0:
-        raise ValueError("zonal closed forms require t >= 0")
     pref = np.prod([b.lam ** (b.k / 2) for b in params.blocks]) / np.pi ** (params.k / 2)
-    pref = pref * np.exp(-0.5 * s * t * sum(b.lam * b.k for b in params.blocks))
-    expo = 0j
+    lead, expo = 0, 0j
     for b, planes in _planes(X, Y, params):
-        e = np.exp(-2 * b.lam * t * s)
+        e, shift = zone_flow(sigma, t, b.lam)
+        lead = lead + shift * (b.k // 2)
         expo = expo + b.lam * (e * _pairing(planes) - 0.5 * _norms_sq(planes))
-    return pref, expo
+    return pref * np.exp(lead), expo
 
 
 def zonal0(sigma, t: float, X, Y, params: MagneticParams):
@@ -217,10 +214,9 @@ def zonal_kernel_closed(sigma, a: int, t: float, X, Y,
     z0 = zonal0(sigma, t, X, Y, params)
     if a == 0:
         return KernelValue(value=z0, dominant=z0, long_term=np.zeros_like(z0))
-    s = sigma_value(sigma)
     levels = []
     for b, planes in _planes(X, Y, params):
-        e = np.exp(-2 * b.lam * t * s)
+        e, _ = zone_flow(sigma, t, b.lam)
         rho = b.lam * (e * _dist_sq(planes)
                        - (1 - e) ** 2 * _coord_sum(planes, np.multiply)
                        + 1j * (1 - e * e) * _j_dot(planes))
@@ -341,19 +337,15 @@ def zonal_step(sigma, a: int, t: float, X, Y, lam: float):
     field lam, from grid X to grid Y (`plane_step`): f -> sum_x f[x]
     d_sigma^{(a)}(t, x, Y_m), the plane form of `zonal_kernel_closed`.  At
     t = 0 the zone-0 operator is delta^{(0)}."""
-    s = sigma_value(sigma)
-    if t < 0:
-        raise ValueError("zonal closed forms require t >= 0")
-    return plane_step(X, Y, lam, np.exp(-2 * lam * t * s),
-                      -0.5 * s * t * (2 * lam), a)
+    return plane_step(X, Y, lam, *zone_flow(sigma, t, lam), a)
 
 
 def lt1_printed(sigma, t: float, X, Y):
     """The printed two-dimensional long-term factor (k=2, lambda=1 gauge).
 
     (1 - e^{-2ts})(|X|^2 + |Y|^2 - 1 - (1 + e^{-2ts}) <X, Y + iJ(Y)>);
-    kept as a direct transcription for cross-checking the general
-    zone factor of `zonal_kernel_closed` at a = 1.
+    kept as a direct transcription, not from `zone_flow`, to cross-check
+    the general zone factor of `zonal_kernel_closed` at a = 1.
     """
     s = sigma_value(sigma)
     (_, planes), = _planes(X, Y, MagneticParams.make([(1.0, 2)]))
@@ -375,7 +367,7 @@ def _flow_coth(sigma, t: float, lam: float) -> complex:
 
 def zonal_factor(sigma, t: float):
     """d_sigma^{(a)}(t) as a `convolution_rule` factor (delta^{(a)}: t = 0)."""
-    return lambda lam: (1,) + (np.exp(-2 * lam * t * sigma_value(sigma)),) * 2
+    return lambda lam: (1,) + (zone_flow(sigma, t, lam)[0],) * 2
 
 
 def global_factor(sigma, t: float):

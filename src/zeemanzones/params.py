@@ -53,6 +53,16 @@ def zone_count(a: int, k: int) -> int:
     return math.comb(a + k // 2 - 1, a)
 
 
+def zone_flow(sigma, t: float, lam: float):
+    """(eps, shift) = (e^{-2 lam t s}, -lam t s) on one coordinate plane of
+    field lam: e^{-t s H_Z} multiplies level p of every zone by e^{shift}
+    eps^p.  Every zonal closed form takes it from here, t >= 0 only."""
+    s = sigma_value(sigma)
+    if not t >= 0:              # NaN too
+        raise ValueError("zonal closed forms require t >= 0")
+    return np.exp(-2 * lam * t * s), -0.5 * s * t * (2 * lam)
+
+
 def _composition_sum(a: int, factors):
     """Sum over the compositions comp of a over len(factors) parts of the
     products prod_p factors[p](comp[p]), in a fixed order."""

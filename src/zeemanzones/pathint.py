@@ -21,7 +21,8 @@ from functools import cache, partial
 
 import numpy as np
 
-from .params import CHAIN_DEGREE, MagneticParams, _composition_sum, sigma_value
+from .params import (CHAIN_DEGREE, MagneticParams, _composition_sum,
+                     sigma_value, zone_flow)
 from .kernels import check_df_time, plane_step, zonal_step
 from .quadrature import (QuadRule, QuadratureError, tensor_points,
                          tensor_weights, tree_sum)
@@ -196,10 +197,8 @@ def _fk_step(sigma, dt, lam: float, exact: bool):
     chain converges at rate O(dt)).  delta^{(0)} contributes the
     coefficient 1.  The weight of R^k is the product over its planes.
     """
-    s = sigma_value(sigma)
-    coeff = 1 + (np.exp(-2 * lam * dt * s) - 1 if exact
-                 else -2 * lam * dt * s)
-    return coeff, -0.5 * s * dt * (2 * lam)
+    e, shift = zone_flow(sigma, dt, lam)
+    return 1 + (e - 1 if exact else -2 * lam * dt * sigma_value(sigma)), shift
 
 
 def feynman_kac_chain(sigma, slicing: TimeSlicing, x, y,
@@ -293,7 +292,8 @@ def _rn_ratio(dt, lam: float, exact: bool):
     """Per-step Radon-Nikodym ratio DF/WK on a plane of field lam,
     e^{lam r P + c}, as (r, c), written out on its own: r = e^{-2 i lam
     dt} - e^{-2 lam dt} with the exact pairing action, 2 lam dt (1 - i)
-    with the left-endpoint one, and c = -lam dt (i - 1)."""
+    with the left-endpoint one, and c = -lam dt (i - 1), not taken from
+    `zone_flow`: this is the independent side of the check."""
     ratio = (np.exp(-2j * lam * dt) - np.exp(-2 * lam * dt) if exact
              else 2 * lam * dt * (1 - 1j))
     return ratio, -0.5 * dt * (1j - 1) * (2 * lam)

@@ -50,11 +50,8 @@ def multiplicity(p_blocks, v_blocks, params: MagneticParams) -> int:
     """Product of binomials over blocks for fixed (p_i, upsilon_i)."""
     if len(p_blocks) != len(params.blocks) or len(v_blocks) != len(params.blocks):
         raise ValueError("one index pair per block required")
-    out = 1
-    for p, v, b in zip(p_blocks, v_blocks, params.blocks):
-        q = b.k // 2
-        out *= math.comb(p + q - 1, q - 1) * math.comb(v + q - 1, q - 1)
-    return out
+    return math.prod(zone_count(p, b.k) * zone_count(v, b.k)
+                     for p, v, b in zip(p_blocks, v_blocks, params.blocks))
 
 
 def zone_of(l: int, m: int) -> int:

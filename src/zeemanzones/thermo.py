@@ -8,7 +8,7 @@ from functools import partial
 import numpy as np
 
 from .params import (MagneticParams, HamiltonianVariant, _composition_sum,
-                     sigma_value, zone_count)
+                     sigma_value, zone_count, zone_flow)
 from .kernels import check_df_time, zonal_kernel_closed
 from .quadrature import exact_value, tree_sum
 
@@ -41,8 +41,8 @@ def partition(sigma, a: int, t: float, params: MagneticParams,
     s = sigma_value(sigma)
     out = complex(zone_count(a, params.k))
     for b in params.blocks:
-        e = np.exp(-2 * b.lam * t * s)
-        out *= np.exp(-0.5 * b.k * b.lam * t * s) / (1 - e) ** (b.k // 2)
+        e, shift = zone_flow(sigma, t, b.lam)
+        out *= np.exp(shift * (b.k // 2)) / (1 - e) ** (b.k // 2)
     return out * np.exp(-s * t * _variant_shift(variant, params))
 
 
@@ -57,7 +57,7 @@ def _plane_trace(sigma, a: int, t: float, lam: float,
     part selects "value", "dominant" or "long_term" of the closed kernel.
     """
     pp = MagneticParams.make([(lam, 2)])
-    A = complex(lam * (1 - np.exp(-2 * lam * t * sigma_value(sigma))))
+    A = complex(lam * (1 - zone_flow(sigma, t, lam)[0]))
     return exact_value(lambda X: getattr(
         zonal_kernel_closed(sigma, a, t, X, X, pp), part), (A, A), a + 1)
 
@@ -71,7 +71,7 @@ def _composed_trace(sigma, a: int, t: float, params: MagneticParams,
     The kernels are products over planes, so their diagonal integrals over
     R^k factorize; each (lambda, a_p) plane trace is computed once.
     """
-    check_df_time(sigma, t, params)
+    _check_partition_time(sigma, t, params)
     plam = params.plane_lambdas()
     cache: dict[tuple[float, int], tuple[complex, float]] = {}
 
@@ -146,10 +146,10 @@ def partition_spectral(sigma, a: int, t: float, params: MagneticParams,
     for b in params.blocks:
         q = b.k // 2
         p = np.arange(levels)
-        mult = np.array([math.comb(n + q - 1, q - 1) for n in p], float)
-        r = complex(np.exp(-2 * s * t * b.lam))
+        mult = np.array([zone_count(n, b.k) for n in p], float)
+        r, shift = map(complex, zone_flow(sigma, t, b.lam))
         head = tree_sum(mult * r ** p)
-        total *= (head + _mult_tail(q, levels, r)) * np.exp(-s * t * b.lam * q)
+        total *= (head + _mult_tail(q, levels, r)) * np.exp(shift * q)
     return total * np.exp(-s * t * _variant_shift(variant, params))
 
 
@@ -220,7 +220,7 @@ def zeta_zonal(a: int, s: complex, params: MagneticParams,
     s = complex(s)
     alpha, beta = lam * q + _variant_shift(variant, params), 2 * lam
     p = np.arange(_EM_DIRECT)
-    mult = np.array([math.comb(n + q - 1, q - 1) for n in p], float)
+    mult = np.array([zone_count(n, params.k) for n in p], float)
     acc = complex(np.sum(mult * (alpha + beta * p) ** (-s)))
     poly = np.array([1.0])  # ascending coefficients in mu
     for i in range(1, q):

@@ -17,7 +17,7 @@ from zeemanzones.kernels import (SingularTimeError, _zonal0_parts,
                                  zonal_factor, zonal_kernel_closed,
                                  zonal_kernel_numeric, zonal_step)
 from zeemanzones.params import (J_apply, MagneticParams, _composition_sum,
-                                _compositions, sigma_value)
+                                _compositions, sigma_value, zone_flow)
 from zeemanzones.pathint import TimeSlicing
 from zeemanzones.quadrature import QuadRule, tensor_points, tree_sum
 from zeemanzones.special import laguerre
@@ -158,6 +158,40 @@ def test_pde_residual_small(p2, xy2, sigma):
 # ---------------------------------------------------------------------------
 # zonal closed forms
 # ---------------------------------------------------------------------------
+
+_XP = [_XC[:1], _XC[1:]]        # _XC as a one-point plane grid
+BAD_TIME = {
+    "zonal0": lambda t, p: zonal0("wk", t, _XC, _XC, p),
+    "zonal_kernel_closed_a0": lambda t, p: zonal_kernel_closed(
+        "wk", 0, t, _XC, _XC, p),
+    "zonal_kernel_closed_a2": lambda t, p: zonal_kernel_closed(
+        "df", 2, t, _XC, _XC, p),
+    "zonal_step": lambda t, p: zonal_step("df", 0, t, _XP, _XP, 1.0),
+    "zonal_factor": lambda t, p: zonal_factor("wk", t)(1.0),
+    "convolution_rule": lambda t, p: convolution_rule(
+        zonal_factor("df", t), global_factor("df", 0.5), _XC, _XC, p),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_TIME))
+@pytest.mark.parametrize("t", [-0.1, np.nan])
+def test_zonal_entry_points_refuse_negative_or_nan_time(p2, name, t):
+    # every zonal number takes its flow from `zone_flow`, whose one
+    # refusal covers them all (eps = e^{0.2} would be silently wrong)
+    with pytest.raises(ValueError, match=r"zonal closed forms require t >= 0"):
+        BAD_TIME[name](t, p2)
+
+
+@pytest.mark.parametrize("sigma", ["wk", "df"])
+@pytest.mark.parametrize("lam,t", [(1.0, 0.0), (2.0, 0.3), (0.5, 1.3)])
+def test_zone_flow_is_the_plane_factor(sigma, lam, t):
+    # level p of a zone on one plane gains e^{shift} eps^p
+    eps, shift = zone_flow(sigma, t, lam)
+    s = sigma_value(sigma)
+    assert eps == np.exp(-2 * lam * t * s)
+    assert shift == pytest.approx(-lam * t * s, abs=1e-15)
+    assert zonal_factor(sigma, t)(lam) == (1, eps, eps)
+
 
 @pytest.mark.parametrize("sigma", ["wk", "df"])
 @pytest.mark.parametrize("a", [0, 1])

@@ -67,7 +67,7 @@ def test_pinned_chain_zone1(p2):
 
 @pytest.mark.parametrize("sigma,tol", [("wk", 1e-10), ("df", 1e-6)])
 def test_pinned_chain_zone2(p2, sigma, tol):
-    # zone >= 2 steps are chunked numeric kernels on the grid's points
+    # closed plane-form zone-2 steps against the numeric oracle
     ref = zonal_kernel_numeric(sigma, 2, 0.5, X0, Y0, p2)
     got = cylinder_value(sigma, 2, TimeSlicing(0.5, 3), None, X0, Y0, p2,
                          quad_degree=16)
@@ -75,7 +75,7 @@ def test_pinned_chain_zone2(p2, sigma, tol):
 
 
 @pytest.mark.parametrize("sigma", ["wk", "df"])
-@pytest.mark.parametrize("a", [2, 3])
+@pytest.mark.parametrize("a", [2, 3, 4, 5, 6])
 def test_pinned_chain_higher_zones_full_degree(p2, sigma, a):
     # closed-form zone-a steps on the default degree-40 grid
     ref = zonal_kernel_closed(sigma, a, 0.5, X0, Y0, p2).value

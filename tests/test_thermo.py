@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +13,8 @@ import pytest
 
 from zeemanzones import thermo
 from zeemanzones.kernels import KernelValue
-from zeemanzones.params import H_Z, HamiltonianVariant, MagneticParams
+from zeemanzones.params import (H_Z, HamiltonianVariant, MagneticParams,
+                                NumericError)
 from zeemanzones.quadrature import NonFiniteIntegrand, QuadratureError
 from zeemanzones.thermo import (dominant_trace, hurwitz_zeta, longterm_trace,
                                 mehler_comparison_bound, partition,
@@ -60,13 +62,21 @@ def test_partition_df_unit_modulus_ratio(p2):
     assert zdf == pytest.approx(ref, abs=1e-14)
 
 
+PARTITION_ROUTES = (
+    partial(partition, a=0), partial(partition_spectral, a=0),
+    partial(partition_trace, a=0), partial(dominant_trace, a=0),
+    longterm_trace)
+
+
 @pytest.mark.parametrize("t", [-0.5, 0.0, math.nan])
 @pytest.mark.parametrize("sigma", ["wk", "df"])
 def test_partition_sums_refuse_nonpositive_time(p2, sigma, t):
-    # the closed form and the spectral sum share one refusal
-    for value in (partition, partition_spectral):
-        with pytest.raises(ValueError, match="requires t > 0"):
-            value(sigma, 0, t, p2)
+    # the closed forms and the trace quadratures share one refusal, of the
+    # invalid-input class, not the numeric one of a failed quadrature
+    for value in PARTITION_ROUTES:
+        with pytest.raises(ValueError, match="requires t > 0") as info:
+            value(sigma, t=t, params=p2)
+        assert not isinstance(info.value, NumericError)
 
 
 def test_partition_blocks_multiply(p4):

@@ -191,11 +191,18 @@ def test_reported_params_are_what_ran(monkeypatch):
 
 
 def test_nan_residual_is_not_pass(monkeypatch):
-    # a NaN kernel must not report PASS 0.0 (max(0.0, nan) is 0.0)
-    monkeypatch.setattr(verify, "projection_kernel", lambda *args: np.nan)
+    # a NaN kernel must not report PASS 0.0 (max(0.0, nan) is 0.0); the
+    # stand-in takes the kernel's arguments and gives one NaN per point
+    # pair, so the rule sees the non-finite integrand itself
+    def nan_kernel(a, X, Y, params):
+        return np.full(np.broadcast_shapes(np.shape(X)[:-1],
+                                           np.shape(Y)[:-1]), np.nan)
+
+    monkeypatch.setattr(verify, "projection_kernel", nan_kernel)
     by_id = {r.check_id: r for r in run_suite("projections")}
     for cid in ("projections.idempotency", "projections.orthogonality"):
-        assert by_id[cid].status != "PASS", cid
+        assert by_id[cid].status == "ERROR", cid
+        assert by_id[cid].note.startswith("NonFiniteIntegrand"), cid
     assert verify._worst([0.5, np.nan, 2.0]) != verify._worst([0.5, 2.0])
     assert verify._worst([]) == 0.0 and verify._worst([1e-9, 3.0]) == 3.0
 
