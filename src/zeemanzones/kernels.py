@@ -14,13 +14,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
+from itertools import islice
 
 import numpy as np
 
 from .params import (MagneticParams, NumericError, _composition_sum,
-                     sigma_value, zone_flow)
+                     _factor_levels, sigma_value, zone_flow)
 from .quadrature import exact_value, tree_sum
-from .special import laguerre
+from .special import laguerre, laguerre_levels
 
 
 class SingularTimeError(NumericError, ValueError):
@@ -200,10 +201,12 @@ def zonal_kernel_closed(sigma, a: int, t: float, X, Y,
     factor eps^a on the polynomial part of delta^{(a)}.  So d^{(a)} = [sum
     over compositions (a_i) of a over blocks of prod_i
     M_{a_i}^{((k_i/2)-1)}(rho_i, eps_i)] d^{(0)}, M_n(rho, eps) = eps^n
-    L_n(rho / eps) (`laguerre`), rho_i = lam_i (eps_i |X_i - Y_i|^2 -
-    (1 - eps_i)^2 <X_i, Y_i> + i (1 - eps_i^2) <X_i, J Y_i>).  At t = 0,
-    eps_i = 1 and rho_i = lam_i |X_i - Y_i|^2 exactly, so on one block
-    the long-term part is exactly 0.  X and Y may be complex.
+    L_n(rho / eps), rho_i = lam_i (eps_i |X_i - Y_i|^2 - (1 - eps_i)^2
+    <X_i, Y_i> + i (1 - eps_i^2) <X_i, J Y_i>), summed as Cauchy products
+    of the blocks' level sequences, one recurrence pass each
+    (`_zone_levels`); a lone block reads only M_a.  At t = 0, eps_i = 1
+    and rho_i = lam_i |X_i - Y_i|^2 exactly, so on one block the
+    long-term part is exactly 0.  X and Y may be complex.
 
     Far from the origin the exponent and rho cancel O(|z|^2) terms: on
     points with |z| <= 40 (DF, t = 0.05, pi/4 and 1.3) this point form is
@@ -214,17 +217,23 @@ def zonal_kernel_closed(sigma, a: int, t: float, X, Y,
     z0 = zonal0(sigma, t, X, Y, params)
     if a == 0:
         return KernelValue(value=z0, dominant=z0, long_term=np.zeros_like(z0))
-    levels = []
-    for b, planes in _planes(X, Y, params):
-        e, _ = zone_flow(sigma, t, b.lam)
-        rho = b.lam * (e * _dist_sq(planes)
-                       - (1 - e) ** 2 * _coord_sum(planes, np.multiply)
-                       + 1j * (1 - e * e) * _j_dot(planes))
-        levels.append(partial(laguerre, b.k // 2 - 1, t=rho, eps=e))
-    fac = _composition_sum(a, levels)
+    ms = _factor_levels(a, len(params.blocks))
+    fac = _composition_sum(a, [_zone_levels(sigma, t, b, planes, ms)
+                               for b, planes in _planes(X, Y, params)])
     lag = laguerre(params.k // 2 - 1, a, weighted_dist_sq(X, Y, params))
     return KernelValue(value=fac * z0, dominant=lag * z0,
                        long_term=(fac - lag) * z0)
+
+
+def _zone_levels(sigma, t, b, planes, ms):
+    """Yield block b's M_m(rho_i, eps_i) of `zonal_kernel_closed` at the
+    levels ms (a range), computing rho_i when the first is read."""
+    e, _ = zone_flow(sigma, t, b.lam)
+    rho = b.lam * (e * _dist_sq(planes)
+                   - (1 - e) ** 2 * _coord_sum(planes, np.multiply)
+                   + 1j * (1 - e * e) * _j_dot(planes))
+    yield from islice(laguerre_levels(b.k // 2 - 1, ms[-1], rho, e),
+                      ms[0], None)
 
 
 def plane_step(X, Y, lam: float, kap, shift, a=0):

@@ -63,17 +63,35 @@ def zone_flow(sigma, t: float, lam: float):
     return np.exp(-2 * lam * t * s), -0.5 * s * t * (2 * lam)
 
 
-def _composition_sum(a: int, factors):
-    """Sum over the compositions comp of a over len(factors) parts of the
-    products prod_p factors[p](comp[p]), in a fixed order."""
+def _factor_levels(a: int, parts: int):
+    """The levels m at which `_composition_sum` reads each of `parts`
+    factors: 0..a, or a alone for one factor."""
     if a < 0:
         raise ValueError("zone index must be nonnegative")
-    terms = (math.prod(f(m) for f, m in zip(factors, comp))
-             for comp in _compositions(a, len(factors)))
-    total = next(terms)
-    for t in terms:
-        total += t              # in place: one sum and one term live
-    return total
+    return range(a, a + 1) if parts == 1 else range(a + 1)
+
+
+def _composition_sum(a: int, levels):
+    """Sum over the compositions (a_p) of a of prod_p f_p(a_p), levels[p]
+    yielding f_p at `_factor_levels`: the coefficient of s^a in prod_p
+    sum_m f_p(m) s^m, by Cauchy products folded from the right.  The tail
+    product's coefficients are stored and each factor to its left is
+    streamed, adding f(j) tail[n - j] in place for j = 0..n, the order of
+    `_compositions`, so two factors keep the bits of a sum over them; the
+    first factor feeds only coefficient a."""
+    *heads, tail = levels
+    tail = list(tail)
+    for i, f in enumerate(reversed(heads)):
+        lo = a if i == len(heads) - 1 else 0    # the first feeds s^a only
+        acc = list(tail)
+        for j, fj in enumerate(f):
+            for n in range(max(j, lo), a + 1):
+                if j:
+                    acc[n] += fj * tail[n - j]      # in place
+                else:
+                    acc[n] = fj * tail[n]
+        tail = acc
+    return tail[-1]
 
 
 @dataclass(frozen=True)

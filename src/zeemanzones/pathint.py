@@ -17,12 +17,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cache, partial
+from functools import partial
 
 import numpy as np
 
 from .params import (CHAIN_DEGREE, MagneticParams, _composition_sum,
-                     sigma_value, zone_flow)
+                     _factor_levels, sigma_value, zone_flow)
 from .kernels import check_df_time, plane_step, zonal_step
 from .quadrature import (QuadRule, QuadratureError, tensor_points,
                          tensor_weights, tree_sum)
@@ -96,7 +96,9 @@ def _chain(step, a, x, y, F, n_interior, params, quad_degree):
     Steps are products over the planes, whose zone kernels are orthogonal
     projections times the flow, so the chain is the sum over the
     compositions (a_p) of a over the planes of products of one-plane
-    chains at constant zone a_p, `plane(j, m)`.  Its steps are
+    chains at constant zone a_p, `plane(j, m)`, summed as Cauchy products
+    of the planes' chain sequences (`_composition_sum`): each runs once,
+    and a lone plane runs only its zone-a chain.  Its steps are
     step(lam, m, X, Y) from grid X to grid Y (`plane_step`), the
     grid-to-grid one built once.  F is None or, on one plane only, a
     separable F (`_interior_factors`).
@@ -107,7 +109,6 @@ def _chain(step, a, x, y, F, n_interior, params, quad_degree):
     x, y = (None if z is None else np.asarray(z, dtype=float).reshape(-1, 2, 1)
             for z in (x, y))
 
-    @cache
     def plane(j, m):
         lam = plam[j]
         if n_interior == 0:
@@ -124,7 +125,9 @@ def _chain(step, a, x, y, F, n_interior, params, quad_degree):
         return complex(tree_sum(vw) if y is None
                        else step(lam, m, G, y[j])(vw)[0])
 
-    return _composition_sum(a, [partial(plane, j) for j in range(len(plam))])
+    ms = _factor_levels(a, len(plam))
+    return _composition_sum(a, [map(partial(plane, j), ms)
+                                for j in range(len(plam))])
 
 
 def cylinder_value(sigma, a: int, slicing: TimeSlicing, F, x, y,

@@ -5,35 +5,45 @@ from __future__ import annotations
 import numpy as np
 
 
-def laguerre(alpha: int, n: int, t, eps=1.0):
-    """M_n = eps^n L_n^{(alpha)}(t / eps) by the three-term recurrence
-    (a+1) M_{a+1} = ((2a + 1 + alpha) eps - t) M_a - (a + alpha) eps^2
-    M_{a-1}, M_0 = 1; t may be an array, eps is a scalar.  At eps = 1 every
-    eps factor is an exact multiplication by 1.0.  Complex values divide by
-    a + 1 part by part, as real ones do, so a complex t with zero imaginary
-    part follows the real recurrence exactly.  A scalar t gives a Python
-    float or complex.
+def laguerre_levels(alpha: int, n: int, t, eps):
+    """Yield M_0, ..., M_n, M_m = eps^m L_m^{(alpha)}(t / eps), from one
+    pass of the recurrence (a+1) M_{a+1} = ((2a + 1 + alpha) eps - t) M_a
+    - (a + alpha) eps^2 M_{a-1}; t may be an array, eps is a scalar.  M_0
+    is the scalar 1.0, the others arrays of t's shape that the recurrence
+    reads again (not to be written to), or Python scalars for a scalar t.
+    At eps = 1 every eps factor is an exact multiplication by 1.0.
+    Complex values divide by a + 1 part by part, as real ones do, so a
+    complex t with zero imaginary part follows the real recurrence exactly.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
     t = np.asarray(t)
     shape = t.shape
     t = t.reshape(-1)          # 1-d, so every step below is in place
-    if n == 0:
-        cur = np.ones_like(t, dtype=t.dtype if t.dtype.kind == "c" else float)
-    else:
-        prev, cur = 1.0, (1 + alpha) * eps - t
-    for a in range(1, n):
+    yield 1.0
+    prev, cur = None, 1.0
+    for a in range(n):
         nxt = (2 * a + 1 + alpha) * eps - t
-        nxt *= cur
-        nxt -= (a + alpha) * eps * eps * prev
-        # numpy divides a complex by a + 1 through its reciprocal, which
-        # rounds twice
-        parts = nxt.view(float) if nxt.dtype.kind == "c" else nxt
-        parts /= a + 1
+        if a:
+            nxt *= cur
+            nxt -= (a + alpha) * eps * eps * prev
+            # numpy divides a complex by a + 1 through its reciprocal,
+            # which rounds twice
+            parts = nxt.view(float) if nxt.dtype.kind == "c" else nxt
+            parts /= a + 1
         prev, cur = cur, nxt
-    cur = cur.reshape(shape)
-    return cur if shape else complex(cur) if cur.dtype.kind == "c" else float(cur)
+        yield cur.reshape(shape) if shape else cur.item()
+
+
+def laguerre(alpha: int, n: int, t, eps=1.0):
+    """M_n, the last of `laguerre_levels`, with M_0 as ones shaped like t;
+    a scalar t gives a Python float or complex."""
+    for cur in laguerre_levels(alpha, n, t, eps):
+        pass
+    if n == 0:
+        cur = np.ones_like(t, complex if np.iscomplexobj(t) else float)
+        return cur if cur.ndim else cur.item()
+    return cur
 
 
 def gaussian_moment_integral(A: complex, C) -> complex:

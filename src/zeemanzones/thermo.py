@@ -3,12 +3,11 @@
 from __future__ import annotations
 
 import math
-from functools import partial
 
 import numpy as np
 
 from .params import (MagneticParams, HamiltonianVariant, _composition_sum,
-                     sigma_value, zone_count, zone_flow)
+                     _factor_levels, sigma_value, zone_count, zone_flow)
 from .kernels import check_df_time, zonal_kernel_closed
 from .quadrature import exact_value, tree_sum
 
@@ -69,20 +68,19 @@ def _composed_trace(sigma, a: int, t: float, params: MagneticParams,
     and the zone-0 value of the others, with the worst plane delta.
 
     The kernels are products over planes, so their diagonal integrals over
-    R^k factorize; each (lambda, a_p) plane trace is computed once.
+    R^k factorize; the sum is taken as Cauchy products of the planes'
+    trace sequences (`_composition_sum`), each block's computed once for
+    its k_i/2 planes, and a lone plane computes only its zone-a trace.
     """
     _check_partition_time(sigma, t, params)
-    plam = params.plane_lambdas()
-    cache: dict[tuple[float, int], tuple[complex, float]] = {}
-
-    def trace(lam, m):
-        key = (float(lam), m)
-        if key not in cache:
-            cache[key] = _plane_trace(sigma, m, t, lam, part if m else "value")
-        return cache[key][0]
-
-    total = _composition_sum(a, [partial(trace, lam) for lam in plam])
-    return total, max(d for _, d in cache.values())
+    ms = _factor_levels(a, params.n_planes)
+    levels, deltas = [], []
+    for b in params.blocks:
+        values, ds = zip(*(_plane_trace(sigma, m, t, b.lam,
+                                        part if m else "value") for m in ms))
+        levels += [values] * (b.k // 2)
+        deltas += ds
+    return _composition_sum(a, levels), max(deltas)
 
 
 def partition_trace(sigma, a: int, t: float, params: MagneticParams,

@@ -1,5 +1,6 @@
 """Projection, heat and Schrodinger kernels: identities and residuals."""
 
+import math
 import tracemalloc
 from functools import partial, reduce
 
@@ -17,7 +18,8 @@ from zeemanzones.kernels import (SingularTimeError, _zonal0_parts,
                                  zonal_factor, zonal_kernel_closed,
                                  zonal_kernel_numeric, zonal_step)
 from zeemanzones.params import (J_apply, MagneticParams, _composition_sum,
-                                _compositions, sigma_value, zone_flow)
+                                _compositions, _factor_levels, sigma_value,
+                                zone_flow)
 from zeemanzones.pathint import TimeSlicing
 from zeemanzones.quadrature import QuadRule, tensor_points, tree_sum
 from zeemanzones.special import laguerre
@@ -544,12 +546,39 @@ _PLANE_GEOMETRIES = [[(1.0, 2)], [(1.0, 2), (2.0, 2)], [(1.5, 4)],
 _ZONES = 4
 
 
+def _enumerated_composition_sum(a, factors):
+    """The reference for `_composition_sum`: the sum over every
+    composition comp of a over len(factors) parts of prod_p
+    factors[p](comp[p]), added in the order of `_compositions`."""
+    terms = (math.prod(f(m) for f, m in zip(factors, comp))
+             for comp in _compositions(a, len(factors)))
+    total = next(terms)
+    for t in terms:
+        total += t
+    return total
+
+
+def _block_factors(sigma, t, X, Y, params):
+    """Per block, m -> M_m^{((k_i/2)-1)}(rho_i, eps_i) of
+    `zonal_kernel_closed`, rho_i from sums over the block's axis."""
+    s = sigma_value(sigma)
+    factors = []
+    for b, sl in zip(params.blocks, params.block_slices()):
+        Xi, Yi = X[..., sl], Y[..., sl]
+        e = np.exp(-2 * b.lam * t * s)
+        rho = b.lam * (e * np.sum((Xi - Yi) * (Xi - Yi), axis=-1)
+                       - (1 - e) ** 2 * np.sum(Xi * Yi, axis=-1)
+                       + 1j * (1 - e * e) * np.sum(Xi * J_apply(Yi), axis=-1))
+        factors.append(partial(laguerre, b.k // 2 - 1, t=rho, eps=e))
+    return factors
+
+
 def _block_reference(sigma, t, X, Y, params, zones=_ZONES):
     """weighted |X - Y|^2, the exponents of d^{(0)} and (t > 0) of the
     global kernel, and (value, dominant, long_term) of d^{(a)} at the
     first `zones` zones, from sums over each block's axis."""
     s = sigma_value(sigma)
-    dist, z0_expo, g_expo, levels = 0.0, 0j, 0j, []
+    dist, z0_expo, g_expo = 0.0, 0j, 0j
     for b, sl in zip(params.blocks, params.block_slices()):
         Xi, Yi = X[..., sl], Y[..., sl]
         d2 = np.sum((Xi - Yi) * (Xi - Yi), axis=-1)
@@ -563,14 +592,13 @@ def _block_reference(sigma, t, X, Y, params, zones=_ZONES):
         if t > 0:
             g = complex(1.0 / np.tanh(b.lam * t * s))
             g_expo = g_expo - b.lam * (0.5 * g * d2 + 1j * jdot)
-        rho = b.lam * (e * d2 - (1 - e) ** 2 * dot + 1j * (1 - e * e) * jdot)
-        levels.append(partial(laguerre, b.k // 2 - 1, t=rho, eps=e))
+    levels = _block_factors(sigma, t, X, Y, params)
     parts = []
     if zones:
         z0 = _zonal0_parts(sigma, t, X, Y, params)[0] * np.exp(z0_expo)
         parts.append((z0, z0, np.zeros_like(z0)))
     for a in range(1, zones):
-        fac = _composition_sum(a, levels)
+        fac = _enumerated_composition_sum(a, levels)
         lag = laguerre(params.k // 2 - 1, a, dist)
         parts.append((fac * z0, lag * z0, (fac - lag) * z0))
     return dist, z0_expo, g_expo if t > 0 else None, parts
@@ -663,8 +691,9 @@ def test_j_pairing_exactly_zero_on_complex_diagonal(blocks):
 def test_point_form_block_memory(p4, zone_kernel, ceiling_mib):
     # one `integrate` block of the 24^4 rule, 13,824 nodes (0.21 MiB per
     # complex array): the plane sums accumulate in place, so the peak is
-    # 0.98 MiB (projection) and 1.80 MiB (zonal), where a list of every
-    # coordinate's products reached 1.71 MiB on the projection
+    # 0.97 MiB (projection) and 1.69 MiB (zonal, which keeps the second
+    # block's levels 0..2), where a list of every coordinate's products
+    # reached 1.71 MiB on the projection
     U, _ = next(QuadRule(24, p4.axis_lambdas()).blocks())
     assert U.shape == (24 ** 3, 4)
     X = np.array([0.3, -0.2, 0.15, 0.25])[None, :]
@@ -675,3 +704,56 @@ def test_point_form_block_memory(p4, zone_kernel, ceiling_mib):
     finally:
         tracemalloc.stop()
     assert peak <= ceiling_mib * 2 ** 20
+
+
+# ---------------------------------------------------------------------------
+# composition sums: Cauchy products of level sequences against the sum
+# over every composition
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("blocks", [
+    [(1.0, 2)], [(1.5, 4), (0.5, 2)], [(1.0, 2), (2.0, 2), (0.5, 2)],
+    [(1.0, 2), (2.0, 2), (0.5, 2), (1.5, 2)]],
+    ids=["1-block", "2-blocks", "3-blocks", "4-blocks"])
+@pytest.mark.parametrize("sigma", ["wk", "df"])
+@pytest.mark.parametrize("a", [3, 10, 20, 30])
+def test_zonal_kernel_closed_against_enumeration(blocks, sigma, a):
+    # the reference tabulates each block's levels and sums over every
+    # composition (C(33, 3) = 5456 terms at four blocks, zone 30); one or
+    # two factors add the same terms in the same order, so the bits agree
+    params = MagneticParams.make(blocks)
+    X, Y = _pair_grid(np.random.default_rng(31), params.k)
+    tables = [[f(m) for m in range(a + 1)]
+              for f in _block_factors(sigma, 0.5, X, Y, params)]
+    ref = (_enumerated_composition_sum(a, [tab.__getitem__ for tab in tables])
+           * zonal0(sigma, 0.5, X, Y, params))
+    got = zonal_kernel_closed(sigma, a, 0.5, X, Y, params).value
+    if len(blocks) <= 2:
+        assert np.array_equal(got, ref)
+    else:
+        assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("parts", [1, 2, 3, 4])
+@pytest.mark.parametrize("a", [0, 1, 5])
+def test_composition_sum_reads_each_level_once(parts, a):
+    # every factor is read P (a + 1) times in all for P >= 2, a lone one
+    # once, at level a; integer values make every sum exact
+    calls = []
+
+    def factor(p, m):
+        calls.append((p, m))
+        return float(p + 2 * m + 1)
+
+    ms = _factor_levels(a, parts)
+    got = _composition_sum(a, [map(partial(factor, p), ms)
+                               for p in range(parts)])
+    if parts == 1:
+        assert calls == [(0, a)]
+    else:
+        assert sorted(calls) == [(p, m) for p in range(parts)
+                                 for m in range(a + 1)]
+    calls.clear()
+    ref = _enumerated_composition_sum(
+        a, [partial(factor, p) for p in range(parts)])
+    assert got == ref

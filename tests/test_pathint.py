@@ -306,6 +306,32 @@ def test_step_factors_built_once(p2, monkeypatch):
     assert abs(got - ref) < 1e-8
 
 
+@pytest.mark.parametrize("a", [1, 2])
+def test_each_plane_chain_runs_once(p2, p4, monkeypatch, a):
+    # a lone plane runs only its zone-a chain; on two planes every
+    # (plane, level) chain runs once, three step builds each at n = 3
+    calls = []
+    build = pathint.zonal_step
+
+    def counted(sigma, m, t, X, Y, lam):
+        calls.append((lam, m))
+        return build(sigma, m, t, X, Y, lam)
+
+    monkeypatch.setattr(pathint, "zonal_step", counted)
+    x4 = np.array([0.3, -0.2, 0.15, 0.25])
+    y4 = np.array([0.1, 0.4, -0.3, 0.05])
+    for params, x, y, levels in ((p2, X0, Y0, [a]),
+                                 (p4, x4, y4, range(a + 1))):
+        calls.clear()
+        got = cylinder_value("wk", a, TimeSlicing(0.6, 3), None, x, y,
+                             params, quad_degree=12)
+        assert sorted(calls) == sorted(3 * [(lam, m) for lam in
+                                            params.plane_lambdas()
+                                            for m in levels])
+        ref = zonal_kernel_closed("wk", a, 0.6, x, y, params).value
+        assert abs(got - ref) < 1e-8 * max(1.0, abs(ref))
+
+
 @pytest.mark.parametrize("a", [0, 1])
 def test_chain_allocates_no_step_matrix(p2, a):
     # at degree 40 the grid has N = 1600 points, and one N x N complex

@@ -5,7 +5,8 @@ import pytest
 import scipy.special as sps
 
 from zeemanzones.exact import laguerre_exact
-from zeemanzones.special import gaussian_moment_integral, laguerre
+from zeemanzones.special import (gaussian_moment_integral, laguerre,
+                                 laguerre_levels)
 
 
 @pytest.mark.parametrize("alpha", range(4))
@@ -46,6 +47,20 @@ def test_laguerre_homogeneous_form(alpha):
         assert np.array_equal(laguerre(alpha, n, t, 1.0), laguerre(alpha, n, t))
     # at eps = 0 only the top coefficient survives: (-t)^n / n!
     assert laguerre(alpha, 4, 0.7, 0.0) == pytest.approx(0.7 ** 4 / 24)
+
+
+@pytest.mark.parametrize("t", [np.array([[0.0, 0.3], [2.5, 7.0]]),
+                               np.array([0.3 + 0.1j, 2.5 - 1.0j]), 0.7,
+                               0.3 + 0.1j])
+def test_laguerre_levels_are_laguerre(t):
+    # one pass yields every level laguerre gives, bit for bit, with M_0 the
+    # scalar 1.0 and a scalar t's levels Python scalars
+    for eps in (1.0, 0.6 * np.exp(0.4j)):
+        levels = list(laguerre_levels(2, 6, t, eps))
+        assert len(levels) == 7 and levels[0] == 1.0
+        for n, level in enumerate(levels[1:], start=1):
+            assert type(level) is type(laguerre(2, n, t, eps))
+            assert np.array_equal(level, laguerre(2, n, t, eps))
 
 
 def test_gaussian_moment_real_oracle():

@@ -155,6 +155,37 @@ def test_nan_plane_trace_is_nonfinite(monkeypatch, p2):
         partition_trace("wk", 1, 0.5, p2)
 
 
+@pytest.mark.parametrize("blocks", [[(1.5, 4)], [(1.0, 2), (2.0, 2)]])
+@pytest.mark.parametrize("a", [0, 1, 3])
+def test_plane_trace_once_per_block_level(monkeypatch, blocks, a):
+    # a block's trace sequence serves all its planes: one plane trace per
+    # (block, level), however many compositions reuse it
+    calls = []
+    trace = thermo._plane_trace
+
+    def counted(sigma, m, t, lam, part):
+        calls.append((lam, m))
+        return trace(sigma, m, t, lam, part)
+
+    monkeypatch.setattr(thermo, "_plane_trace", counted)
+    params = MagneticParams.make(blocks)
+    z, _ = partition_trace("wk", a, 0.7, params)
+    assert sorted(calls) == [(b.lam, m) for b in sorted(params.blocks,
+                                                        key=lambda b: b.lam)
+                             for m in range(a + 1)]
+    assert abs(z - partition("wk", a, 0.7, params)) < 1e-9
+
+
+@pytest.mark.parametrize("sigma", ["wk", "df"])
+@pytest.mark.parametrize("a", [1, 2])
+@pytest.mark.parametrize("t", [0.5, 1.0])
+def test_one_plane_delta_is_zone_a_delta(p2, sigma, a, t):
+    # a lone plane computes only its zone-a trace, so the reported delta
+    # is that trace's alone and no lower zone's
+    got = partition_trace(sigma, a, t, p2)
+    assert got == thermo._plane_trace(sigma, a, t, 1.0)
+
+
 def test_trace_multiblock(p4):
     got = partition_by_trace("wk", 1, 0.8, p4)
     assert abs(got - partition("wk", 1, 0.8, p4)) < 1e-9
