@@ -3,8 +3,11 @@
 This module is the oracle layer: univariate Laguerre/Hermite polynomials
 with exact rational coefficients, and the multivariate polynomial ring in
 the holomorphic/antiholomorphic coordinates (z_1..z_{k/2}, zbar_1..zbar_{k/2})
-with complex rational coefficients.  Everything here is bit-exact; the
-floating-point evaluation paths live in ``special``.
+with real rational coefficients.  The ring stays real because the only
+imaginary unit of the eigen-oracle, the odd axis X^{2j+1} = -i (z - zbar)/2,
+puts a unit scalar (-i)^l on its Hermite factor, which the oracle cancels
+by i^l (see ``spectrum.build_eigenfunction``).  Everything here is
+bit-exact; the floating-point evaluation paths live in ``special``.
 
 Note on the three-term recurrence: the coefficient of L_{a-1} must be
 (a + alpha), which for alpha = 0 (the two-dimensional case all worked
@@ -15,68 +18,22 @@ exactly against the explicit binomial form, term by term.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .params import _compositions
 
 
-# ---------------------------------------------------------------------------
-# complex rationals
-# ---------------------------------------------------------------------------
-
-def _frac(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    raise TypeError(f"expected exact rational, got {type(x).__name__}")
-
-
-@dataclass(frozen=True)
 class QC:
-    """A complex number with exact rational real and imaginary parts."""
-
-    re: Fraction = Fraction(0)
-    im: Fraction = Fraction(0)
+    """The layer's one exact-scalar conversion: every coefficient is a
+    ``Fraction``, and ``QC.of`` is how an int or a Fraction becomes one."""
 
     @staticmethod
-    def of(re, im=0) -> "QC":
-        return QC(_frac(re), _frac(im))
-
-    def __add__(self, o: "QC") -> "QC":
-        return QC(self.re + o.re, self.im + o.im)
-
-    def __sub__(self, o: "QC") -> "QC":
-        return QC(self.re - o.re, self.im - o.im)
-
-    def __neg__(self) -> "QC":
-        return QC(-self.re, -self.im)
-
-    def __mul__(self, o):
-        if isinstance(o, QC):
-            return QC(self.re * o.re - self.im * o.im,
-                      self.re * o.im + self.im * o.re)
-        f = _frac(o)
-        return QC(self.re * f, self.im * f)
-
-    __rmul__ = __mul__
-
-    def conj(self) -> "QC":
-        return QC(self.re, -self.im)
-
-    def is_zero(self) -> bool:
-        return self.re == 0 and self.im == 0
-
-    def to_complex(self) -> complex:
-        return complex(self.re) + 1j * complex(self.im)
-
-    def __repr__(self):
-        return f"QC({self.re}, {self.im})"
-
-
-QC_ZERO = QC()
-QC_ONE = QC.of(1)
+    def of(x) -> Fraction:
+        if isinstance(x, Fraction):
+            return x
+        if isinstance(x, int):
+            return Fraction(x)
+        raise TypeError(f"expected exact rational, got {type(x).__name__}")
 
 
 # ---------------------------------------------------------------------------
@@ -100,7 +57,7 @@ def psub(a, b):
 
 
 def pscale(a, s):
-    s = _frac(s)
+    s = QC.of(s)
     return ptrim([x * s for x in a])
 
 
@@ -160,11 +117,14 @@ def hermite_scaled_exact(l: int, lam: Fraction) -> list[Fraction]:
 
     All monomials of H_l share the parity of l, so factoring lam^{l/2}
     out leaves rational coefficients: the x^{l-2j} term picks up lam^{-j}.
-    The overall scalar does not affect eigenfunction properties.
+    The overall scalar does not affect eigenfunction properties.  A
+    negative lam is allowed: at x = -i w, i^l lam^{-l/2} H_l(sqrt(lam) x)
+    is this polynomial at (l, -lam) evaluated at w, which is how the odd
+    axes of ``spectrum.build_eigenfunction`` stay real.
     """
     if l < 0:
         raise ValueError("l must be nonnegative")
-    lam = _frac(lam)
+    lam = QC.of(lam)
     out = [Fraction(0)] * (l + 1)
     for j in range(l // 2 + 1):
         deg = l - 2 * j
@@ -225,46 +185,45 @@ def laguerre_composition_check(alpha: int, n: int) -> bool:
 class ZonePoly:
     """Exact polynomial in holomorphic/antiholomorphic coordinates.
 
-    terms: {(alpha, beta): QC} with alpha, beta integer multi-degree tuples
-    of length nvars = k/2.  Zero coefficients are never stored.
+    terms: {(alpha, beta): Fraction} with alpha, beta integer multi-degree
+    tuples of length nvars = k/2.  Zero coefficients are never stored, and
+    every coefficient enters through ``QC.of``, so a float is refused.
     """
 
     __slots__ = ("nvars", "terms")
 
     def __init__(self, nvars: int, terms=None):
         self.nvars = nvars
-        self.terms: dict[tuple[tuple[int, ...], tuple[int, ...]], QC] = {}
-        if terms:
-            for key, c in terms.items():
-                self._iadd_term(key, c)
+        self.terms: dict[tuple[tuple[int, ...], tuple[int, ...]], Fraction] = {}
+        for key, c in (terms or {}).items():
+            self._iadd_term(key, QC.of(c))
 
-    def _iadd_term(self, key, c: QC):
+    def _iadd_term(self, key, c: Fraction):
         alpha, beta = key
         if len(alpha) != self.nvars or len(beta) != self.nvars:
             raise ValueError("multi-degree length mismatch")
         cur = self.terms.get(key)
         new = c if cur is None else cur + c
-        if new.is_zero():
-            self.terms.pop(key, None)
-        else:
+        if new:
             self.terms[key] = new
+        else:
+            self.terms.pop(key, None)
 
     # -- constructors -------------------------------------------------------
     @staticmethod
     def constant(nvars: int, c=1) -> "ZonePoly":
-        c = c if isinstance(c, QC) else QC.of(c)
         z = (0,) * nvars
-        return ZonePoly(nvars, {(z, z): c} if not c.is_zero() else {})
+        return ZonePoly(nvars, {(z, z): c})
 
     @staticmethod
     def z(nvars: int, j: int) -> "ZonePoly":
         a = tuple(1 if i == j else 0 for i in range(nvars))
-        return ZonePoly(nvars, {(a, (0,) * nvars): QC_ONE})
+        return ZonePoly(nvars, {(a, (0,) * nvars): 1})
 
     @staticmethod
     def zbar(nvars: int, j: int) -> "ZonePoly":
         b = tuple(1 if i == j else 0 for i in range(nvars))
-        return ZonePoly(nvars, {((0,) * nvars, b): QC_ONE})
+        return ZonePoly(nvars, {((0,) * nvars, b): 1})
 
     # -- ring operations ----------------------------------------------------
     def __add__(self, o: "ZonePoly") -> "ZonePoly":
@@ -288,7 +247,7 @@ class ZonePoly:
                            tuple(x + y for x, y in zip(b1, b2)))
                     out._iadd_term(key, c1 * c2)
             return out
-        c = o if isinstance(o, QC) else QC.of(o)
+        c = QC.of(o)
         return ZonePoly(self.nvars, {k: v * c for k, v in self.terms.items()})
 
     __rmul__ = __mul__
@@ -349,40 +308,39 @@ def apply_box(h: ZonePoly, lam, c_f) -> ZonePoly:
     with k = 2 * nvars.  Derived once from Delta, the rotational field
     J(X).grad = i(z d_z - zbar d_zbar), and cancellation of the |X|^2 terms.
     """
-    lam = _frac(lam)
-    c_f = _frac(c_f)
+    lam, c_f = QC.of(lam), QC.of(c_f)
     k = 2 * h.nvars
-    out = h * QC.of(-(k * lam + c_f))
+    out = h * -(k * lam + c_f)
     for j in range(h.nvars):
-        out = out + h.diff_z(j).diff_zbar(j) * QC.of(4)
-        out = out + (ZonePoly.z(h.nvars, j) * h.diff_z(j)) * QC.of(-4 * lam)
+        out = out + h.diff_z(j).diff_zbar(j) * 4
+        out = out + (ZonePoly.z(h.nvars, j) * h.diff_z(j)) * (-4 * lam)
     return out
 
 
 def box_field_constant(lam, k: int):
     """Default field constant of the box operator for a single block."""
-    lam = _frac(lam)
+    lam = QC.of(lam)
     return 4 * lam * lam * k
 
 
 def box_eigenvalue_exact(p: int, lam, k: int, c_f) -> Fraction:
     """-( (4p + k) lam + c_f ), the box eigenvalue on holomorphic degree p."""
-    lam = _frac(lam)
-    return -((4 * p + k) * lam + _frac(c_f))
+    lam = QC.of(lam)
+    return -((4 * p + k) * lam + QC.of(c_f))
 
 
-def gaussian_pair_integral_exact(f: ZonePoly, g: ZonePoly, lam) -> QC:
+def gaussian_pair_integral_exact(f: ZonePoly, g: ZonePoly, lam) -> Fraction:
     """<f e^{-lam|X|^2/2}, g e^{-lam|X|^2/2}> over R^k, divided by pi^{k/2}.
 
     Monomial orthogonality: int z^a zbar^b e^{-lam|z|^2} dV vanishes unless
     a = b, and equals (pi / lam) * a! / lam^a per plane.  The pi^{k/2}
     factor is divided out so the result stays rational.
     """
-    lam = _frac(lam)
-    acc = QC_ZERO
+    lam = QC.of(lam)
+    acc = Fraction(0)
     for (a1, b1), c1 in f.terms.items():
         for (a2, b2), c2 in g.terms.items():
-            # conj(g) contributes z^{b2} zbar^{a2}
+            # conj(g) carries g's real coefficient on z^{b2} zbar^{a2}
             exp_z = tuple(x + y for x, y in zip(a1, b2))
             exp_zb = tuple(x + y for x, y in zip(b1, a2))
             if exp_z != exp_zb:
@@ -390,5 +348,5 @@ def gaussian_pair_integral_exact(f: ZonePoly, g: ZonePoly, lam) -> QC:
             w = Fraction(1)
             for n in exp_z:
                 w *= Fraction(math.factorial(n)) / lam ** (n + 1)
-            acc = acc + c1 * c2.conj() * w
+            acc += c1 * c2 * w
     return acc

@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .exact import (QC, ZonePoly, hermite_scaled_exact, laguerre_exact,
+from .exact import (ZonePoly, hermite_scaled_exact, laguerre_exact,
                     padd, pderiv, pmul, psub, pscale, ptrim)
 # _compositions and zone_count are also imported from here by the tests
 from .params import (MagneticParams, HamiltonianVariant, _compositions,
@@ -111,24 +111,24 @@ def spectrum_table(params: MagneticParams, variant: HamiltonianVariant,
 # ---------------------------------------------------------------------------
 
 def _axis_linear(nvars: int, axis: int) -> ZonePoly:
-    """Real coordinate X^axis as a polynomial in (z, zbar).
+    """(z + zbar)/2 on an even axis, (z - zbar)/2 on an odd one.
 
     Plane j holds axes (2j, 2j+1) with z_j = X^{2j} + i X^{2j+1}, so
-    X^{2j} = (z + zbar)/2 and X^{2j+1} = (z - zbar)/(2i).
+    X^{2j} = (z + zbar)/2 and X^{2j+1} = -i w with w = (z - zbar)/2.  The
+    odd axis is returned as w: `build_eigenfunction` takes its -i into a
+    unit scalar, so the ring keeps real rational coefficients.
     """
     j, parity = divmod(axis, 2)
     z = ZonePoly.z(nvars, j)
     zb = ZonePoly.zbar(nvars, j)
-    if parity == 0:
-        return (z + zb) * QC.of(Fraction(1, 2))
-    return (z - zb) * QC.of(0, Fraction(-1, 2))
+    return (z - zb if parity else z + zb) * Fraction(1, 2)
 
 
 def _poly_subst(coeffs, x: ZonePoly) -> ZonePoly:
     """Horner substitution of a univariate exact polynomial at a ZonePoly."""
-    acc = ZonePoly.constant(x.nvars, QC.of(coeffs[-1]))
+    acc = ZonePoly.constant(x.nvars, coeffs[-1])
     for c in reversed(coeffs[:-1]):
-        acc = acc * x + ZonePoly.constant(x.nvars, QC.of(c))
+        acc = acc * x + ZonePoly.constant(x.nvars, c)
     return acc
 
 
@@ -143,9 +143,13 @@ def _exact_lambda(lam: float) -> Fraction:
 def build_eigenfunction(l_tuple, params: MagneticParams) -> ZonePoly:
     """Hermite-product eigenfunction as an exact (z, zbar) polynomial.
 
-    Returns prod_i lam^{-l_i/2} H_{l_i}(sqrt(lam) X^i) expanded in the
-    complex coordinates (the lam^{-l/2} rescaling keeps coefficients
-    rational and does not affect eigenfunction properties).
+    Returns i^L prod_i lam^{-l_i/2} H_{l_i}(sqrt(lam) X^i), L the sum of
+    the orders on odd axes, expanded in the complex coordinates.  The
+    lam^{-l/2} rescaling keeps coefficients rational.  H_l has the parity
+    of l, so on an odd axis, X = -i w, the factor times i^l is
+    hermite_scaled_exact(l, -lam) at w (`_axis_linear`): the coefficients
+    are real.  Neither scalar changes an eigenfunction property, the
+    magnetic split or the orthogonality of the parts.
     """
     lam = _exact_lambda(params.single_lambda)
     k = params.k
@@ -156,7 +160,8 @@ def build_eigenfunction(l_tuple, params: MagneticParams) -> ZonePoly:
     for axis, l in enumerate(l_tuple):
         if l == 0:
             continue
-        out = out * _poly_subst(hermite_scaled_exact(l, lam), _axis_linear(nvars, axis))
+        scale = -lam if axis % 2 else lam
+        out = out * _poly_subst(hermite_scaled_exact(l, scale), _axis_linear(nvars, axis))
     return out
 
 
@@ -169,8 +174,8 @@ def _angular_operator(hp: ZonePoly, lam: Fraction) -> ZonePoly:
     """D = -lam * sum_j (z_j d_z_j - zbar_j d_zbar_j); eigenvalue -m*lam."""
     out = ZonePoly(hp.nvars)
     for j in range(hp.nvars):
-        out = out + ZonePoly.z(hp.nvars, j) * hp.diff_z(j) * QC.of(-lam)
-        out = out + ZonePoly.zbar(hp.nvars, j) * hp.diff_zbar(j) * QC.of(lam)
+        out = out + ZonePoly.z(hp.nvars, j) * hp.diff_z(j) * -lam
+        out = out + ZonePoly.zbar(hp.nvars, j) * hp.diff_zbar(j) * lam
     return out
 
 

@@ -260,7 +260,7 @@ _SPECTRUM = [
         l=range(9), p=range(9))),
     ("spectrum.magnetic_orthogonality", _holds(
         lambda geometry, order: all(
-            gaussian_pair_integral_exact(f, g, Fraction(geometry[0])).is_zero()
+            gaussian_pair_integral_exact(f, g, Fraction(geometry[0])) == 0
             for hp, _ in _eigenfunctions(geometry, order)
             for f, g in combinations(split_by_magnetic(hp).values(), 2)),
         geometry=_GEOMETRIES, order=range(5))),

@@ -126,7 +126,7 @@ def test_gaussian_pair_integral_orthogonality():
     z = ZonePoly.z(1, 0)
     zb = ZonePoly.zbar(1, 0)
     lam = Fraction(3)
-    assert gaussian_pair_integral_exact(z, zb, lam).is_zero()
+    assert gaussian_pair_integral_exact(z, zb, lam) == 0
     got = gaussian_pair_integral_exact(z, z, lam)
     assert got == QC.of(Fraction(1, 9))
 
@@ -136,9 +136,23 @@ def test_gaussian_pair_integral_vs_numeric():
     from zeemanzones.quadrature import QuadRule, tree_sum
     lam = Fraction(2)
     f = ZonePoly.z(1, 0) * ZonePoly.zbar(1, 0) + ZonePoly.constant(1, 2)
-    exact = gaussian_pair_integral_exact(f, f, lam).to_complex() * np.pi
+    exact = float(gaussian_pair_integral_exact(f, f, lam)) * np.pi
     U, w = QuadRule(24, (2.0, 2.0)).nodes_weights()
     z = U[:, 0] + 1j * U[:, 1]
     vals = np.abs(z * np.conj(z) + 2) ** 2
     num = tree_sum(w * vals * np.exp(-2.0 * (U ** 2).sum(axis=1)))
     assert abs(num - exact) < 1e-12
+
+
+def test_zone_poly_refuses_floats():
+    # coefficients enter through QC.of, so a float never reaches the ring
+    one = ((0,), (0,))
+    h = ZonePoly.constant(1, 3)
+    for call in (lambda: ZonePoly(1, {one: 0.5}),
+                 lambda: ZonePoly.constant(1, 0.5),
+                 lambda: h * 0.5,
+                 lambda: 0.5 * h,
+                 lambda: apply_box(h, 1.0, 0)):
+        with pytest.raises(TypeError, match="exact rational"):
+            call()
+    assert QC.of(2) == Fraction(2) and QC.of(Fraction(1, 3)) == Fraction(1, 3)

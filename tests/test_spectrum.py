@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from numpy.polynomial.hermite import hermval
 
 from zeemanzones import spectrum
 from zeemanzones.exact import (QC, apply_box, box_eigenvalue_exact,
@@ -107,6 +108,31 @@ def test_box_eigen_exact(lam, k):
                                           k, cf)
                 from zeemanzones.exact import QC
                 assert apply_box(comp, Fraction(lam), cf) == comp * QC.of(mu)
+
+
+def _evaluate(hp, X):
+    """The (z, zbar) polynomial hp at the real points X, shape (n, k)."""
+    z = X[:, 0::2] + 1j * X[:, 1::2]
+    return sum(float(c) * np.prod(z ** np.array(a) * np.conj(z) ** np.array(b),
+                                  axis=1)
+               for (a, b), c in hp.terms.items())
+
+
+@pytest.mark.parametrize("lam,k", [(1, 2), (2, 2), (1, 4), (2, 4)])
+def test_eigenfunction_scalar_convention(lam, k):
+    # i^L prod_i lam^{-l_i/2} H_{l_i}(sqrt(lam) X^i), L the odd-axis orders,
+    # with every coefficient a real rational
+    params = MagneticParams.make([(float(lam), k)])
+    X = np.random.default_rng(34).normal(0.0, 1.0, size=(8, k))
+    for tot in range(5):
+        for lt in _compositions(tot, k):
+            hp = build_eigenfunction(lt, params)
+            assert all(type(c) is Fraction for c in hp.terms.values())
+            ref = 1j ** sum(lt[1::2]) * np.prod(
+                [lam ** (-l / 2) * hermval(np.sqrt(lam) * X[:, i], [0] * l + [1])
+                 for i, l in enumerate(lt)], axis=0)
+            err = np.max(np.abs(_evaluate(hp, X) - ref))
+            assert err <= 1e-12 * np.max(np.abs(ref)), (lt, err)
 
 
 def _hermite_products(lam, k, orders):

@@ -272,6 +272,25 @@ def test_declared_checks_can_fail(monkeypatch, check_id, subject, plant):
     assert r.status == "FAIL", (r.residual, r.note)
 
 
+def test_eigen_residual_sees_one_wrong_hermite_coefficient(monkeypatch):
+    # H_2 with 1/7 added to its constant term is no eigenfunction; the first
+    # case that meets it is the one-block k=2 geometry at order 2
+    from fractions import Fraction
+
+    from zeemanzones import spectrum
+    hermite = spectrum.hermite_scaled_exact
+
+    def planted(l, lam):
+        out = hermite(l, lam)
+        return [out[0] + Fraction(1, 7)] + out[1:] if l == 2 else out
+
+    monkeypatch.setattr(spectrum, "hermite_scaled_exact", planted)
+    func = dict((cid, fn) for cid, _, fn in CHECKS)["spectrum.eigen_residual"]
+    r = verify._run_one("spectrum.eigen_residual", func)
+    assert r.status == "FAIL"
+    assert r.note == "geometry=[1, 2], order=2"
+
+
 @pytest.mark.parametrize("sigma", ["wk", "df"])
 def test_delta_limit_sees_offset_at_every_zone(monkeypatch, sigma):
     # the last time, t = 1e-4, leaves a true gap far below a 1e-3 error of
