@@ -6,8 +6,12 @@ the holomorphic/antiholomorphic coordinates (z_1..z_{k/2}, zbar_1..zbar_{k/2})
 with real rational coefficients.  The ring stays real because the only
 imaginary unit of the eigen-oracle, the odd axis X^{2j+1} = -i (z - zbar)/2,
 puts a unit scalar (-i)^l on its Hermite factor, which the oracle cancels
-by i^l (see ``spectrum.build_eigenfunction``).  Everything here is
-bit-exact; the floating-point evaluation paths live in ``special``.
+by i^l (see ``spectrum.build_eigenfunction``).  ``_poly_subst``, the one
+Horner substitution of a univariate polynomial into a ZonePoly, builds
+both the eigen-oracle's Hermite factors and the Laguerre composition
+check, whose sides are ZonePolys and whose sum over compositions is
+``params._composition_sum``.  Everything here is bit-exact; the
+floating-point evaluation paths live in ``special``.
 
 Note on the three-term recurrence: the coefficient of L_{a-1} must be
 (a + alpha), which for alpha = 0 (the two-dimensional case all worked
@@ -20,7 +24,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .params import _compositions
+from .params import _composition_sum, _factor_levels
 
 
 class QC:
@@ -146,38 +150,6 @@ def rodrigues_check(alpha: int, a: int) -> bool:
     return ptrim(psub(pscale(q, Fraction(1, math.factorial(a))), lhs)) == [Fraction(0)]
 
 
-def laguerre_composition_check(alpha: int, n: int) -> bool:
-    """L_n^{(alpha)}(t_1 + ... + t_{alpha+1}) = sum over i_1+...+i_{alpha+1}=n
-    of prod_j L_{i_j}^{(0)}(t_j), verified by exact multivariate expansion."""
-    m = alpha + 1
-    lhs: dict[tuple, Fraction] = {}
-    for d, c in enumerate(laguerre_exact(alpha, n)):
-        if c == 0:
-            continue
-        for comp in _compositions(d, m):
-            w = math.factorial(d)
-            for e in comp:
-                w //= math.factorial(e)
-            lhs[comp] = lhs.get(comp, Fraction(0)) + c * w
-    rhs: dict[tuple, Fraction] = {}
-    for comp in _compositions(n, m):
-        terms = {(): Fraction(1)}
-        for j, ij in enumerate(comp):
-            new: dict[tuple, Fraction] = {}
-            for deg, cj in enumerate(laguerre_exact(0, ij)):
-                if cj == 0:
-                    continue
-                for key, val in terms.items():
-                    nk = key + (deg,)
-                    new[nk] = new.get(nk, Fraction(0)) + val * cj
-            terms = new
-        for key, val in terms.items():
-            rhs[key] = rhs.get(key, Fraction(0)) + val
-    lhs = {k: v for k, v in lhs.items() if v}
-    rhs = {k: v for k, v in rhs.items() if v}
-    return lhs == rhs
-
-
 # ---------------------------------------------------------------------------
 # multivariate polynomials in (z_1..z_m, zbar_1..zbar_m)
 # ---------------------------------------------------------------------------
@@ -233,10 +205,7 @@ class ZonePoly:
         return out
 
     def __sub__(self, o: "ZonePoly") -> "ZonePoly":
-        out = ZonePoly(self.nvars, self.terms)
-        for key, c in o.terms.items():
-            out._iadd_term(key, -c)
-        return out
+        return self + o * -1
 
     def __mul__(self, o):
         if isinstance(o, ZonePoly):
@@ -254,9 +223,6 @@ class ZonePoly:
 
     def __eq__(self, o):
         return isinstance(o, ZonePoly) and self.nvars == o.nvars and self.terms == o.terms
-
-    def is_zero(self) -> bool:
-        return not self.terms
 
     # -- calculus -----------------------------------------------------------
     def diff_z(self, j: int) -> "ZonePoly":
@@ -287,13 +253,32 @@ class ZonePoly:
 
     def holo_degree(self) -> int:
         """Maximal holomorphic degree |alpha| over the stored monomials."""
-        if not self.terms:
-            return 0
-        return max(sum(a) for a, _ in self.terms)
+        return max((sum(a) for a, _ in self.terms), default=0)
 
     def __repr__(self):
         items = ", ".join(f"z^{a} zbar^{b}: {c!r}" for (a, b), c in sorted(self.terms.items()))
         return f"ZonePoly({self.nvars}, {{{items}}})"
+
+
+def _poly_subst(coeffs, x: ZonePoly) -> ZonePoly:
+    """Horner substitution of a univariate exact polynomial at a ZonePoly."""
+    acc = ZonePoly.constant(x.nvars, coeffs[-1])
+    for c in reversed(coeffs[:-1]):
+        acc = acc * x + ZonePoly.constant(x.nvars, c)
+    return acc
+
+
+def laguerre_composition_check(alpha: int, n: int) -> bool:
+    """L_n^{(alpha)}(z_1 + ... + z_m) = sum over i_1+...+i_m = n of
+    prod_j L_{i_j}^{(0)}(z_j), m = alpha + 1, as exact ZonePolys in m
+    variables: the right side is `_composition_sum` over each factor's
+    levels L_i^{(0)}(z_j)."""
+    m = alpha + 1
+    zs = [ZonePoly.z(m, j) for j in range(m)]
+    lhs = _poly_subst(laguerre_exact(alpha, n), sum(zs, ZonePoly(m)))
+    return lhs == _composition_sum(n, [
+        [_poly_subst(laguerre_exact(0, i), z) for i in _factor_levels(n, m)]
+        for z in zs])
 
 
 def apply_box(h: ZonePoly, lam, c_f) -> ZonePoly:

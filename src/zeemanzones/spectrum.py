@@ -13,8 +13,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .exact import (ZonePoly, hermite_scaled_exact, laguerre_exact,
-                    padd, pderiv, pmul, psub, pscale, ptrim)
+from .exact import (QC, ZonePoly, _poly_subst, gaussian_pair_integral_exact,
+                    hermite_scaled_exact, laguerre_exact, padd, pderiv, pmul,
+                    psub, pscale, ptrim)
 # _compositions and zone_count are also imported from here by the tests
 from .params import (MagneticParams, HamiltonianVariant, _compositions,
                      sigma_value, zone_count)
@@ -124,14 +125,6 @@ def _axis_linear(nvars: int, axis: int) -> ZonePoly:
     return (z - zb if parity else z + zb) * Fraction(1, 2)
 
 
-def _poly_subst(coeffs, x: ZonePoly) -> ZonePoly:
-    """Horner substitution of a univariate exact polynomial at a ZonePoly."""
-    acc = ZonePoly.constant(x.nvars, coeffs[-1])
-    for c in reversed(coeffs[:-1]):
-        acc = acc * x + ZonePoly.constant(x.nvars, c)
-    return acc
-
-
 def _exact_lambda(lam: float) -> Fraction:
     """The field strength lam as the exact rational it must be."""
     exact = Fraction(lam).limit_denominator(10 ** 12)
@@ -200,7 +193,7 @@ def vandermonde_split(hp: ZonePoly, l: int, params: MagneticParams) -> dict[int,
             if n != m:
                 ell = pmul(ell, [-cn / (c - cn), 1 / (c - cn)])
         comp = sum((w * e for e, w in zip(ell, powers)), ZonePoly(hp.nvars))
-        if not comp.is_zero():
+        if comp.terms:
             out[m] = comp
     return out
 
@@ -215,22 +208,18 @@ def zone_eigenfunction_exact(p: int, a: int, lam) -> tuple[list[Fraction], Fract
     The eigenspace at fixed (p, a) is one-dimensional; requiring
     Box h = -((4p+2) lam + c_f) h forces
         c_{r+1} = -(p-r)(a-r) c_r / (lam (r+1)),   c_0 = 1.
-    Returns (coefficients, nsq) with the squared L^2(dX) norm of
-    h e^{-lam |z|^2 / 2} equal to pi * nsq.
+    lam is an int or a Fraction (`QC.of`).  Returns (coefficients, nsq),
+    nsq the pair integral of h with itself, so the squared L^2(dX) norm
+    of h e^{-lam |z|^2 / 2} is pi * nsq.
     """
-    lam = Fraction(lam)
+    lam = QC.of(lam)
     if p < 0 or a < 0:
         raise ValueError("indices must be nonnegative")
     cs = [Fraction(1)]
     for r in range(min(p, a)):
         cs.append(-cs[-1] * Fraction((p - r) * (a - r), (r + 1)) / lam)
-    # int |z|^{2N} e^{-lam |z|^2} dX = pi N! / lam^{N+1}
-    nsq = Fraction(0)
-    for r, cr in enumerate(cs):
-        for rp, crp in enumerate(cs):
-            N = p + a - r - rp
-            nsq += cr * crp * Fraction(math.factorial(N)) / lam ** (N + 1)
-    return cs, nsq
+    h = ZonePoly(1, {((p - r,), (a - r,)): c for r, c in enumerate(cs)})
+    return cs, gaussian_pair_integral_exact(h, h, lam)
 
 
 def zonal_series_value(sigma, a: int, t: float, X, Y, lam: float,

@@ -1,5 +1,6 @@
 """Spectra, multiplicities, eigenfunctions, zones."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -186,6 +187,25 @@ def test_zone_eigenfunction_ground_state():
     cs, nsq = zone_eigenfunction_exact(0, 0, 1)
     assert cs == [Fraction(1)]
     assert nsq == Fraction(1)  # pi * 0!/1 / pi
+
+
+@pytest.mark.parametrize("lam", [Fraction(1), Fraction(2), Fraction(1, 3)])
+def test_zone_eigenfunction_norm_is_the_radial_moment_sum(lam):
+    # every pair of terms of h = sum_r c_r z^{p-r} zbar^{a-r} has the same
+    # magnetic number, so nsq sums c_r c_q N!/lam^{N+1}, N = p + a - r - q,
+    # from int |z|^{2N} e^{-lam |z|^2} dX = pi N!/lam^{N+1}
+    for p in range(13):
+        for a in range(4):
+            cs, nsq = zone_eigenfunction_exact(p, a, lam)
+            assert nsq == sum(
+                cr * cq * math.factorial(p + a - r - q) / lam ** (p + a - r - q + 1)
+                for r, cr in enumerate(cs) for q, cq in enumerate(cs))
+
+
+def test_zone_eigenfunction_refuses_floats():
+    # a float would pass as the binary rational nearest it (0.1 is not 1/10)
+    with pytest.raises(TypeError):
+        zone_eigenfunction_exact(1, 1, 0.1)
 
 
 def test_zonal_series_matches_closed(p2, xy2):

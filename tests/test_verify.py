@@ -4,11 +4,12 @@ import dataclasses
 import itertools
 import json
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from zeemanzones import pathint, verify
+from zeemanzones import exact, pathint, spectrum, verify
 from zeemanzones.quadrature import QuadRule
 from zeemanzones.verify import (CHECKS, SUITES, CheckResult, report_json,
                                 run_suite)
@@ -157,10 +158,14 @@ def test_pathint_checks_report_what_ran():
         assert r.params["quad_degree"] == 40
 
 
+def _run_check(check_id):
+    func = dict((cid, fn) for cid, _, fn in CHECKS)[check_id]
+    return verify._run_one(check_id, func)
+
+
 @pytest.mark.parametrize("check_id", [cid for cid, _, _ in CHECKS])
 def test_checks_report_what_ran(check_id):
-    func = dict((cid, fn) for cid, _, fn in CHECKS)[check_id]
-    r = verify._run_one(check_id, func)
+    r = _run_check(check_id)
     assert r.status == "PASS"
     assert r.params
     if check_id.startswith("zonal_"):
@@ -182,8 +187,7 @@ def test_reported_params_are_what_ran(monkeypatch):
 
     monkeypatch.setattr(pathint, "cylinder_value", recorded)
     check_id = "pathint.slicing_invariance"
-    func = dict((cid, fn) for cid, _, fn in CHECKS)[check_id]
-    r = verify._run_one(check_id, func)
+    r = _run_check(check_id)
     assert r.status == "PASS"
     p = r.params
     assert p["quad_degree"] == 40
@@ -267,28 +271,63 @@ def test_declared_checks_can_fail(monkeypatch, check_id, subject, plant):
     # each check looks its subject up when it runs, so a planted fault in
     # the subject reaches it and turns it into a FAIL
     monkeypatch.setattr(verify, subject, plant(getattr(verify, subject)))
-    func = dict((cid, fn) for cid, _, fn in CHECKS)[check_id]
-    r = verify._run_one(check_id, func)
+    r = _run_check(check_id)
     assert r.status == "FAIL", (r.residual, r.note)
+
+
+def _plant_one_seventh(monkeypatch, module, name, index, at):
+    # the polynomial `module.name` returns for arguments where at(*args)
+    # holds gets 1/7 added to its coefficient `index`
+    original = getattr(module, name)
+
+    def planted(*args):
+        out = list(original(*args))
+        if at(*args):
+            out[index] += Fraction(1, 7)
+        return out
+
+    monkeypatch.setattr(module, name, planted)
 
 
 def test_eigen_residual_sees_one_wrong_hermite_coefficient(monkeypatch):
     # H_2 with 1/7 added to its constant term is no eigenfunction; the first
     # case that meets it is the one-block k=2 geometry at order 2
-    from fractions import Fraction
-
-    from zeemanzones import spectrum
-    hermite = spectrum.hermite_scaled_exact
-
-    def planted(l, lam):
-        out = hermite(l, lam)
-        return [out[0] + Fraction(1, 7)] + out[1:] if l == 2 else out
-
-    monkeypatch.setattr(spectrum, "hermite_scaled_exact", planted)
-    func = dict((cid, fn) for cid, _, fn in CHECKS)["spectrum.eigen_residual"]
-    r = verify._run_one("spectrum.eigen_residual", func)
+    _plant_one_seventh(monkeypatch, spectrum, "hermite_scaled_exact", 0,
+                       lambda l, lam: l == 2)
+    r = _run_check("spectrum.eigen_residual")
     assert r.status == "FAIL"
     assert r.note == "geometry=[1, 2], order=2"
+
+
+def test_magnetic_orthogonality_sees_one_wrong_hermite_coefficient(monkeypatch):
+    # the magnetic parts of the planted eigenfunctions stay orthogonal, but
+    # H_2 + 1/7 is no longer orthogonal to H_0 = 1, so the order-2
+    # eigenfunctions H_2(X^0) and H_2(X^1) on the k=2 geometry are not
+    _plant_one_seventh(monkeypatch, spectrum, "hermite_scaled_exact", 0,
+                       lambda l, lam: l == 2)
+    r = _run_check("spectrum.magnetic_orthogonality")
+    assert r.status == "FAIL"
+    assert r.note == "geometry=[1, 2], order=2"
+
+
+def test_composition_sees_one_wrong_laguerre_coefficient(monkeypatch):
+    # 1/7 on the t-coefficient of L_3^{(0)}: alpha = 0 compares the planted
+    # polynomial with itself, and alpha = 1 first reads L_3^{(0)} at n = 3
+    _plant_one_seventh(monkeypatch, exact, "laguerre_exact", 1,
+                       lambda alpha, n: (alpha, n) == (0, 3))
+    r = _run_check("laguerre.composition")
+    assert r.status == "FAIL"
+    assert r.note == "alpha=1, n=3"
+
+
+def test_recurrence_vs_explicit_sees_a_relative_error_of_1e_9(monkeypatch):
+    # the float recurrence passes at about 1e-11 against its 1e-10
+    # tolerance; off by a factor 1 + 1e-9 it reads about 1e-9
+    laguerre = verify.laguerre
+    monkeypatch.setattr(verify, "laguerre",
+                        lambda *args: laguerre(*args) * (1 + 1e-9))
+    r = _run_check("laguerre.recurrence_vs_explicit")
+    assert r.status == "FAIL", (r.residual, r.tolerance)
 
 
 @pytest.mark.parametrize("sigma", ["wk", "df"])
@@ -321,8 +360,7 @@ def test_idempotency_sees_a_relative_error_of_1e_10(monkeypatch):
     monkeypatch.setattr(verify, "projection_kernel",
                         lambda *args, **kwargs: kernel(*args, **kwargs)
                         * (1 + 1e-10))
-    func = dict((cid, fn) for cid, _, fn in CHECKS)["projections.idempotency"]
-    r = verify._run_one("projections.idempotency", func)
+    r = _run_check("projections.idempotency")
     assert r.status == "FAIL", (r.residual, r.tolerance)
 
 
