@@ -15,8 +15,7 @@ __version__ = "0.1.0"
 
 _KERNEL_NAMES = (
     "KernelValue", "SingularTimeError", "projection_kernel",
-    "irreducible_projection_kernel", "global_kernel", "zonal0",
-    "zonal_kernel_closed", "zonal_kernel_numeric",
+    "global_kernel", "zonal0", "zonal_kernel_closed", "zonal_kernel_numeric",
 )
 
 __all__ = [

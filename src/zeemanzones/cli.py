@@ -1,14 +1,13 @@
 """Batch front end: tables, kernel grids, traces, zeta values, verification.
 
 One command per process.  Configuration comes from a single JSON file
-(--config); command-line flags override config fields; no environment
-variables are consulted.  `COMMANDS` declares each subcommand's flags: a
-flag's name and type come from its config field's name and default.  Every
-field, from the file or a flag, passes `_check_field` (JSON type, no empty
-list, `CHOICES`, `RANGES`) before anything runs.  Output files are written
-atomically (temp file + rename) so a crashed run never leaves a truncated
-artifact.  CSV floats use repr(), i.e. the shortest decimal that
-round-trips binary64, so golden files are stable across platforms.
+(--config); command-line flags, named and typed after their config fields,
+override it; no environment variables are consulted.  `COMMANDS` declares
+each subcommand's flags, the other fields it reads and its table form.
+Every field passes `_check_field` (JSON type, no empty list, `CHOICES`,
+`RANGES`) before anything runs.  Every table subcommand prints through
+`write_table`, as CSV or JSON, as `format` asks.  Output files are written
+atomically (temp file + rename), so a crashed run leaves no truncated file.
 
 Exit codes: 0 success / all checks pass, 1 verification FAIL present,
 2 usage or config error (including out-of-range values), 3 numeric ERROR
@@ -103,11 +102,11 @@ def _check_field(name, value, default):
             _check_field(f"{name}.{key}", value[key], default[key])
 
 
-def load_config(path):
+def load_config(path, defaults=DEFAULTS):
     """Read a JSON config over the defaults; refuse an unknown field (the
     first in file order).  `_check_field` checks the values."""
     if path is None:
-        return dict(DEFAULTS)
+        return dict(defaults)
     try:
         with open(path) as fh:
             raw = json.load(fh)
@@ -122,7 +121,7 @@ def load_config(path):
     for key in raw:
         if key not in DEFAULTS:
             raise ConfigError(f"config {path}: unknown field {key!r}")
-    return {**DEFAULTS, **raw}
+    return {**defaults, **raw}
 
 
 def build_params(cfg) -> MagneticParams:
@@ -167,18 +166,30 @@ def write_out(text: str, out_path):
 # subcommands
 # ---------------------------------------------------------------------------
 
+def write_table(cfg, fields, form, head, rows, code):
+    """Write a table in the config's format; return its exit code.  CSV:
+    the header and the rows, floats as repr() (shortest round-trip decimal).
+    JSON: the config fields form[:-1], the rows under form[-1] as objects
+    keyed by the header, and `ran`, the values of fields, all those read."""
+    if cfg["format"] == "csv":
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerows([head, *rows])
+        text = buf.getvalue()
+    else:
+        *top, key = form
+        text = json.dumps({**{f: cfg[f] for f in top},
+                           key: [dict(zip(head, row)) for row in rows],
+                           "ran": {f: cfg[f] for f in DEFAULTS if f in fields}},
+                          indent=2) + "\n"
+    write_out(text, cfg["out"])
+    return code
+
+
 def cmd_spectrum(cfg):
     from .spectrum import spectrum_table
-    rows = [vars(e) for e in spectrum_table(build_params(cfg),
-                                            build_variant(cfg),
-                                            cfg["max_p"], cfg["max_zone"])]
-    if cfg["format"] == "json":
-        write_out(json.dumps(rows, indent=2) + "\n", cfg["out"])
-    else:
-        _write_csv(cfg, [list(rows[0])] + [
-            [repr(v) if isinstance(v, float) else v for v in row.values()]
-            for row in rows])
-    return 0
+    entries = spectrum_table(build_params(cfg), build_variant(cfg),
+                             cfg["max_p"], cfg["max_zone"])
+    return [*vars(entries[0])], [[*vars(e).values()] for e in entries], 0
 
 
 def _point_pairs(cfg, k):
@@ -188,32 +199,24 @@ def _point_pairs(cfg, k):
         if len(pair) != 2 or any(len(v) != k for v in pair):
             raise ConfigError(f"config field 'points[{i}]': expected a pair "
                               f"of length-{k} coordinate lists")
-    X, Y = (np.array([pair[j] for pair in pts], dtype=float) for j in (0, 1))
-    return X, Y
+    return [np.array([pair[j] for pair in pts], dtype=float) for j in (0, 1)]
 
 
-def _write_csv(cfg, rows):
-    """Write rows, the header first, as CSV to the config's out."""
-    buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerows(rows)
-    write_out(buf.getvalue(), cfg["out"])
-
-
-def _csv_by_time(cfg, head, keys, values_at):
-    """Write the CSV of `head` and, for each time t, one row per key: t, the
-    key's cells and the six values values_at(t) gives for it; six ERROR
-    cells instead if values_at raises NumericError (exit code 3)."""
-    rows = [head]
-    code = 0
+def _rows_by_time(cfg, keys, values_at):
+    """The rows and exit code of each time t, one row per key: t, the key's
+    cells and the six floats values_at(t) gives for it, or six ERROR cells
+    if it raises NumericError (exit 3).  CSV formats t and keys once."""
+    cell = repr if cfg["format"] == "csv" else float
+    keys = [[cell(v) for v in key] for key in keys]
+    rows, code = [], 0
     for t in map(float, cfg["times"]):
         try:
-            cells = [[repr(float(v)) for v in row] for row in values_at(t)]
+            cells = values_at(t)
         except NumericError:
-            code = 3
-            cells = [["ERROR"] * 6] * len(keys)
-        rows += ([repr(t)] + key + row for key, row in zip(keys, cells))
-    _write_csv(cfg, rows)
-    return code
+            code, cells = 3, [["ERROR"] * 6] * len(keys)
+        t = cell(t)
+        rows += ([t, *key, *row] for key, row in zip(keys, cells))
+    return rows, code
 
 
 def cmd_kernel(cfg):
@@ -235,8 +238,7 @@ def cmd_kernel(cfg):
     head = (["t"] + [f"{c}{i + 1}" for c in "xy" for i in range(params.k)]
             + ["re", "im", "dominant_re", "dominant_im", "longterm_re",
                "longterm_im"])
-    coords = [[repr(v) for v in row] for row in np.hstack([X, Y]).tolist()]
-    return _csv_by_time(cfg, head, coords, values_at)
+    return head, *_rows_by_time(cfg, np.hstack([X, Y]).tolist(), values_at)
 
 
 def cmd_partition(cfg):
@@ -247,11 +249,11 @@ def cmd_partition(cfg):
     def values_at(t):
         z = thermo.partition(sigma, a, t, params, variant)
         ztr, delta = thermo.partition_trace(sigma, a, t, params, variant)
-        return [[z.real, z.imag, ztr.real, ztr.imag, abs(z - ztr), delta]]
+        return [[float(v) for v in (z.real, z.imag, ztr.real, ztr.imag,
+                                    abs(z - ztr), delta)]]
 
-    return _csv_by_time(cfg, ["t", "closed_re", "closed_im", "trace_re",
-                              "trace_im", "residual", "quad_delta"],
-                        [[]], values_at)
+    return (["t", "closed_re", "closed_im", "trace_re", "trace_im",
+             "residual", "quad_delta"], *_rows_by_time(cfg, [[]], values_at))
 
 
 def cmd_zeta(cfg):
@@ -264,17 +266,14 @@ def cmd_zeta(cfg):
     rows = []
     for s in map(float, cfg["s_values"]):
         zz = thermo.zeta_zonal(a, s, params, variant=variant)
-        row = {"s": s, "zeta_zonal_re": zz.real, "zeta_zonal_im": zz.imag,
-               "riemann_reference": None, "riemann_residual": None}
+        row = [s, float(zz.real), float(zz.imag), None, None]
         if riemann:
             ref = (params.blocks[0].lam ** -s * (1 - 2.0 ** -s)
                    * thermo.riemann_zeta(s))
-            row.update(riemann_reference=ref.real,
-                       riemann_residual=abs(zz - ref))
+            row[3:] = float(ref.real), float(abs(zz - ref))
         rows.append(row)
-    write_out(json.dumps({"zone": a, "values": rows}, indent=2) + "\n",
-              cfg["out"])
-    return 0
+    return (["s", "zeta_zonal_re", "zeta_zonal_im", "riemann_reference",
+             "riemann_residual"], rows, 0)
 
 
 def cmd_pathint(cfg):
@@ -284,18 +283,16 @@ def cmd_pathint(cfg):
     sigma, a, T = cfg["sigma"], cfg["zone"], float(cfg["total_time"])
     # the chain runs between the first point pair only
     X, Y = (Z[0] for Z in _point_pairs(cfg, params.k))
-    ref = zonal_kernel_closed(sigma, a, T, X, Y, params).value
+    ref = complex(zonal_kernel_closed(sigma, a, T, X, Y, params).value)
     rows = []
-    for n in cfg["n_slices"]:
-        val = pathint.cylinder_value(sigma, a, pathint.TimeSlicing(T, int(n)),
-                                     None, X, Y, params,
-                                     quad_degree=cfg["quad_degree"])
-        rows.append({"sigma": sigma, "zone": a, "T": T, "n": int(n),
-                     "value_re": val.real, "value_im": val.imag,
-                     "reference_re": ref.real, "reference_im": ref.imag,
-                     "residual": abs(val - ref)})
-    write_out(json.dumps({"convergence": rows}, indent=2) + "\n", cfg["out"])
-    return 0
+    for n in map(int, cfg["n_slices"]):
+        val = complex(pathint.cylinder_value(
+            sigma, a, pathint.TimeSlicing(T, n), None, X, Y, params,
+            quad_degree=cfg["quad_degree"]))
+        rows.append([sigma, a, T, n, val.real, val.imag, ref.real, ref.imag,
+                     abs(val - ref)])
+    return (["sigma", "zone", "T", "n", "value_re", "value_im",
+             "reference_re", "reference_im", "residual"], rows, 0)
 
 
 def cmd_verify(cfg):
@@ -305,46 +302,46 @@ def cmd_verify(cfg):
     if cfg["timings"] is not None:
         write_out(verify.timings_json(results) + "\n", cfg["timings"])
     statuses = {r.status for r in results}
-    if "ERROR" in statuses:
-        return 3
-    return 1 if "FAIL" in statuses else 0
+    return 3 if "ERROR" in statuses else 1 if "FAIL" in statuses else 0
 
 
 # ---------------------------------------------------------------------------
 # argument parsing
 # ---------------------------------------------------------------------------
 
-# subcommand: (function, help, the fields it takes as flags); each also
-# takes --config and --out, and only these flags
+# subcommand: (function, help, fields taken as flags, other fields read,
+# table form: default format, then the JSON keys of `write_table`, or None
+# for verify's own report); each also takes --config and --out, no more
 COMMANDS = {
     "spectrum": (cmd_spectrum, "eigenvalue table by zone",
-                 ("format", "max_p", "max_zone")),
+                 ("format", "max_p", "max_zone"),
+                 ("params", "variant", "c_f"), ("csv", "rows")),
     "kernel": (cmd_kernel, "zonal kernel values on a grid",
-               ("sigma", "zone", "times")),
+               ("sigma", "zone", "times"), ("params", "points", "format"),
+               ("csv", "rows")),
     "partition": (cmd_partition, "partition function, closed vs trace",
-                  ("sigma", "zone", "times")),
-    "zeta": (cmd_zeta, "zonal zeta values", ("zone", "s_values")),
+                  ("sigma", "zone", "times"),
+                  ("params", "variant", "c_f", "format"), ("csv", "rows")),
+    "zeta": (cmd_zeta, "zonal zeta values", ("zone", "s_values"),
+             ("params", "variant", "c_f", "format"),
+             ("json", "zone", "values")),
     "pathint": (cmd_pathint, "cylinder-value convergence report",
-                ("sigma", "zone", "total_time", "n_slices", "quad_degree")),
+                ("sigma", "zone", "total_time", "n_slices", "quad_degree"),
+                ("params", "points", "format"), ("json", "convergence")),
     "verify": (cmd_verify, "run the verification harness",
-               ("suite", "threads", "timings")),
+               ("suite", "threads", "timings"), (), None),
 }
-
-
-def _float_list(text):
-    return [float(v) for v in text.split(",") if v]
-
-
-def _int_list(text):
-    return [int(v) for v in text.split(",") if v]
 
 
 def _flag_type(default):
     """A flag's argparse type from its field's default: a comma list of the
     elements' type for a list, a path for null."""
-    if isinstance(default, list):
-        return _float_list if isinstance(default[0], float) else _int_list
-    return str if default is None else type(default)
+    if not isinstance(default, list):
+        return str if default is None else type(default)
+
+    def comma_list(text):
+        return [type(default[0])(v) for v in text.split(",") if v]
+    return comma_list
 
 
 def build_parser():
@@ -352,7 +349,7 @@ def build_parser():
         prog="zeemanzones",
         description="zonal Zeeman spectra, kernels, traces and verification")
     sub = p.add_subparsers(dest="command", required=True)
-    for command, (_, text, fields) in COMMANDS.items():
+    for command, (_, text, fields, *_) in COMMANDS.items():
         sp = sub.add_parser(command, help=text)
         sp.add_argument("--config", metavar="PATH")
         sp.add_argument("--out", metavar="PATH")
@@ -367,15 +364,18 @@ def build_parser():
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    run = COMMANDS[args.command][0]
+    run, _, flags, reads, form = COMMANDS[args.command]
     try:
-        cfg = load_config(args.config)
+        cfg = load_config(args.config,
+                          {**DEFAULTS, "format": form[0]} if form else DEFAULTS)
         for key, value in vars(args).items():
             if key in DEFAULTS and value is not None:
                 cfg[key] = value
         for name, value in cfg.items():
             _check_field(name, value, DEFAULTS[name])
-        return run(cfg)
+        if form is None:
+            return run(cfg)
+        return write_table(cfg, flags + reads, form[1:], *run(cfg))
     except NumericError as exc:
         # before ValueError: SingularTimeError is both
         print(f"error: {exc}", file=sys.stderr)

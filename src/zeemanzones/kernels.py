@@ -120,21 +120,6 @@ def projection_kernel(a: int, X, Y, params: MagneticParams):
     return lag * zonal0("wk", 0.0, X, Y, params)
 
 
-def irreducible_projection_kernel(a_tuple, X, Y, params: MagneticParams):
-    """Irreducible-zone point-spread: plane-wise product of L^{(0)} factors."""
-    a_tuple = tuple(int(a) for a in a_tuple)
-    if len(a_tuple) != params.n_planes:
-        raise ValueError(f"need one zone index per plane, k/2={params.n_planes}")
-    if any(a < 0 for a in a_tuple):
-        raise ValueError("zone indices must be nonnegative")
-    zones = iter(a_tuple)
-    lag = 1.0
-    for b, planes in _planes(X, Y, params):
-        for plane in planes:
-            lag = lag * laguerre(0, next(zones), b.lam * _dist_sq([plane]))
-    return lag * zonal0("wk", 0.0, X, Y, params)
-
-
 # ---------------------------------------------------------------------------
 # global kernels
 # ---------------------------------------------------------------------------
@@ -206,7 +191,9 @@ def zonal_kernel_closed(sigma, a: int, t: float, X, Y,
     of the blocks' level sequences, one recurrence pass each
     (`_zone_levels`); a lone block reads only M_a.  At t = 0, eps_i = 1
     and rho_i = lam_i |X_i - Y_i|^2 exactly, so on one block the
-    long-term part is exactly 0.  X and Y may be complex.
+    long-term part is exactly 0.  X and Y may be complex.  On two or more
+    blocks the fold holds the last block's a + 1 level arrays at once, so
+    a call costs about a + 1 complex arrays of the points' shape.
 
     Far from the origin the exponent and rho cancel O(|z|^2) terms: on
     points with |z| <= 40 (DF, t = 0.05, pi/4 and 1.3) this point form is

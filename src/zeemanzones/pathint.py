@@ -163,29 +163,6 @@ def nu_cylinder_value(slicing: TimeSlicing, F, x, y,
 # Feynman-Kac
 # ---------------------------------------------------------------------------
 
-def feynman_kac_weight(sigma, omega, T: float, params: MagneticParams):
-    """Weight e^{sigma sum_i lam_i (-k_i T/2 - 2 lam_i int |omega_i|^2 dtau)}
-    for a discrete path omega of shape (n+1, k) sampled at the slice
-    boundaries.
-
-    The action carries lam_i^2, as the linearized step coefficient
-    -2 sigma lam_i dt of `_fk_step` does on lam_i P_i.  The time integral
-    is the left-endpoint Riemann sum, matching the discrete chain identity.
-    """
-    omega = np.asarray(omega, dtype=float)
-    n = omega.shape[0] - 1
-    if n < 1:
-        raise ValueError("path needs at least two points")
-    dt = T / n
-    s = sigma_value(sigma)
-    expo = 0j
-    for b, sl in zip(params.blocks, params.block_slices()):
-        sq = np.sum(omega[:, sl] ** 2, axis=-1)
-        act = dt * float(np.sum(sq[:-1]))
-        expo += s * b.lam * (-0.5 * b.k * T - 2.0 * b.lam * act)
-    return complex(np.exp(expo))
-
-
 def _fk_step(sigma, dt, lam: float, exact: bool):
     """delta^{(0)} times the per-step Feynman-Kac weight on a plane of
     field lam, as the (coefficient, shift) of `plane_step`.

@@ -1,6 +1,7 @@
 """CLI contract: config handling, formats, exit codes, determinism."""
 
 import csv
+import importlib.util
 import io
 import json
 import math
@@ -283,7 +284,8 @@ def test_spectrum_json_format(capsys):
     code, out = run_cli(capsys, "spectrum", "--format", "json", "--max-p", "1")
     assert code == 0
     doc = json.loads(out)
-    assert doc[0]["eigenvalue"] == 1.0
+    assert doc["rows"][0]["eigenvalue"] == 1.0
+    assert doc["ran"]["max_p"] == 1 and doc["ran"]["format"] == "json"
 
 
 def test_spectrum_table_csv_golden(capsys):
@@ -308,8 +310,8 @@ def test_spectrum_table_json_round_trip(capsys, tmp_path, p4):
     entries = spectrum.spectrum_table(p4, H_Z,
                                       max_p=3, max_zone=2)
     doc = json.loads(out)
-    assert len(doc) == len(entries)
-    assert doc[0]["zone"] == 0 and "eigenvalue" in doc[0]
+    assert doc["rows"] == [vars(e) for e in entries]
+    assert doc["rows"][0]["zone"] == 0
 
 
 def test_kernel_csv_round_trips(capsys):
@@ -616,6 +618,123 @@ def test_verify_timings_side_file(capsys, tmp_path):
     ids = [c["check_id"] for c in json.loads(plain)["checks"]]
     assert list(timings) == ids
     assert all(isinstance(v, float) and v >= 0.0 for v in timings.values())
+
+
+# ---------------------------------------------------------------------------
+# one table writer: every table subcommand in both formats
+# ---------------------------------------------------------------------------
+
+# a small job per table subcommand: config fields (a non-default one each,
+# so `ran` carries more than the defaults) and flags
+_TABLE_JOBS = {
+    "spectrum": ({"variant": "H_Zf", "c_f": 0.5}, ["--max-p", "2"]),
+    "kernel": ({"points": [[[0.3, -0.2], [0.1, 0.4]],
+                           [[-0.5, 0.2], [0.25, 0.1]]]},
+               ["--sigma", "df", "--zone", "1", "--times", "0.3,0.7"]),
+    "partition": ({"params": [{"lambda": 2.0, "k": 2}]},
+                  ["--zone", "1", "--times", "0.5"]),
+    "zeta": ({"variant": "H_Zf"}, ["--zone", "1", "--s-values", "2.5,3"]),
+    "pathint": ({"points": [[[0.2, 0.1], [-0.1, 0.3]]]},
+                ["--n-slices", "1,2", "--quad-degree", "16"]),
+}
+
+
+# the JSON form's keys before `ran`, the rows' key last
+_JSON_KEYS = {"spectrum": ["rows"], "kernel": ["rows"], "partition": ["rows"],
+              "zeta": ["zone", "values"], "pathint": ["convergence"]}
+
+
+def _run_table(capsys, tmp_path, command, fmt, *more_flags):
+    doc, flags = _TABLE_JOBS[command]
+    cfg = tmp_path / f"{command}-{fmt}.json"
+    cfg.write_text(json.dumps({**doc, "format": fmt}))
+    return run_cli(capsys, command, "--config", str(cfg), *flags, *more_flags)
+
+
+@pytest.mark.parametrize("command", sorted(_TABLE_JOBS))
+def test_table_ran_reproduces_output(capsys, tmp_path, command):
+    # `ran` is the effective config: fed back as the only input, it gives
+    # the same bytes
+    code, out = _run_table(capsys, tmp_path, command, "json")
+    assert code == 0
+    ran = json.loads(out)["ran"]
+    assert "out" not in ran and ran["format"] == "json"
+    assert set(COMMANDS[command][2]) <= set(ran)
+    cfg = tmp_path / "ran.json"
+    cfg.write_text(json.dumps(ran))
+    assert run_cli(capsys, command, "--config", str(cfg)) == (code, out)
+
+
+def _csv_matches_json(csv_text, json_rows):
+    head, *rows = list(csv.reader(io.StringIO(csv_text)))
+    assert len(rows) == len(json_rows)
+    for row, obj in zip(rows, json_rows):
+        assert list(obj) == head
+        for cell, value in zip(row, obj.values()):
+            if isinstance(value, float):
+                assert float(cell) == value
+            else:
+                assert cell == ("" if value is None else str(value))
+
+
+@pytest.mark.parametrize("command", sorted(_TABLE_JOBS))
+def test_table_csv_and_json_carry_the_same_rows(capsys, tmp_path, command):
+    code_csv, out_csv = _run_table(capsys, tmp_path, command, "csv")
+    code_json, out_json = _run_table(capsys, tmp_path, command, "json")
+    assert code_csv == code_json == 0
+    doc = json.loads(out_json)
+    assert list(doc) == [*_JSON_KEYS[command], "ran"]
+    _csv_matches_json(out_csv, doc[_JSON_KEYS[command][-1]])
+
+
+@pytest.mark.parametrize("command", ["kernel", "partition"])
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_table_caustic_error_rows_exit_3(capsys, tmp_path, command, fmt):
+    # a DF caustic time gives six ERROR cells on each of its rows, in both
+    # forms; the other time's rows are numbers
+    code, out = _run_table(capsys, tmp_path, command, fmt, "--sigma", "df",
+                           "--times", f"0.5,{math.pi!r}")
+    assert code == 3
+    if fmt == "csv":
+        head, *rows = list(csv.reader(io.StringIO(out)))
+        rows = [dict(zip(head, row)) for row in rows]
+    else:
+        rows = json.loads(out)["rows"]
+    values = [list(row.values())[-6:] for row in rows]
+    n = len(rows) // 2
+    assert [float(row["t"]) for row in rows] == [0.5] * n + [math.pi] * n
+    assert values[n:] == [["ERROR"] * 6] * n
+    assert all(math.isfinite(float(v)) for row in values[:n] for v in row)
+
+
+@pytest.fixture(scope="module")
+def workloads():
+    # the benchmark's row checks, loaded from its file as it stands
+    spec = importlib.util.spec_from_file_location(
+        "workloads", SRC.parent / "bench" / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    # registered as an import would be: its dataclass looks itself up there
+    sys.modules.setdefault(spec.name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("argv, expected, info", [
+    (["spectrum", "--max-p", "2", "--max-zone", "1"], None, {}),
+    (["kernel", "--zone", "1", "--times", "0.5,1"], 2, {}),
+    (["partition", "--sigma", "df", "--times", "0.5,1.0"], 2, {}),
+    (["zeta", "--zone", "1", "--s-values", "2.5,3"], 2,
+     {"geometry": "k2", "zone": 1}),
+    (["pathint", "--n-slices", "1,2"], 2, {}),
+], ids=["spectrum", "kernel", "partition", "zeta", "pathint"])
+def test_bench_parsers_accept_default_format(capsys, workloads, argv,
+                                            expected, info):
+    # the benchmark parses each table subcommand's default format: a writer
+    # change it would score as failed rows fails here first
+    job = workloads.Job(argv[0], argv, argv[0], expected, info)
+    code, out = run_cli(capsys, *argv)
+    verdicts = workloads.check_job(job, code, out)
+    assert verdicts and set(verdicts) == {"ok"}
 
 
 # ---------------------------------------------------------------------------

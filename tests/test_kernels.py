@@ -12,8 +12,7 @@ from zeemanzones import pathint, thermo
 from zeemanzones.kernels import (SingularTimeError, _zonal0_parts,
                                  check_df_time, convolution_rule,
                                  global_factor, global_kernel, global_parts,
-                                 irreducible_projection_kernel, lt1_printed,
-                                 pde_residual, projection_kernel,
+                                 lt1_printed, pde_residual, projection_kernel,
                                  projection_parts, weighted_dist_sq, zonal0,
                                  zonal_factor, zonal_kernel_closed,
                                  zonal_kernel_numeric, zonal_step)
@@ -62,14 +61,6 @@ def test_projection_reproduces_holomorphic(p2):
         got = tree_sum(w * projection_kernel(0, X[None, :], U, p2) * f)
         ref = zX ** m * np.exp(-0.5 * (X ** 2).sum())
         assert abs(got - ref) < 1e-10
-
-
-def test_irreducible_projections_sum_to_gross(p4, xy4):
-    X, Y = xy4
-    a = 2
-    total = sum(irreducible_projection_kernel(t, X, Y, p4)
-                for t in ((2, 0), (1, 1), (0, 2)))
-    assert abs(total - projection_kernel(a, X, Y, p4)) < 1e-14
 
 
 def test_projection_parts_consistent(p2, xy2):
@@ -686,14 +677,16 @@ def test_j_pairing_exactly_zero_on_complex_diagonal(blocks):
 
 @pytest.mark.parametrize("zone_kernel, ceiling_mib", [
     (partial(projection_kernel, 2), 1.2),
-    (lambda X, U, p: zonal_kernel_closed("df", 2, 0.3, X, U, p), 2.0)],
-    ids=["projection_kernel", "zonal_kernel_closed"])
+    (lambda X, U, p: zonal_kernel_closed("df", 2, 0.3, X, U, p), 2.0),
+    (lambda X, U, p: zonal_kernel_closed("df", 10, 0.3, X, U, p), 4.2)],
+    ids=["projection_kernel", "zonal_kernel_closed", "zonal_kernel_zone10"])
 def test_point_form_block_memory(p4, zone_kernel, ceiling_mib):
     # one `integrate` block of the 24^4 rule, 13,824 nodes (0.21 MiB per
     # complex array): the plane sums accumulate in place, so the peak is
-    # 0.97 MiB (projection) and 1.69 MiB (zonal, which keeps the second
-    # block's levels 0..2), where a list of every coordinate's products
-    # reached 1.71 MiB on the projection
+    # 0.97 MiB (projection), 1.69 MiB (zonal zone 2, which keeps the second
+    # block's levels 0..2) and 3.59 MiB (zone 10, its levels 0..10), where
+    # a list of every coordinate's products reached 1.71 MiB on the
+    # projection
     U, _ = next(QuadRule(24, p4.axis_lambdas()).blocks())
     assert U.shape == (24 ** 3, 4)
     X = np.array([0.3, -0.2, 0.15, 0.25])[None, :]

@@ -16,11 +16,11 @@ from zeemanzones.cli import DEFAULTS
 from zeemanzones.kernels import (SingularTimeError, plane_step,
                                  projection_kernel, zonal_kernel_closed,
                                  zonal_kernel_numeric)
-from zeemanzones.params import J_apply, MagneticParams
+from zeemanzones.params import J_apply, MagneticParams, sigma_value
 from zeemanzones.quadrature import QuadratureError, tensor_points
 from zeemanzones.pathint import (TimeSlicing, cylinder_value,
-                                 feynman_kac_chain, feynman_kac_weight,
-                                 nu_cylinder_value, probability_conservation,
+                                 feynman_kac_chain, nu_cylinder_value,
+                                 probability_conservation,
                                  radon_nikodym_consistency,
                                  second_form_residual, uniform_bound_check)
 
@@ -160,28 +160,22 @@ def test_probability_conservation(p2):
         assert probability_conservation(t, X0, p2) < 1e-8
 
 
-def test_feynman_kac_weight_constant_path(p2):
-    # omega = 0: weight reduces to the zero-point factor e^{-sigma k lam T/2}
-    omega = np.zeros((5, 2))
-    w = feynman_kac_weight("wk", omega, 1.0, p2)
-    assert w == pytest.approx(np.exp(-1.0))
-
-
 @pytest.mark.parametrize("sigma", ["wk", "df"])
 def test_feynman_kac_weight_is_product_of_chain_steps(sigma):
-    # at lam = 2 the action carries lam^2, as the chain's left-endpoint
-    # step does; the step weight is the `_fk_step` coefficient minus the
-    # delta^{(0)} part 1, on the pairing <m, m' + i J m'>
-    params = MagneticParams.make([(2.0, 2)])
-    T, n = 0.5, 4
+    # at lam = 2 the path weight e^{s lam (-k T/2 - 2 lam int |omega|^2)},
+    # its time integral the left-endpoint sum, carries lam^2, as the
+    # chain's step does; the step weight is the `_fk_step` coefficient
+    # minus the delta^{(0)} part 1, on the pairing <m, m' + i J m'>
+    lam, k, T, n = 2.0, 2, 0.5, 4
     omega = np.tile([0.3, -0.2], (n + 1, 1))
-    lam = params.blocks[0].lam
     coeff, shift = pathint._fk_step(sigma, T / n, lam, exact=False)
     steps = [np.exp(shift + lam * (coeff - 1)
                     * (m @ m2 + 1j * (m @ J_apply(m2))))
              for m, m2 in zip(omega[:-1], omega[1:])]
-    assert feynman_kac_weight(sigma, omega, T, params) == pytest.approx(
-        complex(np.prod(steps)), rel=1e-12)
+    action = T / n * np.sum(omega[:-1] ** 2)
+    weight = np.exp(sigma_value(sigma) * lam
+                    * (-0.5 * k * T - 2.0 * lam * action))
+    assert weight == pytest.approx(complex(np.prod(steps)), rel=1e-12)
 
 
 @pytest.mark.parametrize("sigma", ["wk", "df"])
