@@ -6,7 +6,7 @@ zeta functions, tensor Gauss-Hermite quadrature, time-sliced zonal path
 integrals, and a verification harness.
 
 The kernel names are loaded from `kernels` on first access, so importing
-the package (or its CLI) does not load the numerical layers.
+the package (or its CLI) loads neither numpy nor the numerical layers.
 """
 
 from .params import Block, MagneticParams, HamiltonianVariant, H_Z, H_ZF, BOX

@@ -14,9 +14,9 @@ Exit codes: 0 success / all checks pass, 1 verification FAIL present,
 present (a `params.NumericError` from any subcommand).
 
 Start-up is part of every job, so this module loads only the standard
-library, numpy and `params` at import; each subcommand imports the
-layers it runs (`spectrum` loads `spectrum` and `exact`, `kernel` loads
-`kernels`, `quadrature` and `special`, and only `verify` loads them all).
+library and `params` at import; each subcommand imports the layers it
+runs, and numpy only where arrays are made (`spectrum` and `zeta` load
+none; `kernel` loads numpy, `kernels`, `quadrature` and `special`).
 """
 
 import argparse
@@ -25,8 +25,6 @@ import io
 import json
 import os
 import sys
-
-import numpy as np
 
 from .params import (CHAIN_DEGREE, MAX_DEGREE, SIGMA, VARIANTS,
                      HamiltonianVariant, MagneticParams, NumericError)
@@ -199,6 +197,7 @@ def _point_pairs(cfg, k):
         if len(pair) != 2 or any(len(v) != k for v in pair):
             raise ConfigError(f"config field 'points[{i}]': expected a pair "
                               f"of length-{k} coordinate lists")
+    import numpy as np
     return [np.array([pair[j] for pair in pts], dtype=float) for j in (0, 1)]
 
 
@@ -220,6 +219,7 @@ def _rows_by_time(cfg, keys, values_at):
 
 
 def cmd_kernel(cfg):
+    import numpy as np
     from .kernels import check_df_time, zonal_kernel_closed
     params = build_params(cfg)
     sigma, a = cfg["sigma"], cfg["zone"]
@@ -257,7 +257,7 @@ def cmd_partition(cfg):
 
 
 def cmd_zeta(cfg):
-    from . import thermo
+    from . import zeta
     params, variant, a = build_params(cfg), build_variant(cfg), cfg["zone"]
     # mu_p = lam (2p + 1) relates the sum to the Riemann zeta for one k=2
     # block under H_Z only
@@ -265,11 +265,11 @@ def cmd_zeta(cfg):
                and variant.kind == "H_Z")
     rows = []
     for s in map(float, cfg["s_values"]):
-        zz = thermo.zeta_zonal(a, s, params, variant=variant)
+        zz = zeta.zeta_zonal(a, s, params, variant=variant)
         row = [s, float(zz.real), float(zz.imag), None, None]
         if riemann:
             ref = (params.blocks[0].lam ** -s * (1 - 2.0 ** -s)
-                   * thermo.riemann_zeta(s))
+                   * zeta.riemann_zeta(s))
             row[3:] = float(ref.real), float(abs(zz - ref))
         rows.append(row)
     return (["s", "zeta_zonal_re", "zeta_zonal_im", "riemann_reference",

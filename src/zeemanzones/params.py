@@ -12,12 +12,8 @@ labelled by sigma: 'wk' (heat, sigma = 1) and 'df' (Schrodinger,
 sigma = i).
 """
 
-from __future__ import annotations
-
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 SIGMA = {"wk": 1.0 + 0j, "df": 1j}
 VARIANTS = ("box", "H_Z", "H_Zf")  # the kinds of HamiltonianVariant
@@ -57,6 +53,7 @@ def zone_flow(sigma, t: float, lam: float):
     """(eps, shift) = (e^{-2 lam t s}, -lam t s) on one coordinate plane of
     field lam: e^{-t s H_Z} multiplies level p of every zone by e^{shift}
     eps^p.  Every zonal closed form takes it from here, t >= 0 only."""
+    import numpy as np
     s = sigma_value(sigma)
     if not t >= 0:              # NaN too
         raise ValueError("zonal closed forms require t >= 0")
@@ -139,13 +136,14 @@ class MagneticParams:
             off += b.k
         return out
 
-    def plane_lambdas(self) -> np.ndarray:
+    def plane_lambdas(self):
         """lambda per coordinate plane, in coordinate order (length k/2)."""
+        import numpy as np
         return np.repeat([b.lam for b in self.blocks], [b.k // 2 for b in self.blocks])
 
-    def axis_lambdas(self) -> np.ndarray:
+    def axis_lambdas(self):
         """lambda per real coordinate axis (length k)."""
-        return np.repeat([b.lam for b in self.blocks], [b.k for b in self.blocks])
+        return self.plane_lambdas().repeat(2)
 
     @property
     def single_lambda(self) -> float:
@@ -155,8 +153,9 @@ class MagneticParams:
         return self.blocks[0].lam
 
 
-def J_apply(X: np.ndarray) -> np.ndarray:
+def J_apply(X):
     """Apply J(x, y) = (-y, x) plane-wise along the last axis."""
+    import numpy as np
     X = np.asarray(X)
     out = np.empty_like(X)
     out[..., 0::2] = -X[..., 1::2]
@@ -190,6 +189,12 @@ class HamiltonianVariant:
         if self.c_f is not None:
             return self.c_f
         return sum(2.0 * b.lam ** 2 * b.k for b in params.blocks)
+
+    def spectral_shift(self, params: MagneticParams) -> float:
+        """The constant the partition and zeta functions add to H_Z."""
+        if self.kind == "box":
+            raise ValueError("partition/zeta functions are defined for H_Z or H_Zf")
+        return self.field_constant(params) if self.kind == "H_Zf" else 0.0
 
 
 H_Z = HamiltonianVariant("H_Z")

@@ -11,8 +11,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .exact import (QC, ZonePoly, _poly_subst, gaussian_pair_integral_exact,
                     hermite_scaled_exact, laguerre_exact, padd, pderiv, pmul,
                     psub, pscale, ptrim)
@@ -226,10 +224,10 @@ def zonal_series_value(sigma, a: int, t: float, X, Y, lam: float,
                        levels: int = 12):
     """Truncated eigen-expansion sum_p e^{-sigma t mu_p} phi_p(X) conj(phi_p(Y))
     of the k=2 zone-a kernel under H_Z (mu_p = lam (2p+1))."""
+    import numpy as np
     s = sigma_value(sigma)
     exact = _exact_lambda(lam)
-    X = np.asarray(X, dtype=float)
-    Y = np.asarray(Y, dtype=float)
+    X, Y = (np.asarray(V, dtype=float) for V in (X, Y))
     zx = X[..., 0] + 1j * X[..., 1]
     zy = Y[..., 0] + 1j * Y[..., 1]
     gx = np.exp(-0.5 * lam * np.abs(zx) ** 2)

@@ -1,4 +1,4 @@
-"""Zonal partition functions, zeta functions, and the classical zeta relations."""
+"""Zonal partition functions and their oracles; zeta functions from `zeta`."""
 
 from __future__ import annotations
 
@@ -6,18 +6,12 @@ import math
 
 import numpy as np
 
-from .params import (MagneticParams, HamiltonianVariant, _composition_sum,
-                     _factor_levels, sigma_value, zone_count, zone_flow)
+from .params import (H_Z, MagneticParams, HamiltonianVariant,
+                     _composition_sum, _factor_levels, sigma_value,
+                     zone_count, zone_flow)
 from .kernels import check_df_time, zonal_kernel_closed
 from .quadrature import exact_value, tree_sum
-
-
-def _variant_shift(variant: HamiltonianVariant | None, params) -> float:
-    if variant is None or variant.kind == "H_Z":
-        return 0.0
-    if variant.kind == "H_Zf":
-        return variant.field_constant(params)
-    raise ValueError("partition/zeta functions are defined for H_Z or H_Zf")
+from .zeta import hurwitz_zeta, riemann_zeta, zeta_zonal  # noqa: F401
 
 
 # ---------------------------------------------------------------------------
@@ -42,7 +36,7 @@ def partition(sigma, a: int, t: float, params: MagneticParams,
     for b in params.blocks:
         e, shift = zone_flow(sigma, t, b.lam)
         out *= np.exp(shift * (b.k // 2)) / (1 - e) ** (b.k // 2)
-    return out * np.exp(-s * t * _variant_shift(variant, params))
+    return out * np.exp(-s * t * (variant or H_Z).spectral_shift(params))
 
 
 def _plane_trace(sigma, a: int, t: float, lam: float,
@@ -91,8 +85,8 @@ def partition_trace(sigma, a: int, t: float, params: MagneticParams,
     kernel expands over irreducible tuples, whose kernels are products
     over planes (`_composed_trace`)."""
     total, delta = _composed_trace(sigma, a, t, params)
-    s = sigma_value(sigma)
-    return total * np.exp(-s * t * _variant_shift(variant, params)), delta
+    shift = (variant or H_Z).spectral_shift(params)
+    return total * np.exp(-sigma_value(sigma) * t * shift), delta
 
 
 def partition_by_trace(sigma, a: int, t: float, params: MagneticParams,
@@ -148,84 +142,7 @@ def partition_spectral(sigma, a: int, t: float, params: MagneticParams,
         r, shift = map(complex, zone_flow(sigma, t, b.lam))
         head = tree_sum(mult * r ** p)
         total *= (head + _mult_tail(q, levels, r)) * np.exp(shift * q)
-    return total * np.exp(-s * t * _variant_shift(variant, params))
-
-
-# ---------------------------------------------------------------------------
-# zeta functions
-# ---------------------------------------------------------------------------
-
-_BERNOULLI = [1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730]
-_EM_DIRECT = 40             # direct terms before an Euler-Maclaurin tail
-
-
-def _em_sum_inverse_powers(s: complex, base: float, step: float,
-                           start: int) -> complex:
-    """sum_{n >= start} (base + step*n)^{-s} by direct terms + Euler-Maclaurin."""
-    N = start + _EM_DIRECT
-    n = np.arange(start, N)
-    acc = np.sum((base + step * n) ** (-s))
-    w = base + step * N
-    acc += w ** (1 - s) / (step * (s - 1)) + 0.5 * w ** (-s)
-    # derivative terms: g^{(2j-1)}(N) for g(x) = (base + step x)^{-s}
-    fac = -s * step * w ** (-s - 1)  # g'(N)
-    order = 1
-    for j, B in enumerate(_BERNOULLI, start=1):
-        acc -= B / math.factorial(2 * j) * fac
-        for _ in range(2):
-            fac *= -(s + order) * step / w
-            order += 1
-    return acc
-
-
-def riemann_zeta(s: complex) -> complex:
-    """zeta_R(s) by direct series plus Euler-Maclaurin tail, Re(s) > 1."""
-    s = complex(s)
-    if not s.real > 1:
-        raise ValueError("riemann_zeta implemented for Re(s) > 1 only")
-    return _em_sum_inverse_powers(s, 0.0, 1.0, start=1)
-
-
-def hurwitz_zeta(s: complex, x: float) -> complex:
-    """zeta_Hu(s, x) = sum_{n >= 0} (n + x)^{-s}, Re(s) > 1, x > 0."""
-    s = complex(s)
-    if not s.real > 1:
-        raise ValueError("hurwitz_zeta implemented for Re(s) > 1 only")
-    if not x > 0:
-        raise ValueError("hurwitz_zeta requires x > 0")
-    return _em_sum_inverse_powers(s, x, 1.0, start=0)
-
-
-def zeta_zonal(a: int, s: complex, params: MagneticParams,
-               variant: HamiltonianVariant | None = None) -> complex:
-    """Zonal zeta sum mult(p) mu_p^{-s} on gross zone a, Re(s) > k/2.
-
-    Single-block parameters only (the acceptance scope); the per-level
-    multiplicity is binom(p+q-1, q-1) binom(a+q-1, q-1) with q = k/2 and
-    mu_p = alpha + beta p, alpha = lam q + c_f, beta = 2 lam.  The first
-    _EM_DIRECT levels are summed directly; beyond them binom(p+q-1, q-1)
-    = prod_{i<q} (mu_p - alpha + i beta) / (i beta) is a polynomial in mu_p
-    and each power j of mu_p adds one Euler-Maclaurin sum of mu_p^{j-s}
-    (which needs Re(s) > q).  The direct head keeps that polynomial away
-    from mu_p = alpha, where its terms cancel.
-    """
-    if a < 0:
-        raise ValueError(f"zone index must be nonnegative, got {a}")
-    lam, q = params.single_lambda, params.k // 2
-    # q >= 1, so this also keeps Re(s) > 1 (no analytic continuation)
-    if not complex(s).real > q:
-        raise ValueError(f"zeta_zonal needs Re(s) > k/2 = {q}, got s = {s}")
-    s = complex(s)
-    alpha, beta = lam * q + _variant_shift(variant, params), 2 * lam
-    p = np.arange(_EM_DIRECT)
-    mult = np.array([zone_count(n, params.k) for n in p], float)
-    acc = complex(np.sum(mult * (alpha + beta * p) ** (-s)))
-    poly = np.array([1.0])  # ascending coefficients in mu
-    for i in range(1, q):
-        poly = np.convolve(poly, [1 - alpha / (i * beta), 1 / (i * beta)])
-    for j, cj in enumerate(poly):
-        acc += cj * _em_sum_inverse_powers(s - j, alpha, beta, _EM_DIRECT)
-    return zone_count(a, params.k) * acc
+    return total * np.exp(-s * t * (variant or H_Z).spectral_shift(params))
 
 
 def mehler_comparison_bound(a: int, t: float, params: MagneticParams) -> float:

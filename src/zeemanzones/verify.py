@@ -8,7 +8,7 @@ as sweeps (`_sweep`, `_holds`): a case function and the named axes it
 runs over, which are also the params the check reports.  Five stay
 hand-written: `_chk_pde` feeds both geometries from one random stream per
 flow, which a sweep over geometry would reorder; `_chk_hurwitz_conditional`
-reports the Hurwitz shift without asserting it; `_chk_uniform_bound`,
+also reports shifts that fail a second identity; `_chk_uniform_bound`,
 `_chk_discrete_fk` and `_chk_rn_consistency` put per-case numbers in their
 notes.  Every convolution (`_conv`) is one `exact_value` call, its node
 count (`rule_nodes`) set by the zones; the real-axis rule runs only where
@@ -45,6 +45,7 @@ from .spectrum import (build_eigenfunction, radial_operator_residual,
                        radial_eigenpoly, radial_vs_laguerre, spectrum_table,
                        split_by_magnetic, vandermonde_split, zonal_series_value,
                        zone_of)
+from .zeta import _em_sum_inverse_powers, hurwitz_zeta, riemann_zeta, zeta_zonal
 
 SUITES = ("laguerre", "spectrum", "projections", "global_kernels",
           "zonal_wk", "zonal_df", "thermo", "pathint")
@@ -468,20 +469,20 @@ def _partition_gap(value, tol, note="", t=_TIMES, **ran):
 
 
 def _chk_hurwitz_conditional():
-    # recorded, not asserted: no constant shift makes the zonal spectrum
-    # sum equal (1 - 2^{-s}) zeta_Hu(s, 4) termwise; report candidates
-    residuals = {}
-    s, shifts = 3.0, (0.0, 1.0, 3.0, 7.0)
-    for c_f in shifts:
-        got = thermo._em_sum_inverse_powers(s, 1 + c_f, 2.0, 0)
-        ref = (1 - 2.0 ** (-s)) * thermo.hurwitz_zeta(s, 4.0)
-        residuals[c_f] = abs(got - ref)
-    best = min(residuals, key=residuals.get)
-    return 0.0, 0.0, ("conditional only; residuals by shift " +
-                      ", ".join(f"c_f={c}: {r:.3e}"
-                                for c, r in residuals.items()) +
-                      f"; best c_f={best}"), \
-        _plain({"s": s, "c_f": shifts})
+    # asserted: sum_n (1 + c_f + 2n)^{-s} = 2^{-s} zeta_Hu(s, (1 + c_f)/2);
+    # recorded: no shift makes that sum (1 - 2^{-s}) zeta_Hu(s, 4)
+    ss, shifts = (2.5, 3.0, 4.0), (0.0, 1.0, 3.0, 7.0)
+    residual = _worst(abs(_em_sum_inverse_powers(s, 1 + c, 2.0, 0)
+                          - 2.0 ** -s * hurwitz_zeta(s, (1 + c) / 2))
+                      for s in ss for c in shifts)
+    cands = {c: abs(_em_sum_inverse_powers(3.0, 1 + c, 2.0, 0)
+                    - (1 - 2.0 ** -3) * hurwitz_zeta(3.0, 4.0)) for c in shifts}
+    by_shift = ", ".join(f"c_f={c}: {r:.3e}" for c, r in cands.items())
+    return residual, 1e-12, (
+        "shift identity: tests hurwitz_zeta and the shift, not "
+        "_em_sum_inverse_powers, which both sides share (mpmath tests test "
+        f"it); conditional only, s=3.0 residuals by shift {by_shift}; "
+        f"best c_f={min(cands, key=cands.get)}"), _plain({"s": ss, "c_f": shifts})
 
 
 _THERMO = [
@@ -500,8 +501,8 @@ _THERMO = [
         1e-7, "zero trace class", ran={"a": 1, "rule_nodes": (1, 2)},
         geometry=(_P2, _P4), sigma=_SIGMAS, t=_TIMES)),
     ("thermo.riemann_relation", _sweep(
-        lambda s, a: abs(thermo.zeta_zonal(a, s, _P2)
-                         - (1 - 2.0 ** (-s)) * thermo.riemann_zeta(s)),
+        lambda s, a: abs(zeta_zonal(a, s, _P2)
+                         - (1 - 2.0 ** (-s)) * riemann_zeta(s)),
         1e-8, "zone-independent for k=2", ran={"geometry": _P2},
         s=(2.0, 2.5, 3.0, 4.0), a=(0, 1, 2))),
     ("thermo.hurwitz_conditional", _chk_hurwitz_conditional),

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import zeemanzones
-from zeemanzones import kernels, pathint, spectrum, thermo, verify
+from zeemanzones import kernels, pathint, spectrum, thermo, verify, zeta
 from zeemanzones.cli import (COMMANDS, DEFAULTS, ConfigError, _check_field,
                              build_params, build_parser, load_config, main)
 from zeemanzones.kernels import SingularTimeError, zonal_kernel_closed
@@ -182,7 +182,7 @@ def test_out_of_range_exit_2(capsys, monkeypatch, argv, field):
     monkeypatch.setattr(spectrum, "spectrum_table", _refuse)
     monkeypatch.setattr(kernels, "zonal_kernel_closed", _refuse)
     monkeypatch.setattr(thermo, "partition", _refuse)
-    monkeypatch.setattr(thermo, "zeta_zonal", _refuse)
+    monkeypatch.setattr(zeta, "zeta_zonal", _refuse)
     code = main(argv)
     captured = capsys.readouterr()
     assert code == 2
@@ -197,10 +197,10 @@ def _raise(exc):
 
 
 @pytest.mark.parametrize("module, name, exc, argv", [
-    (thermo, "zeta_zonal", QuadratureNonConvergence("no"), ["zeta"]),
+    (zeta, "zeta_zonal", QuadratureNonConvergence("no"), ["zeta"]),
     (spectrum, "spectrum_table", QuadratureNonConvergence("no"),
      ["spectrum"]),
-    (thermo, "zeta_zonal", SingularTimeError("no"), ["zeta"]),
+    (zeta, "zeta_zonal", SingularTimeError("no"), ["zeta"]),
 ], ids=["zeta-quadrature", "spectrum-quadrature", "zeta-singular"])
 def test_numeric_error_exit_3(capsys, monkeypatch, module, name, exc, argv):
     # one policy in main(): a numeric error from any subcommand exits 3,
@@ -229,35 +229,41 @@ else:
 print(json.dumps({"code": code,
                   "modules": sorted(m for m in sys.modules
                                     if m.split(".")[0] == "zeemanzones"),
-                  "futures": "concurrent.futures" in sys.modules}))
+                  "futures": "concurrent.futures" in sys.modules,
+                  "numpy": "numpy" in sys.modules}))
 """
 _BASE = {"cli", "params"}
-_TRACE = {"thermo", "kernels", "quadrature", "special"}
+_TRACE = {"thermo", "zeta", "kernels", "quadrature", "special"}
 
 
-@pytest.mark.parametrize("argv, adds", [
-    ([], set()),
-    (["spectrum", "--max-p", "1"], {"spectrum", "exact"}),
-    (["kernel", "--times", "0.5"], {"kernels", "quadrature", "special"}),
-    (["pathint", "--quad-degree", "8", "--n-slices", "1"],
-     {"pathint", "kernels", "quadrature", "special"}),
-    (["partition", "--times", "0.5"], _TRACE),
-    (["zeta", "--s-values", "3"], _TRACE),
-    (["verify", "--suite", "laguerre"],
-     {p.stem for p in (SRC / "zeemanzones").glob("*.py")} - {"__init__"}),
-], ids=["parser", "spectrum", "kernel", "pathint", "partition", "zeta",
-        "verify"])
-def test_subcommand_imports(argv, adds):
-    # a fresh interpreter, as every CLI job starts
+@pytest.mark.parametrize("argv, code, adds, numpy", [
+    ([], 0, set(), False),
+    (["spectrum", "--max-p", "1"], 0, {"spectrum", "exact"}, False),
+    (["zeta", "--s-values", "3"], 0, {"zeta"}, False),
+    (["spectrum", "--max-p", "-1"], 2, set(), False),
+    (["kernel", "--times", "0.5"], 0, {"kernels", "quadrature", "special"},
+     True),
+    (["pathint", "--quad-degree", "8", "--n-slices", "1"], 0,
+     {"pathint", "kernels", "quadrature", "special"}, True),
+    (["partition", "--times", "0.5"], 0, _TRACE, True),
+    (["verify", "--suite", "laguerre"], 0,
+     {p.stem for p in (SRC / "zeemanzones").glob("*.py")} - {"__init__"},
+     True),
+], ids=["parser", "spectrum", "zeta", "config-error", "kernel", "pathint",
+        "partition", "verify"])
+def test_subcommand_imports(argv, code, adds, numpy):
+    # a fresh interpreter, as every CLI job starts; the parser, `spectrum`
+    # and `zeta` make no arrays, so they load no numpy
     env = dict(os.environ, PYTHONPATH=str(SRC))
     proc = subprocess.run([sys.executable, "-c", _LOADED, *argv], env=env,
                           capture_output=True, text=True, check=True)
     doc = json.loads(proc.stdout)
-    assert doc["code"] == 0
+    assert doc["code"] == code
     assert doc["modules"] == sorted(
         {"zeemanzones"} | {f"zeemanzones.{m}" for m in _BASE | adds})
     # only verify's thread pool needs concurrent.futures
     assert doc["futures"] == (argv[:1] == ["verify"])
+    assert doc["numpy"] == numpy
 
 
 def test_package_names_resolve():

@@ -254,6 +254,10 @@ def _midpoint_dependent(kernel):
         1 + 1e-3 * np.sum(np.abs(X) + np.abs(Y)))
 
 
+def _relative_1e_8(f):
+    return lambda *args, **kwargs: f(*args, **kwargs) * (1 + 1e-8)
+
+
 def _second_call_differs(conv):
     calls = itertools.count()
     return lambda *args: conv(*args) * (1 + next(calls) * 1e-12)
@@ -266,6 +270,7 @@ def _second_call_differs(conv):
     ("zonal_df.delta_limit", "projection_kernel", _offset),
     ("global.df_divergence_note", "global_kernel", _midpoint_dependent),
     ("quadrature.determinism", "_axis_conv", _second_call_differs),
+    ("thermo.hurwitz_conditional", "hurwitz_zeta", _relative_1e_8),
 ])
 def test_declared_checks_can_fail(monkeypatch, check_id, subject, plant):
     # each check looks its subject up when it runs, so a planted fault in
