@@ -79,30 +79,25 @@ def spectrum_table(params: MagneticParams, variant: HamiltonianVariant,
 
     Complete through total holomorphic degree max_p: multiplicities
     aggregate all per-block decompositions of each eigenvalue; ordering
-    ties between decompositions break lexicographically.
+    ties between decompositions break lexicographically.  The levels are
+    grouped once: summed over the zone's per-block splits v, a tuple's
+    multiplicity is prod_i zone_count(p_i, k_i) * zone_count(a, k), so
+    zone a scales each level's zone-free count by zone_count(a, k).
     """
-    nb = len(params.blocks)
-    entries = []
-    for a in range(max_zone + 1):
-        by_eig: dict[float, tuple[tuple[int, ...], int]] = {}
-        v_comps = list(_compositions(a, nb))
-        for ptup in sorted(pt for tot in range(max_p + 1)
-                           for pt in _compositions(tot, nb)):
-            ev = eigenvalue(ptup, params, variant)
-            mult = sum(multiplicity(ptup, vtup, params) for vtup in v_comps)
-            key = round(ev, 12)
-            if key in by_eig:
-                rep, m0 = by_eig[key]
-                by_eig[key] = (min(rep, ptup), m0 + mult)
-            else:
-                by_eig[key] = (ptup, mult)
-        for ev in sorted(by_eig):
-            ptup, mult = by_eig[ev]
-            p = sum(ptup)
-            entries.append(SpectrumEntry(zone=a, p=p, upsilon=a, l=p + a,
-                                         m=p - a, eigenvalue=float(ev),
-                                         multiplicity=mult))
-    return entries
+    by_eig: dict[float, tuple[tuple[int, ...], int]] = {}
+    for ptup in sorted(pt for tot in range(max_p + 1)
+                       for pt in _compositions(tot, len(params.blocks))):
+        key = round(eigenvalue(ptup, params, variant), 12)
+        mult = math.prod(zone_count(p, b.k)
+                         for p, b in zip(ptup, params.blocks))
+        rep, m0 = by_eig.get(key, (ptup, 0))
+        by_eig[key] = (min(rep, ptup), m0 + mult)
+    levels = [(ev, sum(ptup), mult) for ev, (ptup, mult)
+              in sorted(by_eig.items())]
+    return [SpectrumEntry(zone=a, p=p, upsilon=a, l=p + a, m=p - a,
+                          eigenvalue=float(ev),
+                          multiplicity=mult * zone_count(a, params.k))
+            for a in range(max_zone + 1) for ev, p, mult in levels]
 
 
 # ---------------------------------------------------------------------------

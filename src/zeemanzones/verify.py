@@ -353,6 +353,10 @@ _PROJECTIONS = [
 # --- global kernels suite --------------------------------------------------
 def _chk_pde(sigma):
     seed = 42 if sigma == "wk" else 43
+    # numpy's stream stays, so this suite alone loads numpy.random: the
+    # samples PASS only 7.4x (wk) and 3.6x (df) under tolerance, and a new
+    # stream would reseed a check close to failing.  ROADMAP item 4
+    # replaces the samples.
     rng = np.random.default_rng(seed)
     res = []
     for params in (_P2, _P4):

@@ -230,30 +230,33 @@ print(json.dumps({"code": code,
                   "modules": sorted(m for m in sys.modules
                                     if m.split(".")[0] == "zeemanzones"),
                   "futures": "concurrent.futures" in sys.modules,
-                  "numpy": "numpy" in sys.modules}))
+                  "numpy": "numpy" in sys.modules,
+                  "numpy_random": "numpy.random" in sys.modules}))
 """
 _BASE = {"cli", "params"}
 _TRACE = {"thermo", "zeta", "kernels", "quadrature", "special"}
+_ALL = {p.stem for p in (SRC / "zeemanzones").glob("*.py")} - {"__init__"}
 
 
-@pytest.mark.parametrize("argv, code, adds, numpy", [
-    ([], 0, set(), False),
-    (["spectrum", "--max-p", "1"], 0, {"spectrum", "exact"}, False),
-    (["zeta", "--s-values", "3"], 0, {"zeta"}, False),
-    (["spectrum", "--max-p", "-1"], 2, set(), False),
+@pytest.mark.parametrize("argv, code, adds, numpy, numpy_random", [
+    ([], 0, set(), False, False),
+    (["spectrum", "--max-p", "1"], 0, {"spectrum", "exact"}, False, False),
+    (["zeta", "--s-values", "3"], 0, {"zeta"}, False, False),
+    (["spectrum", "--max-p", "-1"], 2, set(), False, False),
     (["kernel", "--times", "0.5"], 0, {"kernels", "quadrature", "special"},
-     True),
+     True, False),
     (["pathint", "--quad-degree", "8", "--n-slices", "1"], 0,
-     {"pathint", "kernels", "quadrature", "special"}, True),
-    (["partition", "--times", "0.5"], 0, _TRACE, True),
-    (["verify", "--suite", "laguerre"], 0,
-     {p.stem for p in (SRC / "zeemanzones").glob("*.py")} - {"__init__"},
-     True),
+     {"pathint", "kernels", "quadrature", "special"}, True, False),
+    (["partition", "--times", "0.5"], 0, _TRACE, True, False),
+    (["verify", "--suite", "laguerre"], 0, _ALL, True, False),
+    (["verify", "--suite", "pathint"], 0, _ALL, True, False),
+    (["verify", "--suite", "global_kernels"], 0, _ALL, True, True),
 ], ids=["parser", "spectrum", "zeta", "config-error", "kernel", "pathint",
-        "partition", "verify"])
-def test_subcommand_imports(argv, code, adds, numpy):
+        "partition", "verify", "verify-pathint", "verify-global_kernels"])
+def test_subcommand_imports(argv, code, adds, numpy, numpy_random):
     # a fresh interpreter, as every CLI job starts; the parser, `spectrum`
-    # and `zeta` make no arrays, so they load no numpy
+    # and `zeta` make no arrays, so they load no numpy.  `numpy.random`
+    # costs about 6 MB resident; only `_chk_pde` (global_kernels) loads it
     env = dict(os.environ, PYTHONPATH=str(SRC))
     proc = subprocess.run([sys.executable, "-c", _LOADED, *argv], env=env,
                           capture_output=True, text=True, check=True)
@@ -264,6 +267,7 @@ def test_subcommand_imports(argv, code, adds, numpy):
     # only verify's thread pool needs concurrent.futures
     assert doc["futures"] == (argv[:1] == ["verify"])
     assert doc["numpy"] == numpy
+    assert doc["numpy_random"] == numpy_random
 
 
 def test_package_names_resolve():

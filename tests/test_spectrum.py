@@ -82,6 +82,41 @@ def test_zone_of_magnetic_index():
 # spectrum tables
 # ---------------------------------------------------------------------------
 
+def _table_brute_force(params, variant, max_p, max_zone):
+    """The table with every zone's multiplicities summed over its per-block
+    splits v: the reference for `spectrum_table`'s zone_count(a, k)
+    scaling."""
+    nb = len(params.blocks)
+    rows = []
+    for a in range(max_zone + 1):
+        by_eig = {}
+        for ptup in sorted(pt for tot in range(max_p + 1)
+                           for pt in _compositions(tot, nb)):
+            key = round(eigenvalue(ptup, params, variant), 12)
+            mult = sum(multiplicity(ptup, v, params)
+                       for v in _compositions(a, nb))
+            rep, m0 = by_eig.get(key, (ptup, 0))
+            by_eig[key] = (min(rep, ptup), m0 + mult)
+        rows += [(a, sum(ptup), ev, mult)
+                 for ev, (ptup, mult) in sorted(by_eig.items())]
+    return rows
+
+
+@pytest.mark.parametrize("blocks", [
+    [(1.0, 2)], [(1.0, 4)], [(1.0, 2), (2.0, 2)], [(1.0, 2), (3.0, 4)],
+    [(0.5, 2), (1.5, 4), (1.0, 2)]],
+    ids=["k2", "k4-one-block", "k4", "k6", "three-blocks"])
+@pytest.mark.parametrize("variant", [BOX, H_Z, H_ZF],
+                         ids=["box", "H_Z", "H_Zf"])
+def test_spectrum_table_matches_per_zone_sum(blocks, variant):
+    params = MagneticParams.make(blocks)
+    table = spectrum_table(params, variant, max_p=6, max_zone=3)
+    assert [(e.zone, e.p, e.eigenvalue, e.multiplicity) for e in table] \
+        == _table_brute_force(params, variant, 6, 3)
+    assert all(e.upsilon == e.zone and e.l == e.p + e.zone
+               and e.m == e.p - e.zone for e in table)
+
+
 def test_zone_eigenvalues_upsilon_independent(p4):
     table = spectrum_table(p4, H_Z, max_p=4, max_zone=2)
     by_zone = {}
