@@ -1,17 +1,16 @@
 """Exact rational special-function algebra.
 
-This module is the oracle layer: univariate Laguerre/Hermite polynomials
-with exact rational coefficients, and the multivariate polynomial ring in
-the holomorphic/antiholomorphic coordinates (z_1..z_{k/2}, zbar_1..zbar_{k/2})
-with real rational coefficients.  The ring stays real because the only
-imaginary unit of the eigen-oracle, the odd axis X^{2j+1} = -i (z - zbar)/2,
-puts a unit scalar (-i)^l on its Hermite factor, which the oracle cancels
-by i^l (see ``spectrum.build_eigenfunction``).  ``_poly_subst``, the one
-Horner substitution of a univariate polynomial into a ZonePoly, builds
-both the eigen-oracle's Hermite factors and the Laguerre composition
-check, whose sides are ZonePolys and whose sum over compositions is
-``params._composition_sum``.  Everything here is bit-exact; the
-floating-point evaluation paths live in ``special``.
+This module is the oracle layer, on one ring: ``ZonePoly``, polynomials in
+(z_1..z_{k/2}, zbar_1..zbar_{k/2}) with real rational coefficients.  A
+polynomial in one variable (Laguerre, Hermite, radial) is a one-variable
+ZonePoly in z.  The ring stays real because the only imaginary unit of
+the eigen-oracle, the odd axis X^{2j+1} = -i (z - zbar)/2, puts a unit
+scalar (-i)^l on its Hermite factor, which the oracle cancels by i^l (see
+``spectrum.build_eigenfunction``).  ``_poly_subst``, the one Horner
+substitution of a one-variable polynomial into a ZonePoly, builds both the
+eigen-oracle's Hermite factors and the Laguerre composition check, whose
+sum over compositions is ``params._composition_sum``.  Everything here is
+bit-exact; the floating-point evaluation paths live in ``special``.
 
 Note on the three-term recurrence: the coefficient of L_{a-1} must be
 (a + alpha), which for alpha = 0 (the two-dimensional case all worked
@@ -41,117 +40,7 @@ class QC:
 
 
 # ---------------------------------------------------------------------------
-# univariate exact polynomials: list of Fraction coefficients, ascending
-# ---------------------------------------------------------------------------
-
-def ptrim(c: list[Fraction]) -> list[Fraction]:
-    while c and c[-1] == 0:
-        c.pop()
-    return c or [Fraction(0)]
-
-
-def padd(a, b):
-    n = max(len(a), len(b))
-    return ptrim([(a[i] if i < len(a) else Fraction(0)) +
-                  (b[i] if i < len(b) else Fraction(0)) for i in range(n)])
-
-
-def psub(a, b):
-    return padd(a, [-x for x in b])
-
-
-def pscale(a, s):
-    s = QC.of(s)
-    return ptrim([x * s for x in a])
-
-
-def pmul(a, b):
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x == 0:
-            continue
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return ptrim(out)
-
-
-def pderiv(a):
-    if len(a) <= 1:
-        return [Fraction(0)]
-    return ptrim([a[i] * i for i in range(1, len(a))])
-
-
-def peval(a, t):
-    """Horner evaluation; exact if t is Fraction/int, float otherwise."""
-    acc = a[-1]
-    for c in reversed(a[:-1]):
-        acc = acc * t + c
-    return acc
-
-
-def laguerre_exact(alpha: int, n: int) -> list[Fraction]:
-    """L_n^{(alpha)} by the explicit binomial form, ascending coefficients."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    if alpha < 0:
-        raise ValueError("alpha must be nonnegative")
-    return ptrim([Fraction((-1) ** b * math.comb(n + alpha, n - b), math.factorial(b))
-                  for b in range(n + 1)])
-
-
-def laguerre_recurrence_exact(alpha: int, n: int) -> list[Fraction]:
-    """L_n^{(alpha)} built from the corrected three-term recurrence.
-
-    (a+1) L_{a+1} = (2a + 1 + alpha - t) L_a - (a + alpha) L_{a-1},
-    seeded with L_0 = 1, L_1 = 1 + alpha - t.
-    """
-    if n == 0:
-        return [Fraction(1)]
-    prev, cur = [Fraction(1)], [Fraction(1 + alpha), Fraction(-1)]
-    for a in range(1, n):
-        nxt = psub(pmul([Fraction(2 * a + 1 + alpha), Fraction(-1)], cur),
-                   pscale(prev, a + alpha))
-        prev, cur = cur, pscale(nxt, Fraction(1, a + 1))
-    return cur
-
-
-def hermite_scaled_exact(l: int, lam: Fraction) -> list[Fraction]:
-    """lam^{-l/2} H_l(sqrt(lam) x), H_l the physicists' Hermite
-    polynomial, as ascending exact coefficients in x (at lam = 1, H_l).
-
-    All monomials of H_l share the parity of l, so factoring lam^{l/2}
-    out leaves rational coefficients: the x^{l-2j} term picks up lam^{-j}.
-    The overall scalar does not affect eigenfunction properties.  A
-    negative lam is allowed: at x = -i w, i^l lam^{-l/2} H_l(sqrt(lam) x)
-    is this polynomial at (l, -lam) evaluated at w, which is how the odd
-    axes of ``spectrum.build_eigenfunction`` stay real.
-    """
-    if l < 0:
-        raise ValueError("l must be nonnegative")
-    lam = QC.of(lam)
-    out = [Fraction(0)] * (l + 1)
-    for j in range(l // 2 + 1):
-        deg = l - 2 * j
-        out[deg] = Fraction((-1) ** j * math.factorial(l) * 2 ** deg,
-                            math.factorial(j) * math.factorial(deg)) / lam ** j
-    return ptrim(out)
-
-
-def rodrigues_check(alpha: int, a: int) -> bool:
-    """e^{-t} t^alpha L_a^{(alpha)} = (1/a!) d^a/dt^a (e^{-t} t^{a+alpha}).
-
-    Differentiating e^{-t} p(t) gives e^{-t} (p' - p), so the right side
-    reduces to an exact polynomial identity.
-    """
-    q = [Fraction(0)] * (a + alpha) + [Fraction(1)]  # t^{a+alpha}
-    for _ in range(a):
-        q = psub(pderiv(q), q)
-    lhs = pmul([Fraction(0)] * alpha + [Fraction(1)], laguerre_exact(alpha, a))
-    return ptrim(psub(pscale(q, Fraction(1, math.factorial(a))), lhs)) == [Fraction(0)]
-
-
-# ---------------------------------------------------------------------------
-# multivariate polynomials in (z_1..z_m, zbar_1..zbar_m)
+# the ring: polynomials in (z_1..z_m, zbar_1..zbar_m), one variable included
 # ---------------------------------------------------------------------------
 
 class ZonePoly:
@@ -196,6 +85,11 @@ class ZonePoly:
     def zbar(nvars: int, j: int) -> "ZonePoly":
         b = tuple(1 if i == j else 0 for i in range(nvars))
         return ZonePoly(nvars, {((0,) * nvars, b): 1})
+
+    @staticmethod
+    def univariate(coeffs) -> "ZonePoly":
+        """c_0 + c_1 z + c_2 z^2 + ... from ascending coefficients."""
+        return ZonePoly(1, {((i,), (0,)): c for i, c in enumerate(coeffs)})
 
     # -- ring operations ----------------------------------------------------
     def __add__(self, o: "ZonePoly") -> "ZonePoly":
@@ -255,17 +149,92 @@ class ZonePoly:
         """Maximal holomorphic degree |alpha| over the stored monomials."""
         return max((sum(a) for a, _ in self.terms), default=0)
 
+    def coeffs(self) -> list[Fraction]:
+        """Dense ascending coefficients of a polynomial in z alone; the
+        zero polynomial reads [0]."""
+        if self.nvars != 1 or any(b != (0,) for _, b in self.terms):
+            raise ValueError("coeffs() needs a polynomial in one z alone")
+        out = [Fraction(0)] * (self.holo_degree() + 1)
+        for ((i,), _), c in self.terms.items():
+            out[i] = c
+        return out
+
     def __repr__(self):
         items = ", ".join(f"z^{a} zbar^{b}: {c!r}" for (a, b), c in sorted(self.terms.items()))
         return f"ZonePoly({self.nvars}, {{{items}}})"
 
 
-def _poly_subst(coeffs, x: ZonePoly) -> ZonePoly:
-    """Horner substitution of a univariate exact polynomial at a ZonePoly."""
+def _poly_subst(p: ZonePoly, x: ZonePoly) -> ZonePoly:
+    """Horner substitution of a polynomial in one variable at a ZonePoly."""
+    coeffs = p.coeffs()
     acc = ZonePoly.constant(x.nvars, coeffs[-1])
     for c in reversed(coeffs[:-1]):
         acc = acc * x + ZonePoly.constant(x.nvars, c)
     return acc
+
+
+# ---------------------------------------------------------------------------
+# Laguerre and Hermite polynomials in one variable t = z
+# ---------------------------------------------------------------------------
+
+def laguerre_exact(alpha: int, n: int) -> ZonePoly:
+    """L_n^{(alpha)} by the explicit binomial form, a polynomial in t = z."""
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    if alpha < 0:
+        raise ValueError("alpha must be nonnegative")
+    return ZonePoly.univariate(
+        Fraction((-1) ** b * math.comb(n + alpha, n - b), math.factorial(b))
+        for b in range(n + 1))
+
+
+def laguerre_recurrence_exact(alpha: int, n: int) -> ZonePoly:
+    """L_n^{(alpha)} built from the corrected three-term recurrence, a
+    polynomial in t = z.
+
+    (a+1) L_{a+1} = (2a + 1 + alpha - t) L_a - (a + alpha) L_{a-1},
+    seeded with L_0 = 1, L_1 = 1 + alpha - t.
+    """
+    if n == 0:
+        return ZonePoly.constant(1)
+    prev, cur = ZonePoly.constant(1), ZonePoly.univariate([1 + alpha, -1])
+    for a in range(1, n):
+        nxt = ZonePoly.univariate([2 * a + 1 + alpha, -1]) * cur - prev * (a + alpha)
+        prev, cur = cur, nxt * Fraction(1, a + 1)
+    return cur
+
+
+def hermite_scaled_exact(l: int, lam: Fraction) -> ZonePoly:
+    """lam^{-l/2} H_l(sqrt(lam) x), H_l the physicists' Hermite
+    polynomial, as a polynomial in x = z (at lam = 1, H_l).
+
+    All monomials of H_l share the parity of l, so factoring lam^{l/2}
+    out leaves rational coefficients: the x^{l-2j} term picks up lam^{-j}.
+    The overall scalar does not affect eigenfunction properties.  A
+    negative lam is allowed: at x = -i w, i^l lam^{-l/2} H_l(sqrt(lam) x)
+    is this polynomial at (l, -lam) evaluated at w, which is how the odd
+    axes of ``spectrum.build_eigenfunction`` stay real.
+    """
+    if l < 0:
+        raise ValueError("l must be nonnegative")
+    lam = QC.of(lam)
+    return ZonePoly(1, {((l - 2 * j,), (0,)): Fraction(
+        (-1) ** j * math.factorial(l) * 2 ** (l - 2 * j),
+        math.factorial(j) * math.factorial(l - 2 * j)) / lam ** j
+        for j in range(l // 2 + 1)})
+
+
+def rodrigues_check(alpha: int, a: int) -> bool:
+    """e^{-t} t^alpha L_a^{(alpha)} = (1/a!) d^a/dt^a (e^{-t} t^{a+alpha}).
+
+    Differentiating e^{-t} p(t) gives e^{-t} (p' - p), so the right side
+    reduces to an exact polynomial identity.
+    """
+    q = ZonePoly.univariate([0] * (a + alpha) + [1])  # t^{a+alpha}
+    for _ in range(a):
+        q = q.diff_z(0) - q
+    lhs = ZonePoly.univariate([0] * alpha + [1]) * laguerre_exact(alpha, a)
+    return q * Fraction(1, math.factorial(a)) == lhs
 
 
 def laguerre_composition_check(alpha: int, n: int) -> bool:

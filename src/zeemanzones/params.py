@@ -191,7 +191,7 @@ class HamiltonianVariant:
         return sum(2.0 * b.lam ** 2 * b.k for b in params.blocks)
 
     def spectral_shift(self, params: MagneticParams) -> float:
-        """The constant the partition and zeta functions add to H_Z."""
+        """The constant eigenvalues, partition and zeta functions add to H_Z."""
         if self.kind == "box":
             raise ValueError("partition/zeta functions are defined for H_Z or H_Zf")
         return self.field_constant(params) if self.kind == "H_Zf" else 0.0

@@ -12,8 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .exact import (QC, ZonePoly, _poly_subst, gaussian_pair_integral_exact,
-                    hermite_scaled_exact, laguerre_exact, padd, pderiv, pmul,
-                    psub, pscale, ptrim)
+                    hermite_scaled_exact, laguerre_exact)
 # _compositions and zone_count are also imported from here by the tests
 from .params import (MagneticParams, HamiltonianVariant, _compositions,
                      sigma_value, zone_count)
@@ -30,7 +29,7 @@ def eigenvalue(p_blocks, params: MagneticParams,
     box:  -sum(lambda_i (4 p_i + k_i) + 4 lambda_i^2 k_i)  (with the default
           field constant; a configured c_f replaces the 4 lambda^2 k sum),
     H_Z:  +(1/2) sum lambda_i (4 p_i + k_i),
-    H_Zf: H_Z + c_f.
+    H_Zf: H_Z + c_f (`HamiltonianVariant.spectral_shift`).
     """
     p_blocks = tuple(int(p) for p in p_blocks)
     if len(p_blocks) != len(params.blocks):
@@ -40,9 +39,7 @@ def eigenvalue(p_blocks, params: MagneticParams,
     base = sum(b.lam * (4 * p + b.k) for p, b in zip(p_blocks, params.blocks))
     if variant.kind == "box":
         return -(base + 2.0 * variant.field_constant(params))
-    if variant.kind == "H_Z":
-        return 0.5 * base
-    return 0.5 * base + variant.field_constant(params)
+    return 0.5 * base + variant.spectral_shift(params)
 
 
 def multiplicity(p_blocks, v_blocks, params: MagneticParams) -> int:
@@ -181,11 +178,11 @@ def vandermonde_split(hp: ZonePoly, l: int, params: MagneticParams) -> dict[int,
         powers.append(_angular_operator(powers[-1], lam))
     out = {}
     for m, c in cs.items():
-        ell = [Fraction(1)]
+        ell = ZonePoly.constant(1)
         for n, cn in cs.items():
             if n != m:
-                ell = pmul(ell, [-cn / (c - cn), 1 / (c - cn)])
-        comp = sum((w * e for e, w in zip(ell, powers)), ZonePoly(hp.nvars))
+                ell = ell * ZonePoly.univariate([-cn / (c - cn), 1 / (c - cn)])
+        comp = sum((w * e for e, w in zip(ell.coeffs(), powers)), ZonePoly(hp.nvars))
         if comp.terms:
             out[m] = comp
     return out
@@ -241,8 +238,8 @@ def zonal_series_value(sigma, a: int, t: float, X, Y, lam: float,
 # radial-Laguerre cross-check
 # ---------------------------------------------------------------------------
 
-def radial_eigenpoly(n: int, l_tilde: int, k: int) -> list[Fraction]:
-    """Monic polynomial eigenfunction of the radial operator, ascending coeffs.
+def radial_eigenpoly(n: int, l_tilde: int, k: int) -> ZonePoly:
+    """Monic polynomial eigenfunction of the radial operator, in t = z.
 
     Coefficients a_i of t^{n-i} follow
         a_0 = 1,  a_i = -a_{i-1} (n - i + 1)(n + l_tilde + k/2 - i) / i,
@@ -257,10 +254,10 @@ def radial_eigenpoly(n: int, l_tilde: int, k: int) -> list[Fraction]:
     desc = [Fraction(1)]
     for i in range(1, n + 1):
         desc.append(-desc[-1] * Fraction((n - i + 1) * (2 * (n + l_tilde) + k - 2 * i), 2 * i))
-    return ptrim(list(reversed(desc)))
+    return ZonePoly.univariate(reversed(desc))
 
 
-def radial_operator_residual(u, l_tilde: int, k: int, n: int) -> list[Fraction]:
+def radial_operator_residual(u: ZonePoly, l_tilde: int, k: int, n: int) -> ZonePoly:
     """Exact residual of t u'' + (alpha + 1 - t) u' + n u, alpha = k/2 + l_tilde - 1.
 
     Zero iff u is the degree-n polynomial eigenfunction; equivalently the
@@ -268,15 +265,12 @@ def radial_operator_residual(u, l_tilde: int, k: int, n: int) -> list[Fraction]:
     -4n on u.
     """
     a1 = Fraction(k, 2) + l_tilde  # alpha + 1
-    du, ddu = pderiv(u), pderiv(pderiv(u))
-    return padd(padd(pmul([Fraction(0), Fraction(1)], ddu),
-                     pmul([a1, Fraction(-1)], du)),
-                pscale(u, n))
+    du = u.diff_z(0)
+    return ZonePoly.z(1, 0) * du.diff_z(0) + ZonePoly.univariate([a1, -1]) * du + u * n
 
 
 def radial_vs_laguerre(n: int, l_tilde: int, k: int) -> bool:
     """radial_eigenpoly equals the monic rescaling of L_n^{(k/2 + l_tilde - 1)}."""
     u = radial_eigenpoly(n, l_tilde, k)
     L = laguerre_exact(k // 2 + l_tilde - 1, n)
-    lead = L[-1]
-    return psub(u, pscale(L, 1 / lead)) == [Fraction(0)]
+    return u == L * (1 / L.coeffs()[-1])

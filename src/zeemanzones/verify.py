@@ -24,17 +24,16 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial, reduce
+from functools import partial
 from itertools import combinations, product
 
 import numpy as np
 
 from . import pathint, thermo
-from .exact import (apply_box, box_eigenvalue_exact,
+from .exact import (ZonePoly, apply_box, box_eigenvalue_exact,
                     box_field_constant, gaussian_pair_integral_exact,
                     laguerre_composition_check, laguerre_exact,
-                    laguerre_recurrence_exact, padd, pderiv, peval, pmul,
-                    pscale, psub, ptrim, rodrigues_check)
+                    laguerre_recurrence_exact, rodrigues_check)
 from .kernels import (convolution_rule, global_factor, global_kernel,
                       lt1_printed, pde_residual, projection_kernel, zonal0,
                       zonal_factor, zonal_kernel_closed, zonal_kernel_numeric)
@@ -146,8 +145,9 @@ def _lag_float_gap(alpha, n):
     exact = laguerre_exact(alpha, n)
     if laguerre_recurrence_exact(alpha, n) != exact:
         return np.inf
-    ref = np.array([float(peval([float(c) for c in exact], t))
-                    for t in _LAG_GRID])
+    ref = np.zeros_like(_LAG_GRID)
+    for c in reversed(exact.coeffs()):  # Horner, from the leading coefficient
+        ref = ref * _LAG_GRID + float(c)
     return float(np.max(np.abs(laguerre(alpha, n, _LAG_GRID) - ref)
                         / (1.0 + np.abs(ref))))
 
@@ -156,9 +156,8 @@ def _rec3_residual(alpha, a, lower):
     """(a+1) L_{a+1} - (2a+1+alpha-t) L_a + lower L_{a-1} on the binomial
     form: the zero polynomial when lower is the coefficient a + alpha."""
     L = [laguerre_exact(alpha, j) for j in (a - 1, a, a + 1)]
-    return padd(psub(pscale(L[2], a + 1),
-                     pmul([Fraction(2 * a + 1 + alpha), Fraction(-1)], L[1])),
-                pscale(L[0], lower))
+    return (L[2] * (a + 1) - ZonePoly.univariate([2 * a + 1 + alpha, -1]) * L[1]
+            + L[0] * lower)
 
 
 def _moment_gap(deg, k, A):
@@ -180,17 +179,16 @@ _LAGUERRE = [
     ("laguerre.rodrigues", _holds(lambda alpha, a: rodrigues_check(alpha, a),
                                   alpha=range(4), a=range(6))),
     ("laguerre.derivative_identity", _holds(
-        lambda alpha, a: ptrim(pderiv(laguerre_exact(alpha, a)))
-        == ptrim(pscale(laguerre_exact(alpha + 1, a - 1), -1)),
+        lambda alpha, a: laguerre_exact(alpha, a).diff_z(0)
+        == laguerre_exact(alpha + 1, a - 1) * -1,
         alpha=range(5), a=range(1, 13))),
     # partial sums of L_0^{(alpha)} .. L_a^{(alpha)} against L_a^{(alpha+1)}
     ("laguerre.sum_identity", _holds(
-        lambda alpha, a: ptrim(reduce(padd, (laguerre_exact(alpha, j)
-                                             for j in range(a + 1))))
-        == laguerre_exact(alpha + 1, a),
+        lambda alpha, a: sum((laguerre_exact(alpha, j) for j in range(a + 1)),
+                             ZonePoly(1)) == laguerre_exact(alpha + 1, a),
         alpha=range(5), a=range(13))),
     ("laguerre.rec3_identity", _holds(
-        lambda alpha, a: not any(_rec3_residual(alpha, a, a + alpha)),
+        lambda alpha, a: not _rec3_residual(alpha, a, a + alpha).terms,
         alpha=range(5), a=range(1, 13))),
     ("laguerre.composition", _holds(
         lambda alpha, n: laguerre_composition_check(alpha, n),
@@ -280,9 +278,8 @@ _SPECTRUM = [
         _orthogonal, ran={"pair_order": _PAIR_ORDERS}, geometry=_GEOMETRIES,
         order=range(5))),
     ("spectrum.radial_laguerre", _holds(
-        lambda k, lt, n: radial_vs_laguerre(n, lt, k) and ptrim(
-            radial_operator_residual(radial_eigenpoly(n, lt, k), lt, k, n))
-        == [Fraction(0)],
+        lambda k, lt, n: radial_vs_laguerre(n, lt, k) and not
+        radial_operator_residual(radial_eigenpoly(n, lt, k), lt, k, n).terms,
         k=(2, 4), lt=range(4), n=range(7))),
 ]
 

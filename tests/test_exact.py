@@ -7,39 +7,52 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zeemanzones.exact import (QC, ZonePoly, apply_box, box_eigenvalue_exact,
-                               box_field_constant, gaussian_pair_integral_exact,
+from zeemanzones.exact import (QC, ZonePoly, _poly_subst, apply_box,
+                               box_eigenvalue_exact, box_field_constant,
+                               gaussian_pair_integral_exact,
                                hermite_scaled_exact,
                                laguerre_composition_check,
                                laguerre_exact, laguerre_recurrence_exact,
-                               padd, pderiv, peval, pmul, pscale, psub, ptrim,
                                rodrigues_check)
 
 
 # ---------------------------------------------------------------------------
-# univariate polynomial plumbing
+# polynomials in one variable: ring laws on ZonePoly
 # ---------------------------------------------------------------------------
 
-def test_peval_matches_horner():
-    # [TRIVIAL] 1 + 2t + 3t^2 at t = 1/2 -> 1 + 1 + 3/4
-    p = [Fraction(1), Fraction(2), Fraction(3)]
-    assert peval(p, Fraction(1, 2)) == Fraction(11, 4)
+def test_poly_subst_at_a_constant_is_horner():
+    # [TRIVIAL] 1 + 2t + 3t^2 at t = 1/2 -> 1 + 1 + 3/4, in one and two variables
+    p = ZonePoly.univariate([1, 2, 3])
+    for nvars in (1, 2):
+        got = _poly_subst(p, ZonePoly.constant(nvars, Fraction(1, 2)))
+        assert got == ZonePoly.constant(nvars, Fraction(11, 4))
 
 
-def test_pderiv_product_rule():
-    a = [Fraction(1), Fraction(-2), Fraction(1)]
-    b = [Fraction(0), Fraction(3)]
-    lhs = pderiv(pmul(a, b))
-    rhs = padd(pmul(pderiv(a), b), pmul(a, pderiv(b)))
-    assert ptrim(lhs) == ptrim(rhs)
+def test_diff_z_product_rule():
+    a = ZonePoly.univariate([1, -2, 1])
+    b = ZonePoly.univariate([0, 3])
+    assert (a * b).diff_z(0) == a.diff_z(0) * b + a * b.diff_z(0)
+    # in two variables, d/dz_0 of a product mixing z_0, z_1 and zbar_0
+    z0, z1, zb0 = ZonePoly.z(2, 0), ZonePoly.z(2, 1), ZonePoly.zbar(2, 0)
+    f = z0 * z0 * zb0 + z1 * 3
+    g = z0 * z1 + zb0 * -2 + ZonePoly.constant(2, Fraction(1, 5))
+    assert (f * g).diff_z(0) == f.diff_z(0) * g + f * g.diff_z(0)
 
 
 @given(st.lists(st.integers(-5, 5), min_size=1, max_size=6),
        st.lists(st.integers(-5, 5), min_size=1, max_size=6))
-def test_pmul_commutes(a, b):
-    a = [Fraction(x) for x in a]
-    b = [Fraction(x) for x in b]
-    assert ptrim(pmul(a, b)) == ptrim(pmul(b, a))
+def test_univariate_products_commute(a, b):
+    a, b = ZonePoly.univariate(a), ZonePoly.univariate(b)
+    assert a * b == b * a
+
+
+def test_coeffs_needs_a_polynomial_in_z_alone():
+    assert ZonePoly.univariate([0, 0, 0]).coeffs() == [Fraction(0)]
+    assert ZonePoly.univariate([1, 0, 2, 0]).coeffs() == [1, 0, 2]
+    for p in (ZonePoly.zbar(1, 0), ZonePoly.z(1, 0) * ZonePoly.zbar(1, 0),
+              ZonePoly.z(2, 0), ZonePoly.constant(2)):
+        with pytest.raises(ValueError, match="one z alone"):
+            p.coeffs()
 
 
 # ---------------------------------------------------------------------------
@@ -48,9 +61,9 @@ def test_pmul_commutes(a, b):
 
 def test_laguerre_small_table():
     # [DERIVED] L_0^a = 1, L_1^a = 1 + a - t, L_2^0 = 1 - 2t + t^2/2
-    assert laguerre_exact(0, 0) == [Fraction(1)]
-    assert laguerre_exact(2, 1) == [Fraction(3), Fraction(-1)]
-    assert laguerre_exact(0, 2) == [Fraction(1), Fraction(-2), Fraction(1, 2)]
+    assert laguerre_exact(0, 0).coeffs() == [Fraction(1)]
+    assert laguerre_exact(2, 1).coeffs() == [Fraction(3), Fraction(-1)]
+    assert laguerre_exact(0, 2).coeffs() == [Fraction(1), Fraction(-2), Fraction(1, 2)]
 
 
 @pytest.mark.parametrize("alpha", range(4))
@@ -75,8 +88,8 @@ def test_composition(alpha, n):
 @pytest.mark.parametrize("n", range(1, 9))
 def test_derivative_lowers_alpha(alpha, n):
     # d/dt L_n^{(alpha)} = -L_{n-1}^{(alpha+1)}
-    lhs = ptrim(pderiv(laguerre_exact(alpha, n)))
-    rhs = ptrim(pscale(laguerre_exact(alpha + 1, n - 1), Fraction(-1)))
+    lhs = laguerre_exact(alpha, n).diff_z(0)
+    rhs = laguerre_exact(alpha + 1, n - 1) * Fraction(-1)
     assert lhs == rhs
 
 
@@ -84,18 +97,18 @@ def test_derivative_lowers_alpha(alpha, n):
 @pytest.mark.parametrize("n", range(9))
 def test_alpha_sum(alpha, n):
     # L_n^{(alpha+1)} = sum_{i<=n} L_i^{(alpha)}
-    acc = [Fraction(0)]
+    acc = ZonePoly(1)
     for i in range(n + 1):
-        acc = padd(acc, laguerre_exact(alpha, i))
-    assert ptrim(acc) == ptrim(laguerre_exact(alpha + 1, n))
+        acc = acc + laguerre_exact(alpha, i)
+    assert acc == laguerre_exact(alpha + 1, n)
 
 
 def test_hermite_exact_table():
     # [TRIVIAL] physicists' H_0..H_3
-    assert hermite_scaled_exact(0, 1) == [Fraction(1)]
-    assert hermite_scaled_exact(1, 1) == [Fraction(0), Fraction(2)]
-    assert hermite_scaled_exact(3, 1) == [Fraction(0), Fraction(-12),
-                                          Fraction(0), Fraction(8)]
+    assert hermite_scaled_exact(0, 1).coeffs() == [Fraction(1)]
+    assert hermite_scaled_exact(1, 1).coeffs() == [Fraction(0), Fraction(2)]
+    assert hermite_scaled_exact(3, 1).coeffs() == [Fraction(0), Fraction(-12),
+                                                   Fraction(0), Fraction(8)]
 
 
 # ---------------------------------------------------------------------------
@@ -150,6 +163,7 @@ def test_zone_poly_refuses_floats():
     h = ZonePoly.constant(1, 3)
     for call in (lambda: ZonePoly(1, {one: 0.5}),
                  lambda: ZonePoly.constant(1, 0.5),
+                 lambda: ZonePoly.univariate([1, 0.5]),
                  lambda: h * 0.5,
                  lambda: 0.5 * h,
                  lambda: apply_box(h, 1.0, 0)):

@@ -15,6 +15,10 @@ must be set by some call in those files, by keyword or by position; a
 `functools.partial(f, ...)` is a call of f, and a call with `*args` or
 `**kwargs` sets every parameter.  Conversely, each such default must be
 relied on: some call leaves its parameter unset.
+
+And each module under `src/zeemanzones/` other than `__init__.py` loads
+every name it imports; `__future__` imports and `# noqa: F401`
+re-exports are exempt.
 """
 
 import ast
@@ -145,3 +149,26 @@ def test_no_default_parameter_every_call_sets():
               if all(_sets(param, pos, n_args, keywords)
                      for callee, n_args, keywords in calls if callee == name)]
     assert not always, f"defaulted parameters every call sets: {always}"
+
+
+def test_no_unused_imports():
+    unused = []
+    for path in sorted(PKG.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        text = path.read_text()
+        lines = text.splitlines()
+        tree = ast.parse(text)
+        loaded = {node.id for node in ast.walk(tree)
+                  if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.Import, ast.ImportFrom)):
+                continue
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if any("# noqa: F401" in line
+                   for line in lines[node.lineno - 1:node.end_lineno]):
+                continue
+            unused += [f"{path.stem}: {a.name}" for a in node.names
+                       if (a.asname or a.name.split(".")[0]) not in loaded]
+    assert not unused, f"imported names the module never loads: {unused}"

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from zeemanzones import exact, pathint, spectrum, verify
+from zeemanzones.exact import ZonePoly
 from zeemanzones.quadrature import QuadRule
 from zeemanzones.verify import (CHECKS, SUITES, CheckResult, report_json,
                                 run_suite)
@@ -144,9 +145,9 @@ def test_thread_determinism_small_suite():
 
 def test_rec3_identity_can_fail():
     # the degenerate L_{a-1} coefficient a (right only for alpha = 0)
-    assert verify._rec3_residual(0, 3, 3) == [0]
-    assert verify._rec3_residual(1, 3, 3 + 1) == [0]
-    assert any(verify._rec3_residual(1, a, a) != [0] for a in range(1, 13))
+    assert not verify._rec3_residual(0, 3, 3).terms
+    assert not verify._rec3_residual(1, 3, 3 + 1).terms
+    assert any(verify._rec3_residual(1, a, a).terms for a in range(1, 13))
 
 
 def test_pathint_checks_report_what_ran():
@@ -281,14 +282,14 @@ def test_declared_checks_can_fail(monkeypatch, check_id, subject, plant):
 
 
 def _plant_one_seventh(monkeypatch, module, name, index, at):
-    # the polynomial `module.name` returns for arguments where at(*args)
-    # holds gets 1/7 added to its coefficient `index`
+    # the polynomial in one variable `module.name` returns for arguments
+    # where at(*args) holds gets 1/7 z^index added
     original = getattr(module, name)
 
     def planted(*args):
-        out = list(original(*args))
+        out = original(*args)
         if at(*args):
-            out[index] += Fraction(1, 7)
+            out = out + ZonePoly(1, {((index,), (0,)): Fraction(1, 7)})
         return out
 
     monkeypatch.setattr(module, name, planted)
