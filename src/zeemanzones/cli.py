@@ -4,14 +4,14 @@ One command per process.  Configuration comes from a single JSON file
 (--config); command-line flags, named and typed after their config fields,
 override it; no environment variables are consulted.  `COMMANDS` declares
 each subcommand's flags, the other fields it reads and its table form.
-Every field passes `_check_field` (JSON type, no empty list, `CHOICES`,
-`RANGES`) before anything runs.  Every table subcommand prints through
-`write_table`, as CSV or JSON, as `format` asks.  Output files are written
-atomically (temp file + rename), so a crashed run leaves no truncated file.
+Every field passes `_check_field` (JSON type, finite, no empty list,
+`CHOICES`, `RANGES`) before anything runs.  Every table subcommand prints
+through `write_table`, as CSV or JSON, as `format` asks.  Output files are
+written atomically (temp file + rename): a crash leaves no truncated file.
 
 Exit codes: 0 success / all checks pass, 1 verification FAIL present,
-2 usage or config error (including out-of-range values), 3 numeric ERROR
-present (a `params.NumericError` from any subcommand).
+2 usage or config error (including out-of-range and non-finite values),
+3 numeric ERROR present (a `params.NumericError` from any subcommand).
 
 Start-up is part of every job, so this module loads only the standard
 library and `params` at import; each subcommand imports the layers it
@@ -23,6 +23,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import sys
 
@@ -70,8 +71,8 @@ _JSON_TYPES = {float: ("a number", (int, float)), int: ("an integer", int),
 
 def _check_field(name, value, default):
     """Raise ConfigError unless value has its default's JSON type (null only
-    for a null default), is no empty list and CHOICES and RANGES allow it;
-    list elements and object members are checked against the default's."""
+    for a null default), is finite, no empty list and allowed by CHOICES and
+    RANGES; it checks list elements and object members by the default's."""
     if default is None:
         if value is None:
             return
@@ -80,6 +81,8 @@ def _check_field(name, value, default):
     if isinstance(value, bool) or not isinstance(value, types):
         raise ConfigError(f"config field {name!r}: expected {kind}, "
                           f"got {json.dumps(value)}")
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ConfigError(f"config field {name!r}: must be finite, got {value}")
     if "[" in name and not isinstance(value, (list, dict)):
         return      # a scalar list element: CHOICES and RANGES name none
     if value == []:

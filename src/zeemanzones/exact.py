@@ -250,21 +250,22 @@ def laguerre_composition_check(alpha: int, n: int) -> bool:
         for z in zs])
 
 
-def apply_box(h: ZonePoly, lam, c_f) -> ZonePoly:
+def apply_box(h: ZonePoly, lam, box_constant) -> ZonePoly:
     """Exact polynomial action of the magnetic Laplacian in the Gaussian gauge.
 
-    For Box = Delta_X + 2i lam D - lam^2 |X|^2 - c_f acting on
+    For Box = Delta_X + 2i lam D - lam^2 |X|^2 - box_constant acting on
     H(z, zbar) e^{-lam |X|^2 / 2}, the polynomial part transforms by
 
         H  ->  4 sum_j d_z_j d_zbar_j H  -  4 lam sum_j z_j d_z_j H
-                - (k lam + c_f) H,
+                - (k lam + box_constant) H,
 
-    with k = 2 * nvars.  Derived once from Delta, the rotational field
-    J(X).grad = i(z d_z - zbar d_zbar), and cancellation of the |X|^2 terms.
+    with k = 2 * nvars and box_constant = 2 c_f of `HamiltonianVariant`.
+    Derived once from Delta, the rotational field J(X).grad = i(z d_z -
+    zbar d_zbar), and cancellation of the |X|^2 terms.
     """
-    lam, c_f = QC.of(lam), QC.of(c_f)
+    lam, box_constant = QC.of(lam), QC.of(box_constant)
     k = 2 * h.nvars
-    out = h * -(k * lam + c_f)
+    out = h * -(k * lam + box_constant)
     for j in range(h.nvars):
         out = out + h.diff_z(j).diff_zbar(j) * 4
         out = out + (ZonePoly.z(h.nvars, j) * h.diff_z(j)) * (-4 * lam)
@@ -272,15 +273,15 @@ def apply_box(h: ZonePoly, lam, c_f) -> ZonePoly:
 
 
 def box_field_constant(lam, k: int):
-    """Default field constant of the box operator for a single block."""
-    lam = QC.of(lam)
-    return 4 * lam * lam * k
+    """Default box constant 4 lam^2 k of a single block: 2 c_f for the
+    default c_f of `HamiltonianVariant`."""
+    return 4 * QC.of(lam) ** 2 * k
 
 
-def box_eigenvalue_exact(p: int, lam, k: int, c_f) -> Fraction:
-    """-( (4p + k) lam + c_f ), the box eigenvalue on holomorphic degree p."""
-    lam = QC.of(lam)
-    return -((4 * p + k) * lam + QC.of(c_f))
+def box_eigenvalue_exact(p: int, lam, k: int, box_constant) -> Fraction:
+    """-((4p + k) lam + box_constant), the box eigenvalue on holomorphic
+    degree p; box_constant is 2 c_f of `HamiltonianVariant`."""
+    return -((4 * p + k) * QC.of(lam) + QC.of(box_constant))
 
 
 def gaussian_pair_integral_exact(f: ZonePoly, g: ZonePoly, lam) -> Fraction:

@@ -198,7 +198,7 @@ def zonal_kernel_closed(sigma, a: int, t: float, X, Y,
     Far from the origin the exponent and rho cancel O(|z|^2) terms: on
     points with |z| <= 40 (DF, t = 0.05, pi/4 and 1.3) this point form is
     off a 60-digit evaluation by up to 1.1e-13 of the largest entry at
-    zone 0 and 2.6e-12 at zone 4, where the plane operator (`zonal_step`)
+    zone 0 and 2.6e-12 at zone 4, where the plane operator (`plane_step`)
     is within 2.7e-14 and 2.9e-13.
     """
     z0 = zonal0(sigma, t, X, Y, params)
@@ -223,7 +223,7 @@ def _zone_levels(sigma, t, b, planes, ms):
                       ms[0], None)
 
 
-def plane_step(X, Y, lam: float, kap, shift, a=0):
+def plane_step(X, Y, lam: float, kap, shift, a: int):
     """The step operator f -> r, r[y] = sum_x f[x] K(x, y), on one
     coordinate plane of field lam, of the kernel K = (lam / pi) e^{shift
     + lam (kap P - (|x|^2 + |y|^2) / 2)} times, for a > 0, the zone-a
@@ -235,9 +235,8 @@ def plane_step(X, Y, lam: float, kap, shift, a=0):
     of X; r has one per point of Y.  Trailing axes of f lead the result,
     so f = I (N x N) gives the kernel K(X_n, Y_m) as an (N, M) array.
     P = z_x conj(z_y), z = x1 + i x2, is the pairing <x, y + i J y>.
-    Every chain step is a product over the planes of such operators:
-    delta^{(0)} (kap = 1), d_sigma^{(a)}(t) (`zonal_step`) and the
-    action-weighted delta^{(0)} steps of `pathint`.
+    Every chain step is a product over the planes of such operators, of a
+    `zone_flow` pair for d_sigma^{(a)}(t) or an action-weighted one.
 
     P = (x1 y1 - i x1 y2) + (x2 y2 + i x2 y1), so the kernel is u[x1, y1,
     y2] v[x2, y1, y2] with the row and column Gaussians folded in, and each
@@ -326,14 +325,6 @@ def _contract_plane(plane, m, f):
             h[i] = gi @ np.multiply(vt, lag, out=lag)
     h *= u.reshape(n1, 1, -1)
     return tree_sum(h).reshape(f.shape[1:] + (-1,))
-
-
-def zonal_step(sigma, a: int, t: float, X, Y, lam: float):
-    """The step operator of d_sigma^{(a)}(t) on one coordinate plane of
-    field lam, from grid X to grid Y (`plane_step`): f -> sum_x f[x]
-    d_sigma^{(a)}(t, x, Y_m), the plane form of `zonal_kernel_closed`.  At
-    t = 0 the zone-0 operator is delta^{(0)}."""
-    return plane_step(X, Y, lam, *zone_flow(sigma, t, lam), a)
 
 
 def lt1_printed(sigma, t: float, X, Y):

@@ -6,11 +6,11 @@ Gaussian weights inside the kernels, and Lebesgue chaining is what makes
 the pinned F=1 chain collapse to d(T, x, y) exactly).
 
 Every chain is a sum of products of one-plane chains (`_chain`), each
-on its plane's grid: a step applies a `plane_step` operator to the
-vector of grid values, so no N x N step matrix is built.  x2 is
-contracted by a matrix product and x1 by a `tree_sum`, and a free end is
-summed by a `tree_sum`; neither depends on the thread count.  The
-integrand F is None (F = 1) or, on one plane only, separable.
+on its plane's grid: a step applies the `plane_step` operator of a flow
+(kap, shift) to the vector of grid values, so no N x N step matrix is
+built.  x2 is contracted by a matrix product and x1 by a `tree_sum`, and
+a free end is summed by a `tree_sum`; neither depends on the thread
+count.  The integrand F is None (F = 1) or, on one plane only, separable.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ import numpy as np
 
 from .params import (CHAIN_DEGREE, MagneticParams, _composition_sum,
                      _factor_levels, sigma_value, zone_flow)
-from .kernels import check_df_time, plane_step, zonal_step
+from .kernels import check_df_time, plane_step
 from .quadrature import (QuadRule, QuadratureError, tensor_points,
                          tensor_weights, tree_sum)
 
@@ -90,7 +90,7 @@ def _interior_factors(F, n_interior, G):
     return [np.broadcast_to(f(points), (len(points),)) for f in F]
 
 
-def _chain(step, a, x, y, F, n_interior, params, quad_degree):
+def _chain(flow, a, x, y, F, n_interior, params, quad_degree):
     """Integrate a chain of zone-a steps from the point x to the point y
     (None: free end) over n_interior points.
 
@@ -99,10 +99,10 @@ def _chain(step, a, x, y, F, n_interior, params, quad_degree):
     compositions (a_p) of a over the planes of products of one-plane
     chains at constant zone a_p, `plane(j, m)`, summed as Cauchy products
     of the planes' chain sequences (`_composition_sum`): each runs once,
-    and a lone plane runs only its zone-a chain.  Its steps are
-    step(lam, m, X, Y) from grid X to grid Y (`plane_step`), the
-    grid-to-grid one built once.  F is None or, on one plane only, a
-    separable F (`_interior_factors`).
+    and a lone plane runs only its zone-a chain.  On a plane of field lam
+    every step is the `plane_step` of flow(lam) = (kap, shift), as from
+    `zone_flow`: grid to grid built once, and no grid for n_interior = 0.
+    F is None or, on one plane only, a separable F (`_interior_factors`).
     """
     plam = params.plane_lambdas().tolist()
     if F is not None and len(plam) > 1:
@@ -112,19 +112,17 @@ def _chain(step, a, x, y, F, n_interior, params, quad_degree):
 
     def plane(j, m):
         lam = plam[j]
-        if n_interior == 0:
-            _interior_factors(F, 0, None)       # a separable F must be empty
-            return complex(step(lam, m, x[j], y[j])(np.ones(1))[0])
-        G, w = slicing_grid(lam, quad_degree)
+        kap, shift = flow(lam)
+        step = partial(plane_step, lam=lam, kap=kap, shift=shift, a=m)
+        # with no interior point, the last step leaves from x itself
+        G, w = slicing_grid(lam, quad_degree) if n_interior else (x[j], None)
         factors = _interior_factors(F, n_interior, G)
-        inner = step(lam, m, G, G) if n_interior > 1 else None
-        v = step(lam, m, x[j], G)(np.ones(1))
+        inner = step(G, G) if n_interior > 1 else None
+        vw = np.ones(1)
         for i, f in enumerate(factors):
+            v = inner(vw) if i else step(x[j], G)(vw)
             vw = v * w if f is None else v * w * f
-            if i < n_interior - 1:
-                v = inner(vw)
-        return complex(tree_sum(vw) if y is None
-                       else step(lam, m, G, y[j])(vw)[0])
+        return complex(tree_sum(vw) if y is None else step(G, y[j])(vw)[0])
 
     ms = _factor_levels(a, len(plam))
     return _composition_sum(a, [map(partial(plane, j), ms)
@@ -144,8 +142,7 @@ def cylinder_value(sigma, a: int, slicing: TimeSlicing, F, x, y,
     ignored).
     """
     _check_slicing(sigma, slicing, params)
-    dt = slicing.step
-    return _chain(lambda lam, m, X, Y: zonal_step(sigma, m, dt, X, Y, lam),
+    return _chain(partial(zone_flow, sigma, slicing.step),
                   a, x, y if pinned else None, F,
                   slicing.n_slices - int(pinned), params, quad_degree)
 
@@ -153,11 +150,10 @@ def cylinder_value(sigma, a: int, slicing: TimeSlicing, F, x, y,
 def nu_cylinder_value(slicing: TimeSlicing, F, x, y,
                       params: MagneticParams, quad_degree: int):
     """Same chaining, pinned at y, with the holomorphic point-spread
-    delta^{(0)} as the step kernel (the time-independent nu measure); F=1
-    gives delta^{(0)}(x, y) for every n by exact idempotency."""
-    # d^{(0)} at t = 0 is delta^{(0)}
-    return _chain(lambda lam, m, X, Y: zonal_step("wk", 0, 0.0, X, Y, lam),
-                  0, x, y, F, slicing.n_slices - 1, params, quad_degree)
+    delta^{(0)} = d^{(0)}(0) as the step kernel (the time-independent nu
+    measure); F=1 gives delta^{(0)}(x, y) for every n by exact idempotency."""
+    return _chain(partial(zone_flow, "wk", 0.0), 0, x, y, F,
+                  slicing.n_slices - 1, params, quad_degree)
 
 
 # ---------------------------------------------------------------------------
@@ -194,9 +190,8 @@ def feynman_kac_chain(sigma, slicing: TimeSlicing, x, y,
     second form of the cylinder functional).
     """
     _check_slicing(sigma, slicing, params)
-    return _chain(lambda lam, m, X, Y: plane_step(
-        X, Y, lam, *_fk_step(sigma, slicing.step, lam, exact_step)),
-        0, x, y, None, slicing.n_slices - 1, params, quad_degree)
+    return _chain(partial(_fk_step, sigma, slicing.step, exact=exact_step),
+                  0, x, y, None, slicing.n_slices - 1, params, quad_degree)
 
 
 # ---------------------------------------------------------------------------
@@ -244,9 +239,10 @@ def probability_conservation(t: float, x, params: MagneticParams,
 
     def norm(j, lam):
         G, w = slicing_grid(lam, quad_degree)
-        psi0 = zonal_step("wk", 0, 0.0, x[j], G, lam)(np.ones(1))
+        psi0 = plane_step(x[j], G, lam, *zone_flow("wk", 0.0, lam), 0)(
+            np.ones(1))
         psi0 /= np.sqrt(tree_sum(w * np.abs(psi0) ** 2).real)
-        psit = zonal_step("df", 0, t, G, G, lam)(psi0 * w)
+        psit = plane_step(G, G, lam, *zone_flow("df", t, lam), 0)(psi0 * w)
         return np.sqrt(tree_sum(w * np.abs(psit) ** 2).real)
 
     plam = params.plane_lambdas().tolist()
@@ -265,10 +261,16 @@ def radon_nikodym_consistency(slicing: TimeSlicing, x, y,
     the left-endpoint Riemann action the residual is the discretization
     error (reported for both).
     """
+    def wk_flow(lam, exact):        # reweighted to the DF measure
+        coeff, shift = _fk_step("wk", slicing.step, lam, exact)
+        ratio, const = _rn_ratio(slicing.step, lam, exact)
+        return coeff + ratio, shift + const
+
     lhs = feynman_kac_chain("df", slicing, x, y, params, quad_degree,
                             exact_step=True)
-    return {f"residual_{name}": abs(lhs - _rn_wk_side(
-        slicing, x, y, params, quad_degree, exact)) / max(abs(lhs), 1e-300)
+    return {f"residual_{name}": abs(lhs - _chain(
+        partial(wk_flow, exact=exact), 0, x, y, None, slicing.n_slices - 1,
+        params, quad_degree)) / max(abs(lhs), 1e-300)
         for name, exact in (("exact", True), ("left", False))}
 
 
@@ -281,17 +283,6 @@ def _rn_ratio(dt, lam: float, exact: bool):
     ratio = (np.exp(-2j * lam * dt) - np.exp(-2 * lam * dt) if exact
              else 2 * lam * dt * (1 - 1j))
     return ratio, -0.5 * dt * (1j - 1) * (2 * lam)
-
-
-def _rn_wk_side(slicing, x, y, params, quad_degree, exact):
-    """WK delta-chain reweighted step by step to the DF measure."""
-    def step(lam, m, X, Y):
-        coeff, shift = _fk_step("wk", slicing.step, lam, exact)
-        ratio, const = _rn_ratio(slicing.step, lam, exact)
-        return plane_step(X, Y, lam, coeff + ratio, shift + const)
-
-    return _chain(step, 0, x, y, None, slicing.n_slices - 1, params,
-                  quad_degree)
 
 
 def second_form_residual(sigma, slicing: TimeSlicing, x, y,

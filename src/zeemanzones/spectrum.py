@@ -26,8 +26,8 @@ def eigenvalue(p_blocks, params: MagneticParams,
                variant: HamiltonianVariant) -> float:
     """Eigenvalue at per-block holomorphic degrees p_i.
 
-    box:  -sum(lambda_i (4 p_i + k_i) + 4 lambda_i^2 k_i)  (with the default
-          field constant; a configured c_f replaces the 4 lambda^2 k sum),
+    box:  -(sum lambda_i (4 p_i + k_i) + 2 c_f) = -2 H_Zf; the default c_f
+          gives the sum of 4 lambda_i^2 k_i,
     H_Z:  +(1/2) sum lambda_i (4 p_i + k_i),
     H_Zf: H_Z + c_f (`HamiltonianVariant.spectral_shift`).
     """

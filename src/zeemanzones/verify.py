@@ -212,9 +212,9 @@ def _eigenfunctions(geometry, order):
 def _box_eigen(geometry, order):
     """Each magnetic part of each eigenfunction is a box eigenfunction."""
     lam, k = Fraction(geometry[0]), geometry[1]
-    c_f = box_field_constant(lam, k)
-    return all(apply_box(comp, lam, c_f)
-               == comp * box_eigenvalue_exact(comp.holo_degree(), lam, k, c_f)
+    const = box_field_constant(lam, k)
+    return all(apply_box(comp, lam, const)
+               == comp * box_eigenvalue_exact(comp.holo_degree(), lam, k, const)
                for hp, _ in _eigenfunctions(geometry, order)
                for comp in split_by_magnetic(hp).values())
 

@@ -133,10 +133,13 @@ def test_flags_are_the_commands_table(command):
     ({"params": []}, "kernel", "params"),
     ({"variant": "Hx"}, "partition", "variant"),
     ({"params": [{"lambda": 1.0, "k": 2.5}]}, "kernel", "params[0].k"),
+    ({"c_f": math.inf}, "spectrum", "c_f"),
+    ({"points": [[[0.3, math.nan], [0.1, 0.4]]]}, "kernel",
+     "points[0][0][1]"),
 ], ids=["zone-kernel", "zone-pathint", "times-kernel", "points-kernel",
         "points-pathint", "n_slices-pathint", "format-choice",
         "points-empty", "zone-unread", "times-unread-empty", "params-empty",
-        "variant-choice", "params-k-type"])
+        "variant-choice", "params-k-type", "c_f-infinity", "points-nan"])
 def test_wrong_json_type_exit_2(capsys, tmp_path, doc, command, field):
     # a config value of the wrong JSON type, or one its field does not
     # allow, is a config error, not a verification FAIL (exit 1), a
@@ -169,14 +172,24 @@ def _refuse(*args, **kwargs):
     (["partition", "--times", ","], "times"),
     (["zeta", "--s-values", ","], "s_values"),
     (["pathint", "--n-slices", ","], "n_slices"),
+    (["kernel", "--sigma", "df", "--times", "inf"], "times[0]"),
+    (["partition", "--sigma", "df", "--times", "inf"], "times[0]"),
+    (["pathint", "--sigma", "df", "--total-time", "inf"], "total_time"),
+    (["kernel", "--sigma", "wk", "--times", "0.2,inf"], "times[1]"),
+    (["pathint", "--sigma", "wk", "--total-time", "inf"], "total_time"),
+    (["zeta", "--s-values", "inf"], "s_values[0]"),
+    (["partition", "--sigma", "wk", "--times", "inf"], "times[0]"),
 ], ids=["pathint-deg0", "pathint-deg-max", "verify-threads0",
         "verify-threads-neg", "spectrum-max-p", "spectrum-max-zone",
         "kernel-zone", "partition-zone", "zeta-zone", "pathint-zone",
         "kernel-times-empty", "partition-times-empty", "zeta-s-empty",
-        "pathint-n-empty"])
+        "pathint-n-empty", "kernel-df-inf", "partition-df-inf",
+        "pathint-df-inf", "kernel-wk-inf", "pathint-wk-inf", "zeta-s-inf",
+        "partition-wk-inf"])
 def test_out_of_range_exit_2(capsys, monkeypatch, argv, field):
     # a value outside its range is a config error, caught before any
-    # computation (not a numeric ERROR, and not silently replaced)
+    # computation (not a numeric ERROR, and not silently replaced); so is
+    # a non-finite number, which gave NaN rows, ERROR rows or a traceback
     monkeypatch.setattr(pathint, "cylinder_value", _refuse)
     monkeypatch.setattr(verify, "run_suite", _refuse)
     monkeypatch.setattr(spectrum, "spectrum_table", _refuse)

@@ -12,10 +12,10 @@ from zeemanzones import pathint, thermo
 from zeemanzones.kernels import (SingularTimeError, _zonal0_parts,
                                  check_df_time, convolution_rule,
                                  global_factor, global_kernel, global_parts,
-                                 lt1_printed, pde_residual, projection_kernel,
-                                 projection_parts, weighted_dist_sq, zonal0,
-                                 zonal_factor, zonal_kernel_closed,
-                                 zonal_kernel_numeric, zonal_step)
+                                 lt1_printed, pde_residual, plane_step,
+                                 projection_kernel, projection_parts,
+                                 weighted_dist_sq, zonal0, zonal_factor,
+                                 zonal_kernel_closed, zonal_kernel_numeric)
 from zeemanzones.params import (J_apply, MagneticParams, _composition_sum,
                                 _compositions, _factor_levels, sigma_value,
                                 zone_flow)
@@ -27,6 +27,11 @@ from zeemanzones.spectrum import zonal_series_value
 
 def _rule(params, deg=40):
     return QuadRule(deg, params.axis_lambdas())
+
+
+def _zone_step(sigma, a, t, X, Y, lam):
+    """The plane step operator of d_sigma^{(a)}(t), from grid X to grid Y."""
+    return plane_step(X, Y, lam, *zone_flow(sigma, t, lam), a)
 
 
 # ---------------------------------------------------------------------------
@@ -159,7 +164,7 @@ BAD_TIME = {
         "wk", 0, t, _XC, _XC, p),
     "zonal_kernel_closed_a2": lambda t, p: zonal_kernel_closed(
         "df", 2, t, _XC, _XC, p),
-    "zonal_step": lambda t, p: zonal_step("df", 0, t, _XP, _XP, 1.0),
+    "plane_step": lambda t, p: _zone_step("df", 0, t, _XP, _XP, 1.0),
     "zonal_factor": lambda t, p: zonal_factor("wk", t)(1.0),
     "convolution_rule": lambda t, p: convolution_rule(
         zonal_factor("df", t), global_factor("df", 0.5), _XC, _XC, p),
@@ -385,7 +390,7 @@ def zonal_matrix(sigma, a, t, G, H, params):
 
     def plane(j, m):
         X, Y = G[2 * j:2 * j + 2], H[2 * j:2 * j + 2]
-        return zonal_step(sigma, m, t, X, Y, lams[j])(
+        return _zone_step(sigma, m, t, X, Y, lams[j])(
             np.eye(len(X[0]) * len(X[1])))
 
     return sum(reduce(np.kron, [plane(j, m) for j, m in enumerate(comp)])
@@ -431,7 +436,7 @@ def test_zonal_matrix_point_row(p2, xy2, sigma, a):
     # to per-point closed-form values
     x, _ = xy2
     G = _axes(p2, 4)
-    got = zonal_step(sigma, a, 0.4, x[:, None], G, 1.0)(np.ones(1))
+    got = _zone_step(sigma, a, 0.4, x[:, None], G, 1.0)(np.ones(1))
     assert got.shape == (4 ** 2,)
     ref = np.array([zonal_kernel_closed(sigma, a, 0.4, x, u, p2).value
                     for u in tensor_points(G)])
@@ -513,7 +518,7 @@ def test_zonal_step_build_memory(p2, a, ceiling_mib):
     G = _axes(p2, 40)
     tracemalloc.start()
     try:
-        zonal_step("df", a, 0.3, G, G, 1.0)
+        _zone_step("df", a, 0.3, G, G, 1.0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -523,7 +528,7 @@ def test_zonal_step_build_memory(p2, a, ceiling_mib):
 def test_zonal_matrix_refuses_point_sets():
     # an (N, 2) point set is not a plane grid
     with pytest.raises(ValueError, match="axes"):
-        zonal_step("wk", 0, 0.5, np.zeros((3, 2)), np.zeros((2, 1)), 1.0)
+        _zone_step("wk", 0, 0.5, np.zeros((3, 2)), np.zeros((2, 1)), 1.0)
 
 
 # ---------------------------------------------------------------------------

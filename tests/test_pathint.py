@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from collections import Counter
 from functools import reduce
 from pathlib import Path
 
@@ -27,6 +28,8 @@ from zeemanzones.pathint import (TimeSlicing, cylinder_value,
 
 X0 = np.array([0.3, -0.2])
 Y0 = np.array([0.1, 0.4])
+X4 = np.array([0.3, -0.2, 0.15, 0.25])
+Y4 = np.array([0.1, 0.4, -0.3, 0.05])
 
 
 def test_chain_degree_defaults_match_cli():
@@ -112,9 +115,9 @@ def test_factor_shape_checked_before_first_step(p2, monkeypatch):
     # an (N, 1) factor would broadcast the chain vector to N x N
     sl = TimeSlicing(0.6, 3)
     calls = []
-    real_step = pathint.zonal_step
-    monkeypatch.setattr(pathint, "zonal_step",
-                        lambda *a: calls.append(a) or real_step(*a))
+    real_step = pathint.plane_step
+    monkeypatch.setattr(pathint, "plane_step",
+                        lambda *a, **kw: calls.append(a) or real_step(*a, **kw))
     with pytest.raises(ValueError):
         cylinder_value("wk", 0, sl, [lambda m: m[:, :1]] * 2, X0, Y0, p2,
                        quad_degree=8)
@@ -262,7 +265,7 @@ def test_action_weighted_steps_match_generic_products(blocks, exact):
         # each plane's step operator on the identity gives its step kernel
         # on G x G; the step kernel on R^k is their Kronecker product
         return reduce(np.kron, [
-            plane_step(G, G, lam, *form(lam))(np.eye(len(G[0]) * len(G[1])))
+            plane_step(G, G, lam, *form(lam), 0)(np.eye(len(G[0]) * len(G[1])))
             for G, lam in zip(grids, lams)])
 
     for sigma in ("wk", "df"):
@@ -285,13 +288,13 @@ def test_step_factors_built_once(p2, monkeypatch):
     # the grid-to-grid factors are built once per chain and applied at
     # every interior step
     calls = []
-    build = pathint.zonal_step
+    build = pathint.plane_step
 
-    def counted(sigma, a, t, X, Y, lam):
+    def counted(X, Y, lam, kap, shift, a):
         calls.append((len(X[0]), len(Y[0])))
-        return build(sigma, a, t, X, Y, lam)
+        return build(X, Y, lam, kap, shift, a)
 
-    monkeypatch.setattr(pathint, "zonal_step", counted)
+    monkeypatch.setattr(pathint, "plane_step", counted)
     got = cylinder_value("wk", 0, TimeSlicing(0.6, 6), None, X0, Y0, p2,
                          quad_degree=12)
     assert calls.count((12, 12)) == 1
@@ -305,17 +308,15 @@ def test_each_plane_chain_runs_once(p2, p4, monkeypatch, a):
     # a lone plane runs only its zone-a chain; on two planes every
     # (plane, level) chain runs once, three step builds each at n = 3
     calls = []
-    build = pathint.zonal_step
+    build = pathint.plane_step
 
-    def counted(sigma, m, t, X, Y, lam):
-        calls.append((lam, m))
-        return build(sigma, m, t, X, Y, lam)
+    def counted(X, Y, lam, kap, shift, a):
+        calls.append((lam, a))
+        return build(X, Y, lam, kap, shift, a)
 
-    monkeypatch.setattr(pathint, "zonal_step", counted)
-    x4 = np.array([0.3, -0.2, 0.15, 0.25])
-    y4 = np.array([0.1, 0.4, -0.3, 0.05])
+    monkeypatch.setattr(pathint, "plane_step", counted)
     for params, x, y, levels in ((p2, X0, Y0, [a]),
-                                 (p4, x4, y4, range(a + 1))):
+                                 (p4, X4, Y4, range(a + 1))):
         calls.clear()
         got = cylinder_value("wk", a, TimeSlicing(0.6, 3), None, x, y,
                              params, quad_degree=12)
@@ -324,6 +325,55 @@ def test_each_plane_chain_runs_once(p2, p4, monkeypatch, a):
                                             for m in levels])
         ref = zonal_kernel_closed("wk", a, 0.6, x, y, params).value
         assert abs(got - ref) < 1e-8 * max(1.0, abs(ref))
+
+
+# (run, zone, pinned, chains run): radon_nikodym_consistency runs its
+# exact-step DF chain and its two reweighted WK chains
+CHAIN_VARIANTS = {
+    "cylinder_pinned": (lambda sl, x, y, p: cylinder_value(
+        "df", 1, sl, None, x, y, p, quad_degree=6), 1, True, 1),
+    "cylinder_free": (lambda sl, x, y, p: cylinder_value(
+        "wk", 1, sl, None, x, None, p, quad_degree=6, pinned=False),
+        1, False, 1),
+    "nu": (lambda sl, x, y, p: nu_cylinder_value(sl, None, x, y, p, 6),
+           0, True, 1),
+    "fk_left": (lambda sl, x, y, p: feynman_kac_chain(
+        "df", sl, x, y, p, 6), 0, True, 1),
+    "fk_exact": (lambda sl, x, y, p: feynman_kac_chain(
+        "wk", sl, x, y, p, 6, exact_step=True), 0, True, 1),
+    "radon_nikodym": (lambda sl, x, y, p: radon_nikodym_consistency(
+        sl, x, y, p, 6), 0, True, 3),
+}
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("name", sorted(CHAIN_VARIANTS))
+def test_every_chain_variant_builds_its_steps_once(p2, p4, monkeypatch,
+                                                   name, n):
+    # per (plane, level) pair a pinned chain builds x -> y at n = 1, x -> G
+    # and G -> y at n = 2, and the one G -> G step besides at n >= 3; a
+    # free chain builds x -> G, and G -> G at n >= 2
+    run, zone, pinned, chains = CHAIN_VARIANTS[name]
+    builds = ((1, 2, 3, 3) if pinned else (1, 2, 2, 2))[n - 1]
+    calls = []
+    build = pathint.plane_step
+
+    def counted(X, Y, lam, kap, shift, a):
+        calls.append((lam, a, len(X[0]) > 1 and len(Y[0]) > 1))
+        return build(X, Y, lam, kap, shift, a)
+
+    monkeypatch.setattr(pathint, "plane_step", counted)
+    for params, x, y in ((p2, X0, Y0), (p4, X4, Y4)):
+        calls.clear()
+        run(TimeSlicing(0.6, n), x, y, params)
+        lams = params.plane_lambdas().tolist()
+        levels = [zone] if len(lams) == 1 else range(zone + 1)
+        pairs = [(lam, m) for lam in lams for m in levels]
+        assert Counter((lam, m) for lam, m, _ in calls) == {
+            pair: chains * builds for pair in pairs}
+        grid_to_grid = n - pinned >= 2
+        assert Counter((lam, m) for lam, m, g in calls if g) == {
+            pair: chains for pair in pairs if grid_to_grid}
 
 
 @pytest.mark.parametrize("a", [0, 1])

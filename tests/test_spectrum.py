@@ -1,5 +1,6 @@
 """Spectra, multiplicities, eigenfunctions, zones."""
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -36,6 +37,23 @@ def test_eigenvalue_box_includes_field_constant(p2):
     cf = float(box_field_constant(1, 2))
     for p in range(4):
         assert eigenvalue((p,), p2, BOX) == pytest.approx(-((4 * p + 2) + cf))
+
+
+@pytest.mark.parametrize("c_f", [None, 0.5])
+@pytest.mark.parametrize("blocks", [[(1.0, 2)], [(1.0, 2), (2.0, 2)]])
+def test_box_eigenvalue_is_minus_twice_h_zf(blocks, c_f):
+    # box = -(sum lam_i (4 p_i + k_i) + 2 c_f) = -2 H_Zf for every c_f, so
+    # the exact box eigenvalue takes the box constant 2 c_f (one block; on
+    # two, the first block carries it and the others take 0)
+    params = MagneticParams.make(blocks)
+    box, h_zf = HamiltonianVariant("box", c_f), HamiltonianVariant("H_Zf", c_f)
+    const = 2 * Fraction(box.field_constant(params))
+    for ps in itertools.product(range(5), repeat=len(blocks)):
+        ev = eigenvalue(ps, params, box)
+        assert ev == -2 * eigenvalue(ps, params, h_zf)
+        assert ev == sum(box_eigenvalue_exact(p, Fraction(b.lam), b.k,
+                                              const if i == 0 else 0)
+                         for i, (p, b) in enumerate(zip(ps, params.blocks)))
 
 
 def test_eigenvalue_shifted_variant(p2):

@@ -19,9 +19,13 @@ relied on: some call leaves its parameter unset.
 And each module under `src/zeemanzones/` other than `__init__.py` loads
 every name it imports; `__future__` imports and `# noqa: F401`
 re-exports are exempt.
+
+Last, every name `bench/tracer.py` patches, read from its source, still
+exists in the package, so a rename cannot leave a traced run blind.
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -172,3 +176,73 @@ def test_no_unused_imports():
             unused += [f"{path.stem}: {a.name}" for a in node.names
                        if (a.asname or a.name.split(".")[0]) not in loaded]
     assert not unused, f"imported names the module never loads: {unused}"
+
+
+def _tuple_value(node, known):
+    """A module-level tuple of the tracer: a literal, a name bound earlier
+    or a sum of those."""
+    if isinstance(node, ast.Name):
+        return known[node.id]
+    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add):
+        return _tuple_value(node.left, known) + _tuple_value(node.right, known)
+    return ast.literal_eval(node)
+
+
+def test_bench_tracer_hooks_exist():
+    # the tracer rebinds the package's names from outside; a hook that no
+    # longer exists fails only in the slow bench test, or reads 0 quietly
+    tree = ast.parse((ROOT / "bench" / "tracer.py").read_text())
+    tuples = {}
+    for node in tree.body:
+        if (isinstance(node, ast.Assign) and len(node.targets) == 1
+                and node.targets[0].id in ("LAYERS", "ALL_MODULES",
+                                           "ZONEPOLY_OPS")):
+            tuples[node.targets[0].id] = _tuple_value(node.value, tuples)
+    assert {"LAYERS", "ALL_MODULES", "ZONEPOLY_OPS"} <= tuples.keys()
+    missing = set()
+    for name in tuples["LAYERS"] + tuples["ALL_MODULES"]:
+        try:
+            importlib.import_module(f"zeemanzones.{name}")
+        except ImportError:
+            missing.add(f"zeemanzones.{name}")
+
+    aliases = {}
+
+    def resolve(node):
+        """The package object a tracer expression names, or None: a
+        modules["name"] subscript, a name bound to one or an attribute."""
+        if (isinstance(node, ast.Subscript)
+                and getattr(node.value, "id", None) == "modules"
+                and isinstance(node.slice, ast.Constant)):
+            name = f"zeemanzones.{node.slice.value}"
+            try:
+                return importlib.import_module(name)
+            except ImportError:
+                missing.add(name)
+                return None
+        if isinstance(node, ast.Name):
+            return aliases.get(node.id)
+        if isinstance(node, ast.Attribute):
+            owner = resolve(node.value)
+            if owner is not None and not hasattr(owner, node.attr):
+                missing.add(f"{getattr(owner, '__name__', owner)}.{node.attr}")
+                return None
+            return None if owner is None else getattr(owner, node.attr)
+        return None
+
+    assigns = sorted((n for n in ast.walk(tree) if isinstance(n, ast.Assign)
+                      and len(n.targets) == 1
+                      and isinstance(n.targets[0], ast.Name)),
+                     key=lambda n: n.lineno)
+    for node in assigns:
+        obj = resolve(node.value)
+        if obj is not None:
+            aliases[node.targets[0].id] = obj
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            resolve(node)
+    assert "QuadRule" in aliases and "ZonePoly" in aliases
+    ops = vars(aliases["ZonePoly"])
+    missing |= {f"ZonePoly.{op}" for op in tuples["ZONEPOLY_OPS"]
+                if op not in ops}
+    assert not missing, f"names bench/tracer.py patches are gone: {missing}"
