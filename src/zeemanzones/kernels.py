@@ -24,15 +24,27 @@ from .quadrature import exact_value, tree_sum
 from .special import laguerre, laguerre_levels
 
 
+# The largest zone a whose chain step applies its zone factor expanded in
+# the x2 half (`plane_step`), as a + 1 matrix products; above it the apply
+# evaluates the factor slab by slab.  It is the largest zone at which
+# chains stay within 1e-14 relative of the slab loop, measured at degree
+# 40 over WK and DF, T in {0.3, 0.5, 1, 2, 5}, n = 2..4 and four point
+# pairs on k=2 (two on the k=4 geometry): zone 1 is within 9.6e-16 (WK)
+# and 3.7e-15 (DF); at zone 2 DF reaches 1.9e-14, and at zone 3 7.3e-12.
+EXPANDED_ZONES = 1
+
+
 class SingularTimeError(NumericError, ValueError):
     """DF evaluation at t within tolerance of a sin-zero n*pi/lambda_i."""
 
 
 def check_df_time(sigma, t: float, params: MagneticParams):
-    """Refuse t within 1e-9 of a caustic n pi / lambda_i, n >= 1, of the
-    DF flow, where the global kernel and every trace and chain built on
-    it are singular; the WK flow has none, so any other sigma passes.
-    The zonal closed forms are entire and call no check."""
+    """Refuse a non-finite t for every flow, and t within 1e-9 of a
+    caustic n pi / lambda_i, n >= 1, of the DF flow, where the global
+    kernel and every trace and chain built on it are singular; the WK
+    flow has none.  The zonal closed forms are entire and call no check."""
+    if not np.isfinite(t):
+        raise ValueError(f"time must be finite, got t={t}")
     if sigma != "df":
         return
     for b in params.blocks:
@@ -249,9 +261,22 @@ def plane_step(X, Y, lam: float, kap, shift, a: int):
     exponential of n^3 entries each, can overflow however far out the grids
     lie; each phase is a product of two n x n exponentials.  On a real grid
     rho = lam (kap (|x|^2 + |y|^2) - kap^2 P - conj P) is ru[x1, y1, y2] +
-    rv[x2, y1, y2], each again an outer sum of n x n pieces.  Only these
-    tables are kept; applying the operator (`_contract_plane`) builds no
-    array of the kernel's N x M size.
+    rv[x2, y1, y2], each again an outer sum of n x n pieces.
+
+    M_a is a polynomial of degree a, and d/dt M_m^{(alpha)}(t, eps) =
+    -M_{m-1}^{(alpha+1)}(t, eps) (DLMF sec. 18.9), so the zone factor
+    expands exactly in the x2 half:
+
+        M_a^{(0)}(ru + rv) = sum_{q=0..a} (-rv)^q / q! M_{a-q}^{(q)}(ru),
+
+    and the kernel is sum_q U_q[x1, y1, y2] V_q[x2, y1, y2], U_q = u
+    M_{a-q}^{(q)}(ru, kap) (U_a = u) and V_q = v (-rv)^q / q!.  Up to
+    zone EXPANDED_ZONES these 2 (a + 1) tables are kept (u and v alone at
+    zone 0), and an apply is a + 1 matrix products.  Above that zone the
+    terms, which grow with |rv| where their sum does not, cancel beyond
+    1e-14, so u, v, ru and rv are kept and the factor is evaluated per x1
+    slab.  Applying the operator (`_contract_plane`) builds no array of
+    the kernel's N x M size.
     """
     X = [np.asarray(v, dtype=float) for v in X]
     Y = [np.asarray(v, dtype=float) for v in Y]
@@ -268,19 +293,33 @@ def plane_step(X, Y, lam: float, kap, shift, a: int):
     v = _outer_exp(1j * lam * kap * x2y1,
                    lam * (kap * x2y2 - 0.5 * (x2 * x2)[:, None]),
                    -0.5 * lam * (np.add.outer(y1 * y1, y2 * y2) - w1sq))
-    ru = rv = None
-    if a:
-        # each half of rho is lam (kap (x^2 + y^2) - (kap^2 + 1) x y) on
-        # its own y axis plus i lam (kap^2 - 1) x y on the other, with the
-        # sign of P's imaginary part: + for x1 y2, - for x2 y1
-        k2 = kap * kap
-        ru = (lam * (kap * np.add.outer(x1 * x1, y1 * y1)
-                     - (k2 + 1) * x1y1))[:, :, None] \
-            + (1j * lam * (k2 - 1) * x1y2)[:, None, :]
-        rv = (-1j * lam * (k2 - 1) * x2y1)[:, :, None] \
-            + (lam * (kap * np.add.outer(x2 * x2, y2 * y2)
-                      - (k2 + 1) * x2y2))[:, None, :]
-    return partial(_contract_plane, (u, v, ru, rv, kap), a)
+    if not a:
+        return partial(_contract_plane, ([u], [v], None))
+    # each half of rho is lam (kap (x^2 + y^2) - (kap^2 + 1) x y) on its
+    # own y axis plus i lam (kap^2 - 1) x y on the other, with the sign of
+    # P's imaginary part: + for x1 y2, - for x2 y1
+    k2 = kap * kap
+    ru = (lam * (kap * np.add.outer(x1 * x1, y1 * y1)
+                 - (k2 + 1) * x1y1))[:, :, None] \
+        + (1j * lam * (k2 - 1) * x1y2)[:, None, :]
+    rv1 = -1j * lam * (k2 - 1) * x2y1
+    rv2 = lam * (kap * np.add.outer(x2 * x2, y2 * y2) - (k2 + 1) * x2y2)
+    if a > EXPANDED_ZONES:
+        rv = rv1[:, :, None] + rv2[:, None, :]
+        return partial(_contract_plane, ([u], [v], (ru, rv, kap, a)))
+    # U_q = u M_{a-q}^{(q)}(ru) (U_a = u) and V_q = v (-rv)^q / q!, each
+    # table built in place, ru freed before -rv is built
+    us = [np.multiply(lag, u, out=lag)
+          for lag in (laguerre(q, a - q, ru, kap) for q in range(a))] + [u]
+    del ru
+    nrv = np.subtract(-rv1[:, :, None], rv2[:, None, :])
+    vs = [v]
+    for q in range(1, a + 1):
+        w = np.multiply(vs[-1], nrv, out=nrv if q == a else None)
+        if q > 1:
+            w /= q
+        vs.append(w)
+    return partial(_contract_plane, (us, vs, None))
 
 
 def _outer_exp(e1, e2, c):
@@ -295,35 +334,46 @@ def _outer_exp(e1, e2, c):
     return out
 
 
-def _contract_plane(plane, m, f):
-    """sum over the points (x1, x2) of f[x1 x2, ...] u[x1, y1, y2]
-    v[x2, y1, y2] M_m^{(0)}(ru[x1] + rv, eps), with the y axes flattened
-    last.
+def _contract_plane(plane, f):
+    """sum over the points (x1, x2) of f[x1 x2, ...] times the step's
+    kernel (`plane_step`), with the y axes flattened last.
 
-    x2 is contracted by a matrix product, (rest, x2) @ (x2, y1 y2): one
-    product for every x1 slab at zone 0, one per slab with that slab's
-    zone factor at m >= 1.  x1 is then reduced by a `tree_sum`; its input
-    h, len(x1) times the size of the result, is the largest array built.
-    The slabs share one rho buffer and take the v factor in place: with
-    two fresh n^3 temporaries per slab the C allocator handed their pages
-    back and faulted them in again every slab (about 470 page faults per
-    slab at degree 40).
+    plane is (us, vs, None) up to zone EXPANDED_ZONES: h = sum_q U_q (g
+    @ V_q) on the tables of `plane_step`, g being f with x2 last, one
+    matrix product (x1 rest, x2) @ (x2, y1 y2) per term; at zone 0 the
+    one term u (g @ v).  Above it plane is ([u], [v], (ru, rv, eps, m)):
+    one product per x1 slab, with that slab's zone factor M_m^{(0)}(ru[x1]
+    + rv, eps) on n^3 entries.  The slabs share one rho buffer and the
+    recurrence's three work buffers (`laguerre_levels`), and take the v
+    factor in place, so no slab allocates an n^3 array: with fresh ones
+    the C allocator hands their pages back and faults them in again every
+    slab (14,360 minor faults in a degree-40 zone-3 apply).
+    x1 is then reduced by a `tree_sum`; its input h, len(x1) times the
+    size of the result, is the largest array built.
     """
-    u, v, ru, rv, eps = plane
+    us, vs, slabs = plane
     f = np.asarray(f)
-    n1, n2 = len(u), len(v)
+    n1, n2 = len(us[0]), len(vs[0])
     g = f.reshape((n1, n2) + f.shape[1:])
     gt = np.moveaxis(g, 1, -1).reshape(n1, -1, n2)       # (x1, rest, x2)
-    vt = v.reshape(n2, -1)                               # (x2, y1 y2)
-    if m == 0:
-        h = (gt.reshape(-1, n2) @ vt).reshape(gt.shape[:2] + vt.shape[1:])
+    if slabs is None:
+        h = None
+        for uq, vq in zip(us, vs):
+            hq = np.matmul(gt.reshape(-1, n2), vq.reshape(n2, -1))
+            hq = hq.reshape(gt.shape[:2] + (-1,))
+            hq *= uq.reshape(n1, 1, -1)
+            h = hq if h is None else np.add(h, hq, out=h)
     else:
+        ru, rv, eps, m = slabs
+        vt = vs[0].reshape(n2, -1)                       # (x2, y1 y2)
         h = np.empty(gt.shape[:2] + vt.shape[1:], dtype=complex)
-        rho = np.empty_like(rv)
+        work = np.empty((4, rv.size), dtype=complex)
+        rho = work[0].reshape(rv.shape)
         for i, gi in enumerate(gt):
-            lag = laguerre(0, m, np.add(ru[i], rv, out=rho), eps).reshape(n2, -1)
-            h[i] = gi @ np.multiply(vt, lag, out=lag)
-    h *= u.reshape(n1, 1, -1)
+            lag = laguerre(0, m, np.add(ru[i], rv, out=rho), eps,
+                           work[1:]).reshape(n2, -1)
+            np.matmul(gi, np.multiply(vt, lag, out=lag), out=h[i])
+        h *= us[0].reshape(n1, 1, -1)
     return tree_sum(h).reshape(f.shape[1:] + (-1,))
 
 

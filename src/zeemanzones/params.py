@@ -52,11 +52,13 @@ def zone_count(a: int, k: int) -> int:
 def zone_flow(sigma, t: float, lam: float):
     """(eps, shift) = (e^{-2 lam t s}, -lam t s) on one coordinate plane of
     field lam: e^{-t s H_Z} multiplies level p of every zone by e^{shift}
-    eps^p.  Every zonal closed form takes it from here, t >= 0 only."""
+    eps^p.  Every zonal closed form takes it from here, finite t >= 0
+    only: at t = inf eps would be 0 (WK) or NaN (DF) and the kernels NaN."""
     import numpy as np
     s = sigma_value(sigma)
-    if not t >= 0:              # NaN too
-        raise ValueError("zonal closed forms require t >= 0")
+    if not 0 <= t < math.inf:   # NaN too
+        raise ValueError(f"zonal closed forms require t >= 0 and finite, "
+                         f"got t={t}")
     return np.exp(-2 * lam * t * s), -0.5 * s * t * (2 * lam)
 
 

@@ -8,9 +8,14 @@ the pinned F=1 chain collapse to d(T, x, y) exactly).
 Every chain is a sum of products of one-plane chains (`_chain`), each
 on its plane's grid: a step applies the `plane_step` operator of a flow
 (kap, shift) to the vector of grid values, so no N x N step matrix is
-built.  x2 is contracted by a matrix product and x1 by a `tree_sum`, and
+built.  x2 is contracted by matrix products and x1 by a `tree_sum`, and
 a free end is summed by a `tree_sum`; neither depends on the thread
-count.  The integrand F is None (F = 1) or, on one plane only, separable.
+count.  Up to zone `kernels.EXPANDED_ZONES` (1) the zone factor is
+expanded in the x2 half, M_a(ru + rv) = sum_q (-rv)^q / q! M_{a-q}^{(q)}
+(ru), so a zone-a step is a + 1 products and its chains stay within
+1e-14 of the slab loop that applies the higher zones (at DF zone 2 the
+expansion would miss by 1.9e-14).  The integrand F is None (F = 1) or,
+on one plane only, separable.
 """
 
 from __future__ import annotations

@@ -8,10 +8,11 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from zeemanzones import pathint, thermo
-from zeemanzones.kernels import (SingularTimeError, _zonal0_parts,
-                                 check_df_time, convolution_rule,
-                                 global_factor, global_kernel, global_parts,
+from zeemanzones import kernels, pathint, thermo
+from zeemanzones.kernels import (EXPANDED_ZONES, SingularTimeError,
+                                 _zonal0_parts, check_df_time,
+                                 convolution_rule, global_factor,
+                                 global_kernel, global_parts,
                                  lt1_printed, pde_residual, plane_step,
                                  projection_kernel, projection_parts,
                                  weighted_dist_sq, zonal0, zonal_factor,
@@ -178,6 +179,30 @@ def test_zonal_entry_points_refuse_negative_or_nan_time(p2, name, t):
     # refusal covers them all (eps = e^{0.2} would be silently wrong)
     with pytest.raises(ValueError, match=r"zonal closed forms require t >= 0"):
         BAD_TIME[name](t, p2)
+
+
+INFINITE_TIME = {
+    "zonal_kernel_closed": lambda p: zonal_kernel_closed(
+        "wk", 0, math.inf, _XC, _XC, p),
+    "partition": lambda p: thermo.partition("wk", 0, math.inf, p),
+    "cylinder_value": lambda p: pathint.cylinder_value(
+        "wk", 0, TimeSlicing(math.inf, 2), None, _XC, _XC, p, quad_degree=8),
+}
+
+
+@pytest.mark.parametrize("name", sorted(INFINITE_TIME))
+def test_infinite_time_refused(p2, name):
+    # t = inf once gave NaN from the zonal closed forms, the partition
+    # function and the chains
+    with pytest.raises(ValueError, match="t=inf"):
+        INFINITE_TIME[name](p2)
+
+
+@pytest.mark.parametrize("t", [math.inf, math.nan])
+def test_df_time_check_refuses_non_finite(p2, t):
+    # round() once raised a bare OverflowError (inf) or ValueError (NaN)
+    with pytest.raises(ValueError, match=f"t={t}"):
+        check_df_time("df", t, p2)
 
 
 @pytest.mark.parametrize("sigma", ["wk", "df"])
@@ -505,7 +530,7 @@ def test_zonal_step_far_grids_finite(lam, sigma):
     G = [np.linspace(30.0, 45.0, 7), np.linspace(30.0, 45.0, 6)]
     H = [np.concatenate([-side[::-1], side])] * 2
     for t in (0.05, np.pi / (8 * lam), np.pi / (4 * lam), 1.3):
-        for a in (0, 2):
+        for a in (0, 1, 2):
             for X, Y in ((G, H), (H, G)):
                 _assert_matches_closed(sigma, a, t, X, Y, p, tol=1e-11)
 
@@ -513,8 +538,9 @@ def test_zonal_step_far_grids_finite(lam, sigma):
 @pytest.mark.parametrize("a, ceiling_mib", [(0, 3.0), (1, 5.5)])
 def test_zonal_step_build_memory(p2, a, ceiling_mib):
     # a degree-40 operator keeps u and v, 40^3 complex entries (1 MiB)
-    # each, and at zone 1 also ru and rv; the build adds one real 40^3
-    # modulus and n x n pieces
+    # each, and at zone 1 also the tables U_0 and V_1 of the expanded zone
+    # factor, each built in place; the build adds one real 40^3 modulus,
+    # one 40^3 ru while U_0 is built, and n x n pieces
     G = _axes(p2, 40)
     tracemalloc.start()
     try:
@@ -523,6 +549,47 @@ def test_zonal_step_build_memory(p2, a, ceiling_mib):
     finally:
         tracemalloc.stop()
     assert peak <= ceiling_mib * 2 ** 20
+
+
+class _CountingNumpy:
+    """numpy, with the calls of its matrix product counted."""
+
+    def __init__(self):
+        self.products = 0
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def matmul(self, *args, **kwargs):
+        self.products += 1
+        return np.matmul(*args, **kwargs)
+
+
+@pytest.mark.parametrize("sigma", ["wk", "df"])
+def test_zone_step_apply_work(p2, sigma, monkeypatch):
+    # one degree-40 grid-to-grid apply: up to EXPANDED_ZONES, a + 1 matrix
+    # products and no Laguerre table; one zone above, a table and a
+    # product per x1 slab, the n^4 entries the expansion leaves out; the
+    # bench's chain jobs run zones 0 and 1, so both are expanded
+    assert EXPANDED_ZONES >= 1
+    G = _axes(p2, 40)
+    f = np.ones(len(G[0]) * len(G[1]))
+    for a in range(EXPANDED_ZONES + 2):
+        op = _zone_step(sigma, a, 0.4, G, G, 1.0)
+        counting = _CountingNumpy()
+        tables = []
+
+        def counted_laguerre(*args, **kwargs):
+            tables.append(args[1])
+            return laguerre(*args, **kwargs)
+
+        with monkeypatch.context() as m:
+            m.setattr(kernels, "np", counting)
+            m.setattr(kernels, "laguerre", counted_laguerre)
+            op(f)
+        expanded = a <= EXPANDED_ZONES
+        assert len(tables) == (0 if expanded else len(G[0])), a
+        assert counting.products == (a + 1 if expanded else len(G[0])), a
 
 
 def test_zonal_matrix_refuses_point_sets():

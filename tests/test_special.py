@@ -82,3 +82,19 @@ def test_gaussian_moment_vs_quadrature():
 def test_gaussian_moment_rejects_decaying():
     with pytest.raises(ValueError):
         gaussian_moment_integral(-1.0, np.zeros(2))
+
+
+@pytest.mark.parametrize("size", [1, 2, 5, 64])
+@pytest.mark.parametrize("alpha", [0, 2])
+def test_laguerre_work_buffers_same_bits(size, alpha):
+    # in three work buffers each level keeps its bits, one-entry arrays
+    # included (an in-place product rounds differently there), and the
+    # last level is left in a buffer
+    rng = np.random.default_rng(size)
+    t = rng.normal(size=size) + 1j * rng.normal(size=size)
+    work = np.empty((3, size), dtype=complex)
+    for eps in (1.0, 0.6 * np.exp(0.4j)):
+        for n in range(1, 9):
+            got = laguerre(alpha, n, t, eps, work)
+            assert np.array_equal(got, laguerre(alpha, n, t, eps))
+            assert np.shares_memory(got, work)
