@@ -2,11 +2,14 @@
 
 One command per process.  Configuration comes from a single JSON file
 (--config); command-line flags, named and typed after their config fields,
-override it; no environment variables are consulted.  `COMMANDS` declares
-each subcommand's flags, the other fields it reads and its table form.
-Every field passes `_check_field` (JSON type, finite, no empty list,
-`CHOICES`, `RANGES`) before anything runs.  Every table subcommand prints
-through `write_table`, as CSV or JSON, as `format` asks.  Output files are
+override it; no environment variable configures a command.  The one
+variable touched is OpenBLAS's: `verify` with threads > 1 gives each
+worker its share of the cores, OPENBLAS_NUM_THREADS = cores // threads
+(at least 1), unless it is already set.  `COMMANDS` declares each
+subcommand's flags, the other fields it reads and its table form.  Every
+field passes `_check_field` (JSON type, finite, no empty list, `CHOICES`,
+`RANGES`) before anything runs.  Every table subcommand prints through
+`write_table`, as CSV or JSON, as `format` asks.  Output files are
 written atomically (temp file + rename): a crash leaves no truncated file.
 
 Exit codes: 0 success / all checks pass, 1 verification FAIL present,
@@ -299,6 +302,13 @@ def cmd_pathint(cfg):
 
 
 def cmd_verify(cfg):
+    if cfg["threads"] > 1:
+        # before numpy loads: the workers share the cores, so each one's
+        # OpenBLAS pool gets its share of them unless the user set one
+        cores = len(os.sched_getaffinity(0)) if hasattr(
+            os, "sched_getaffinity") else os.cpu_count() or 1
+        os.environ.setdefault("OPENBLAS_NUM_THREADS",
+                              str(max(1, cores // cfg["threads"])))
     from . import verify
     results = verify.run_suite(cfg["suite"], cfg["threads"])
     write_out(verify.report_json(results) + "\n", cfg["out"])

@@ -33,6 +33,20 @@ from .special import laguerre, laguerre_levels
 # and 3.7e-15 (DF); at zone 2 DF reaches 1.9e-14, and at zone 3 7.3e-12.
 EXPANDED_ZONES = 1
 
+# The most bytes a step's scratch array holds: a modulus block of
+# `_outer_exp`, and a block of y columns of an expanded apply's h
+# (`_contract_plane`).  A degree-40 `verify --suite pathint --threads 2`
+# job peaks at 38.8 MB with 128 KiB, against 39.7 MB with 256 KiB apply
+# blocks and 42.2 MB with h whole (medians of 5-7 runs on 2 cores); 64
+# KiB saved nothing more and made the suite slower.
+SCRATCH_BYTES = 2 ** 17
+
+# An expanded apply's blocks start at multiples of this many columns: a
+# multiple of the BLAS kernels' column tiles, so each block's matrix
+# product has the bits of the whole product's columns (blocks of 7, 14 or
+# 21 columns round otherwise).
+COLUMN_ALIGN = 8
+
 
 class SingularTimeError(NumericError, ValueError):
     """DF evaluation at t within tolerance of a sin-zero n*pi/lambda_i."""
@@ -272,11 +286,13 @@ def plane_step(X, Y, lam: float, kap, shift, a: int):
     and the kernel is sum_q U_q[x1, y1, y2] V_q[x2, y1, y2], U_q = u
     M_{a-q}^{(q)}(ru, kap) (U_a = u) and V_q = v (-rv)^q / q!.  Up to
     zone EXPANDED_ZONES these 2 (a + 1) tables are kept (u and v alone at
-    zone 0), and an apply is a + 1 matrix products.  Above that zone the
-    terms, which grow with |rv| where their sum does not, cancel beyond
-    1e-14, so u, v, ru and rv are kept and the factor is evaluated per x1
-    slab.  Applying the operator (`_contract_plane`) builds no array of
-    the kernel's N x M size.
+    zone 0), and an apply is a + 1 matrix products per block of y
+    columns.  Above that zone the terms, which grow with |rv| where their
+    sum does not, cancel beyond 1e-14, so u, v, ru and rv are kept and the
+    factor is evaluated per x1 slab.  Applying the operator
+    (`_contract_plane`) builds no array of the kernel's N x M size, and up
+    to EXPANDED_ZONES none of len(x1) times the result's size either: its
+    largest is one block, at most SCRATCH_BYTES for a vector f.
     """
     X = [np.asarray(v, dtype=float) for v in X]
     Y = [np.asarray(v, dtype=float) for v in Y]
@@ -326,11 +342,18 @@ def _outer_exp(e1, e2, c):
     """e^{e1[x, y1] + e2[x, y2] + c[y1, y2]} as an (x, y1, y2) array, for
     complex n x n pieces e1, e2 and real c: one real exponential of the
     outer sum of the real parts (the modulus), times the product of two
-    n x n phases.  No complex exponential of n^3 entries is taken."""
+    n x n phases.  No complex exponential of n^3 entries is taken, and the
+    modulus is formed in one buffer of at most SCRATCH_BYTES, as many rows
+    of x at a time as fit."""
     out = np.exp(1j * e1.imag)[:, :, None] * np.exp(1j * e2.imag)[:, None, :]
-    mod = e1.real[:, :, None] + e2.real[:, None, :]
-    mod += c
-    out *= np.exp(mod, out=mod)
+    step = max(1, SCRATCH_BYTES // 8 // out[0].size)
+    buf = np.empty((min(step, len(out)),) + out.shape[1:])
+    for i in range(0, len(out), step):
+        rows = slice(i, i + step)
+        mod = np.add(e1.real[rows, :, None], e2.real[rows, None, :],
+                     out=buf[:len(out[rows])])
+        mod += c
+        out[rows] *= np.exp(mod, out=mod)
     return out
 
 
@@ -338,18 +361,30 @@ def _contract_plane(plane, f):
     """sum over the points (x1, x2) of f[x1 x2, ...] times the step's
     kernel (`plane_step`), with the y axes flattened last.
 
-    plane is (us, vs, None) up to zone EXPANDED_ZONES: h = sum_q U_q (g
-    @ V_q) on the tables of `plane_step`, g being f with x2 last, one
-    matrix product (x1 rest, x2) @ (x2, y1 y2) per term; at zone 0 the
-    one term u (g @ v).  Above it plane is ([u], [v], (ru, rv, eps, m)):
-    one product per x1 slab, with that slab's zone factor M_m^{(0)}(ru[x1]
-    + rv, eps) on n^3 entries.  The slabs share one rho buffer and the
-    recurrence's three work buffers (`laguerre_levels`), and take the v
-    factor in place, so no slab allocates an n^3 array: with fresh ones
-    the C allocator hands their pages back and faults them in again every
-    slab (14,360 minor faults in a degree-40 zone-3 apply).
-    x1 is then reduced by a `tree_sum`; its input h, len(x1) times the
-    size of the result, is the largest array built.
+    plane is (us, vs, None) up to zone EXPANDED_ZONES: the result is the
+    sum over x1 of h = sum_q U_q (g @ V_q) on the tables of `plane_step`,
+    g being f with x2 last, formed one block of y columns at a time: per
+    block and term one matrix product (x1 rest, x2) @ (x2, block), times
+    U_q's block, summed over q, and the block reduced over x1 by a
+    `tree_sum`; at zone 0 the one term u (g @ v).  A block holds a
+    multiple of COLUMN_ALIGN columns, as many as keep its h within
+    SCRATCH_BYTES, so h is never built whole: at degree 40 a vector f
+    takes eight blocks of 200 columns.  Each column is reduced on its own
+    and the blocks start at multiples of COLUMN_ALIGN, so the result
+    is that of one block bit for bit.  Blocks of x1 rows instead would
+    pack each V_q into the BLAS kernel once per block: at degree 40 and
+    one BLAS thread, five blocks of 8 rows took 476 us a term where the
+    whole product takes 357 us.
+
+    Above that zone plane is ([u], [v], (ru, rv, eps, m)): one product
+    per x1 slab, with that slab's zone factor M_m^{(0)}(ru[x1] + rv, eps)
+    on n^3 entries.  The slabs share one rho buffer and the recurrence's
+    three work buffers (`laguerre_levels`), and take the v factor in
+    place, so no slab allocates an n^3 array: with fresh ones the C
+    allocator hands their pages back and faults them in again every slab
+    (14,360 minor faults in a degree-40 zone-3 apply).  x1 is then reduced
+    by a `tree_sum`; its input h, len(x1) times the size of the result,
+    is the largest array built.
     """
     us, vs, slabs = plane
     f = np.asarray(f)
@@ -357,12 +392,25 @@ def _contract_plane(plane, f):
     g = f.reshape((n1, n2) + f.shape[1:])
     gt = np.moveaxis(g, 1, -1).reshape(n1, -1, n2)       # (x1, rest, x2)
     if slabs is None:
-        h = None
-        for uq, vq in zip(us, vs):
-            hq = np.matmul(gt.reshape(-1, n2), vq.reshape(n2, -1))
-            hq = hq.reshape(gt.shape[:2] + (-1,))
-            hq *= uq.reshape(n1, 1, -1)
-            h = hq if h is None else np.add(h, hq, out=h)
+        g2, ny = gt.reshape(-1, n2), vs[0][0].size
+        width = SCRATCH_BYTES // 16 // len(g2) // COLUMN_ALIGN * COLUMN_ALIGN
+        width = max(width, COLUMN_ALIGN)
+        terms = [(uq.reshape(n1, 1, -1), vq.reshape(n2, -1))
+                 for uq, vq in zip(us, vs)]
+        h = np.empty((gt.shape[1], ny), dtype=complex)
+        for j in range(0, ny, width):
+            # a lone last column would take numpy's vector product, whose
+            # bits are not the matrix product's: it goes with the one before
+            lo = j - 1 if j == ny - 1 > 0 else j
+            cols = slice(lo, j + width)
+            hb = None
+            for uq, vq in terms:
+                hq = np.matmul(g2, vq[:, cols])
+                hq = hq.reshape(n1, -1, hq.shape[-1])
+                hq *= uq[:, :, cols]
+                hb = hq if hb is None else np.add(hb, hq, out=hb)
+            h[:, j:j + width] = tree_sum(hb)[:, j - lo:]
+        return h.reshape(f.shape[1:] + (-1,))
     else:
         ru, rv, eps, m = slabs
         vt = vs[0].reshape(n2, -1)                       # (x2, y1 y2)

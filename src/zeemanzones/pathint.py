@@ -14,7 +14,9 @@ count.  Up to zone `kernels.EXPANDED_ZONES` (1) the zone factor is
 expanded in the x2 half, M_a(ru + rv) = sum_q (-rv)^q / q! M_{a-q}^{(q)}
 (ru), so a zone-a step is a + 1 products and its chains stay within
 1e-14 of the slab loop that applies the higher zones (at DF zone 2 the
-expansion would miss by 1.9e-14).  The integrand F is None (F = 1) or,
+expansion would miss by 1.9e-14); such a step is applied one block of y
+columns at a time, with the bits of one block, so no array of len(x1)
+times its output is built.  The integrand F is None (F = 1) or,
 on one plane only, separable.
 """
 
@@ -45,7 +47,8 @@ class TimeSlicing:
 
     def __post_init__(self):
         if not self.total_time > 0:
-            raise ValueError("horizon must be positive")
+            raise ValueError(
+                f"horizon must be positive, got t={self.total_time}")
         if self.n_slices < 1:
             raise ValueError("need at least one slice")
 

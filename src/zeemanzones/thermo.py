@@ -22,7 +22,7 @@ def _check_partition_time(sigma, t: float, params: MagneticParams) -> None:
     """Refuse a t the partition sums are not defined at: t <= 0 or NaN,
     and a DF caustic (`check_df_time`)."""
     if not t > 0:
-        raise ValueError("partition function requires t > 0")
+        raise ValueError(f"partition function requires t > 0, got t={t}")
     check_df_time(sigma, t, params)
 
 

@@ -97,6 +97,26 @@ def test_verify_quad_degree_usage_error(capsys, monkeypatch, argv):
     assert "unrecognized arguments: --quad-degree" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("threads, preset, expected", [
+    (1, None, None),
+    (2, None, str(max(1, len(os.sched_getaffinity(0)) // 2))),
+    (2, "3", "3"),
+], ids=["one-worker", "two-workers", "user-set"])
+def test_verify_workers_share_blas_threads(capsys, monkeypatch, threads,
+                                           preset, expected):
+    # each verify worker's OpenBLAS pool gets its share of the cores
+    # (numpy, and so OpenBLAS, loads after this in a fresh process); one
+    # worker keeps the library's default, and a value the user set wins
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    if preset is not None:
+        env["OPENBLAS_NUM_THREADS"] = preset
+    monkeypatch.setattr(os, "environ", env)
+    monkeypatch.setattr(verify, "run_suite", lambda suite, threads: [])
+    code, _ = run_cli(capsys, "verify", "--threads", str(threads))
+    assert code == 0
+    assert env.get("OPENBLAS_NUM_THREADS") == expected
+
+
 _FLAGS = {
     "spectrum": {"--format", "--max-p", "--max-zone"},
     "kernel": {"--sigma", "--zone", "--times"},

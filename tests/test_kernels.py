@@ -182,20 +182,22 @@ def test_zonal_entry_points_refuse_negative_or_nan_time(p2, name, t):
 
 
 INFINITE_TIME = {
-    "zonal_kernel_closed": lambda p: zonal_kernel_closed(
-        "wk", 0, math.inf, _XC, _XC, p),
-    "partition": lambda p: thermo.partition("wk", 0, math.inf, p),
-    "cylinder_value": lambda p: pathint.cylinder_value(
-        "wk", 0, TimeSlicing(math.inf, 2), None, _XC, _XC, p, quad_degree=8),
+    "zonal_kernel_closed": lambda t, p: zonal_kernel_closed(
+        "wk", 0, t, _XC, _XC, p),
+    "partition": lambda t, p: thermo.partition("wk", 0, t, p),
+    "cylinder_value": lambda t, p: pathint.cylinder_value(
+        "wk", 0, TimeSlicing(t, 2), None, _XC, _XC, p, quad_degree=8),
 }
 
 
-@pytest.mark.parametrize("name", sorted(INFINITE_TIME))
-def test_infinite_time_refused(p2, name):
+@pytest.mark.parametrize("name, t", [
+    pytest.param(name, t, id=name + suffix) for name in sorted(INFINITE_TIME)
+    for t, suffix in ((math.inf, ""), (math.nan, "-nan"))])
+def test_infinite_time_refused(p2, name, t):
     # t = inf once gave NaN from the zonal closed forms, the partition
-    # function and the chains
-    with pytest.raises(ValueError, match="t=inf"):
-        INFINITE_TIME[name](p2)
+    # function and the chains; every refusal, of NaN too, names the time
+    with pytest.raises(ValueError, match=f"t={t}"):
+        INFINITE_TIME[name](t, p2)
 
 
 @pytest.mark.parametrize("t", [math.inf, math.nan])
@@ -568,11 +570,14 @@ class _CountingNumpy:
 @pytest.mark.parametrize("sigma", ["wk", "df"])
 def test_zone_step_apply_work(p2, sigma, monkeypatch):
     # one degree-40 grid-to-grid apply: up to EXPANDED_ZONES, a + 1 matrix
-    # products and no Laguerre table; one zone above, a table and a
-    # product per x1 slab, the n^4 entries the expansion leaves out; the
-    # bench's chain jobs run zones 0 and 1, so both are expanded
+    # products per block of y columns (eight of 200, so that a block's h
+    # holds at most SCRATCH_BYTES) and no Laguerre table; one zone
+    # above, a table and a product per x1 slab, the n^4 entries the
+    # expansion leaves out; the bench's chain jobs run zones 0 and 1, so
+    # both are expanded
     assert EXPANDED_ZONES >= 1
     G = _axes(p2, 40)
+    blocks = 8
     f = np.ones(len(G[0]) * len(G[1]))
     for a in range(EXPANDED_ZONES + 2):
         op = _zone_step(sigma, a, 0.4, G, G, 1.0)
@@ -589,7 +594,38 @@ def test_zone_step_apply_work(p2, sigma, monkeypatch):
             op(f)
         expanded = a <= EXPANDED_ZONES
         assert len(tables) == (0 if expanded else len(G[0])), a
-        assert counting.products == (a + 1 if expanded else len(G[0])), a
+        assert counting.products == (
+            (a + 1) * blocks if expanded else len(G[0])), a
+
+
+@pytest.mark.parametrize("deg", [7, 9, 13, 40])
+@pytest.mark.parametrize("a", [0, 1])
+@pytest.mark.parametrize("sigma", ["wk", "df"])
+def test_blocked_apply_is_one_block_bit_for_bit(p2, sigma, a, deg,
+                                                monkeypatch):
+    # each y column is reduced over x1 on its own, and the blocks start at
+    # multiples of COLUMN_ALIGN, so the blocked apply, at its own block
+    # size and at the smallest (COLUMN_ALIGN columns), has the bits of one
+    # block; at degrees 9 and 13 the smallest leaves one column last, whose
+    # product goes with the column before it (numpy's vector product
+    # rounds otherwise)
+    G = _axes(p2, deg)
+    N = len(G[0]) * len(G[1])
+    rng = np.random.default_rng(deg)
+    f = rng.normal(size=N) + 1j * rng.normal(size=N)
+    y = [np.array([0.1]), np.array([0.4])]
+    cases = [(_zone_step(sigma, a, 0.4, G, G, 1.0), f),
+             (_zone_step(sigma, a, 0.4, G, y, 1.0), f)]
+    if deg in (7, 13):
+        cases.append((cases[0][0], np.eye(N)))
+    for op, g in cases:
+        with monkeypatch.context() as m:
+            m.setattr(kernels, "SCRATCH_BYTES", 2 ** 40)
+            ref = op(g).tobytes()
+        for size in (kernels.SCRATCH_BYTES, 1):
+            with monkeypatch.context() as m:
+                m.setattr(kernels, "SCRATCH_BYTES", size)
+                assert op(g).tobytes() == ref, (g.shape, size)
 
 
 def test_zonal_matrix_refuses_point_sets():

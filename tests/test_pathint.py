@@ -390,6 +390,25 @@ def test_chain_allocates_no_step_matrix(p2, a):
     assert peak < 20 * 2 ** 20
 
 
+@pytest.mark.parametrize("a, ceiling_mib", [(0, 3.0), (1, 5.0)])
+def test_warm_chain_memory(p2, a, ceiling_mib):
+    # a warm degree-40 chain holds its grid-to-grid step, u and v (1 MiB
+    # each) and at zone 1 also U_0 and V_1, and an apply adds one block of
+    # y columns per term: all of them at once peaked at 4.0 and 6.9 MiB
+    def chain():
+        cylinder_value("df", a, TimeSlicing(0.5, 4), None, X0, Y0, p2,
+                       quad_degree=40)
+
+    chain()
+    tracemalloc.start()
+    try:
+        chain()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= ceiling_mib * 2 ** 20
+
+
 def test_k4_chain_memory(p4, xy4):
     # a two-block chain is a sum of products of one-plane chains, so its
     # arrays are those of a k=2 chain: 40^3 complex entries (1 MiB) each
