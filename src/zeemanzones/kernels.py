@@ -33,12 +33,12 @@ from .special import laguerre, laguerre_levels
 # and 3.7e-15 (DF); at zone 2 DF reaches 1.9e-14, and at zone 3 7.3e-12.
 EXPANDED_ZONES = 1
 
-# The most bytes a step's scratch array holds: a modulus block of
-# `_outer_exp`, and a block of y columns of an expanded apply's h
-# (`_contract_plane`).  A degree-40 `verify --suite pathint --threads 2`
-# job peaks at 38.8 MB with 128 KiB, against 39.7 MB with 256 KiB apply
-# blocks and 42.2 MB with h whole (medians of 5-7 runs on 2 cores); 64
-# KiB saved nothing more and made the suite slower.
+# The most bytes a block of an expanded apply holds (`_contract_plane`):
+# its h, and each table formed for it for a vector f.  A degree-40 vector
+# apply peaks at 0.8 MiB (zone 0) and 1.2 MiB (zone 1) of traced memory
+# in 1.7 and 2.6 ms (one BLAS thread), against 1.4 and 2.4 MiB in 1.4 and
+# 2.5 ms with 256 KiB and 0.3 and 0.5 MiB in 2.0 and 2.9 ms with 64 KiB;
+# `verify --suite pathint --threads 2` peaks at 36.6 MB RSS in the bench.
 SCRATCH_BYTES = 2 ** 17
 
 # An expanded apply's blocks start at multiples of this many columns: a
@@ -267,7 +267,7 @@ def plane_step(X, Y, lam: float, kap, shift, a: int):
     P = (x1 y1 - i x1 y2) + (x2 y2 + i x2 y1), so the kernel is u[x1, y1,
     y2] v[x2, y1, y2] with the row and column Gaussians folded in, and each
     of u and v has an exponent e1[x, y1] + e2[x, y2] + c[y1, y2] of n x n
-    pieces (`_outer_exp`).  With kap = kr + i ki, w1 = kr y1 + ki y2 and
+    pieces (`_exp_pieces`).  With kap = kr + i ki, w1 = kr y1 + ki y2 and
     w2 = kr y2 - ki y1 (w1^2 + w2^2 = |kap|^2 |y|^2), the real part of
     u's exponent is -lam (x1 - w1)^2 / 2 + Re(shift + log(lam / pi)) and
     that of v's is -lam (x2 - w2)^2 / 2 - lam (1 - |kap|^2) |y|^2 / 2, so
@@ -285,14 +285,15 @@ def plane_step(X, Y, lam: float, kap, shift, a: int):
 
     and the kernel is sum_q U_q[x1, y1, y2] V_q[x2, y1, y2], U_q = u
     M_{a-q}^{(q)}(ru, kap) (U_a = u) and V_q = v (-rv)^q / q!.  Up to
-    zone EXPANDED_ZONES these 2 (a + 1) tables are kept (u and v alone at
-    zone 0), and an apply is a + 1 matrix products per block of y
-    columns.  Above that zone the terms, which grow with |rv| where their
-    sum does not, cancel beyond 1e-14, so u, v, ru and rv are kept and the
-    factor is evaluated per x1 slab.  Applying the operator
-    (`_contract_plane`) builds no array of the kernel's N x M size, and up
-    to EXPANDED_ZONES none of len(x1) times the result's size either: its
-    largest is one block, at most SCRATCH_BYTES for a vector f.
+    zone EXPANDED_ZONES the operator keeps only n x n pieces: those of u
+    and v and the halves of ru and -rv (none at zone 0), and an apply
+    forms the tables one block of y1 rows at a time and takes a + 1
+    matrix products per block (`_contract_plane`).  Above that zone the
+    terms, which grow with |rv| where their sum does not, cancel beyond
+    1e-14, so u, v, ru and rv are kept whole, n^3 entries each, and the
+    factor is evaluated per x1 slab (`_contract_slabs`).  No apply builds
+    an N x M array, and up to EXPANDED_ZONES none of len(x1) times the
+    result's size either.
     """
     X = [np.asarray(v, dtype=float) for v in X]
     Y = [np.asarray(v, dtype=float) for v in Y]
@@ -303,125 +304,148 @@ def plane_step(X, Y, lam: float, kap, shift, a: int):
     x2y1, x2y2 = np.multiply.outer(x2, y1), np.multiply.outer(x2, y2)
     kap = complex(kap)
     w1sq = np.add.outer(kap.real * y1, kap.imag * y2) ** 2
-    u = _outer_exp(lam * (kap * x1y1 - 0.5 * (x1 * x1)[:, None])
-                   + (shift + np.log(lam) - np.log(np.pi)),
-                   -1j * lam * kap * x1y2, -0.5 * lam * w1sq)
-    v = _outer_exp(1j * lam * kap * x2y1,
-                   lam * (kap * x2y2 - 0.5 * (x2 * x2)[:, None]),
-                   -0.5 * lam * (np.add.outer(y1 * y1, y2 * y2) - w1sq))
+    u = _exp_pieces(lam * (kap * x1y1 - 0.5 * (x1 * x1)[:, None])
+                    + (shift + np.log(lam) - np.log(np.pi)),
+                    -1j * lam * kap * x1y2, -0.5 * lam * w1sq)
+    v = _exp_pieces(1j * lam * kap * x2y1,
+                    lam * (kap * x2y2 - 0.5 * (x2 * x2)[:, None]),
+                    -0.5 * lam * (np.add.outer(y1 * y1, y2 * y2) - w1sq))
     if not a:
-        return partial(_contract_plane, ([u], [v], None))
+        return partial(_contract_plane, (u, v, None))
     # each half of rho is lam (kap (x^2 + y^2) - (kap^2 + 1) x y) on its
     # own y axis plus i lam (kap^2 - 1) x y on the other, with the sign of
     # P's imaginary part: + for x1 y2, - for x2 y1
     k2 = kap * kap
-    ru = (lam * (kap * np.add.outer(x1 * x1, y1 * y1)
-                 - (k2 + 1) * x1y1))[:, :, None] \
-        + (1j * lam * (k2 - 1) * x1y2)[:, None, :]
-    rv1 = -1j * lam * (k2 - 1) * x2y1
-    rv2 = lam * (kap * np.add.outer(x2 * x2, y2 * y2) - (k2 + 1) * x2y2)
+    ru = (lam * (kap * np.add.outer(x1 * x1, y1 * y1) - (k2 + 1) * x1y1),
+          1j * lam * (k2 - 1) * x1y2)
+    rv = (-1j * lam * (k2 - 1) * x2y1,
+          lam * (kap * np.add.outer(x2 * x2, y2 * y2) - (k2 + 1) * x2y2))
     if a > EXPANDED_ZONES:
-        rv = rv1[:, :, None] + rv2[:, None, :]
-        return partial(_contract_plane, ([u], [v], (ru, rv, kap, a)))
-    # U_q = u M_{a-q}^{(q)}(ru) (U_a = u) and V_q = v (-rv)^q / q!, each
-    # table built in place, ru freed before -rv is built
-    us = [np.multiply(lag, u, out=lag)
-          for lag in (laguerre(q, a - q, ru, kap) for q in range(a))] + [u]
-    del ru
-    nrv = np.subtract(-rv1[:, :, None], rv2[:, None, :])
-    vs = [v]
-    for q in range(1, a + 1):
-        w = np.multiply(vs[-1], nrv, out=nrv if q == a else None)
-        if q > 1:
-            w /= q
-        vs.append(w)
-    return partial(_contract_plane, (us, vs, None))
+        return partial(_contract_slabs, (_outer_exp(u), _outer_exp(v),
+                                         _outer_sum(ru), _outer_sum(rv),
+                                         kap, a))
+    return partial(_contract_plane, (u, v, (ru, (-rv[0], -rv[1]), kap, a)))
 
 
-def _outer_exp(e1, e2, c):
-    """e^{e1[x, y1] + e2[x, y2] + c[y1, y2]} as an (x, y1, y2) array, for
-    complex n x n pieces e1, e2 and real c: one real exponential of the
-    outer sum of the real parts (the modulus), times the product of two
-    n x n phases.  No complex exponential of n^3 entries is taken, and the
-    modulus is formed in one buffer of at most SCRATCH_BYTES, as many rows
-    of x at a time as fit."""
-    out = np.exp(1j * e1.imag)[:, :, None] * np.exp(1j * e2.imag)[:, None, :]
-    step = max(1, SCRATCH_BYTES // 8 // out[0].size)
-    buf = np.empty((min(step, len(out)),) + out.shape[1:])
-    for i in range(0, len(out), step):
-        rows = slice(i, i + step)
-        mod = np.add(e1.real[rows, :, None], e2.real[rows, None, :],
-                     out=buf[:len(out[rows])])
-        mod += c
-        out[rows] *= np.exp(mod, out=mod)
+def _exp_pieces(e1, e2, c):
+    """`_outer_exp`'s n x n pieces: both e^{i Im e}, both Re e, and c."""
+    return (np.exp(1j * e1.imag), np.exp(1j * e2.imag),
+            e1.real.copy(), e2.real.copy(), c)
+
+
+def _outer_exp(pieces, rows=slice(None), out=None, mod=None):
+    """e^{e1[x, y1] + e2[x, y2] + c[y1, y2]} at the y1 rows `rows`, an
+    (x, rows, y2) array (in out, its real modulus in mod, if given): the
+    real exponential of the modulus times the product of the phases, with
+    the same bits whatever rows are asked."""
+    p1, p2, m1, m2, c = pieces
+    out = np.multiply(p1[:, rows, None], p2[:, None, :], out=out)
+    mod = np.add(m1[:, rows, None], m2[:, None, :], out=mod)
+    mod += c[rows]
+    out *= np.exp(mod, out=mod)
     return out
 
 
+def _outer_sum(halves, rows=slice(None), out=None):
+    """r1[x, y1] + r2[x, y2] at the y1 rows `rows`, for halves (r1, r2)."""
+    return np.add(halves[0][:, rows, None], halves[1][:, None, :], out=out)
+
+
+def _block_terms(plane, rows, work):
+    """Yield an expanded step's terms (U_q, V_q), q = 0..a, at the y1
+    rows `rows`, formed from its pieces (`plane_step`) in the rows of
+    work (`_contract_plane`); at zone 0 the one term (u, v)."""
+    u, v, zone = plane
+    (n1, nr), (n2, ny2) = u[0][:, rows].shape, v[1].shape
+
+    def tab(w, n):
+        return w[:n * nr * ny2].reshape(n, nr, ny2)
+    u = _outer_exp(u, rows, tab(work[0], n1), tab(work[2].view(float), n1))
+    vq = _outer_exp(v, rows, tab(work[1], n2), tab(work[2].view(float), n2))
+    if zone:
+        ru, nrv, kap, a = zone
+        ru = _outer_sum(ru, rows, tab(work[3], n1))
+        nrv = _outer_sum(nrv, rows, tab(work[4], n2))
+        for q in range(a):
+            lag = laguerre(q, a - q, ru, kap, work[5:, :ru.size])
+            yield np.multiply(lag, u, out=lag), vq
+            vq = np.multiply(vq, nrv, out=nrv if q + 1 == a else vq)
+            if q:
+                vq /= q + 1
+    yield u, vq
+
+
 def _contract_plane(plane, f):
-    """sum over the points (x1, x2) of f[x1 x2, ...] times the step's
-    kernel (`plane_step`), with the y axes flattened last.
+    """sum over the points (x1, x2) of f[x1 x2, ...] times the kernel of
+    an expanded step (`plane_step`), with the y axes flattened last.
 
-    plane is (us, vs, None) up to zone EXPANDED_ZONES: the result is the
-    sum over x1 of h = sum_q U_q (g @ V_q) on the tables of `plane_step`,
-    g being f with x2 last, formed one block of y columns at a time: per
-    block and term one matrix product (x1 rest, x2) @ (x2, block), times
-    U_q's block, summed over q, and the block reduced over x1 by a
-    `tree_sum`; at zone 0 the one term u (g @ v).  A block holds a
+    It is the sum over x1 of h = sum_q U_q (g @ V_q), g being f with x2
+    last, taken one block of whole y1 rows at a time: the block's terms
+    are formed from the step's pieces (`_block_terms`), each takes one
+    matrix product (x1 rest, x2) @ (x2, block) times U_q's block, and
+    their sum is reduced over x1 by a `tree_sum`.  A block holds a
     multiple of COLUMN_ALIGN columns, as many as keep its h within
-    SCRATCH_BYTES, so h is never built whole: at degree 40 a vector f
-    takes eight blocks of 200 columns.  Each column is reduced on its own
-    and the blocks start at multiples of COLUMN_ALIGN, so the result
-    is that of one block bit for bit.  Blocks of x1 rows instead would
-    pack each V_q into the BLAS kernel once per block: at degree 40 and
-    one BLAS thread, five blocks of 8 rows took 476 us a term where the
-    whole product takes 357 us.
-
-    Above that zone plane is ([u], [v], (ru, rv, eps, m)): one product
-    per x1 slab, with that slab's zone factor M_m^{(0)}(ru[x1] + rv, eps)
-    on n^3 entries.  The slabs share one rho buffer and the recurrence's
-    three work buffers (`laguerre_levels`), and take the v factor in
-    place, so no slab allocates an n^3 array: with fresh ones the C
-    allocator hands their pages back and faults them in again every slab
-    (14,360 minor faults in a degree-40 zone-3 apply).  x1 is then reduced
-    by a `tree_sum`; its input h, len(x1) times the size of the result,
-    is the largest array built.
+    SCRATCH_BYTES but at least one y1 row (eight blocks of 200 columns for
+    a vector f at degree 40); each column is reduced on its own and the
+    blocks start at multiples of COLUMN_ALIGN, so the result is that of
+    one block bit for bit.  Every apply forms its tables again, in one
+    work array and one for h: with fresh arrays per block the C allocator
+    trims the heap and faults their pages in again (310 and 435 minor
+    faults in a degree-40 zone-0 and zone-1 apply).
     """
-    us, vs, slabs = plane
+    u, v, zone = plane
     f = np.asarray(f)
-    n1, n2 = len(us[0]), len(vs[0])
+    n1, n2, (ny1, ny2) = len(u[0]), len(v[0]), u[-1].shape
+    g2 = np.moveaxis(f.reshape((n1, n2) + f.shape[1:]), 1, -1).reshape(-1, n2)
+    align = COLUMN_ALIGN // np.gcd(ny2, COLUMN_ALIGN)
+    step = max(SCRATCH_BYTES // 16 // len(g2) // ny2 // align * align, align)
+    # u, v and the modulus, and above zone 0 ru, -rv and the recurrence's
+    # buffers (`laguerre_levels`); h of the terms q = 0 and q > 0
+    a, cols = zone[3] if zone else 0, min(step, ny1) * ny2
+    slots = 5 + min(a, 3) if a else 3
+    work = np.empty((slots, max(n1, n2) * cols), dtype=complex)
+    hw = np.empty((min(a + 1, 2), len(g2) * cols), dtype=complex)
+    h = np.empty((len(g2) // n1, ny1 * ny2), dtype=complex)
+    for r in range(0, ny1, step):
+        # a lone last column would take numpy's vector product, whose
+        # bits are not the matrix product's: it goes with the one before
+        lo = r - 1 if ny2 == 1 and r == ny1 - 1 > 0 else r
+        terms = _block_terms(plane, slice(lo, r + step), work)
+        for q, (uq, vq) in enumerate(terms):
+            vq = vq.reshape(n2, -1)
+            hq = hw[min(q, 1), :len(g2) * vq.shape[1]].reshape(len(g2), -1)
+            hq = np.matmul(g2, vq, out=hq).reshape(n1, -1, vq.shape[1])
+            hq *= uq.reshape(n1, 1, -1)
+            hb = np.add(hb, hq, out=hb) if q else hq
+        h[:, r * ny2:(r + step) * ny2] = tree_sum(hb)[:, (r - lo) * ny2:]
+    return h.reshape(f.shape[1:] + (-1,))
+
+
+def _contract_slabs(plane, f):
+    """`_contract_plane` above EXPANDED_ZONES, plane = (u, v, ru, rv, eps,
+    m) with whole n^3 tables: one product per x1 slab, with that slab's
+    zone factor M_m^{(0)}(ru[x1] + rv, eps) on n^3 entries.  The slabs
+    share one rho buffer and the recurrence's three work buffers
+    (`laguerre_levels`), and take the v factor in place: with fresh n^3
+    arrays per slab the C allocator hands their pages back and faults
+    them in again (14,360 minor faults in a degree-40 zone-3 apply).  x1
+    is then reduced by a `tree_sum`; its input h, len(x1) times the size
+    of the result, is the largest array built.
+    """
+    u, v, ru, rv, eps, m = plane
+    f = np.asarray(f)
+    n1, n2 = len(u), len(v)
     g = f.reshape((n1, n2) + f.shape[1:])
     gt = np.moveaxis(g, 1, -1).reshape(n1, -1, n2)       # (x1, rest, x2)
-    if slabs is None:
-        g2, ny = gt.reshape(-1, n2), vs[0][0].size
-        width = SCRATCH_BYTES // 16 // len(g2) // COLUMN_ALIGN * COLUMN_ALIGN
-        width = max(width, COLUMN_ALIGN)
-        terms = [(uq.reshape(n1, 1, -1), vq.reshape(n2, -1))
-                 for uq, vq in zip(us, vs)]
-        h = np.empty((gt.shape[1], ny), dtype=complex)
-        for j in range(0, ny, width):
-            # a lone last column would take numpy's vector product, whose
-            # bits are not the matrix product's: it goes with the one before
-            lo = j - 1 if j == ny - 1 > 0 else j
-            cols = slice(lo, j + width)
-            hb = None
-            for uq, vq in terms:
-                hq = np.matmul(g2, vq[:, cols])
-                hq = hq.reshape(n1, -1, hq.shape[-1])
-                hq *= uq[:, :, cols]
-                hb = hq if hb is None else np.add(hb, hq, out=hb)
-            h[:, j:j + width] = tree_sum(hb)[:, j - lo:]
-        return h.reshape(f.shape[1:] + (-1,))
-    else:
-        ru, rv, eps, m = slabs
-        vt = vs[0].reshape(n2, -1)                       # (x2, y1 y2)
-        h = np.empty(gt.shape[:2] + vt.shape[1:], dtype=complex)
-        work = np.empty((4, rv.size), dtype=complex)
-        rho = work[0].reshape(rv.shape)
-        for i, gi in enumerate(gt):
-            lag = laguerre(0, m, np.add(ru[i], rv, out=rho), eps,
-                           work[1:]).reshape(n2, -1)
-            np.matmul(gi, np.multiply(vt, lag, out=lag), out=h[i])
-        h *= us[0].reshape(n1, 1, -1)
+    vt = v.reshape(n2, -1)                               # (x2, y1 y2)
+    h = np.empty(gt.shape[:2] + vt.shape[1:], dtype=complex)
+    work = np.empty((4, rv.size), dtype=complex)
+    rho = work[0].reshape(rv.shape)
+    for i, gi in enumerate(gt):
+        lag = laguerre(0, m, np.add(ru[i], rv, out=rho), eps,
+                       work[1:]).reshape(n2, -1)
+        np.matmul(gi, np.multiply(vt, lag, out=lag), out=h[i])
+    h *= u.reshape(n1, 1, -1)
     return tree_sum(h).reshape(f.shape[1:] + (-1,))
 
 

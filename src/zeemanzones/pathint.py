@@ -14,9 +14,10 @@ count.  Up to zone `kernels.EXPANDED_ZONES` (1) the zone factor is
 expanded in the x2 half, M_a(ru + rv) = sum_q (-rv)^q / q! M_{a-q}^{(q)}
 (ru), so a zone-a step is a + 1 products and its chains stay within
 1e-14 of the slab loop that applies the higher zones (at DF zone 2 the
-expansion would miss by 1.9e-14); such a step is applied one block of y
-columns at a time, with the bits of one block, so no array of len(x1)
-times its output is built.  The integrand F is None (F = 1) or,
+expansion would miss by 1.9e-14); such a step keeps only n x n pieces
+and is applied one block of y1 rows at a time, forming that block's
+tables from the pieces, with the bits of one block, so no array of
+len(x1) times its output is built.  The integrand F is None (F = 1) or,
 on one plane only, separable.
 """
 
@@ -35,7 +36,10 @@ from .kernels import check_df_time, plane_step
 from .quadrature import (QuadRule, QuadratureError, tensor_points,
                          tensor_weights, tree_sum)
 
-STEP_ENTRY_CEILING = 2 ** 22   # quad_degree^3: a chain step's largest array
+# quad_degree^3: the largest array of a chain step above
+# kernels.EXPANDED_ZONES, whose u, v, ru and rv tables are whole; zones
+# 0-1 keep n x n pieces and blocks, but are refused at the same degree
+STEP_ENTRY_CEILING = 2 ** 22
 
 
 @dataclass(frozen=True)
@@ -64,8 +68,9 @@ def slicing_grid(lam: float, quad_degree: int):
 
     Chain integrands decay like e^{-lam |m|^2} in each intermediate point
     (half a Gaussian from each adjacent kernel factor).  Refused before
-    anything is allocated when a grid-to-grid step's largest array
-    (quad_degree^3 entries) would exceed STEP_ENTRY_CEILING.
+    anything is allocated when a grid-to-grid step's n^3 tables
+    (quad_degree^3 entries, whole above kernels.EXPANDED_ZONES) would
+    exceed STEP_ENTRY_CEILING.
     """
     size = int(quad_degree) ** 3
     if size > STEP_ENTRY_CEILING:

@@ -537,20 +537,29 @@ def test_zonal_step_far_grids_finite(lam, sigma):
                 _assert_matches_closed(sigma, a, t, X, Y, p, tol=1e-11)
 
 
-@pytest.mark.parametrize("a, ceiling_mib", [(0, 3.0), (1, 5.5)])
-def test_zonal_step_build_memory(p2, a, ceiling_mib):
-    # a degree-40 operator keeps u and v, 40^3 complex entries (1 MiB)
-    # each, and at zone 1 also the tables U_0 and V_1 of the expanded zone
-    # factor, each built in place; the build adds one real 40^3 modulus,
-    # one 40^3 ru while U_0 is built, and n x n pieces
-    G = _axes(p2, 40)
+@pytest.mark.parametrize("deg, build_mib, apply_mib",
+                         [(40, 0.5, 1.5), (96, 2.5, 4.0)])
+@pytest.mark.parametrize("a", [0, 1])
+def test_zonal_step_build_memory(p2, a, deg, build_mib, apply_mib):
+    # up to EXPANDED_ZONES a built operator keeps only n x n pieces: the
+    # phases, real exponent parts and y1 x y2 parts of u and v and, at
+    # zone 1, the halves of ru and -rv (whole n^3 tables held 1.96 MiB at
+    # zone 0 and 3.91 MiB at zone 1 on degree 40, 27 and 54 MiB on degree
+    # 96); one vector apply forms its tables one block of y1 rows at a time
+    assert a <= EXPANDED_ZONES
+    G = _axes(p2, deg)
+    f = np.ones(len(G[0]) * len(G[1]), dtype=complex)
     tracemalloc.start()
     try:
-        _zone_step("df", a, 0.3, G, G, 1.0)
-        peak = tracemalloc.get_traced_memory()[1]
+        op = _zone_step("df", a, 0.3, G, G, 1.0)
+        held = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        op(f)
+        peak = tracemalloc.get_traced_memory()[1] - held
     finally:
         tracemalloc.stop()
-    assert peak <= ceiling_mib * 2 ** 20
+    assert held <= build_mib * 2 ** 20
+    assert peak <= apply_mib * 2 ** 20
 
 
 class _CountingNumpy:
@@ -570,32 +579,39 @@ class _CountingNumpy:
 @pytest.mark.parametrize("sigma", ["wk", "df"])
 def test_zone_step_apply_work(p2, sigma, monkeypatch):
     # one degree-40 grid-to-grid apply: up to EXPANDED_ZONES, a + 1 matrix
-    # products per block of y columns (eight of 200, so that a block's h
-    # holds at most SCRATCH_BYTES) and no Laguerre table; one zone
-    # above, a table and a product per x1 slab, the n^4 entries the
-    # expansion leaves out; the bench's chain jobs run zones 0 and 1, so
-    # both are expanded
+    # products per block of y1 rows (eight of 200 columns, so that a
+    # block's h holds at most SCRATCH_BYTES), and a Laguerre factor per
+    # block and level q < a on at most len(x1) times the block's columns,
+    # a n^3 entries an apply, never the slab loop's n^4; one zone above,
+    # a table and a product per x1 slab, the n^4 entries the expansion
+    # leaves out; the bench's chain jobs run zones 0 and 1, so both are
+    # expanded
     assert EXPANDED_ZONES >= 1
     G = _axes(p2, 40)
-    blocks = 8
+    n, blocks = len(G[0]), 8
     f = np.ones(len(G[0]) * len(G[1]))
     for a in range(EXPANDED_ZONES + 2):
         op = _zone_step(sigma, a, 0.4, G, G, 1.0)
         counting = _CountingNumpy()
-        tables = []
+        tables, sizes = [], []
 
         def counted_laguerre(*args, **kwargs):
             tables.append(args[1])
+            sizes.append(np.size(args[2]))
             return laguerre(*args, **kwargs)
 
         with monkeypatch.context() as m:
             m.setattr(kernels, "np", counting)
             m.setattr(kernels, "laguerre", counted_laguerre)
             op(f)
-        expanded = a <= EXPANDED_ZONES
-        assert len(tables) == (0 if expanded else len(G[0])), a
-        assert counting.products == (
-            (a + 1) * blocks if expanded else len(G[0])), a
+        if a <= EXPANDED_ZONES:
+            assert len(tables) == a * blocks, a
+            assert max(sizes, default=0) <= n * n * n // blocks, a
+            assert sum(sizes) == a * n ** 3, a
+            assert counting.products == (a + 1) * blocks, a
+        else:
+            assert len(tables) == len(G[0]), a
+            assert counting.products == len(G[0]), a
 
 
 @pytest.mark.parametrize("deg", [7, 9, 13, 40])
@@ -626,6 +642,24 @@ def test_blocked_apply_is_one_block_bit_for_bit(p2, sigma, a, deg,
             with monkeypatch.context() as m:
                 m.setattr(kernels, "SCRATCH_BYTES", size)
                 assert op(g).tobytes() == ref, (g.shape, size)
+
+
+@pytest.mark.parametrize("a", [0, 1])
+@pytest.mark.parametrize("sigma", ["wk", "df"])
+def test_blocked_apply_lone_last_row(p2, sigma, a, monkeypatch):
+    # onto a grid with one y2 node and 9 y1 nodes, blocks of COLUMN_ALIGN
+    # y1 rows leave one column last; it goes with the row before it, so
+    # the apply keeps the bits of one block
+    G = _axes(p2, 9)
+    rng = np.random.default_rng(9)
+    f = rng.normal(size=81) + 1j * rng.normal(size=81)
+    op = _zone_step(sigma, a, 0.4, G, [G[0], np.array([0.1])], 1.0)
+    with monkeypatch.context() as m:
+        m.setattr(kernels, "SCRATCH_BYTES", 2 ** 40)
+        ref = op(f).tobytes()
+    with monkeypatch.context() as m:
+        m.setattr(kernels, "SCRATCH_BYTES", 1)
+        assert op(f).tobytes() == ref
 
 
 def test_zonal_matrix_refuses_point_sets():
