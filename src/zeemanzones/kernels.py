@@ -33,15 +33,17 @@ from .special import laguerre, laguerre_levels
 # and 3.7e-15 (DF); at zone 2 DF reaches 1.9e-14, and at zone 3 7.3e-12.
 EXPANDED_ZONES = 1
 
-# The most bytes a block of an expanded apply holds (`_contract_plane`):
-# its h, and each table formed for it for a vector f.  A degree-40 vector
-# apply peaks at 0.8 MiB (zone 0) and 1.2 MiB (zone 1) of traced memory
-# in 1.7 and 2.6 ms (one BLAS thread), against 1.4 and 2.4 MiB in 1.4 and
-# 2.5 ms with 256 KiB and 0.3 and 0.5 MiB in 2.0 and 2.9 ms with 64 KiB;
-# `verify --suite pathint --threads 2` peaks at 36.6 MB RSS in the bench.
+# The most bytes a block of an apply holds (`_contract_plane`): its h,
+# and each table formed for it for a vector f.  A degree-40 vector apply
+# peaks at 0.8 MiB (zone 0) and 1.2 MiB (zone 1) of traced memory in 1.7
+# and 2.6 ms (one BLAS thread), against 1.4 and 2.4 MiB in 1.4 and 2.5
+# ms with 256 KiB and 0.3 and 0.5 MiB in 2.0 and 2.9 ms with 64 KiB; at
+# zones 2 and 3 it peaks at 1.2 and 1.4 MiB (1.5 and 1.6 MiB at degree
+# 96).  `verify --suite pathint --threads 2` peaks at 36.6 MB RSS in the
+# bench.
 SCRATCH_BYTES = 2 ** 17
 
-# An expanded apply's blocks start at multiples of this many columns: a
+# An apply's blocks start at multiples of this many columns: a
 # multiple of the BLAS kernels' column tiles, so each block's matrix
 # product has the bits of the whole product's columns (blocks of 7, 14 or
 # 21 columns round otherwise).
@@ -284,16 +286,14 @@ def plane_step(X, Y, lam: float, kap, shift, a: int):
         M_a^{(0)}(ru + rv) = sum_{q=0..a} (-rv)^q / q! M_{a-q}^{(q)}(ru),
 
     and the kernel is sum_q U_q[x1, y1, y2] V_q[x2, y1, y2], U_q = u
-    M_{a-q}^{(q)}(ru, kap) (U_a = u) and V_q = v (-rv)^q / q!.  Up to
-    zone EXPANDED_ZONES the operator keeps only n x n pieces: those of u
-    and v and the halves of ru and -rv (none at zone 0), and an apply
-    forms the tables one block of y1 rows at a time and takes a + 1
-    matrix products per block (`_contract_plane`).  Above that zone the
-    terms, which grow with |rv| where their sum does not, cancel beyond
-    1e-14, so u, v, ru and rv are kept whole, n^3 entries each, and the
-    factor is evaluated per x1 slab (`_contract_slabs`).  No apply builds
-    an N x M array, and up to EXPANDED_ZONES none of len(x1) times the
-    result's size either.
+    M_{a-q}^{(q)}(ru, kap) (U_a = u) and V_q = v (-rv)^q / q!.  The
+    operator keeps only n x n pieces, those of u and v and the halves of
+    ru and -rv (none at zone 0), and an apply forms their tables one
+    block of y1 rows at a time (`_contract_plane`).  Up to zone
+    EXPANDED_ZONES a block takes the a + 1 terms; above it the terms,
+    which grow with |rv| where their sum does not, cancel beyond 1e-14,
+    so a block evaluates the factor per x1 slab.  No apply builds an N x
+    M array, nor one of len(x1) times the result's size.
     """
     X = [np.asarray(v, dtype=float) for v in X]
     Y = [np.asarray(v, dtype=float) for v in Y]
@@ -311,7 +311,7 @@ def plane_step(X, Y, lam: float, kap, shift, a: int):
                     lam * (kap * x2y2 - 0.5 * (x2 * x2)[:, None]),
                     -0.5 * lam * (np.add.outer(y1 * y1, y2 * y2) - w1sq))
     if not a:
-        return partial(_contract_plane, (u, v, None))
+        return partial(_contract_plane, (u, v, None, kap, a))
     # each half of rho is lam (kap (x^2 + y^2) - (kap^2 + 1) x y) on its
     # own y axis plus i lam (kap^2 - 1) x y on the other, with the sign of
     # P's imaginary part: + for x1 y2, - for x2 y1
@@ -320,11 +320,7 @@ def plane_step(X, Y, lam: float, kap, shift, a: int):
           1j * lam * (k2 - 1) * x1y2)
     rv = (-1j * lam * (k2 - 1) * x2y1,
           lam * (kap * np.add.outer(x2 * x2, y2 * y2) - (k2 + 1) * x2y2))
-    if a > EXPANDED_ZONES:
-        return partial(_contract_slabs, (_outer_exp(u), _outer_exp(v),
-                                         _outer_sum(ru), _outer_sum(rv),
-                                         kap, a))
-    return partial(_contract_plane, (u, v, (ru, (-rv[0], -rv[1]), kap, a)))
+    return partial(_contract_plane, (u, v, (ru, (-rv[0], -rv[1])), kap, a))
 
 
 def _exp_pieces(e1, e2, c):
@@ -333,11 +329,11 @@ def _exp_pieces(e1, e2, c):
             e1.real.copy(), e2.real.copy(), c)
 
 
-def _outer_exp(pieces, rows=slice(None), out=None, mod=None):
+def _outer_exp(pieces, rows, out, mod):
     """e^{e1[x, y1] + e2[x, y2] + c[y1, y2]} at the y1 rows `rows`, an
-    (x, rows, y2) array (in out, its real modulus in mod, if given): the
-    real exponential of the modulus times the product of the phases, with
-    the same bits whatever rows are asked."""
+    (x, rows, y2) array in out, with its real modulus in mod: the real
+    exponential of the modulus times the product of the phases, with the
+    same bits whatever rows are asked."""
     p1, p2, m1, m2, c = pieces
     out = np.multiply(p1[:, rows, None], p2[:, None, :], out=out)
     mod = np.add(m1[:, rows, None], m2[:, None, :], out=mod)
@@ -346,107 +342,105 @@ def _outer_exp(pieces, rows=slice(None), out=None, mod=None):
     return out
 
 
-def _outer_sum(halves, rows=slice(None), out=None):
-    """r1[x, y1] + r2[x, y2] at the y1 rows `rows`, for halves (r1, r2)."""
+def _outer_sum(halves, rows, out):
+    """r1[x, y1] + r2[x, y2] at the y1 rows `rows`, in out, for halves
+    (r1, r2)."""
     return np.add(halves[0][:, rows, None], halves[1][:, None, :], out=out)
 
 
-def _block_terms(plane, rows, work):
-    """Yield an expanded step's terms (U_q, V_q), q = 0..a, at the y1
-    rows `rows`, formed from its pieces (`plane_step`) in the rows of
-    work (`_contract_plane`); at zone 0 the one term (u, v)."""
-    u, v, zone = plane
+def _block_tables(plane, rows, work):
+    """A step's tables u, v, ru and -rv at the y1 rows `rows`, formed from
+    its pieces (`plane_step`) in the rows of work (`_contract_plane`); at
+    zone 0 ru and -rv are None."""
+    u, v, rho = plane[:3]
     (n1, nr), (n2, ny2) = u[0][:, rows].shape, v[1].shape
 
     def tab(w, n):
         return w[:n * nr * ny2].reshape(n, nr, ny2)
-    u = _outer_exp(u, rows, tab(work[0], n1), tab(work[2].view(float), n1))
-    vq = _outer_exp(v, rows, tab(work[1], n2), tab(work[2].view(float), n2))
-    if zone:
-        ru, nrv, kap, a = zone
-        ru = _outer_sum(ru, rows, tab(work[3], n1))
-        nrv = _outer_sum(nrv, rows, tab(work[4], n2))
-        for q in range(a):
-            lag = laguerre(q, a - q, ru, kap, work[5:, :ru.size])
-            yield np.multiply(lag, u, out=lag), vq
-            vq = np.multiply(vq, nrv, out=nrv if q + 1 == a else vq)
-            if q:
-                vq /= q + 1
+    mod = work[2].view(float)
+    tables = [_outer_exp(u, rows, tab(work[0], n1), tab(mod, n1)),
+              _outer_exp(v, rows, tab(work[1], n2), tab(mod, n2))]
+    if rho is None:
+        return tables + [None, None]
+    return tables + [_outer_sum(rho[0], rows, tab(work[3], n1)),
+                     _outer_sum(rho[1], rows, tab(work[4], n2))]
+
+
+def _expanded_terms(u, vq, ru, nrv, kap, a, work):
+    """Yield the terms (U_q, V_q), q = 0..a, of a block's tables
+    (`plane_step`), U_q in the recurrence's buffers (`laguerre_levels`)
+    and V_q in v's or -rv's table; at zone 0 the one term (u, v)."""
+    for q in range(a):
+        lag = laguerre(q, a - q, ru, kap, work[5:, :ru.size])
+        yield np.multiply(lag, u, out=lag), vq
+        vq = np.multiply(vq, nrv, out=nrv if q + 1 == a else vq)
+        if q:
+            vq /= q + 1
     yield u, vq
 
 
 def _contract_plane(plane, f):
     """sum over the points (x1, x2) of f[x1 x2, ...] times the kernel of
-    an expanded step (`plane_step`), with the y axes flattened last.
+    a step (`plane_step`), with the y axes flattened last.
 
-    It is the sum over x1 of h = sum_q U_q (g @ V_q), g being f with x2
-    last, taken one block of whole y1 rows at a time: the block's terms
-    are formed from the step's pieces (`_block_terms`), each takes one
-    matrix product (x1 rest, x2) @ (x2, block) times U_q's block, and
-    their sum is reduced over x1 by a `tree_sum`.  A block holds a
-    multiple of COLUMN_ALIGN columns, as many as keep its h within
-    SCRATCH_BYTES but at least one y1 row (eight blocks of 200 columns for
-    a vector f at degree 40); each column is reduced on its own and the
-    blocks start at multiples of COLUMN_ALIGN, so the result is that of
-    one block bit for bit.  Every apply forms its tables again, in one
-    work array and one for h: with fresh arrays per block the C allocator
-    trims the heap and faults their pages in again (310 and 435 minor
-    faults in a degree-40 zone-0 and zone-1 apply).
+    It is the sum over x1 of h, taken one block of whole y1 rows at a
+    time from the tables `_block_tables` forms for the block.  Up to zone
+    EXPANDED_ZONES (read at each apply) h = sum_q U_q (g @ V_q), g being
+    f with x2 last: one matrix product (x1 rest, x2) @ (x2, block) per
+    term, times U_q's block.  Above it each x1 slab takes one product h =
+    u (g[x1] @ (v M_a(rho, kap))), rho = ru[x1] - (-rv), which rounds as
+    ru[x1] + rv, in the modulus's work row; v M keeps numpy's operand
+    order (see `_j_dot`).  h is reduced over x1 by a `tree_sum`.  A block
+    holds a multiple of COLUMN_ALIGN columns, as many as keep its h
+    within SCRATCH_BYTES but at least one y1 row (eight blocks of 200
+    columns for a vector f at degree 40); each column is reduced on its
+    own and the blocks start at multiples of COLUMN_ALIGN, so the result
+    is that of one block bit for bit.  Every apply forms its tables
+    again, in one work array and one for h: with fresh arrays per block
+    the C allocator trims the heap and faults their pages in again (310
+    and 435 minor faults in a degree-40 zone-0 and zone-1 apply).
     """
-    u, v, zone = plane
+    u, v, _, kap, a = plane
     f = np.asarray(f)
     n1, n2, (ny1, ny2) = len(u[0]), len(v[0]), u[-1].shape
     g2 = np.moveaxis(f.reshape((n1, n2) + f.shape[1:]), 1, -1).reshape(-1, n2)
     align = COLUMN_ALIGN // np.gcd(ny2, COLUMN_ALIGN)
     step = max(SCRATCH_BYTES // 16 // len(g2) // ny2 // align * align, align)
-    # u, v and the modulus, and above zone 0 ru, -rv and the recurrence's
-    # buffers (`laguerre_levels`); h of the terms q = 0 and q > 0
-    a, cols = zone[3] if zone else 0, min(step, ny1) * ny2
-    slots = 5 + min(a, 3) if a else 3
-    work = np.empty((slots, max(n1, n2) * cols), dtype=complex)
-    hw = np.empty((min(a + 1, 2), len(g2) * cols), dtype=complex)
+    slabs = a > EXPANDED_ZONES
+    # u, v and the modulus or rho, and above zone 0 ru, -rv and the
+    # recurrence's buffers; the block's h, which an expanded step's term
+    # q = 0 takes, and the h of each term q > 0
+    cols = min(step, ny1) * ny2
+    work = np.empty((5 + min(a, 3) if a else 3, max(n1, n2) * cols),
+                    dtype=complex)
+    hw = np.empty((1 if slabs else min(a + 1, 2), len(g2) * cols),
+                  dtype=complex)
     h = np.empty((len(g2) // n1, ny1 * ny2), dtype=complex)
     for r in range(0, ny1, step):
         # a lone last column would take numpy's vector product, whose
         # bits are not the matrix product's: it goes with the one before
         lo = r - 1 if ny2 == 1 and r == ny1 - 1 > 0 else r
-        terms = _block_terms(plane, slice(lo, r + step), work)
-        for q, (uq, vq) in enumerate(terms):
-            vq = vq.reshape(n2, -1)
-            hq = hw[min(q, 1), :len(g2) * vq.shape[1]].reshape(len(g2), -1)
-            hq = np.matmul(g2, vq, out=hq).reshape(n1, -1, vq.shape[1])
-            hq *= uq.reshape(n1, 1, -1)
-            hb = np.add(hb, hq, out=hb) if q else hq
+        u, v, ru, nrv = _block_tables(plane, slice(lo, r + step), work)
+        bc = v[0].size
+        hb = hw[0, :len(g2) * bc].reshape(n1, -1, bc)
+        if slabs:
+            rho = work[2, :nrv.size].reshape(nrv.shape)
+            for i, gi in enumerate(g2.reshape(n1, -1, n2)):
+                lag = laguerre(0, a, np.subtract(ru[i], nrv, out=rho), kap,
+                               work[5:, :rho.size]).reshape(n2, bc)
+                np.matmul(gi, np.multiply(v.reshape(n2, bc), lag, out=lag),
+                          out=hb[i])
+            hb *= u.reshape(n1, 1, bc)
+        else:
+            terms = _expanded_terms(u, v, ru, nrv, kap, a, work)
+            for q, (uq, vq) in enumerate(terms):
+                hq = hw[min(q, 1), :hb.size].reshape(hb.shape)
+                np.matmul(g2, vq.reshape(n2, bc), out=hq.reshape(-1, bc))
+                hq *= uq.reshape(n1, 1, bc)
+                if q:
+                    hb += hq
         h[:, r * ny2:(r + step) * ny2] = tree_sum(hb)[:, (r - lo) * ny2:]
     return h.reshape(f.shape[1:] + (-1,))
-
-
-def _contract_slabs(plane, f):
-    """`_contract_plane` above EXPANDED_ZONES, plane = (u, v, ru, rv, eps,
-    m) with whole n^3 tables: one product per x1 slab, with that slab's
-    zone factor M_m^{(0)}(ru[x1] + rv, eps) on n^3 entries.  The slabs
-    share one rho buffer and the recurrence's three work buffers
-    (`laguerre_levels`), and take the v factor in place: with fresh n^3
-    arrays per slab the C allocator hands their pages back and faults
-    them in again (14,360 minor faults in a degree-40 zone-3 apply).  x1
-    is then reduced by a `tree_sum`; its input h, len(x1) times the size
-    of the result, is the largest array built.
-    """
-    u, v, ru, rv, eps, m = plane
-    f = np.asarray(f)
-    n1, n2 = len(u), len(v)
-    g = f.reshape((n1, n2) + f.shape[1:])
-    gt = np.moveaxis(g, 1, -1).reshape(n1, -1, n2)       # (x1, rest, x2)
-    vt = v.reshape(n2, -1)                               # (x2, y1 y2)
-    h = np.empty(gt.shape[:2] + vt.shape[1:], dtype=complex)
-    work = np.empty((4, rv.size), dtype=complex)
-    rho = work[0].reshape(rv.shape)
-    for i, gi in enumerate(gt):
-        lag = laguerre(0, m, np.add(ru[i], rv, out=rho), eps,
-                       work[1:]).reshape(n2, -1)
-        np.matmul(gi, np.multiply(vt, lag, out=lag), out=h[i])
-    h *= u.reshape(n1, 1, -1)
-    return tree_sum(h).reshape(f.shape[1:] + (-1,))
 
 
 def lt1_printed(sigma, t: float, X, Y):

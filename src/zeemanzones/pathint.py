@@ -10,15 +10,11 @@ on its plane's grid: a step applies the `plane_step` operator of a flow
 (kap, shift) to the vector of grid values, so no N x N step matrix is
 built.  x2 is contracted by matrix products and x1 by a `tree_sum`, and
 a free end is summed by a `tree_sum`; neither depends on the thread
-count.  Up to zone `kernels.EXPANDED_ZONES` (1) the zone factor is
-expanded in the x2 half, M_a(ru + rv) = sum_q (-rv)^q / q! M_{a-q}^{(q)}
-(ru), so a zone-a step is a + 1 products and its chains stay within
-1e-14 of the slab loop that applies the higher zones (at DF zone 2 the
-expansion would miss by 1.9e-14); such a step keeps only n x n pieces
-and is applied one block of y1 rows at a time, forming that block's
-tables from the pieces, with the bits of one block, so no array of
-len(x1) times its output is built.  The integrand F is None (F = 1) or,
-on one plane only, separable.
+count.  A step keeps only n x n pieces and is applied one block of y1
+rows at a time, forming that block's tables from the pieces, with the
+bits of one block (`kernels._contract_plane`), so no array of len(x1)
+times its output is built.  The integrand F is None (F = 1) or, on one
+plane only, separable.
 """
 
 from __future__ import annotations
@@ -36,9 +32,9 @@ from .kernels import check_df_time, plane_step
 from .quadrature import (QuadRule, QuadratureError, tensor_points,
                          tensor_weights, tree_sum)
 
-# quad_degree^3: the largest array of a chain step above
-# kernels.EXPANDED_ZONES, whose u, v, ru and rv tables are whole; zones
-# 0-1 keep n x n pieces and blocks, but are refused at the same degree
+# quad_degree^3: the table entries a chain step's apply forms, one block
+# at a time (`kernels.plane_step`); it bounds an apply's work, which above
+# kernels.EXPANDED_ZONES is a zone-a factor on quad_degree^4 entries
 STEP_ENTRY_CEILING = 2 ** 22
 
 
@@ -68,9 +64,8 @@ def slicing_grid(lam: float, quad_degree: int):
 
     Chain integrands decay like e^{-lam |m|^2} in each intermediate point
     (half a Gaussian from each adjacent kernel factor).  Refused before
-    anything is allocated when a grid-to-grid step's n^3 tables
-    (quad_degree^3 entries, whole above kernels.EXPANDED_ZONES) would
-    exceed STEP_ENTRY_CEILING.
+    anything is allocated when a grid-to-grid step's tables
+    (quad_degree^3 entries) would exceed STEP_ENTRY_CEILING.
     """
     size = int(quad_degree) ** 3
     if size > STEP_ENTRY_CEILING:

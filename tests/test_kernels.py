@@ -539,14 +539,13 @@ def test_zonal_step_far_grids_finite(lam, sigma):
 
 @pytest.mark.parametrize("deg, build_mib, apply_mib",
                          [(40, 0.5, 1.5), (96, 2.5, 4.0)])
-@pytest.mark.parametrize("a", [0, 1])
+@pytest.mark.parametrize("a", [0, 1, 2, 3])
 def test_zonal_step_build_memory(p2, a, deg, build_mib, apply_mib):
-    # up to EXPANDED_ZONES a built operator keeps only n x n pieces: the
-    # phases, real exponent parts and y1 x y2 parts of u and v and, at
-    # zone 1, the halves of ru and -rv (whole n^3 tables held 1.96 MiB at
-    # zone 0 and 3.91 MiB at zone 1 on degree 40, 27 and 54 MiB on degree
-    # 96); one vector apply forms its tables one block of y1 rows at a time
-    assert a <= EXPANDED_ZONES
+    # a built operator keeps only n x n pieces: the phases, real exponent
+    # parts and y1 x y2 parts of u and v and, above zone 0, the halves of
+    # ru and -rv (whole n^3 tables held 1.96 MiB at zone 0 and 3.91 MiB
+    # above it on degree 40, 27 and 54 MiB on degree 96); one vector
+    # apply forms its tables one block of y1 rows at a time
     G = _axes(p2, deg)
     f = np.ones(len(G[0]) * len(G[1]), dtype=complex)
     tracemalloc.start()
@@ -578,14 +577,14 @@ class _CountingNumpy:
 
 @pytest.mark.parametrize("sigma", ["wk", "df"])
 def test_zone_step_apply_work(p2, sigma, monkeypatch):
-    # one degree-40 grid-to-grid apply: up to EXPANDED_ZONES, a + 1 matrix
-    # products per block of y1 rows (eight of 200 columns, so that a
-    # block's h holds at most SCRATCH_BYTES), and a Laguerre factor per
-    # block and level q < a on at most len(x1) times the block's columns,
-    # a n^3 entries an apply, never the slab loop's n^4; one zone above,
-    # a table and a product per x1 slab, the n^4 entries the expansion
-    # leaves out; the bench's chain jobs run zones 0 and 1, so both are
-    # expanded
+    # one degree-40 grid-to-grid apply, one block of y1 rows at a time
+    # (eight of 200 columns, so that a block's h holds at most
+    # SCRATCH_BYTES): up to EXPANDED_ZONES, a + 1 matrix products per
+    # block and a Laguerre factor per block and level q < a on at most
+    # len(x1) times the block's columns, a n^3 entries an apply; one zone
+    # above, a table and a product per block and x1 slab, the n^4 entries
+    # the expansion leaves out; the bench's chain jobs run zones 0 and 1,
+    # so both are expanded
     assert EXPANDED_ZONES >= 1
     G = _axes(p2, 40)
     n, blocks = len(G[0]), 8
@@ -604,18 +603,19 @@ def test_zone_step_apply_work(p2, sigma, monkeypatch):
             m.setattr(kernels, "np", counting)
             m.setattr(kernels, "laguerre", counted_laguerre)
             op(f)
+        assert max(sizes, default=0) <= n * n * n // blocks, a
         if a <= EXPANDED_ZONES:
             assert len(tables) == a * blocks, a
-            assert max(sizes, default=0) <= n * n * n // blocks, a
             assert sum(sizes) == a * n ** 3, a
             assert counting.products == (a + 1) * blocks, a
         else:
-            assert len(tables) == len(G[0]), a
-            assert counting.products == len(G[0]), a
+            assert len(tables) == n * blocks, a
+            assert sum(sizes) == n ** 4, a
+            assert counting.products == n * blocks, a
 
 
 @pytest.mark.parametrize("deg", [7, 9, 13, 40])
-@pytest.mark.parametrize("a", [0, 1])
+@pytest.mark.parametrize("a", [0, 1, 2])
 @pytest.mark.parametrize("sigma", ["wk", "df"])
 def test_blocked_apply_is_one_block_bit_for_bit(p2, sigma, a, deg,
                                                 monkeypatch):
@@ -644,7 +644,7 @@ def test_blocked_apply_is_one_block_bit_for_bit(p2, sigma, a, deg,
                 assert op(g).tobytes() == ref, (g.shape, size)
 
 
-@pytest.mark.parametrize("a", [0, 1])
+@pytest.mark.parametrize("a", [0, 1, 2])
 @pytest.mark.parametrize("sigma", ["wk", "df"])
 def test_blocked_apply_lone_last_row(p2, sigma, a, monkeypatch):
     # onto a grid with one y2 node and 9 y1 nodes, blocks of COLUMN_ALIGN

@@ -481,6 +481,8 @@ print(repr(cylinder_value("df", 1, TimeSlicing(0.5, 4), None, x2, y2,
 print(repr(cylinder_value("df", 2, TimeSlicing(0.5, 3), None, x4, y4,
                           MagneticParams.make([(1.0, 2), (2.0, 2)]),
                           quad_degree=12)))
+print(repr(cylinder_value("df", 2, TimeSlicing(0.5, 3), None, x2, y2,
+                          MagneticParams.make([(1.0, 2)]), quad_degree=40)))
 """
 
 
@@ -494,7 +496,7 @@ def test_chain_values_independent_of_blas_threads():
         outs.append(subprocess.run(
             [sys.executable, "-c", _THREAD_CHAINS], env=env,
             capture_output=True, text=True, check=True).stdout)
-    assert len(outs[0].split()) == 2
+    assert len(outs[0].split()) == 3
     assert outs[0] == outs[1]
 
 
